@@ -132,11 +132,13 @@ def build_service(workload: str, deployment: Deployment, prime: np.ndarray):
         # parent (seen on the second of two set-ups when both shards are
         # first touched concurrently).  So spawn the workers one at a time
         # with a 1-window call each (which also binds the interactive
-        # lane's 1-row plan), then bind the 8-row bulk plan on both:
-        # replica routing alternates windows, so 16 windows split 8/8.
+        # lane's 1-row plan), then bind the 8- and 2-row bulk plans on
+        # both: replica routing alternates windows, so 16 windows split 8/8
+        # and 4 windows 2/2.
         service.forecast_many(prime[:1])
         service.forecast_many(prime[1:2])
         service.forecast_many(prime[2:18])
+        service.forecast_many(prime[18:22])
     else:
         raise ValueError(f"unknown workload {workload!r}")
     deployment.versions[service.model_version] = checkpoint

@@ -1,14 +1,12 @@
 """Turn a workload's observations into checked, named metrics and output.
 
 The end-to-end metrics of ``BENCHMARK.json`` are the same three names on
-every workload; what each one measures per workload is:
+every workload:
 
-* ``windows_per_s`` — forecast windows completed per second: on
-  backfill-170 (``backfill_windows_per_s``) the median over the run's
-  cycles of each cycle's rate, so a few seconds of contention from
-  outside the benchmark move it less; on the open-loop workloads over the
-  whole timed phase, where it falls below the offered rate only when a
-  backlog builds.
+* ``windows_per_s`` — forecast windows the service completes per second
+  in closed loop, the median over the run's cycles of each cycle's rate
+  (stream-85: back-to-back ticks; backfill-170: ragged ``forecast_many``;
+  mixed-85-procs: back-to-back 16-window bulk calls on the process tier).
 * ``setup_s`` — median of the run's set-ups, checkpoint load to ready.
 * ``peak_rss_mb`` — this process's peak RSS plus its largest child's.
 
@@ -17,6 +15,10 @@ next to the ones not listed in ``BENCHMARK.json``: median latency
 (``latest_p50_ms`` timed from the tick's due time, ``bulk_p50_ms`` per
 call), tails (the highest of p50/p90/p99/p99.9 with at least ten samples
 beyond it, percentile printed), goodput, swap time and error rate.
+Latencies are not listed: on a shared 2-core VM the host's load moves
+them by more than any bound a regression check may use (ten-run quartile
+spread of mixed-85-procs' median latency: 0.06 in one hour, 0.41 in the
+next; its p90 ranged 28-57 ms over five runs).
 """
 
 from __future__ import annotations
@@ -28,16 +30,17 @@ from typing import Dict, List, Tuple
 import gate
 from measure import GENERATOR_LAG_LIMIT_MS, median_of, peak_rss_mb, provenance, summarise
 
-#: (name, unit) of the end-to-end metrics, as listed in BENCHMARK.json.
-#: Latencies are printed by name but not listed: on a shared 2-core VM the
-#: host's load moves them by more than any bound a regression check may
-#: use (ten-run quartile spread of mixed-85-procs' median latency: 0.06 in
-#: one hour, 0.41 in the next; its p90 ranged 28-57 ms over five runs).
-END_TO_END: List[Tuple[str, str]] = [
-    ("setup_s", "s"),
-    ("windows_per_s", "windows/s"),
-    ("peak_rss_mb", "MiB"),
-]
+#: The benchmark's definition; the one place metric names and units are kept.
+BENCHMARK_JSON = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+
+
+def spec_metrics(kind: str, values: Dict[str, float]) -> Dict[str, Dict[str, object]]:
+    """The result line's ``metrics``: every ``kind`` metric of BENCHMARK.json."""
+    spec = json.loads(BENCHMARK_JSON.read_text())
+    return {
+        metric["name"]: {"value": float(values[metric["name"]]), "unit": metric["unit"]}
+        for metric in spec[kind]
+    }
 
 
 def _primary(record) -> List[float]:
@@ -50,10 +53,7 @@ def end_to_end(record) -> Dict[str, float]:
         "setup_s": median_of(record.setup_s),
         "p50_ms": primary.p50_ms,
         "tail_ms": primary.tail_ms,
-        "windows_per_s": (
-            median_of(record.cycle_rates) if record.cycle_rates
-            else record.windows / record.timed_s
-        ),
+        "windows_per_s": median_of(record.cycle_rates),
         "peak_rss_mb": peak_rss_mb(),
     }
 
@@ -83,9 +83,9 @@ def named_metrics(record, e2e: Dict[str, float]) -> List[Tuple[str, float, str, 
             ("bulk_tail_ms", bulk.tail_ms, "ms", f"p{bulk.tail_percentile:g}, n={bulk.count}"),
         ]
     prefix = "backfill_" if record.workload == "backfill-170" else ""
-    cycles = f", median of {len(record.cycle_rates)} cycles" if record.cycle_rates else ""
     rows.append((f"{prefix}windows_per_s", e2e["windows_per_s"], "windows/s",
-                 f"{record.windows} windows in {record.timed_s:.2f} s{cycles}"))
+                 f"closed loop, median of {len(record.cycle_rates)} cycles; "
+                 f"{record.windows} windows in {record.timed_s:.2f} s"))
     if record.swaps:
         swap_ms = median_of([report.swap_ms for report in record.swaps])
         rows.append(("swap_ms", swap_ms, "ms", f"median of {len(record.swaps)} swaps"))
@@ -132,6 +132,7 @@ def summary(record, seed: int) -> Dict[str, object]:
         "named": named_metrics(record, e2e),
         "end_to_end": e2e,
         "setup_s_each": record.setup_s,
+        "cycle_rates": record.cycle_rates,
         "attempted": attempted,
         "failed": failed,
     }
@@ -140,9 +141,7 @@ def summary(record, seed: int) -> Dict[str, object]:
 def plain_run(runner, workdir: Path, seed: int, seconds: float) -> Dict[str, object]:
     record = runner(workdir, seed, seconds)
     result = summary(record, seed)
-    result["metrics"] = {
-        name: {"value": result["end_to_end"][name], "unit": unit} for name, unit in END_TO_END
-    }
+    result["metrics"] = spec_metrics("end_to_end", result["end_to_end"])
     return result
 
 

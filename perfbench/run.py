@@ -2,11 +2,11 @@
 
 Run one workload (what a measuring harness does)::
 
-    python3 perfbench/run.py --workload stream-85 --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload stream-85 --seed 1 --seconds 30 --trace 0
 
 or every workload, each in a fresh process::
 
-    python3 perfbench/run.py --seed 1 --seconds 15
+    python3 perfbench/run.py --seed 1 --seconds 30
 
 The last line of standard output is one JSON object: ``correct``,
 ``attempted``, ``failed`` and ``metrics`` (the end-to-end metrics of
@@ -41,7 +41,7 @@ def _parse(argv):
     parser.add_argument("--workload", choices=WORKLOAD_NAMES,
                         help="run one workload (default: all, each in its own process)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     return parser.parse_args(argv)
 

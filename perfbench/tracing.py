@@ -69,69 +69,6 @@ OVERHEAD_METRICS = ("setup_s", "p50_ms", "tail_ms", "windows_per_s")
 BYTES_EVERY = 4
 
 
-def _per_layer_units() -> List[Tuple[str, str]]:
-    """(name, unit) of every per-layer metric, in BENCHMARK.json order."""
-    units: List[Tuple[str, str]] = []
-    for kind in KERNEL_CLASSES:
-        units += [
-            (f"kernels.{kind}.ms_per_fwd", "ms"),
-            (f"kernels.{kind}.calls_per_fwd", "count"),
-            (f"kernels.{kind}.mb_per_fwd", "MB"),
-        ]
-    units += [("kernels.dispatch_ms_per_fwd", "ms"), ("kernels.share_of_forward", "ratio")]
-    units += [(f"engine.forward_ms.b{b}", "ms") for b in FORWARD_BUCKETS]
-    units += [
-        ("engine.forward_share", "ratio"),
-        ("engine.pad_ratio", "ratio"),
-        ("engine.compiles", "count"),
-        ("engine.artifact_loads", "count"),
-        ("compiler.compile_ms", "ms"),
-        ("compiler.steps", "count"),
-        ("compiler.fused_chains", "count"),
-        ("compiler.workspace_kib", "KiB"),
-        ("artifacts.load_ms", "ms"),
-        ("artifacts.bind_ms", "ms"),
-        ("artifacts.rejects", "count"),
-    ]
-    for stage in STAGES:
-        units += [(f"stage.{stage}.ms_per_fwd", "ms"), (f"stage.{stage}.share", "ratio")]
-    units += [
-        ("buffer.ingest_us", "us"),
-        ("buffer.snapshot_us", "us"),
-        ("quality.observe_us", "us"),
-        ("quality.imputed_share", "ratio"),
-        ("cache.hit_ratio", "ratio"),
-        ("cache.get_us", "us"),
-        ("cache.put_us", "us"),
-        ("service.self_ms", "ms"),
-        ("batcher.rows_per_flush", "rows"),
-        ("batcher.queue_wait_ms", "ms"),
-        ("batcher.flush_ms", "ms"),
-        ("dispatch.call_ms.interactive", "ms"),
-        ("dispatch.call_ms.bulk", "ms"),
-        ("lanes.bulk.rejected", "count"),
-        ("lanes.interactive.rejected", "count"),
-        ("workers.respawns", "count"),
-        ("workers.blas_threads", "count"),
-        ("resilience.retries", "count"),
-        ("resilience.expired", "count"),
-        ("swap.plans_compiled", "count"),
-        ("swap.artifacts_adopted", "count"),
-    ]
-    units += [(f"trace.overhead.{name}", "ratio") for name in OVERHEAD_METRICS]
-    return units
-
-
-#: Per-layer metrics where a larger value is the better one.
-HIGHER_IS_BETTER = frozenset({
-    "kernels.share_of_forward", "engine.forward_share", "engine.artifact_loads",
-    "compiler.fused_chains", "cache.hit_ratio", "batcher.rows_per_flush",
-    "swap.artifacts_adopted", "trace.overhead.windows_per_s",
-})
-
-PER_LAYER = _per_layer_units()
-
-
 class Span:
     __slots__ = ("id", "name", "start", "end", "parent", "request", "phase", "attrs")
 
@@ -418,7 +355,7 @@ def _self_times(spans: List[Span]) -> Dict[int, float]:
 
 def layer_metrics(tracer: Tracer, record) -> Dict[str, float]:
     spans = tracer.spans
-    timed = [span for span in spans if span.phase == "timed"]
+    timed = [span for span in spans if span.phase in ("timed", "capacity")]
     self_time = _self_times(spans)
     by_name: Dict[str, List[Span]] = defaultdict(list)
     for span in timed:
@@ -593,8 +530,7 @@ def traced_run(runner, workdir: Path, seed: int, seconds: float, out: Path) -> D
     metrics.update(stage_profile(record.deployment.checkpoints[0], windows))
     for name in OVERHEAD_METRICS:
         metrics[f"trace.overhead.{name}"] = result["overhead"][name]
-    result["metrics"] = {name: {"value": float(metrics[name]), "unit": unit}
-                         for name, unit in PER_LAYER}
-    result["expected_to_move"] = workloads.WORKLOADS[record.workload]["moves"]
+    result["metrics"] = report.spec_metrics("per_layer", metrics)
+    result["expected_to_move"] = workloads.MOVES[record.workload]
     tracer.write(out.with_suffix(".spans.jsonl"))
     return result

@@ -5,6 +5,14 @@ Each workload prepares its deployment, sets up its service several times
 serving API for the requested number of seconds, and hands back what it
 observed: latencies, per-phase accounting, generator lag and a seeded
 sample of served requests for the correctness gate.
+
+Every workload ends in closed-loop cycles whose rates give
+``windows_per_s``, the throughput the service itself sets.  The
+open-loop workloads spend the first part of their time in their open-loop
+phase (latency timed from each request's due time, generator lag) and the
+rest in a capacity phase: stream-85 sends its ticks back to back,
+mixed-85-procs its bulk calls.  backfill-170 is closed loop throughout.
+Why each workload exists is the ``why`` of its entry in BENCHMARK.json.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -23,58 +31,46 @@ from repro.serving import ServiceOverloaded
 import deploy
 from measure import OpenLoop, PhaseLog
 
-#: Why each workload is in the benchmark, and the per-layer metrics a change
-#: to that layer is expected to move on it.
-WORKLOADS: Dict[str, Dict[str, object]] = {
-    "stream-85": {
-        "why": (
-            "Batch-1 streaming at 0.5x PEMS08 through buffer, QC, token cache and the "
-            "365-step plan; dispatch plus batch-1 kernels dominate; hot swaps write beside reads."
-        ),
-        "moves": [
-            "kernels.*", "kernels.dispatch_ms_per_fwd", "engine.forward_ms.b1",
-            "engine.forward_share", "compiler.steps", "compiler.fused_chains",
-            "artifacts.load_ms", "artifacts.bind_ms", "artifacts.rejects",
-            "buffer.ingest_us", "buffer.snapshot_us", "quality.observe_us",
-            "quality.imputed_share", "cache.hit_ratio", "cache.get_us", "cache.put_us",
-            "service.self_ms", "swap.plans_compiled", "swap.artifacts_adopted",
-            "resilience.retries", "resilience.expired",
-        ],
-    },
-    "backfill-170": {
-        "why": (
-            "Closed-loop ragged forecast_many batches of 1-32 at full PEMS08 from a cold "
-            "compile: kernel-bound forwards, bucketing pads; skips buffer, QC and cache."
-        ),
-        "moves": [
-            "kernels.*", "engine.forward_ms.b16", "engine.forward_ms.b32",
-            "engine.forward_share", "engine.pad_ratio", "engine.compiles",
-            "compiler.compile_ms", "compiler.workspace_kib", "stage.*",
-            "batcher.rows_per_flush", "batcher.queue_wait_ms", "batcher.flush_ms",
-            "resilience.retries", "resilience.expired",
-        ],
-    },
-    "mixed-85-procs": {
-        "why": (
-            "Open-loop interactive ticks beside open-loop bulk backfill on two process "
-            "replicas: process tier, shared memory, lanes and admission under contention."
-        ),
-        "moves": [
-            "dispatch.call_ms.interactive", "dispatch.call_ms.bulk",
-            "lanes.bulk.rejected", "lanes.interactive.rejected", "workers.respawns",
-            "workers.blas_threads", "batcher.rows_per_flush", "batcher.queue_wait_ms",
-            "batcher.flush_ms", "artifacts.load_ms", "artifacts.bind_ms",
-            "engine.artifact_loads", "resilience.retries", "resilience.expired",
-        ],
-    },
+#: The per-layer metrics a change to that layer is expected to move on each
+#: workload.
+MOVES: Dict[str, List[str]] = {
+    "stream-85": [
+        "kernels.*", "kernels.dispatch_ms_per_fwd", "engine.forward_ms.b1",
+        "engine.forward_share", "compiler.steps", "compiler.fused_chains",
+        "artifacts.load_ms", "artifacts.bind_ms", "artifacts.rejects",
+        "buffer.ingest_us", "buffer.snapshot_us", "quality.observe_us",
+        "quality.imputed_share", "cache.hit_ratio", "cache.get_us", "cache.put_us",
+        "service.self_ms", "swap.plans_compiled", "swap.artifacts_adopted",
+        "resilience.retries", "resilience.expired",
+    ],
+    "backfill-170": [
+        "kernels.*", "engine.forward_ms.b16", "engine.forward_ms.b32",
+        "engine.forward_share", "engine.pad_ratio", "engine.compiles",
+        "compiler.compile_ms", "compiler.workspace_kib", "stage.*",
+        "batcher.rows_per_flush", "batcher.queue_wait_ms", "batcher.flush_ms",
+        "resilience.retries", "resilience.expired",
+    ],
+    "mixed-85-procs": [
+        "dispatch.call_ms.interactive", "dispatch.call_ms.bulk",
+        "lanes.bulk.rejected", "lanes.interactive.rejected", "workers.respawns",
+        "workers.blas_threads", "batcher.rows_per_flush", "batcher.queue_wait_ms",
+        "batcher.flush_ms", "artifacts.load_ms", "artifacts.bind_ms",
+        "engine.artifact_loads", "resilience.retries", "resilience.expired",
+    ],
 }
 
 #: Set-ups per run; ``setup_s`` reports their median.
 SETUP_REPEATS = {"stream-85": 9, "backfill-170": 3, "mixed-85-procs": 5}
 
+#: Share of ``--seconds`` the open-loop workloads spend in their closed-loop
+#: capacity phase.
+CAPACITY_SHARE = 0.6
+
 STREAM_TICK_HZ = 50.0
 STREAM_POLLS = 4  # one miss, then token-cache hits
 STREAM_DROPOUT = 0.01
+#: Back-to-back ticks per capacity cycle.
+STREAM_CYCLE_TICKS = 25
 SWAPS = 3
 SWAP_SPACING_S = 0.6
 
@@ -86,6 +82,14 @@ BACKFILL_SIZES = (1, 2, 3, 5, 7, 9, 12, 14, 16, 19, 23, 27, 32)
 MIXED_TICK_HZ = 20.0
 MIXED_BULK_HZ = 2.0
 MIXED_BULK_WINDOWS = 16
+#: Capacity-phase bulk calls: 4 windows, 2 rows per replica.  From 8 rows
+#: per replica up, the two workers' OpenBLAS pools oversubscribe the two
+#: cores and a call flips between ~40 and ~95 ms (8 windows) or ~100 and
+#: ~175 ms (16 windows) in runs of tens of calls, far more than any bound;
+#: 4-window calls took 11-13 ms in every run.
+MIXED_CAPACITY_WINDOWS = 4
+#: Back-to-back bulk calls per capacity cycle.
+MIXED_CYCLE_CALLS = 16
 
 #: Interactive requests answered within this budget count toward goodput.
 GOODPUT_BUDGET_S = 0.050
@@ -114,9 +118,10 @@ class RunRecord:
     latest_s: List[float] = field(default_factory=list)
     latest_swap_s: List[float] = field(default_factory=list)
     bulk_s: List[float] = field(default_factory=list)
+    #: Windows served, and seconds spent, in the closed-loop cycles.
     windows: int = 0
     timed_s: float = 0.0
-    #: Windows per second of each backfill cycle (closed loop only).
+    #: Windows per second of each closed-loop cycle.
     cycle_rates: List[float] = field(default_factory=list)
     lag_p99_ms: Dict[str, float] = field(default_factory=dict)
     swaps: List[object] = field(default_factory=list)
@@ -146,7 +151,7 @@ class _Sampler:
 
 def _prime_windows(sensors: int) -> np.ndarray:
     """Distinct constant windows for the set-up's first touch of each plan."""
-    return 100.0 + np.arange(18, dtype=float)[:, None, None, None] * np.ones(
+    return 100.0 + np.arange(22, dtype=float)[:, None, None, None] * np.ones(
         (1, deploy.INPUT_LENGTH, sensors, 1)
     )
 
@@ -182,6 +187,21 @@ def _call(log: PhaseLog, fn: Callable, *args):
     return result, None
 
 
+def _closed_loop(record: RunRecord, seconds: float, cycle: Callable[[], int]) -> None:
+    """Serve cycles back to back for ``seconds``; record each cycle's rate.
+
+    ``cycle`` sends one cycle's requests, each after the previous reply,
+    and returns the windows served.  The phase ends on a cycle boundary.
+    """
+    started = time.perf_counter()
+    while time.perf_counter() - started < seconds:
+        cycle_started = time.perf_counter()
+        windows = cycle()
+        record.windows += windows
+        record.cycle_rates.append(windows / (time.perf_counter() - cycle_started))
+    record.timed_s = time.perf_counter() - started
+
+
 def _faulty_stream(flow: np.ndarray, seed: int) -> np.ndarray:
     """The raw feed: 1% NaN dropouts and one sensor stuck from step 40 on."""
     rng = np.random.default_rng(seed + 104729)
@@ -204,7 +224,9 @@ class NoHooks:
 # ----------------------------------------------------------------------
 def run_stream(workdir: Path, seed: int, seconds: float, hooks=NoHooks()) -> RunRecord:
     record = RunRecord("stream-85")
-    steps = int(STREAM_TICK_HZ * (seconds + SWAPS * SWAP_SPACING_S + 2)) + 64
+    open_s, capacity_s = seconds * (1 - CAPACITY_SHARE), seconds * CAPACITY_SHARE
+    # Enough steps that the capacity phase rarely wraps around the feed.
+    steps = int(STREAM_TICK_HZ * (open_s + SWAPS * SWAP_SPACING_S + 2) + 250 * capacity_s) + 64
     deployment = deploy.prepare(
         workdir, 85, seed, steps=max(steps, 600), releases=2, aot_batches=(1,)
     )
@@ -217,42 +239,55 @@ def run_stream(workdir: Path, seed: int, seconds: float, hooks=NoHooks()) -> Run
             service.ingest(step)
         cursor = deploy.INPUT_LENGTH
 
-        def tick_loop(log: PhaseLog, latencies: List[float], loop: OpenLoop,
-                      stop: Callable[[float], bool]) -> int:
-            """Ticks until ``stop(due time)``; returns the windows computed."""
+        def tick(log: PhaseLog, due: float, latencies: Optional[List[float]]) -> int:
+            """Ingest one step, then poll; returns the windows computed (0 or 1).
+
+            Poll latencies (from ``due``) count toward goodput only when a
+            ``latencies`` list is given.
+            """
             nonlocal cursor
-            index = computed = 0
-            while not stop(loop.due(index)):
-                due = loop.wait(index)
-                _, error = _call(log, service.ingest, feed[cursor % len(feed)])
-                cursor += 1
-                for poll in range(STREAM_POLLS):
-                    version = service.model_version
-                    forecast, error = _call(log, service.forecast_latest)
+            _call(log, service.ingest, feed[cursor % len(feed)])
+            cursor += 1
+            computed = 0
+            for poll in range(STREAM_POLLS):
+                version = service.model_version
+                forecast, error = _call(log, service.forecast_latest)
+                if latencies is not None:
                     latencies.append(time.perf_counter() - due)
                     record.interactive_sent += 1
                     if error is not None or latencies[-1] > GOODPUT_BUDGET_S:
                         record.interactive_misses += 1
-                    if poll == 0 and error is None:
-                        computed += 1
-                    if poll == 0 and error is None and sampler.want():
+                if poll == 0 and error is None:
+                    computed = 1
+                    if sampler.want():
                         window, _, served_by = service.buffer.snapshot(
                             also=lambda: service.model_version
                         )
                         if served_by == version:  # no swap landed mid-request
                             sampler.samples.append(Sample("latest", version, window, forecast))
-                index += 1
             return computed
+
+        def tick_loop(log: PhaseLog, latencies: List[float], loop: OpenLoop,
+                      stop: Callable[[float], bool]) -> None:
+            """Open-loop ticks until ``stop(due time)``."""
+            index = 0
+            while not stop(loop.due(index)):
+                tick(log, loop.wait(index), latencies)
+                index += 1
 
         hooks.phase("timed")
         main = PhaseLog("ticks")
         loop = OpenLoop(STREAM_TICK_HZ)
-        record.windows = tick_loop(
-            main, record.latest_s, loop, lambda due: due - loop.start >= seconds
-        )
-        record.timed_s = time.perf_counter() - loop.start
+        tick_loop(main, record.latest_s, loop, lambda due: due - loop.start >= open_s)
         record.lag_p99_ms["ticks"] = loop.lag_p99_ms()
         record.phases.append(main)
+
+        hooks.phase("capacity")
+        capacity = PhaseLog("capacity-ticks")
+        _closed_loop(record, capacity_s, lambda: sum(
+            tick(capacity, time.perf_counter(), None) for _ in range(STREAM_CYCLE_TICKS)
+        ))
+        record.phases.append(capacity)
 
         # Swap phase: the same ticks while a second thread alternates the
         # serving release three times.
@@ -311,12 +346,12 @@ def run_backfill(workdir: Path, seed: int, seconds: float, hooks=NoHooks()) -> R
     try:
         hooks.phase("timed")
         cursor = 0
-        started = time.perf_counter()
-        while time.perf_counter() - started < seconds:
-            # One cycle: every size once, in a seeded order; a run always
-            # ends on a cycle boundary so each run serves the same mix.
-            cycle_started = time.perf_counter()
-            cycle_windows = 0
+
+        def cycle() -> int:
+            # Every size once, in a seeded order, so each cycle (and each
+            # run, which ends on a cycle boundary) serves the same mix.
+            nonlocal cursor
+            served = 0
             for size in rng.permutation(BACKFILL_SIZES):
                 picks = starts[np.arange(cursor, cursor + size) % len(starts)]
                 cursor += size
@@ -325,14 +360,14 @@ def run_backfill(workdir: Path, seed: int, seconds: float, hooks=NoHooks()) -> R
                 forecast, error = _call(log, service.forecast_many, windows)
                 record.bulk_s.append(time.perf_counter() - call_started)
                 if error is None:
-                    cycle_windows += int(size)
+                    served += int(size)
                     if sampler.want():
                         sampler.samples.append(
                             Sample("many", service.model_version, windows, forecast)
                         )
-            record.windows += cycle_windows
-            record.cycle_rates.append(cycle_windows / (time.perf_counter() - cycle_started))
-        record.timed_s = time.perf_counter() - started
+            return served
+
+        _closed_loop(record, seconds, cycle)
         record.phases.append(log)
         hooks.phase("after")
         record.stats = service.stats()
@@ -349,7 +384,8 @@ def run_backfill(workdir: Path, seed: int, seconds: float, hooks=NoHooks()) -> R
 # ----------------------------------------------------------------------
 def run_mixed(workdir: Path, seed: int, seconds: float, hooks=NoHooks()) -> RunRecord:
     record = RunRecord("mixed-85-procs", num_shards=2)
-    deployment = deploy.prepare(workdir, 85, seed, steps=2016, aot_batches=(1, 8))
+    open_s, capacity_s = seconds * (1 - CAPACITY_SHARE), seconds * CAPACITY_SHARE
+    deployment = deploy.prepare(workdir, 85, seed, steps=2016, aot_batches=(1, 2, 8))
     flow = deployment.flow
     rng = np.random.default_rng(seed)
     starts = rng.permutation(len(flow) - deploy.INPUT_LENGTH + 1)
@@ -359,6 +395,21 @@ def run_mixed(workdir: Path, seed: int, seconds: float, hooks=NoHooks()) -> RunR
     bulk_sampler = _Sampler(seed + 1, rate=0.2)
     interactive = PhaseLog("interactive")
     bulk = PhaseLog("bulk")
+    cursor = 0
+
+    def bulk_call(log: PhaseLog, size: int) -> int:
+        """One ``forecast_many`` of windows no earlier call sent; returns windows served."""
+        nonlocal cursor
+        picks = starts[np.arange(cursor, cursor + size) % len(starts)]
+        cursor += size
+        windows = np.stack([flow[s : s + deploy.INPUT_LENGTH] for s in picks])
+        forecast, error = _call(log, service.forecast_many, windows)
+        if error is not None:
+            return 0
+        if bulk_sampler.want():
+            bulk_sampler.samples.append(Sample("many", service.model_version, windows, forecast))
+        return size
+
     try:
         for step in flow[: deploy.INPUT_LENGTH, :, 0]:
             service.ingest(step)
@@ -366,31 +417,20 @@ def run_mixed(workdir: Path, seed: int, seconds: float, hooks=NoHooks()) -> RunR
         start = time.perf_counter() + 0.01
         ticks = OpenLoop(MIXED_TICK_HZ, start=start)
         bulk_loop = OpenLoop(MIXED_BULK_HZ, start=start)
-        bulk_windows = 0
 
         def bulk_client() -> None:
-            nonlocal bulk_windows
             index = 0
-            while bulk_loop.due(index) - start < seconds:
+            while bulk_loop.due(index) - start < open_s:
                 due = bulk_loop.wait(index)
-                first = index * MIXED_BULK_WINDOWS
-                picks = starts[np.arange(first, first + MIXED_BULK_WINDOWS) % len(starts)]
-                windows = np.stack([flow[s : s + deploy.INPUT_LENGTH] for s in picks])
-                forecast, error = _call(bulk, service.forecast_many, windows)
+                bulk_call(bulk, MIXED_BULK_WINDOWS)
                 record.bulk_s.append(time.perf_counter() - due)
-                if error is None:
-                    bulk_windows += MIXED_BULK_WINDOWS
-                    if bulk_sampler.want():
-                        bulk_sampler.samples.append(
-                            Sample("many", service.model_version, windows, forecast)
-                        )
                 index += 1
 
         thread = threading.Thread(target=bulk_client, name="bench-bulk")
         thread.start()
         try:
             index = 0
-            while ticks.due(index) - start < seconds:
+            while ticks.due(index) - start < open_s:
                 due = ticks.wait(index)
                 step = flow[(deploy.INPUT_LENGTH + index) % len(flow), :, 0]
                 _call(interactive, service.ingest, step)
@@ -400,19 +440,22 @@ def run_mixed(workdir: Path, seed: int, seconds: float, hooks=NoHooks()) -> RunR
                 record.interactive_sent += 1
                 if error is not None or record.latest_s[-1] > GOODPUT_BUDGET_S:
                     record.interactive_misses += 1
-                if error is None:
-                    record.windows += 1
-                    if sampler.want():
-                        window, _ = service.buffer.snapshot()
-                        sampler.samples.append(Sample("latest", version, window, forecast))
+                if error is None and sampler.want():
+                    window, _ = service.buffer.snapshot()
+                    sampler.samples.append(Sample("latest", version, window, forecast))
                 index += 1
         finally:
             thread.join()
-        record.timed_s = time.perf_counter() - start
-        record.windows += bulk_windows
         record.lag_p99_ms["interactive"] = ticks.lag_p99_ms()
         record.lag_p99_ms["bulk"] = bulk_loop.lag_p99_ms()
         record.phases.extend([interactive, bulk])
+
+        hooks.phase("capacity")
+        capacity = PhaseLog("capacity-bulk")
+        _closed_loop(record, capacity_s, lambda: sum(
+            bulk_call(capacity, MIXED_CAPACITY_WINDOWS) for _ in range(MIXED_CYCLE_CALLS)
+        ))
+        record.phases.append(capacity)
         hooks.phase("after")
         record.stats = service.stats()
         record.health = service.health()
