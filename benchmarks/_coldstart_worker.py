@@ -78,7 +78,6 @@ def main() -> None:
         with ShardedForecastService(
             model,
             num_shards=FLEET_SHARDS,
-            mode="nodes",
             cache_entries=0,
             precision=precision,
             **kwargs,

@@ -15,14 +15,11 @@ Three levers stack on the serving path:
    bounds the plan cache under ragged traffic.
 4. **Multi-worker sharding** (PR 4): ``ShardedForecastService`` splits a
    query stream round-robin over ``K`` worker threads with independent
-   compiled replicas (``mode="replicas"``), or partitions the sensor set
-   with per-shard sliced-output plans (``mode="nodes"``); either way the
-   merged outputs stay bit-identical to the single worker.
-5. **Precision policy + island parallelism** (PR 5): float32 plans halve
-   the memory traffic the fused kernels are bound by (the documented
-   tolerance contract bounds the drift; float64 plans stay bit-exact),
-   and the island scheduler replays independent plan branches on a
-   thread pool (``REPRO_RUNTIME_THREADS``).
+   compiled replicas; the merged outputs stay bit-identical to the single
+   worker.
+5. **Precision policy** (PR 5): float32 plans halve the memory traffic the
+   fused kernels are bound by (the documented tolerance contract bounds
+   the drift; float64 plans stay bit-exact).
 
 Every table is also recorded machine-readably in
 ``benchmarks/BENCH_runtime.json`` (req/s, speedup-vs-autograd, precision,
@@ -400,11 +397,7 @@ def test_precision_throughput():
     contract asserts **>= 1.3x** over the float64 compiled runtime
     (measured ~1.8x on the recording box) with the documented tolerance
     (rtol=1e-4, atol=1e-4 on normalised inputs) holding against the
-    bit-exact float64 output.  A ``threads=2`` float32 row records the
-    island scheduler's contribution for context; on a single-core box it
-    measures scheduling overhead, so it carries no contract here (CI
-    exercises the scheduler via the determinism suites and the
-    ``REPRO_RUNTIME_THREADS=2`` perf-smoke configuration).
+    bit-exact float64 output.
     """
     concurrency = 16
     repeats = 7
@@ -415,7 +408,6 @@ def test_precision_throughput():
 
     compiled64 = compile_module(model)
     compiled32 = compile_module(model, precision="float32")
-    compiled32_mt = compile_module(model, precision="float32", threads=2)
 
     def autograd_forward():
         with no_grad():
@@ -426,20 +418,13 @@ def test_precision_throughput():
         reference = model(Tensor(batch)).data
     out64 = compiled64(batch)
     out32 = compiled32(batch)
-    out32_mt = compiled32_mt(batch)
     assert float(np.abs(out64 - reference).max()) == 0.0
     # The documented float32 tolerance contract, against the exact output.
     np.testing.assert_allclose(out32, out64, rtol=1e-4, atol=1e-4)
-    assert np.array_equal(out32_mt, out32), "threads must not change the numbers"
     f32_diff = float(np.abs(out32 - out64).max())
 
-    autograd_s, f64_s, f32_s, f32_mt_s = _best_of_interleaved(
-        [
-            autograd_forward,
-            lambda: compiled64(batch),
-            lambda: compiled32(batch),
-            lambda: compiled32_mt(batch),
-        ],
+    autograd_s, f64_s, f32_s = _best_of_interleaved(
+        [autograd_forward, lambda: compiled64(batch), lambda: compiled32(batch)],
         repeats,
     )
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -447,7 +432,6 @@ def test_precision_throughput():
         {
             "configuration": "autograd",
             "precision": "float64",
-            "threads": 1,
             "req/s": round(concurrency / autograd_s, 1),
             "vs f64 runtime": f"{f64_s / autograd_s:.2f}x",
             "max |diff|": "0.0e+00",
@@ -455,7 +439,6 @@ def test_precision_throughput():
         {
             "configuration": "compiled",
             "precision": "float64",
-            "threads": 1,
             "req/s": round(concurrency / f64_s, 1),
             "vs f64 runtime": "1.00x",
             "max |diff|": "0.0e+00",
@@ -463,24 +446,15 @@ def test_precision_throughput():
         {
             "configuration": "compiled",
             "precision": "float32",
-            "threads": 1,
             "req/s": round(concurrency / f32_s, 1),
             "vs f64 runtime": f"{f64_s / f32_s:.2f}x",
-            "max |diff|": f"{f32_diff:.1e}",
-        },
-        {
-            "configuration": "compiled",
-            "precision": "float32",
-            "threads": 2,
-            "req/s": round(concurrency / f32_mt_s, 1),
-            "vs f64 runtime": f"{f64_s / f32_mt_s:.2f}x",
             "max |diff|": f"{f32_diff:.1e}",
         },
     ]
     print_table(
         f"Precision sweep — {num_nodes} sensors (0.5x PEMS08), batch {concurrency}, {cores} core(s)",
         rows,
-        ["configuration", "precision", "threads", "req/s", "vs f64 runtime", "max |diff|"],
+        ["configuration", "precision", "req/s", "vs f64 runtime", "max |diff|"],
     )
     record_bench(
         "precision",
@@ -493,7 +467,6 @@ def test_precision_throughput():
                 {
                     "configuration": row["configuration"],
                     "precision": row["precision"],
-                    "threads": row["threads"],
                     "workers": 1,
                     "rps": row["req/s"],
                     "speedup_vs_autograd": round(autograd_s * row["req/s"] / concurrency, 3),
@@ -672,11 +645,7 @@ def test_sharded_serving_sweep():
     same sweep records the scheduling overhead instead — the sweep
     therefore asserts a hard overhead floor everywhere and the actual
     scaling gain only where there are cores to scale onto (the recorded
-    ``workers x cores`` column makes the regime explicit).  Node-sharded
-    fan-out runs the full trunk once *per shard* (DyHSL couples all
-    sensors), so its single-core req/s is expected to sit near
-    ``1/num_shards`` of the single worker; its value is node-routed
-    traffic and multi-core latency, not single-core throughput.
+    ``workers x cores`` column makes the regime explicit).
     """
     num_nodes = max(8, int(round(PEMS08_NODES * 0.5)))
     concurrency = 16
@@ -689,21 +658,18 @@ def test_sharded_serving_sweep():
     single = ForecastService(model, cache_entries=0)
     reference = single.forecast_many(windows)  # warm-up: compiles the plan
 
-    configs = [("replicas", shards) for shards in (1, 2, 4)] + [("nodes", 2)]
     services = []
-    for mode, shards in configs:
-        service = ShardedForecastService(
-            model, num_shards=shards, mode=mode, cache_entries=0
-        )
+    for shards in (1, 2, 4):
+        service = ShardedForecastService(model, num_shards=shards, cache_entries=0)
         produced = service.forecast_many(windows)  # warm-up: per-shard plans
         diff = float(np.abs(produced - reference).max())
-        assert diff == 0.0, f"{mode} x{shards} diverges from the single worker: {diff}"
-        services.append((mode, shards, service))
+        assert diff == 0.0, f"replicas x{shards} diverges from the single worker: {diff}"
+        services.append((shards, service))
 
     candidates = [lambda: single.forecast_many(windows)]
     candidates += [
         (lambda service=service: service.forecast_many(windows))
-        for _, _, service in services
+        for _, service in services
     ]
     timings = _best_of_interleaved(candidates, repeats)
     single_rps = concurrency / timings[0]
@@ -719,13 +685,12 @@ def test_sharded_serving_sweep():
         }
     ]
     replica_rps: Dict[int, float] = {}
-    for (mode, shards, _), seconds in zip(services, timings[1:]):
+    for (shards, _), seconds in zip(services, timings[1:]):
         rps = concurrency / seconds
-        if mode == "replicas":
-            replica_rps[shards] = rps
+        replica_rps[shards] = rps
         rows.append(
             {
-                "configuration": f"sharded ({mode})",
+                "configuration": "sharded (replicas)",
                 "workers": shards,
                 "cores": cores,
                 "req/s": round(rps, 1),
@@ -757,7 +722,7 @@ def test_sharded_serving_sweep():
             ],
         },
     )
-    for _, _, service in services:
+    for _, service in services:
         service.close()
 
     # Overhead floor: routing through one replica worker thread must stay

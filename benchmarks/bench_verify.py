@@ -1,7 +1,6 @@
 """Verify-time overhead — static plan verification stays off the hot path.
 
-``REPRO_RUNTIME_VERIFY=1`` runs the full rule set (wave races, lifetimes,
-dtype flow, fusion legality, workspace layout) once per fresh compile and
+``REPRO_RUNTIME_VERIFY=1`` runs the full rule set (lifetimes, dtype flow, fusion legality, workspace layout) once per fresh compile and
 once per disk artifact parse.  The contract this bench records and
 asserts:
 
@@ -12,9 +11,8 @@ asserts:
   verify work: hot-path latency is measured with the gate on and off on
   the same warmed plan.
 
-Measured on a serial float32 TCN plan and a wave-parallel multi-window
-DyHSL plan (the largest step count the test fleet compiles), recorded
-under the ``verify`` section of ``BENCH_runtime.json``.
+Measured on a float32 TCN plan, recorded under the ``verify`` section of
+``BENCH_runtime.json``.
 
 Run with::
 
@@ -30,7 +28,6 @@ import numpy as np
 from conftest import SEED, print_table, record_bench
 
 from repro.baselines import create_baseline
-from repro.core import DyHSL, DyHSLConfig
 from repro.runtime import VERIFY_ENV_VAR, ArtifactStore, compile_module
 from repro.runtime.verify import verify_spec
 from repro.tensor import seed as seed_everything
@@ -51,19 +48,7 @@ def _subjects():
     seed_everything(SEED)
     adjacency = _adjacency(NUM_NODES)
     tcn = create_baseline("TCN", adjacency, NUM_NODES, horizon=6, hidden_dim=24)
-    config = DyHSLConfig(
-        num_nodes=NUM_NODES,
-        hidden_dim=16,
-        prior_layers=2,
-        num_hyperedges=8,
-        window_sizes=(1, 2, 3, 6, 12),
-        mhce_layers=2,
-    )
-    dyhsl = DyHSL(config, adjacency).eval()
-    return [
-        ("TCN/float32/serial", tcn, dict(precision="float32")),
-        ("DyHSL/float64/threads=4", dyhsl, dict(threads=4)),
-    ]
+    return [("TCN/float32", tcn, dict(precision="float32"))]
 
 
 def _median_ms(fn, repeats: int) -> float:

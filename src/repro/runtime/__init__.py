@@ -42,7 +42,6 @@ from .engine import (
     DEFAULT_BUCKET_CAP,
     PRECISION_ENV_VAR,
     PRECISIONS,
-    THREADS_ENV_VAR,
     WORKSPACE_ALIGN,
     CompiledModel,
     Plan,
@@ -55,7 +54,6 @@ from .engine import (
     plan_workspace_nbytes,
     resolve_bucket_cap,
     resolve_precision,
-    resolve_thread_count,
 )
 from .training import CompiledTrainingModel, compile_training_model, plan_trainable
 from .verify import (
@@ -85,7 +83,6 @@ __all__ = [
     "RUNTIME_MODES",
     "RUNTIME_ENV_VAR",
     "StepSpec",
-    "THREADS_ENV_VAR",
     "VERIFY_ENV_VAR",
     "VerifyError",
     "VerifyReport",
@@ -101,7 +98,6 @@ __all__ = [
     "resolve_bucket_cap",
     "resolve_precision",
     "resolve_runtime_mode",
-    "resolve_thread_count",
     "trace_hash",
     "trace_module",
     "verify_enabled",
@@ -123,24 +119,16 @@ def compile_module(
     fold_constants: bool = True,
     fuse: bool = True,
     bucket_batches=None,
-    output_slice=None,
     precision=None,
-    threads=None,
     artifact_dir=None,
 ) -> CompiledModel:
     """Wrap ``module`` (switched to eval mode) in a :class:`CompiledModel`.
 
     ``fuse`` toggles the elementwise-chain fusion pass; ``bucket_batches``
     sets the batch-bucketing policy (see
-    :func:`repro.runtime.engine.resolve_bucket_cap`); ``output_slice``
-    restricts the plan to columns ``[lo, hi)`` of the output's trailing
-    node axis — the per-shard plans of
-    :class:`repro.serving.ShardedForecastService` (plan-cache keys carry
-    the slice, so shard plans never alias full-network plans).
-    ``precision`` sets the execution-precision policy (``"float64"`` /
-    ``"float32"``, default from ``REPRO_RUNTIME_PRECISION``) and
-    ``threads`` the island-parallel replay width (integer or ``"auto"``,
-    default from ``REPRO_RUNTIME_THREADS``).  ``artifact_dir`` (a directory
+    :func:`repro.runtime.engine.resolve_bucket_cap`); ``precision`` sets
+    the execution-precision policy (``"float64"`` / ``"float32"``, default
+    from ``REPRO_RUNTIME_PRECISION``).  ``artifact_dir`` (a directory
     or :class:`~repro.runtime.artifacts.ArtifactStore`) attaches a durable
     plan-artifact store — see ``docs/runtime.md`` §Plan artifacts.
     """
@@ -149,9 +137,7 @@ def compile_module(
         fold_constants=fold_constants,
         fuse=fuse,
         bucket_batches=bucket_batches,
-        output_slice=output_slice,
         precision=precision,
-        threads=threads,
         artifact_dir=artifact_dir,
     )
 

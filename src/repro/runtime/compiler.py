@@ -23,17 +23,9 @@ The passes that turn the raw trace into a :class:`~repro.runtime.engine.Plan`:
    ``fused_elementwise`` step executed as a blocked chain in a single
    buffer, turning N memory passes over large intermediates into one
    cache-resident sweep;
-5. **island scheduling** — the step list is partitioned into *islands*
-   (maximal serial chains of the dataflow) and islands into *waves* by
-   longest-path level: islands in the same wave are provably independent,
-   which is what lets the engine replay them concurrently on a thread pool
-   (``REPRO_RUNTIME_THREADS``) while one thread replays the exact serial
-   order;
-6. **workspace allocation** — every surviving non-view step gets a
+5. **workspace allocation** — every surviving non-view step gets a
    preallocated output buffer, pooled by liveness so the working set stays
-   at the peak live size; pooling is wave-aware, so a buffer is never
-   handed to a step that could run concurrently with the buffer's previous
-   owner.
+   at the peak live size.
 
 Plans also carry an execution **precision policy** (``dtype``): tracing
 always runs the float64 autograd engine, but the emitted plan may bind its
@@ -371,71 +363,24 @@ def classify_steps(
     return classified
 
 
-def _schedule_islands(classified) -> Tuple[List[int], List[int], List[List[int]]]:
-    """Partition the classified steps into islands and waves.
-
-    An *island* is a maximal serial chain: a step joins the island of its
-    dependencies when every dependency lives in that one island and the
-    island's current tail is among them (the step extends the chain).  Any
-    other step — no dependencies, a join of several islands, or a fork off
-    a chain's interior — heads a new island.  By construction every edge
-    between islands originates at an island head, and an island's external
-    dependencies all have smaller ids, so the island graph is acyclic.
-
-    Islands are then levelled by longest path (*waves*): two islands in the
-    same wave can have no dependency path between them in either direction
-    (a path strictly increases the level), which is the invariant that lets
-    the engine run same-wave islands concurrently and barrier between
-    waves.
-
-    Returns ``(island_of_step, wave_of_island, islands)`` where ``islands``
-    maps island id to its member step indices in execution order.
-    """
-    producer: Dict[int, int] = {}  # slot -> producing step index
-    island_of: List[int] = []
-    islands: List[List[int]] = []
-    island_deps: List[set] = []
-    for index, (kind, step) in enumerate(classified):
-        deps = {producer[slot] for slot in step.in_slots if slot in producer}
-        dep_islands = {island_of[j] for j in deps}
-        if len(dep_islands) == 1:
-            candidate = next(iter(dep_islands))
-            if islands[candidate][-1] in deps:
-                islands[candidate].append(index)
-                island_of.append(candidate)
-                producer[step.out_slot] = index
-                continue
-        island_of.append(len(islands))
-        islands.append([index])
-        island_deps.append(dep_islands)
-        producer[step.out_slot] = index
-
-    wave_of_island: List[int] = []
-    for deps in island_deps:
-        wave_of_island.append(1 + max((wave_of_island[d] for d in deps), default=-1))
-    return island_of, wave_of_island, islands
-
-
 def build_plan_spec(
     module,
     example: np.ndarray,
     fold_constants: bool = True,
     fuse: bool = True,
     dtype=np.float64,
-    parallel: bool = False,
 ):
     """Trace and lower ``module`` into a serialisable plan description.
 
     Returns ``(spec, values)``: a :class:`~repro.runtime.engine.PlanSpec`
     holding the step list (fused chains unbound), the pooled workspace
-    layout as storage ids, the island/wave schedule as step indices and
-    the plan stats — plus the full slot table with the constants already
-    cast to the plan dtype.  :func:`~repro.runtime.engine.bind_plan`
-    materialises the pair into an executable :class:`Plan`;
-    :mod:`repro.runtime.artifacts` persists it to disk.  Every structural
-    decision (folding, pruning, fusion, pooling, scheduling) happens here,
-    so a bound artifact replays exactly the plan a fresh compile would
-    produce.
+    layout as storage ids and the plan stats — plus the full slot table
+    with the constants already cast to the plan dtype.
+    :func:`~repro.runtime.engine.bind_plan` materialises the pair into an
+    executable :class:`Plan`; :mod:`repro.runtime.artifacts` persists it to
+    disk.  Every structural decision (folding, pruning, fusion, pooling)
+    happens here, so a bound artifact replays exactly the plan a fresh
+    compile would produce.
     """
     dtype = np.dtype(dtype)
     lowered = lower_module(module, example, fold_constants=fold_constants, fuse=fuse)
@@ -455,18 +400,6 @@ def build_plan_spec(
         ]
 
     # ------------------------------------------------------------------
-    # Island/wave schedule (see _schedule_islands).  wave_of_step feeds the
-    # race-free buffer pooling below; the per-wave island lists become the
-    # engine's parallel schedule.
-    # ------------------------------------------------------------------
-    island_of, wave_of_island, islands = _schedule_islands(classified)
-    wave_of_step = [wave_of_island[island] for island in island_of]
-    num_waves = max(wave_of_island) + 1 if wave_of_island else 0
-    wave_widths = [0] * num_waves
-    for wave in wave_of_island:
-        wave_widths[wave] += 1
-
-    # ------------------------------------------------------------------
     # Liveness analysis over underlying buffers.
     #
     # Each buffered step's output gets a storage token; view steps propagate
@@ -474,33 +407,21 @@ def build_plan_spec(
     # is dead after the last step that reads any slot carrying it, at which
     # point its buffer returns to the pool for a later step — this keeps the
     # working set at the peak *live* size (cache-warm), not the sum of all
-    # intermediates.  For the parallel schedule each token additionally
-    # records the latest *wave* and the set of islands that touch it.
+    # intermediates.
     # ------------------------------------------------------------------
     token_of_slot: Dict[int, Optional[int]] = {}
     last_use: Dict[int, int] = {}
-    token_last_wave: Dict[int, int] = {}
-    token_islands: Dict[int, set] = {}
     next_token = 0
-
-    def touch(token: int, index: int) -> None:
-        token_last_wave[token] = max(token_last_wave.get(token, -1), wave_of_step[index])
-        token_islands.setdefault(token, set()).add(island_of[index])
 
     for index, (kind, step) in enumerate(classified):
         for slot in step.in_slots:
             token = token_of_slot.get(slot)
             if token is not None:
                 last_use[token] = index
-                touch(token, index)
         if kind == "view":
-            token = token_of_slot.get(step.in_slots[0])
-            token_of_slot[step.out_slot] = token
-            if token is not None:
-                touch(token, index)
+            token_of_slot[step.out_slot] = token_of_slot.get(step.in_slots[0])
         elif kind == "buffered":
             token_of_slot[step.out_slot] = next_token
-            touch(next_token, index)
             next_token += 1
         else:  # alloc: fresh array per call, nothing to pool or pin
             token_of_slot[step.out_slot] = None
@@ -511,19 +432,13 @@ def build_plan_spec(
     # ------------------------------------------------------------------
     # Workspace layout (pooled by byte size), expressed as storage ids.
     #
-    # A recycled storage carries the last wave and island set of the token
-    # that released it: a step may reuse it only when it runs in a strictly
-    # later wave (the wave barrier orders the accesses) or when the whole
-    # previous lifetime lived inside the step's own island (serial there by
-    # construction) — otherwise a same-wave island could overwrite memory a
-    # concurrent island is still reading.  With one wave per plan (a fully
-    # serial dataflow) this degenerates to exactly the old index-ordered
-    # pooling.  No memory is allocated here — steps reference storages by
-    # id and :func:`bind_plan` materialises them, so the aliasing structure
-    # survives serialisation byte for byte.
+    # Replay is index-ordered, so any storage freed by an earlier step is
+    # safe to reuse.  No memory is allocated here — steps reference
+    # storages by id and :func:`bind_plan` materialises them, so the
+    # aliasing structure survives serialisation byte for byte.
     # ------------------------------------------------------------------
     step_specs: List[StepSpec] = []
-    pool: Dict[int, List[Tuple[int, set, int]]] = {}
+    pool: Dict[int, List[int]] = {}
     storage_of_token: Dict[int, int] = {}
     storage_sizes: List[int] = []
     for index, (kind, step) in enumerate(classified):
@@ -532,18 +447,8 @@ def build_plan_spec(
             nbytes = int(step.out.data.size * dtype.itemsize)
             bucket = pool.get(nbytes)
             if bucket:
-                if parallel:
-                    wave, island = wave_of_step[index], island_of[index]
-                    for position, (freed_wave, freed_islands, candidate) in enumerate(bucket):
-                        if freed_wave < wave or freed_islands == {island}:
-                            storage_id = candidate
-                            del bucket[position]
-                            break
-                else:
-                    # Serial replay is index-ordered, so any freed storage
-                    # is safe — the original (tightest) pooling.
-                    storage_id = bucket.pop()[2]
-            if storage_id is None:
+                storage_id = bucket.pop()
+            else:
                 storage_id = len(storage_sizes)
                 storage_sizes.append(nbytes)
             token = token_of_slot[step.out_slot]
@@ -575,18 +480,7 @@ def build_plan_spec(
             if token is not None and last_use.get(token) == index:
                 freed = storage_of_token.pop(token, None)
                 if freed is not None:
-                    pool.setdefault(storage_sizes[freed], []).append(
-                        (token_last_wave[token], token_islands[token], freed)
-                    )
-
-    # The parallel schedule: per wave, the islands' step indices.  Serial
-    # plans carry none — their pooling is not race-free across same-wave
-    # islands, so the engine must never replay them concurrently.
-    schedule: Optional[List[List[List[int]]]] = None
-    if parallel:
-        schedule = [[] for _ in range(num_waves)]
-        for island_id, members in enumerate(islands):
-            schedule[wave_of_island[island_id]].append(list(members))
+                    pool.setdefault(storage_sizes[freed], []).append(freed)
 
     stats = PlanStats(
         input_shape=tuple(np.asarray(example).shape),
@@ -598,9 +492,6 @@ def build_plan_spec(
         steps_unfused=lowered.steps_unfused,
         fused_chain_lengths=lowered.chain_lengths,
         dtype=str(dtype),
-        islands=len(islands),
-        waves=num_waves,
-        max_wave_width=max(wave_widths, default=0),
     )
     spec = PlanSpec(
         dtype=str(dtype),
@@ -612,7 +503,6 @@ def build_plan_spec(
         ),
         steps=step_specs,
         storage_sizes=storage_sizes,
-        schedule=schedule,
         stats=stats,
     )
     return spec, values
@@ -624,7 +514,6 @@ def compile_plan(
     fold_constants: bool = True,
     fuse: bool = True,
     dtype=np.float64,
-    parallel: bool = False,
 ) -> Plan:
     """Compile ``module``'s forward into a :class:`Plan` for one input shape.
 
@@ -633,23 +522,12 @@ def compile_plan(
     time, workspace buffers are allocated at the policy's itemsize, and the
     engine casts the input on entry and the output back to float64 on exit.
 
-    ``parallel`` binds the plan for concurrent island replay: buffer
-    pooling then refuses to hand a freed buffer to any step that could run
-    concurrently with the buffer's previous owner, which costs some
-    workspace (~1.4x on DyHSL at PEMS08 scale) — serial plans (the
-    default) keep the tighter index-ordered pooling and carry no schedule.
-
     Implemented as :func:`build_plan_spec` (trace + graph passes + layout)
     followed by :func:`~repro.runtime.engine.bind_plan` (buffer and kernel
     binding) — the same two halves an on-disk plan artifact goes through,
     so loaded plans are structurally identical to compiled ones.
     """
     spec, values = build_plan_spec(
-        module,
-        example,
-        fold_constants=fold_constants,
-        fuse=fuse,
-        dtype=dtype,
-        parallel=parallel,
+        module, example, fold_constants=fold_constants, fuse=fuse, dtype=dtype
     )
     return bind_plan(spec, values)

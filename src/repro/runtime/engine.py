@@ -19,7 +19,6 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -40,12 +39,10 @@ __all__ = [
     "DEFAULT_BUCKET_CAP",
     "PRECISION_ENV_VAR",
     "PRECISIONS",
-    "THREADS_ENV_VAR",
     "WORKSPACE_ALIGN",
     "plan_workspace_nbytes",
     "resolve_bucket_cap",
     "resolve_precision",
-    "resolve_thread_count",
     "bucket_batch_size",
     "pad_batch_to_bucket",
 ]
@@ -64,11 +61,6 @@ PRECISION_ENV_VAR = "REPRO_RUNTIME_PRECISION"
 #: Supported precision policies: plan execution dtypes by policy name.
 PRECISIONS = ("float64", "float32")
 
-#: Environment variable sizing the plan-step thread pool (see
-#: :func:`resolve_thread_count`).
-THREADS_ENV_VAR = "REPRO_RUNTIME_THREADS"
-
-
 def resolve_precision(policy: Union[None, str, np.dtype] = None) -> np.dtype:
     """Resolve a precision policy to the plan execution dtype.
 
@@ -85,69 +77,6 @@ def resolve_precision(policy: Union[None, str, np.dtype] = None) -> np.dtype:
             f"(set via argument or the {PRECISION_ENV_VAR} environment variable)"
         )
     return np.dtype(name)
-
-
-def resolve_thread_count(policy: Union[None, int, str] = None) -> int:
-    """Resolve the plan-parallelism thread count.
-
-    ``policy`` may be a positive integer, ``"auto"`` (one thread per
-    available core) or ``None`` to consult ``REPRO_RUNTIME_THREADS`` (which
-    accepts the same spellings; unset means 1).  ``1`` — the default — is
-    the exact serial replay of the trace order.
-    """
-    if policy is None:
-        raw = os.environ.get(THREADS_ENV_VAR, "").strip().lower()
-        if not raw:
-            return 1
-        policy = raw
-    if isinstance(policy, str):
-        if policy.lower() == "auto":
-            affinity = getattr(os, "sched_getaffinity", None)
-            return max(1, len(affinity(0)) if affinity else (os.cpu_count() or 1))
-        try:
-            policy = int(policy)
-        except ValueError:
-            raise ValueError(
-                f"cannot parse {THREADS_ENV_VAR}={policy!r}; expected a positive "
-                "integer or 'auto'"
-            ) from None
-    if policy < 1:
-        raise ValueError(f"thread count must be >= 1; got {policy}")
-    return int(policy)
-
-
-#: One process-wide pool shared by every plan: island tasks are short, so a
-#: per-plan (let alone per-call) executor would dominate the win.  Grown on
-#: demand to the largest thread count any model asked for.
-_POOL_LOCK = threading.Lock()
-_POOL: Optional[ThreadPoolExecutor] = None
-_POOL_WORKERS = 0
-
-
-def _shared_pool(threads: int) -> ThreadPoolExecutor:
-    global _POOL, _POOL_WORKERS
-    # The replaying thread runs one island itself, so N-way parallelism
-    # needs N - 1 pool workers.
-    workers = max(1, threads - 1)
-    with _POOL_LOCK:
-        if _POOL is None:
-            _POOL = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-runtime"
-            )
-            _POOL_WORKERS = workers
-        elif _POOL_WORKERS < workers:
-            # Grow the ONE pool in place instead of replacing it: executors
-            # spawn threads lazily on submit up to ``_max_workers``, so
-            # raising the cap is enough — the next submits add workers.  A
-            # replacement pool would orphan the old one (a concurrently
-            # executing plan may still hold it, and submitting to a
-            # shut-down executor raises), stranding an idle thread stack
-            # per grow cycle until GC finalisation; growing in place keeps
-            # the process at exactly one island pool whose thread count is
-            # bounded by the largest width ever requested.
-            _POOL._max_workers = workers
-            _POOL_WORKERS = workers
-        return _POOL
 
 
 def resolve_bucket_cap(policy: Union[None, bool, int] = None) -> Optional[int]:
@@ -239,13 +168,6 @@ class PlanStats:
     fused_chain_lengths: Tuple[int, ...] = field(default=())
     #: Execution precision of the plan's constants and workspace buffers.
     dtype: str = "float64"
-    #: Dataflow islands (maximal serial chains) the scheduler found.
-    islands: int = 0
-    #: Topological wave count; islands in one wave are mutually independent.
-    waves: int = 0
-    #: Largest number of islands in any single wave — the plan's available
-    #: parallelism (1 means the dataflow is fully serial).
-    max_wave_width: int = 0
 
     @property
     def fused_chains(self) -> int:
@@ -267,16 +189,10 @@ class PlanStats:
                 f"{length}x{count}" for length, count in sorted(self.fused_chain_histogram.items())
             )
             fused = f", fused={self.steps_unfused}->{self.steps} (chains {histogram})"
-        schedule = ""
-        if self.islands:
-            schedule = (
-                f", islands={self.islands} in {self.waves} waves"
-                f" (width {self.max_wave_width})"
-            )
         return (
             f"Plan(input={self.input_shape}, dtype={self.dtype}, steps={self.steps}, "
             f"folded={self.folded}, pruned={self.pruned}, "
-            f"workspace={self.workspace_bytes / 1024:.1f} KiB{fused}{schedule})"
+            f"workspace={self.workspace_bytes / 1024:.1f} KiB{fused})"
         )
 
 
@@ -286,7 +202,7 @@ class PlanCacheInfo:
 
     ``compiles`` counts plans built by tracing the module; ``artifact_loads``
     counts plans rebuilt from the artifact store without any trace/fuse/
-    schedule work.  A warm-started worker therefore shows
+    layout work.  A warm-started worker therefore shows
     ``compiles == 0`` — the machine-checkable "zero retraces" contract of
     the cold-start benchmarks and the CI round-trip job.
     """
@@ -332,11 +248,10 @@ class PlanSpec:
     list (with fused chains unbound), the pooled workspace layout as
     ``storage_sizes`` (storage id -> byte size; steps reference storages by
     id, so the liveness-pooled aliasing structure survives serialisation),
-    the island/wave schedule as step indices, the slot-table geometry and
-    the :class:`PlanStats`.  Together with the constant slot values (cast
-    to the plan dtype) this rebuilds a bit-identical plan via
-    :func:`bind_plan` — the foundation of the on-disk plan artifacts in
-    :mod:`repro.runtime.artifacts`.
+    the slot-table geometry and the :class:`PlanStats`.  Together with the
+    constant slot values (cast to the plan dtype) this rebuilds a
+    bit-identical plan via :func:`bind_plan` — the foundation of the
+    on-disk plan artifacts in :mod:`repro.runtime.artifacts`.
     """
 
     dtype: str
@@ -348,8 +263,6 @@ class PlanSpec:
     steps: List[StepSpec]
     #: storage id -> byte size of the pooled workspace allocation.
     storage_sizes: List[int]
-    #: Waves -> islands -> step indices (``None`` for serial plans).
-    schedule: Optional[List[List[List[int]]]]
     stats: PlanStats
 
 
@@ -459,21 +372,7 @@ def bind_plan(
         if step.storage is not None:
             buffer = storages[step.storage].view(dtype).reshape(step.out_shape)
         steps.append((K.KERNELS[step.name], step.in_slots, kwargs, step.out_slot, buffer))
-    schedule = None
-    if spec.schedule is not None:
-        schedule = [
-            [[steps[index] for index in island] for island in wave]
-            for wave in spec.schedule
-        ]
-    plan = Plan(
-        steps,
-        values,
-        spec.input_slot,
-        spec.output_slot,
-        spec.stats,
-        dtype=dtype,
-        schedule=schedule,
-    )
+    plan = Plan(steps, values, spec.input_slot, spec.output_slot, spec.stats, dtype=dtype)
     plan.spec = spec
     return plan
 
@@ -498,11 +397,7 @@ class Plan:
     therefore different input shapes — run concurrently.  :meth:`execute`
     is the raw, unlocked replay for single-threaded callers.
 
-    ``dtype`` is the plan's execution precision; ``schedule`` the compiler's
-    island/wave partition (same step tuples, grouped).  With ``threads > 1``
-    :meth:`call` replays wave by wave, same-wave islands spread over the
-    shared pool — every step still runs the same kernel on the same operand
-    values, so the result is bit-identical to the serial replay.
+    ``dtype`` is the plan's execution precision.
     """
 
     def __init__(
@@ -513,19 +408,12 @@ class Plan:
         output_slot: int,
         stats: PlanStats,
         dtype=np.float64,
-        schedule: Optional[List[List[List[Tuple]]]] = None,
     ) -> None:
         self._steps = steps
         self._values = values
         self._input_slot = input_slot
         self._output_slot = output_slot
         self.dtype = np.dtype(dtype)
-        # Waves holding more than one island are the only place parallelism
-        # can help; single-island waves run inline either way.
-        self._schedule = schedule
-        self._parallelisable = schedule is not None and any(
-            len(wave) > 1 for wave in schedule
-        )
         # Slots rewritten on every run: the input and each step output
         # (including views of the input).  Cleared after a locked call so an
         # idle plan holds only its constants and pooled buffers, not the
@@ -556,40 +444,16 @@ class Plan:
             raise ValueError("plan carries no spec; it was not built by the compiler")
         return {slot: self._values[slot] for slot in self.spec.const_slots}
 
-    def _run_island(self, island: List[Tuple]) -> None:
-        values = self._values
-        for kernel, in_slots, kwargs, out_slot, buffer in island:
-            values[out_slot] = kernel(*[values[i] for i in in_slots], out=buffer, **kwargs)
-
-    def execute(self, array: np.ndarray, threads: int = 1) -> np.ndarray:
-        """Run the plan; the result may alias workspace (copy to retain).
-
-        ``threads == 1`` replays the exact serial trace order.  With more
-        threads, independent islands of each wave run concurrently on the
-        shared pool (the caller executes one island itself); waves are
-        barriers, which together with the compiler's wave-aware buffer
-        pooling makes the replay race-free.  Kernels release the GIL inside
-        NumPy/BLAS, so same-wave islands genuinely overlap on multi-core
-        hosts.
-        """
+    def execute(self, array: np.ndarray) -> np.ndarray:
+        """Run the plan in trace order; the result may alias workspace
+        (copy to retain)."""
         values = self._values
         values[self._input_slot] = array
-        if threads <= 1 or not self._parallelisable:
-            for kernel, in_slots, kwargs, out_slot, buffer in self._steps:
-                values[out_slot] = kernel(*[values[i] for i in in_slots], out=buffer, **kwargs)
-            return values[self._output_slot]
-        pool = _shared_pool(threads)
-        for wave in self._schedule:
-            if len(wave) == 1:
-                self._run_island(wave[0])
-                continue
-            futures = [pool.submit(self._run_island, island) for island in wave[1:]]
-            self._run_island(wave[0])
-            for future in futures:
-                future.result()  # barrier; re-raises island errors
+        for kernel, in_slots, kwargs, out_slot, buffer in self._steps:
+            values[out_slot] = kernel(*[values[i] for i in in_slots], out=buffer, **kwargs)
         return values[self._output_slot]
 
-    def call(self, array: np.ndarray, trim: Optional[int] = None, threads: int = 1) -> np.ndarray:
+    def call(self, array: np.ndarray, trim: Optional[int] = None) -> np.ndarray:
         """Thread-safe execution returning a fresh float64 output copy.
 
         ``trim`` keeps only the first ``trim`` rows of the result — the
@@ -605,12 +469,7 @@ class Plan:
         """
         with self._exec_lock:
             try:
-                # The wave barrier (future.result) runs under the workspace
-                # lock on purpose: the lock *is* the single-workspace
-                # exclusivity that replay needs end to end, and island
-                # workers never take it back.
-                # lint: disable=L-BLOCK
-                result = self.execute(array, threads=threads)
+                result = self.execute(array)
                 if trim is not None:
                     result = result[:trim]
                 # astype always copies here, so both branches detach the
@@ -625,31 +484,6 @@ class Plan:
                 for slot in self._transient_slots:
                     values[slot] = None
             return result
-
-
-class _SlicedForward:
-    """Trace adapter producing ``module(x)[..., lo:hi]`` — the node-sharded plan.
-
-    Slicing the traced output keeps every upstream step bit-identical to
-    the full forward (the slice is a zero-copy view of the same computed
-    array) while the plan only ever copies the owned columns out of the
-    workspace — the contract that lets a sharded service concatenate
-    per-shard outputs back into exactly the single-worker result.
-    """
-
-    __slots__ = ("_module", "_lo", "_hi")
-
-    def __init__(self, module, lo: int, hi: int) -> None:
-        self._module = module
-        self._lo = lo
-        self._hi = hi
-
-    @property
-    def training(self) -> bool:
-        return getattr(self._module, "training", False)
-
-    def __call__(self, x):
-        return self._module(x)[..., self._lo : self._hi]
 
 
 class CompiledModel:
@@ -677,14 +511,11 @@ class CompiledModel:
     :func:`resolve_bucket_cap`); batches above the cap serve exact-shape
     plans.
 
-    Two execution knobs (see ``docs/runtime.md`` §Precision & parallelism):
-    ``precision`` selects the plans' execution dtype (``"float64"`` — the
-    default, bit-identical to autograd — or ``"float32"`` for ~2x memory
-    bandwidth; overridable per call), and ``threads`` replays independent
-    dataflow islands of a plan concurrently (``"auto"`` or an integer;
-    default 1 = exact serial replay).  Both default to the
-    ``REPRO_RUNTIME_PRECISION`` / ``REPRO_RUNTIME_THREADS`` environment
-    variables.
+    ``precision`` selects the plans' execution dtype: ``"float64"`` (the
+    default, bit-identical to autograd) or ``"float32"`` (~2x memory
+    bandwidth).  Calls may override it, and ``None`` consults the
+    ``REPRO_RUNTIME_PRECISION`` environment variable (see
+    ``docs/runtime.md`` §Precision).
 
     **Plan artifacts** (``artifact_dir=``, a directory or a shared
     :class:`~repro.runtime.artifacts.ArtifactStore`) make compiles durable:
@@ -709,26 +540,17 @@ class CompiledModel:
         max_plans: int = 16,
         fuse: bool = True,
         bucket_batches: Union[None, bool, int] = None,
-        output_slice: Optional[Tuple[int, int]] = None,
         precision: Union[None, str, np.dtype] = None,
-        threads: Union[None, int, str] = None,
         artifact_dir=None,
     ) -> None:
         if max_plans <= 0:
             raise ValueError("max_plans must be positive")
-        if output_slice is not None:
-            lo, hi = (int(bound) for bound in output_slice)
-            if not 0 <= lo < hi:
-                raise ValueError(f"output_slice must satisfy 0 <= lo < hi; got {output_slice}")
-            output_slice = (lo, hi)
         module.eval()
         self._module = module
         self._fold_constants = fold_constants
         self._fuse = fuse
         self._bucket_cap = resolve_bucket_cap(bucket_batches)
-        self._output_slice = output_slice
         self._dtype = resolve_precision(precision)
-        self._threads = resolve_thread_count(threads)
         self._max_plans = max_plans
         self._plans: "OrderedDict[Tuple, Plan]" = OrderedDict()
         # Per-trailing-shape output shapes learned from the first empty-batch
@@ -761,19 +583,9 @@ class CompiledModel:
         return self._module
 
     @property
-    def output_slice(self) -> Optional[Tuple[int, int]]:
-        """``(lo, hi)`` bounds on the output's trailing node axis, if sharded."""
-        return self._output_slice
-
-    @property
     def precision(self) -> str:
         """Default execution precision policy (``"float64"`` / ``"float32"``)."""
         return self._dtype.name
-
-    @property
-    def threads(self) -> int:
-        """Thread count used to replay independent plan islands (1 = serial)."""
-        return self._threads
 
     @property
     def bucket_cap(self) -> Optional[int]:
@@ -781,16 +593,13 @@ class CompiledModel:
         return self._bucket_cap
 
     def _plan_key(self, shape: Tuple[int, ...], dtype: np.dtype) -> Tuple:
-        """Plan-cache key: input shape, execution dtype, shard slice.
+        """Plan-cache key: input shape and execution dtype.
 
         The dtype tag keeps a float32 plan and the float64 SLA plan of the
         same batch shape disjoint (they differ in every constant and
-        buffer); the slice tag keeps shard plans disjoint even if model
-        wrappers are ever shared across shards.
+        buffer).
         """
-        if self._output_slice is None:
-            return (shape, dtype.name)
-        return (shape, dtype.name, self._output_slice)
+        return (shape, dtype.name)
 
     def _resolve_call_dtype(self, precision) -> np.dtype:
         return self._dtype if precision is None else resolve_precision(precision)
@@ -831,12 +640,12 @@ class CompiledModel:
             if known is not None:
                 return np.empty((0,) + known, dtype=np.float64)
             probe = np.zeros((1,) + tail, dtype=dtype)
-            result = self._get_or_compile(probe).call(probe, trim=0, threads=self._threads)
+            result = self._get_or_compile(probe).call(probe, trim=0)
             self._empty_output_shapes[tail] = result.shape[1:]
             return result
         array, trim = self._pad_to_bucket(array)
         plan = self._get_or_compile(array)
-        result = plan.call(array, trim=trim, threads=self._threads)
+        result = plan.call(array, trim=trim)
         if plan.pending_parity:
             result = self._confirm_parity(plan, array, result, trim)
         return result
@@ -888,16 +697,12 @@ class CompiledModel:
     def _compile(self, array: np.ndarray) -> Plan:
         from .compiler import compile_plan
 
-        module = self._module
-        if self._output_slice is not None:
-            module = _SlicedForward(module, *self._output_slice)
         plan = compile_plan(
-            module,
+            self._module,
             array,
             fold_constants=self._fold_constants,
             fuse=self._fuse,
             dtype=array.dtype,
-            parallel=self._threads > 1,
         )
         from .verify import verify_enabled
 
@@ -935,10 +740,8 @@ class CompiledModel:
             self._module,
             shape,
             dtype,
-            output_slice=self._output_slice,
             fold_constants=self._fold_constants,
             fuse=self._fuse,
-            parallel=self._threads > 1,
             bucket_cap=self._bucket_cap,
             weights=fingerprint,
         )
@@ -972,10 +775,7 @@ class CompiledModel:
         if result.shape[0] == 0:
             return result  # empty-batch probe: nothing to check, stay pending
         row = np.ascontiguousarray(array[:1], dtype=np.float64)
-        module = self._module
-        if self._output_slice is not None:
-            module = _SlicedForward(module, *self._output_slice)
-        expected = module(Tensor(row)).data[0]
+        expected = self._module(Tensor(row)).data[0]
         got = result[0]
         if plan.dtype == np.float64:
             tolerance = dict(rtol=1e-9, atol=1e-12)
@@ -1005,7 +805,7 @@ class CompiledModel:
                 self._plans[key] = fresh
                 while len(self._plans) > self._max_plans:
                     self._plans.popitem(last=False)
-        return fresh.call(array, trim=trim, threads=self._threads)
+        return fresh.call(array, trim=trim)
 
     def _load_artifact(self, array: np.ndarray) -> Optional[Plan]:
         """Rebuild the plan for ``array`` from the store, or ``None``.
@@ -1145,7 +945,7 @@ class CompiledModel:
         plan = self._get_or_compile(array)
         if plan.pending_parity:
             probe = np.ascontiguousarray(array)
-            result = plan.call(probe, trim=None, threads=self._threads)
+            result = plan.call(probe, trim=None)
             self._confirm_parity(plan, probe, result, None)
             # A failed check replaced the plan (and its artifact) with a
             # fresh compile; re-fetch whichever plan now serves the shape.

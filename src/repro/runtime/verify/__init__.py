@@ -1,16 +1,16 @@
 """Static verification of compiled plans and the serving concurrency lint.
 
-The runtime replays liveness-pooled, wave-parallel, precision-cast plans —
-loaded from disk artifacts — into three serving tiers.  Every one of those
-transformations (island scheduling, buffer pooling, elementwise fusion,
-workspace carving, artifact deserialisation) can silently corrupt results
+The runtime replays liveness-pooled, precision-cast plans — loaded from
+disk artifacts — into three serving tiers.  Every one of those
+transformations (buffer pooling, elementwise fusion, workspace carving,
+artifact deserialisation) can silently corrupt results
 if a single invariant slips, and the only dynamic guard is a one-row
 parity spot check on first serve.  This package turns the invariants into
 machine-checked proofs:
 
 * :func:`verify_spec` / :func:`verify_plan` — the plan analyses, run over
-  a :class:`~repro.runtime.engine.PlanSpec` (no execution): wave-race
-  detection, lifetime/use-after-release checking, dtype-flow audit,
+  a :class:`~repro.runtime.engine.PlanSpec` (no execution):
+  SSA/lifetime/use-after-release checking, dtype-flow audit,
   fusion legality, and workspace-carving layout (see
   :mod:`repro.runtime.verify.plan` for the rule catalogue);
 * :func:`verify_store` — audit every artifact in an

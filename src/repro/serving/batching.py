@@ -86,9 +86,8 @@ class PendingForecast:
     def error(self) -> Optional[BaseException]:
         """The failure behind this handle, if it failed (``None`` otherwise).
 
-        Lets degraded-mode callers (partial-result assembly, stale-serve
-        fallbacks) inspect the underlying cause without triggering the
-        re-raise in :meth:`result`.
+        Lets degraded-mode callers (stale-serve fallbacks) inspect the
+        underlying cause without triggering the re-raise in :meth:`result`.
         """
         return self._error
 

@@ -1,10 +1,9 @@
 """Process-backed shard execution: shared-memory plan replay across cores.
 
-Every parallel layer below this one — island/wave replay, thread-sharded
-workers, the background flusher — shares one interpreter lock, so a
-multi-shard service shows near-zero overhead per worker but also near-zero
-*speedup* on a single box once the kernels stop releasing the GIL long
-enough.  :class:`ProcessShardExecutor` escapes that ceiling: each serving
+Every parallel layer below this one — thread-sharded workers, the
+background flusher — shares one interpreter lock, so a multi-shard service
+shows near-zero overhead per worker but also near-zero *speedup* on a
+single box once the kernels stop releasing the GIL long enough.  :class:`ProcessShardExecutor` escapes that ceiling: each serving
 shard owns a long-lived **worker process** that replays compiled plans, and
 the sharded service's batcher/worker split stays exactly as it was — the
 executor slots in as the per-shard ``forward_fn``
@@ -15,7 +14,7 @@ Three design rules keep the hot path cheap and the answers bit-identical:
 **Never trace in the child.**  Workers only ever *bind* plans from a
 :class:`~repro.runtime.ArtifactStore` — either the deployment's own store
 or a parent-compiled, parity-spot-checked plan spilled to a temp store —
-so a child is a dumb replayer: no tracing, no fusing, no scheduling, no
+so a child is a dumb replayer: no tracing, no fusing, no pooling, no
 autograd, and a freshly (re)spawned worker is serving in milliseconds.
 
 **No pickling of array payloads.**  Request windows and forecast outputs
@@ -442,7 +441,7 @@ def _worker_get_plan(plans, stores, key, arena, layout):
     return plan
 
 
-def _worker_serve_one(conn, shm, seg_addr, plans, stores, arena, layout, threads, message, request_delay) -> None:
+def _worker_serve_one(conn, shm, seg_addr, plans, stores, arena, layout, message, request_delay) -> None:
     tag, seq, slot, key = message
     base = layout.request_offset(slot)
     try:
@@ -476,7 +475,7 @@ def _worker_serve_one(conn, shm, seg_addr, plans, stores, arena, layout, threads
                 f"plan {key} expects {tuple(plan.spec.stats.input_shape)} "
                 f"{plan.spec.dtype}; request is {shape} {dtype.name}"
             )
-        result = plan.execute(window, threads=threads)
+        result = plan.execute(window)
     except Exception as error:
         _worker_reply_error(conn, shm, layout, slot, seq, f"{type(error).__name__}: {error}")
         return
@@ -510,9 +509,17 @@ def _worker_serve_one(conn, shm, seg_addr, plans, stores, arena, layout, threads
     conn.send(("res", seq, slot))
 
 
-def _worker_main(conn, shm_name, layout, store_roots, threads, request_delay=0.0,
+def _worker_main(conn, shm_name, layout, store_roots, request_delay=0.0,
                  fault_plan=None) -> None:
-    """Entry point of one shard's worker process: bind, replay, publish."""
+    """Entry point of one shard's worker process: bind, replay, publish.
+
+    The serve loop exits once the process that started it is gone (the
+    worker is re-parented).  A forked child inherits the parent's end of
+    the pipe, so a parent killed before its shutdown runs never closes
+    that end and ``conn.poll`` never reports EOF; without the parent check
+    an orphaned worker would poll forever.
+    """
+    parent_pid = os.getppid()
     import gc
     import signal
     from multiprocessing import shared_memory
@@ -521,13 +528,6 @@ def _worker_main(conn, shm_name, layout, store_roots, threads, request_delay=0.0
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
-    # A forked child inherits the parent's (now thread-less) island pool
-    # object; reset it so the first threaded replay builds a fresh one.
-    from ..runtime import engine as _engine
-
-    _engine._POOL = None
-    _engine._POOL_WORKERS = 0
-
     # Resource-tracker hygiene: every multiprocessing child — spawn and
     # fork alike — inherits the PARENT's resource tracker (the tracker fd
     # travels in the spawn preparation data), so the attach below re-adds
@@ -554,6 +554,8 @@ def _worker_main(conn, shm_name, layout, store_roots, threads, request_delay=0.0
             # wedged loop stops the beacon and trips the parent watchdog.
             beat += 1
             _write_heartbeat(shm, beat)
+            if os.getppid() != parent_pid:
+                return  # orphaned: the owning process is gone
             try:
                 if not conn.poll(0.05):
                     continue
@@ -569,8 +571,7 @@ def _worker_main(conn, shm_name, layout, store_roots, threads, request_delay=0.0
             beat += 1
             _write_heartbeat(shm, beat)
             _worker_serve_one(
-                conn, shm, seg_addr, plans, stores, arena, layout, threads,
-                message, request_delay,
+                conn, shm, seg_addr, plans, stores, arena, layout, message, request_delay
             )
     finally:
         # Drop every view into the mapping before closing it; a dangling
@@ -662,7 +663,7 @@ class _ProcessWorker:
     """One shard's worker process, its segment, and its dispatcher thread."""
 
     def __init__(self, shard: int, ctx, start_method: str, layout: _SegmentLayout,
-                 store_roots: Sequence[str], threads: int, request_delay: float,
+                 store_roots: Sequence[str], request_delay: float,
                  watchdog: Optional[WatchdogConfig] = None,
                  fault_plan: Optional[FaultPlan] = None) -> None:
         from multiprocessing import shared_memory
@@ -672,7 +673,6 @@ class _ProcessWorker:
         self._start_method = start_method
         self.layout = layout
         self._store_roots = list(store_roots)
-        self._threads = threads
         self._request_delay = request_delay
         self._watchdog = watchdog if watchdog is not None else WatchdogConfig()
         self._fault_plan = fault_plan
@@ -700,7 +700,7 @@ class _ProcessWorker:
         self.process = self._ctx.Process(
             target=_worker_main,
             args=(child_conn, self.shm.name, self.layout, self._store_roots,
-                  self._threads, self._request_delay, self._fault_plan),
+                  self._request_delay, self._fault_plan),
             name=f"repro-plan-worker-{self.shard}",
             daemon=True,
         )
@@ -944,7 +944,7 @@ class _ProcessShardForward:
     """The per-shard ``forward_fn`` handed to a shard's micro-batcher.
 
     Call-compatible with the :class:`~repro.runtime.CompiledModel` it
-    replaces (arrays or Tensors in, ``(B, T', span)`` float64 arrays out;
+    replaces (arrays or Tensors in, ``(B, T', N)`` float64 arrays out;
     per-request ``precision=`` honoured) and delegating the plan-cache
     management surface (``cache_info`` / ``save_artifacts`` /
     ``compile_for``) to the shard's parent-side provider — warm-up, AOT
@@ -985,10 +985,6 @@ class _ProcessShardForward:
     def precision(self) -> str:
         return self._tier.provider(self._shard, pset=self._pset).precision
 
-    @property
-    def threads(self) -> int:
-        return self._tier.provider(self._shard, pset=self._pset).threads
-
 
 class ProcessShardExecutor:
     """Replay each serving shard's compiled plans in its own worker process.
@@ -999,12 +995,9 @@ class ProcessShardExecutor:
         The served module; compiled (and parity-spot-checked) only in the
         parent, by one :class:`~repro.runtime.CompiledModel` *provider* per
         shard.  Workers bind the resulting artifacts — they never trace.
-    slices:
-        Per-shard ``(lo, hi)`` output-column slices (node sharding), or
-        ``None`` for full-output replicas.
     window_shape / output_length / num_nodes:
         Geometry of the served model (request and response slot sizing).
-    precision / threads / artifact_store:
+    precision / artifact_store:
         As for the thread tier; the store (when given) is shared with the
         workers by *root path* — a worker binds from disk, not from the
         parent's memo.  Plans missing from disk (e.g. a read-only store)
@@ -1028,13 +1021,11 @@ class ProcessShardExecutor:
         self,
         model,
         *,
-        slices: Optional[Sequence[Tuple[int, int]]],
         num_shards: int,
         window_shape: Tuple[int, int, int],
         output_length: int,
         num_nodes: int,
         precision: Optional[str] = None,
-        threads: Optional[int] = None,
         artifact_store: Optional[ArtifactStore] = None,
         start_method: Optional[str] = None,
         bulk_chunk_rows: int = 32,
@@ -1050,7 +1041,6 @@ class ProcessShardExecutor:
         self.start_method = resolve_start_method(start_method)
         self._ctx = mp.get_context(self.start_method)
         self.num_shards = num_shards
-        self._slices = list(slices) if slices is not None else None
         self._window_shape = tuple(int(dim) for dim in window_shape)
         self._output_length = int(output_length)
         self._num_nodes = int(num_nodes)
@@ -1061,7 +1051,6 @@ class ProcessShardExecutor:
         self._spill_root = tempfile.mkdtemp(prefix="repro-plan-spill-")
         self._spill = ArtifactStore(self._spill_root)
         self._precision = precision
-        self._threads = threads
         self._provider_store = artifact_store if artifact_store is not None else self._spill
         self._pset = self._build_pset(model)
         self._store_roots: List[str] = []
@@ -1082,13 +1071,9 @@ class ProcessShardExecutor:
         return _ProviderSet(
             [
                 CompiledModel(
-                    model,
-                    output_slice=self._slices[shard] if self._slices is not None else None,
-                    precision=self._precision,
-                    threads=self._threads,
-                    artifact_dir=self._provider_store,
+                    model, precision=self._precision, artifact_dir=self._provider_store
                 )
-                for shard in range(self.num_shards)
+                for _ in range(self.num_shards)
             ]
         )
 
@@ -1112,12 +1097,6 @@ class ProcessShardExecutor:
     def provider(self, shard: int, pset: Optional[_ProviderSet] = None) -> CompiledModel:
         """The parent-side compile/validate engine of one shard."""
         return (pset if pset is not None else self._pset).providers[shard]
-
-    def _shard_span(self, shard: int) -> int:
-        if self._slices is not None:
-            lo, hi = self._slices[shard]
-            return hi - lo
-        return self._num_nodes
 
     def _ensure_key(self, shard: int, shape: Tuple[int, ...], dtype: np.dtype,
                     pset: Optional[_ProviderSet] = None) -> str:
@@ -1157,7 +1136,7 @@ class ProcessShardExecutor:
                 break
         rows = bucket_batch_size(self._chunk_rows, provider.bucket_cap)
         request_cap = rows * int(np.prod(self._window_shape)) * 8
-        response_cap = max(rows * self._output_length * self._shard_span(shard) * 8, 4096)
+        response_cap = max(rows * self._output_length * self._num_nodes * 8, 4096)
         if spec is not None:
             first_rows = max(int(spec.stats.input_shape[0]), 1)
             workspace = plan_workspace_nbytes(spec.storage_sizes)
@@ -1184,7 +1163,6 @@ class ProcessShardExecutor:
                     self.start_method,
                     self._layout_for(shard, key, pset=pset),
                     self._store_roots,
-                    self.provider(shard, pset=pset).threads,
                     self._request_delay,
                     watchdog=self._watchdog,
                     fault_plan=self._fault_plan,
@@ -1260,7 +1238,7 @@ class ProcessShardExecutor:
             # the same arithmetic.
             return np.asarray(provider(array, precision=precision))
         if array.shape[0] == 0:
-            return np.empty((0, self._output_length, self._shard_span(shard)))
+            return np.empty((0, self._output_length, self._num_nodes))
         if deadline is not None:
             deadline.check("process-accept")
         dtype = np.dtype(resolve_precision(precision if precision is not None else provider.precision))
@@ -1269,48 +1247,6 @@ class ProcessShardExecutor:
         jobs = self._make_jobs(shard, array, lane, dtype, pset=pset, deadline=deadline)
         self._dispatch(shard, jobs, pset=pset)
         return np.concatenate(self._settle(jobs), axis=0)
-
-    def call_fanout(self, shards: Sequence[int], array, lane: str = "bulk",
-                    precision: Optional[str] = None,
-                    pset: Optional[_ProviderSet] = None,
-                    deadline: Optional[Deadline] = None,
-                    return_errors: bool = False) -> List:
-        """Forward one batch on several shards concurrently (node fan-out).
-
-        With ``return_errors=True`` a failing shard contributes its
-        exception object in place of an output array instead of aborting
-        the whole fan-out — the caller can then degrade to a typed
-        :class:`~repro.serving.PartialResult` rather than losing the
-        healthy shards' work.
-        """
-        if self._closed:
-            return [
-                self.call(shard, array, lane=lane, precision=precision, pset=pset)
-                for shard in shards
-            ]
-        array = np.asarray(array)
-        if deadline is not None:
-            deadline.check("process-accept")
-        per_shard: List[List[_Job]] = []
-        for shard in shards:
-            provider = self.provider(shard, pset=pset)
-            dtype = np.dtype(
-                resolve_precision(precision if precision is not None else provider.precision)
-            )
-            shard_array = array.astype(dtype) if array.dtype != dtype else array
-            jobs = self._make_jobs(shard, shard_array, lane, dtype, pset=pset,
-                                   deadline=deadline)
-            self._dispatch(shard, jobs, pset=pset)
-            per_shard.append(jobs)
-        results: List = []
-        for jobs in per_shard:
-            try:
-                results.append(np.concatenate(self._settle(jobs), axis=0))
-            except Exception as error:
-                if not return_errors:
-                    raise
-                results.append(error)
-        return results
 
     # ------------------------------------------------------------------
     def proxy(self, shard: int,

@@ -60,7 +60,6 @@ from ..runtime import (
     CompiledModel,
     resolve_precision,
     resolve_runtime_mode,
-    resolve_thread_count,
 )
 from ..tensor import Tensor, no_grad
 from .batching import (
@@ -108,8 +107,6 @@ class ServiceStats:
     flusher: Optional[FlusherStats] = None
     #: Default execution precision policy of the forward engine.
     precision: str = "float64"
-    #: Island-parallel replay width of the compiled plans (1 = serial).
-    threads: int = 1
     #: Detector-health and imputation counters (None without a monitor).
     quality: Optional[QualityStats] = None
     #: Completed hot checkpoint swaps over the service's lifetime.
@@ -198,7 +195,6 @@ class ForecastFrontend:
         cache_entries: int = 1024,
         runtime: Optional[str] = None,
         precision: Optional[str] = None,
-        threads: Optional[int] = None,
         artifact_dir: Optional[Union[str, Path, ArtifactStore]] = None,
         quality: Union[None, bool, QualityConfig, SensorHealthMonitor] = None,
         quality_adjacency: Optional[np.ndarray] = None,
@@ -223,7 +219,6 @@ class ForecastFrontend:
         self._swaps = 0
         self.runtime = resolve_runtime_mode(runtime)
         self.precision = resolve_precision(precision).name
-        self.threads = resolve_thread_count(threads)
         # One store instance for the whole deployment: resolved here so the
         # sharded service hands the SAME object to every worker — N shards
         # then share one on-disk directory *and* one in-process memo, i.e.
@@ -251,9 +246,10 @@ class ForecastFrontend:
         # precision.  On the single-worker direct path (_predict hands the
         # raw array to the compiled plan) a float32 snapshot enters the
         # float32 plan without an upcast-downcast round trip; batcher-routed
-        # paths (the sharded streaming fan-out) still coalesce through a
-        # float64 Tensor and pay the plan's entry cast — correct either way,
-        # the ring dtype only removes casts where the array flows directly.
+        # paths (sharded streaming on the thread tier) still coalesce through
+        # a float64 Tensor and pay the plan's entry cast — correct either
+        # way, the ring dtype only removes casts where the array flows
+        # directly.
         self.buffer = RollingWindowBuffer(
             input_length=config.input_length,
             num_nodes=config.num_nodes,
@@ -502,16 +498,10 @@ class ForecastFrontend:
 
     # ------------------------------------------------------------------
     # Shared query skeleton.  The cache front, miss deduplication and
-    # finalisation (merge -> denormalise -> horizon -> cache insert) are
-    # identical for every frontend; subclasses provide only the compute:
+    # finalisation (denormalise -> horizon -> cache insert) are identical
+    # for every frontend; subclasses provide only the compute:
     # _compute_misses (synchronous) and _submit_parts (asynchronous).
     # ------------------------------------------------------------------
-    @staticmethod
-    def _merge(parts: List[np.ndarray]) -> np.ndarray:
-        """Combine one query's pending parts (a single part by default;
-        node-sharded services concatenate per-shard column blocks)."""
-        return parts[0]
-
     def _compute_misses(
         self,
         windows: List[np.ndarray],
@@ -549,11 +539,11 @@ class ForecastFrontend:
         """
 
     def _finalize(self, key, horizon: int, gen: Optional[_Generation] = None):
-        """Build the merge -> denormalise -> cache hook for one query."""
+        """Build the denormalise -> cache hook for one query's single part."""
         gen = gen or self._gen
 
         def finalize(parts: List[np.ndarray]) -> np.ndarray:
-            forecast = self._denormalise(self._merge(parts), gen=gen)[:horizon]
+            forecast = self._denormalise(parts[0], gen=gen)[:horizon]
             if self.cache is not None and key is not None:
                 self.cache.put(key, forecast)
             return forecast.copy()
@@ -641,9 +631,9 @@ class ForecastFrontend:
         Cache hits are answered directly; misses are deduplicated (identical
         in-flight windows are computed once) and computed by the concrete
         frontend — one coalesced micro-batched forward on the single-worker
-        service, a routed fan-out on the sharded one.  An empty batch is
-        answered with an empty ``(0, horizon, N)`` array instead of
-        reaching the model.
+        service, round-robin replica batches on the sharded one.  An empty
+        batch is answered with an empty ``(0, horizon, N)`` array instead
+        of reaching the model.
 
         ``precision`` overrides the service's execution-precision policy
         for this query only — e.g. ``precision="float64"`` is the SLA path
@@ -697,6 +687,25 @@ class ForecastFrontend:
         self._admit("bulk", 1)
         parts = self._submit_parts(normalised, gen=gen, deadline=deadline)
         return AsyncForecast(parts, self._finalize(key, horizon, gen=gen))
+
+    def forecast_node(
+        self,
+        window: np.ndarray,
+        node: int,
+        horizon: Optional[int] = None,
+        precision: Optional[str] = None,
+        deadline_ms: Optional[float] = None,
+    ) -> np.ndarray:
+        """Forecast a single sensor: returns shape ``(horizon,)``.
+
+        Serves the full network through :meth:`forecast` (and its cache)
+        and slices the sensor's column.
+        """
+        if not 0 <= node < self.config.num_nodes:
+            raise IndexError(f"node {node} out of range [0, {self.config.num_nodes})")
+        return self.forecast(
+            window, horizon=horizon, precision=precision, deadline_ms=deadline_ms
+        )[:, node]
 
     # ------------------------------------------------------------------
     # Streaming operation
@@ -900,10 +909,6 @@ class ForecastService(ForecastFrontend):
         memory-bandwidth headroom; see ``docs/runtime.md``).  ``None``
         consults ``REPRO_RUNTIME_PRECISION``.  Synchronous queries accept a
         per-request ``precision=`` override — the float64 SLA path.
-    threads:
-        Island-parallel replay width of the compiled plans (integer or
-        ``"auto"``; ``None`` consults ``REPRO_RUNTIME_THREADS``; 1 — the
-        default — replays serially).
     artifact_dir:
         Directory (or shared :class:`~repro.runtime.ArtifactStore`) of
         durable plan artifacts: a restarted service rebuilds its plans from
@@ -930,7 +935,6 @@ class ForecastService(ForecastFrontend):
         linger_ms: Optional[float] = None,
         runtime: Optional[str] = None,
         precision: Optional[str] = None,
-        threads: Optional[int] = None,
         artifact_dir: Optional[Union[str, Path, ArtifactStore]] = None,
         quality: Union[None, bool, QualityConfig, SensorHealthMonitor] = None,
         quality_adjacency: Optional[np.ndarray] = None,
@@ -943,7 +947,6 @@ class ForecastService(ForecastFrontend):
             cache_entries=cache_entries,
             runtime=runtime,
             precision=precision,
-            threads=threads,
             artifact_dir=artifact_dir,
             quality=quality,
             quality_adjacency=quality_adjacency,
@@ -985,12 +988,7 @@ class ForecastService(ForecastFrontend):
         # returns plain arrays, the autograd model returns Tensors; both are
         # normalised in _predict / MicroBatcher.flush.
         forward = (
-            CompiledModel(
-                model,
-                precision=self.precision,
-                threads=self.threads,
-                artifact_dir=self.artifact_store,
-            )
+            CompiledModel(model, precision=self.precision, artifact_dir=self.artifact_store)
             if self.runtime == "compiled"
             else model
         )
@@ -1134,21 +1132,6 @@ class ForecastService(ForecastFrontend):
             gen=gen,
             deadline=deadline,
         )
-
-    def forecast_node(
-        self,
-        window: np.ndarray,
-        node: int,
-        horizon: Optional[int] = None,
-        precision: Optional[str] = None,
-        deadline_ms: Optional[float] = None,
-    ) -> np.ndarray:
-        """Forecast a single sensor: returns shape ``(horizon,)``."""
-        if not 0 <= node < self.config.num_nodes:
-            raise IndexError(f"node {node} out of range [0, {self.config.num_nodes})")
-        return self.forecast(
-            window, horizon=horizon, precision=precision, deadline_ms=deadline_ms
-        )[:, node]
 
     # ------------------------------------------------------------------
     # The compute hooks behind the shared forecast_many / submit skeleton
@@ -1332,7 +1315,6 @@ class ForecastService(ForecastFrontend):
             runtime=self.runtime,
             flusher=self.flusher.stats() if self.flusher is not None else None,
             precision=self.precision,
-            threads=self.threads,
             quality=self.buffer.quality_stats(),
             swaps=self._swaps,
         )

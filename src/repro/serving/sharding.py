@@ -1,6 +1,6 @@
 """Sharded multi-worker forecast serving.
 
-:class:`ShardedForecastService` partitions serving across ``num_shards``
+:class:`ShardedForecastService` spreads serving across ``num_shards``
 worker threads, each owning its own forward engine (a per-shard
 :class:`~repro.runtime.CompiledModel` plan cache) and its own
 :class:`~repro.serving.MicroBatcher`, behind the same raw-scale query
@@ -8,29 +8,12 @@ surface as the single-worker :class:`~repro.serving.ForecastService` —
 and with **bit-identical** outputs (``max |diff| == 0``), asserted by
 ``tests/serving/test_sharding.py`` and the CI shard-parity job.
 
-Two sharding strategies, selected with ``mode``:
-
-``"nodes"`` (sensor-set sharding)
-    The sensor set is partitioned into contiguous slices, one per worker.
-    Every worker compiles plans for the *full* forward pass sliced to its
-    own output columns (``CompiledModel(output_slice=(lo, hi))`` — DyHSL's
-    graph stages couple all sensors, so each shard's trunk must see the
-    whole window) and a full-network query fans out to every shard, whose
-    column blocks are concatenated back into one ``(B, T', N)`` answer.
-    Because each shard's slice is a view of the same computed output, the
-    merge is exact.  Node-scoped queries (:meth:`forecast_node`) route to
-    the owning shard only.  Fan-out runs the trunk once *per shard*: on a
-    multi-core box the shards compute concurrently (NumPy kernels release
-    the GIL), trading aggregate CPU for wall-clock latency and per-shard
-    memory; single-core deployments should prefer ``"replicas"``.
-
-``"replicas"`` (query sharding)
-    Every worker holds a full-model replica (weights shared by reference;
-    workspaces separate).  Queries are routed round-robin, so a batch of
-    ``B`` misses splits into ``K`` sub-batches computed concurrently —
-    batch rows are independent in every model of this library, which
-    makes sub-batch outputs bit-identical to the coalesced batch.  This
-    is the throughput-scaling mode: work is partitioned, not duplicated.
+Every worker holds a full-model replica (weights shared by reference;
+workspaces separate).  Queries are routed round-robin, so a batch of
+``B`` misses splits into ``K`` sub-batches computed concurrently — batch
+rows are independent in every model of this library, which makes
+sub-batch outputs bit-identical to the coalesced batch.  Work is
+partitioned, not duplicated.
 
 Asynchronous ingestion is shared with the single-worker service: per-shard
 micro-batchers coalesce :meth:`submit` traffic, a size threshold
@@ -48,7 +31,7 @@ from __future__ import annotations
 
 import queue
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -62,7 +45,7 @@ from .batching import (
     MicroBatcher,
     PendingForecast,
 )
-from .cache import CacheStats, hash_window
+from .cache import CacheStats
 from .faults import FaultPlan
 from .process_tier import (
     LaneStats,
@@ -76,49 +59,14 @@ from .resilience import (
     CircuitOpen,
     Deadline,
     DeadlineExceeded,
-    PartialResult,
     ResilienceConfig,
     ResilienceError,
     ResilientForward,
     ShardHealth,
-    is_retryable,
 )
 from .service import ForecastFrontend, _Generation, _merge_batcher_stats
 
-__all__ = [
-    "partition_nodes",
-    "ShardedServiceStats",
-    "ShardedForecastService",
-    "SHARDING_MODES",
-]
-
-#: Supported sharding strategies (see the module docstring).
-SHARDING_MODES = ("nodes", "replicas")
-
-
-def partition_nodes(num_nodes: int, num_shards: int) -> List[Tuple[int, int]]:
-    """Split ``[0, num_nodes)`` into ``num_shards`` contiguous balanced slices.
-
-    Shard sizes differ by at most one (the first ``num_nodes % num_shards``
-    shards take the extra sensor), cover every node exactly once and stay
-    in ascending order — concatenating per-shard output columns therefore
-    reconstructs the full node axis.
-    """
-    if num_shards <= 0:
-        raise ValueError("num_shards must be positive")
-    if num_shards > num_nodes:
-        raise ValueError(
-            f"cannot partition {num_nodes} sensors into {num_shards} shards; "
-            "use num_shards <= num_nodes (or mode='replicas')"
-        )
-    base, extra = divmod(num_nodes, num_shards)
-    slices: List[Tuple[int, int]] = []
-    start = 0
-    for shard in range(num_shards):
-        stop = start + base + (1 if shard < extra else 0)
-        slices.append((start, stop))
-        start = stop
-    return slices
+__all__ = ["ShardedServiceStats", "ShardedForecastService"]
 
 
 class _FlushJob:
@@ -171,19 +119,16 @@ class _ShardWorker:
 
     All forward passes for this shard run on the worker's own thread
     (jobs are enqueued with :meth:`flush_async`), so ``K`` shards compute
-    concurrently during a fan-out and a slow shard never blocks the
-    linger flusher.
+    concurrently and a slow shard never blocks the linger flusher.
     """
 
     def __init__(
         self,
         index: int,
         batcher: Union[MicroBatcher, Callable],
-        node_slice: Optional[Tuple[int, int]],
         max_batch_size: int = 128,
     ) -> None:
         self.index = index
-        self.node_slice = node_slice
         if not isinstance(batcher, MicroBatcher):
             # Back-compat: a bare forward callable gets its own batcher.
             batcher = MicroBatcher(batcher, max_batch_size=max_batch_size)
@@ -268,8 +213,6 @@ class ShardedServiceStats:
     flusher: Optional[FlusherStats] = None
     #: Default execution precision policy of the shard engines.
     precision: str = "float64"
-    #: Island-parallel replay width of each shard's compiled plans.
-    threads: int = 1
     #: Shard executor: ``"threads"`` (in-process) or ``"processes"``.
     executor: str = "threads"
     #: Per-lane admission-control counters (empty before any admit).
@@ -283,11 +226,7 @@ class ShardedServiceStats:
 
     @property
     def batcher(self) -> BatcherStats:
-        """Aggregate of the per-shard batcher counters.
-
-        In ``"nodes"`` mode every query touches every shard, so the
-        aggregate ``requests`` counts each query once per owning shard.
-        """
+        """Aggregate of the per-shard batcher counters."""
         total = BatcherStats()
         for stats in self.shards:
             total.requests += stats.requests
@@ -305,12 +244,11 @@ class ShardedForecastService(ForecastFrontend):
 
     Parameters
     ----------
-    model / scaler / model_version / cache_entries / runtime / precision / threads:
+    model / scaler / model_version / cache_entries / runtime / precision:
         As for :class:`~repro.serving.ForecastService` (one shared LRU
         cache and rolling buffer front all shards; every shard's compiled
-        plans execute at the service's ``precision`` with ``threads``-wide
-        island replay, and synchronous queries accept the same per-request
-        ``precision=`` override).
+        plans execute at the service's ``precision``, and synchronous
+        queries accept the same per-request ``precision=`` override).
     artifact_dir:
         Directory (or :class:`~repro.runtime.ArtifactStore`) of durable
         plan artifacts, shared by **all** workers: replicas reuse one
@@ -318,10 +256,10 @@ class ShardedForecastService(ForecastFrontend):
         worker) and a restarted fleet warm-starts every shard from disk
         with zero retraces — see ``docs/serving_quickstart.md``.
     num_shards:
-        Worker count.  ``mode="nodes"`` requires ``num_shards <= N``.
+        Worker count (full-model replicas).
     mode:
-        ``"nodes"`` (sensor-set sharding, the default) or ``"replicas"``
-        (query sharding) — see the module docstring for the trade-off.
+        Only ``"replicas"`` (the default) is accepted; node sharding was
+        removed and any other value raises :class:`ValueError`.
     max_batch_size:
         Largest coalesced forward per shard flush.
     auto_flush_at:
@@ -369,14 +307,13 @@ class ShardedForecastService(ForecastFrontend):
         scaler: Optional[object] = None,
         model_version: Optional[str] = None,
         num_shards: int = 2,
-        mode: str = "nodes",
+        mode: str = "replicas",
         cache_entries: int = 1024,
         max_batch_size: int = 128,
         auto_flush_at: Optional[int] = None,
         linger_ms: Optional[float] = None,
         runtime: Optional[str] = None,
         precision: Optional[str] = None,
-        threads: Optional[int] = None,
         artifact_dir=None,
         executor: Optional[str] = None,
         start_method: Optional[str] = None,
@@ -388,8 +325,11 @@ class ShardedForecastService(ForecastFrontend):
         resilience: Optional[ResilienceConfig] = None,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
-        if mode not in SHARDING_MODES:
-            raise ValueError(f"unknown sharding mode {mode!r}; expected one of {SHARDING_MODES}")
+        if mode != "replicas":
+            raise ValueError(
+                f"unsupported sharding mode {mode!r}: node sharding was removed; "
+                "only mode='replicas' is available"
+            )
         if num_shards <= 0:
             raise ValueError("num_shards must be positive")
         if auto_flush_at is not None and auto_flush_at <= 0:
@@ -405,7 +345,6 @@ class ShardedForecastService(ForecastFrontend):
             cache_entries=cache_entries,
             runtime=runtime,
             precision=precision,
-            threads=threads,
             artifact_dir=artifact_dir,
             quality=quality,
             quality_adjacency=quality_adjacency,
@@ -447,21 +386,11 @@ class ShardedForecastService(ForecastFrontend):
                 snapshot_fn=lane_snapshot,
             ),
         }
-        # Every worker engine gets the SAME store object (resolved once by
-        # the frontend): replicas share one memo, so the fleet parses and
-        # compiles each trace once; node shards key their artifacts by
-        # output_slice, so a restarted fleet warm-starts every shard from
-        # the shared directory.
-        store = self.artifact_store
-        self._slices = (
-            partition_nodes(self.config.num_nodes, num_shards) if mode == "nodes" else []
-        )
         if self.executor == "processes":
             # Workers, segments and dispatchers spawn lazily on the first
             # dispatched batch; constructing the service starts nothing.
             self._tier = ProcessShardExecutor(
                 model,
-                slices=self._slices if mode == "nodes" else None,
                 num_shards=num_shards,
                 window_shape=(
                     self.config.input_length,
@@ -471,8 +400,7 @@ class ShardedForecastService(ForecastFrontend):
                 output_length=self.config.output_length,
                 num_nodes=self.config.num_nodes,
                 precision=self.precision,
-                threads=self.threads,
-                artifact_store=store,
+                artifact_store=self.artifact_store,
                 start_method=start_method,
                 bulk_chunk_rows=bulk_chunk_rows,
                 watchdog=self.resilience.watchdog,
@@ -486,10 +414,7 @@ class ShardedForecastService(ForecastFrontend):
         engine, _, _ = self._build_engine(model, warm_sizes=())
         self._gen.engine = engine
         for index in range(num_shards):
-            node_slice = self._slices[index] if mode == "nodes" else None
-            self._workers.append(
-                _ShardWorker(index, engine.batchers[index], node_slice)
-            )
+            self._workers.append(_ShardWorker(index, engine.batchers[index]))
         self._round_robin = 0
         self._route_lock = threading.Lock()
         self._closed = False
@@ -513,10 +438,7 @@ class ShardedForecastService(ForecastFrontend):
         reused); any other value is a swap build — the new engines are
         fully warmed before the generation is published.
         """
-        from ..runtime.engine import _SlicedForward
-
         initial = warm_sizes == ()
-        store = self.artifact_store
         pset = None
         if self._tier is not None:
             pset = (
@@ -525,42 +447,22 @@ class ShardedForecastService(ForecastFrontend):
                 else self._tier.prepare_generation(model)
             )
         forwards: List[Callable] = []
-        if self.mode == "nodes":
-            for index, (lo, hi) in enumerate(self._slices):
-                if self._tier is not None:
-                    forwards.append(self._tier.proxy(index, pset=pset))
-                elif self.runtime == "compiled":
-                    forwards.append(
-                        CompiledModel(
-                            model,
-                            output_slice=(lo, hi),
-                            precision=self.precision,
-                            threads=self.threads,
-                            artifact_dir=store,
-                        )
+        for index in range(self.num_shards):
+            # Separate CompiledModel per replica: plans and workspace
+            # buffers are per-worker, so replicas execute concurrently; the
+            # weights stay shared by reference, and every replica gets the
+            # SAME store object (resolved once by the frontend), so the
+            # fleet parses and compiles each trace once.
+            if self._tier is not None:
+                forwards.append(self._tier.proxy(index, pset=pset))
+            elif self.runtime == "compiled":
+                forwards.append(
+                    CompiledModel(
+                        model, precision=self.precision, artifact_dir=self.artifact_store
                     )
-                else:
-                    # The same trace adapter the compiled plans use, run as
-                    # a plain autograd forward.
-                    forwards.append(_SlicedForward(model, lo, hi))
-        else:
-            for index in range(self.num_shards):
-                # Separate CompiledModel per replica: plans and workspace
-                # buffers are per-worker, so replicas execute concurrently;
-                # the weights stay shared by reference.
-                if self._tier is not None:
-                    forwards.append(self._tier.proxy(index, pset=pset))
-                elif self.runtime == "compiled":
-                    forwards.append(
-                        CompiledModel(
-                            model,
-                            precision=self.precision,
-                            threads=self.threads,
-                            artifact_dir=store,
-                        )
-                    )
-                else:
-                    forwards.append(model)
+                )
+            else:
+                forwards.append(model)
         reused = compiled = 0
         if self.runtime == "compiled" and not initial:
             # Warm every shard's plans BEFORE publication: by default the
@@ -607,9 +509,9 @@ class ShardedForecastService(ForecastFrontend):
     def _retire_generation(self, old: _Generation) -> None:
         if old.engine is None:
             return
-        # Drain the retired queues on the worker threads (concurrently,
-        # like any fan-out); requests still queued there complete on the
-        # old weights — their proxies pin the old provider set.
+        # Drain the retired queues on the worker threads (concurrently);
+        # requests still queued there complete on the old weights — their
+        # proxies pin the old provider set.
         jobs = [
             worker.flush_async(batcher)
             for worker, batcher in zip(self._workers, old.engine.batchers)
@@ -623,23 +525,6 @@ class ShardedForecastService(ForecastFrontend):
             self.flusher.retarget(
                 [(worker.batcher, worker.flush_async) for worker in self._workers]
             )
-
-    # ------------------------------------------------------------------
-    @property
-    def node_slices(self) -> List[Tuple[int, int]]:
-        """The ``(lo, hi)`` sensor slice of each shard (empty for replicas)."""
-        return list(self._slices)
-
-    def shard_of(self, node: int) -> int:
-        """Index of the shard owning ``node`` (``"nodes"`` mode only)."""
-        if self.mode != "nodes":
-            raise ValueError("shard_of is only defined for mode='nodes'")
-        if not 0 <= node < self.config.num_nodes:
-            raise IndexError(f"node {node} out of range [0, {self.config.num_nodes})")
-        for index, (lo, hi) in enumerate(self._slices):
-            if lo <= node < hi:
-                return index
-        raise AssertionError("partition_nodes left a gap")  # pragma: no cover
 
     # ------------------------------------------------------------------
     # Admission control
@@ -695,19 +580,13 @@ class ShardedForecastService(ForecastFrontend):
                 return worker
             raise soonest
 
-    def _owning_workers(self) -> List[_ShardWorker]:
-        """The workers a full-network window must be routed to."""
-        if self.mode == "nodes":
-            return self._workers
-        return [self._next_worker()]
-
     def _route_window(
         self,
         window: np.ndarray,
         gen: Optional[_Generation] = None,
         deadline: Optional[Deadline] = None,
-    ) -> Tuple[List[PendingForecast], List[_ShardWorker]]:
-        """Submit one normalised window to its owning shards.
+    ) -> Tuple[PendingForecast, _ShardWorker]:
+        """Submit one normalised window to the next replica.
 
         Requests enqueue on the batchers of the generation captured at
         request entry, so a hot swap mid-request never splits one window
@@ -716,18 +595,8 @@ class ShardedForecastService(ForecastFrontend):
         typed at the sweep, never computed.
         """
         engine = (gen or self._gen).engine
-        workers = self._owning_workers()
-        return [
-            engine.batchers[worker.index].submit(window, deadline=deadline)
-            for worker in workers
-        ], workers
-
-    @staticmethod
-    def _merge(parts: List[np.ndarray]) -> np.ndarray:
-        """Concatenate per-shard column blocks back into ``(T', N)``."""
-        if len(parts) == 1:
-            return parts[0]
-        return np.concatenate(parts, axis=-1)
+        worker = self._next_worker()
+        return engine.batchers[worker.index].submit(window, deadline=deadline), worker
 
     def _drain(
         self, workers: Sequence[_ShardWorker], gen: Optional[_Generation] = None
@@ -765,40 +634,12 @@ class ShardedForecastService(ForecastFrontend):
 
     # ------------------------------------------------------------------
     # The compute hooks behind the shared forecast_many / submit skeleton
-    # (see ForecastFrontend): misses route to their owning shards (all
-    # shards in "nodes" mode, round-robin in "replicas" mode), compute
-    # concurrently on the worker threads, and merge back in request
+    # (see ForecastFrontend): misses route round-robin over the replicas,
+    # compute concurrently on the worker threads, and come back in request
     # order — bit-identical to the single-worker service.  submit() never
     # computes in the caller's thread: size-threshold drains are
     # scheduled onto the owning workers.
     # ------------------------------------------------------------------
-    def _nan_block(self, shard: int, rows: Optional[int] = None) -> np.ndarray:
-        """NaN filler for a failed shard's output columns (``"nodes"`` mode)."""
-        lo, hi = self._slices[shard]
-        shape: Tuple[int, ...] = (self.config.output_length, hi - lo)
-        if rows is not None:
-            shape = (rows,) + shape
-        return np.full(shape, np.nan)
-
-    def _raise_partial(
-        self,
-        outputs: List[np.ndarray],
-        failed: Dict[int, BaseException],
-        gen: Optional[_Generation],
-    ) -> None:
-        """Raise the typed degraded result for a nodes-mode fan-out.
-
-        ``PartialResult.forecast`` carries the raw-scale, full-horizon
-        merged forecasts ``(num_windows, T', N)`` with the failed shards'
-        node columns NaN — the healthy shards' work is handed to the
-        caller, never discarded.  Raised as an exception so the partial
-        data can never be cached or mistaken for a complete answer.
-        """
-        forecast = np.stack(
-            [self._denormalise(output, gen=gen) for output in outputs], axis=0
-        )
-        raise PartialResult(forecast, failed)
-
     def _compute_misses(
         self,
         windows: List[np.ndarray],
@@ -812,71 +653,27 @@ class ShardedForecastService(ForecastFrontend):
             # shard engines at the requested policy (the batch queues are
             # single-policy), chunked to the batchers' max batch size so
             # the override path keeps the same peak-batch bound as a
-            # flush.  Nodes mode still merges all shards' column blocks;
-            # replica mode serves each chunk from the next replica — batch
-            # rows are independent, so this matches the routed answer
-            # exactly at the same policy.
+            # flush.  Each chunk is served by the next replica — batch rows
+            # are independent, so this matches the routed answer exactly at
+            # the same policy.
             size = engine.batchers[0].max_batch_size
             outputs: List[np.ndarray] = []
             for start in range(0, len(windows), size):
                 self._check_deadline(deadline, "precision-chunk")
                 batch = np.stack(windows[start : start + size], axis=0)
-                if self.mode == "nodes":
-                    parts = [
-                        np.asarray(
-                            engine.batchers[worker.index].forward_fn(
-                                batch, precision=precision
-                            )
-                        )
-                        for worker in self._workers
-                    ]
-                    outputs.extend(np.concatenate(parts, axis=-1))
-                else:
-                    worker = self._next_worker()
-                    outputs.extend(
-                        np.asarray(
-                            engine.batchers[worker.index].forward_fn(
-                                batch, precision=precision
-                            )
-                        )
+                worker = self._next_worker()
+                outputs.extend(
+                    np.asarray(
+                        engine.batchers[worker.index].forward_fn(batch, precision=precision)
                     )
+                )
             return outputs
         routed = [
             self._route_window(window, gen=gen, deadline=deadline)
             for window in windows
         ]
-        touched = [worker for _, workers in routed for worker in workers]
-        if self.mode != "nodes":
-            self._drain(touched, gen=gen)
-            return [self._merge([part.result() for part in parts]) for parts, _ in routed]
-        # Nodes mode: a failed shard (breaker open, worker dead after
-        # retries) degrades to a typed PartialResult instead of throwing
-        # away every healthy shard's columns.  Non-resilience errors (a
-        # deterministic compute bug) still propagate loudly.
-        try:
-            self._drain(touched, gen=gen)
-        except ResilienceError:
-            pass  # settled per-part below
-        outputs: List[np.ndarray] = []
-        failed: Dict[int, BaseException] = {}
-        any_success = False
-        for parts, workers in routed:
-            merged_parts: List[np.ndarray] = []
-            for part, worker in zip(parts, workers):
-                try:
-                    merged_parts.append(np.asarray(part.result()))
-                    any_success = True
-                except ResilienceError as error:
-                    failed[worker.index] = error
-                    merged_parts.append(self._nan_block(worker.index))
-            outputs.append(self._merge(merged_parts))
-        if failed:
-            if not any_success:
-                # Nothing partial about a total failure (every shard's
-                # budget spent, every breaker open): surface the cause.
-                raise next(iter(failed.values()))
-            self._raise_partial(outputs, failed, gen)
-        return outputs
+        self._drain([worker for _, worker in routed], gen=gen)
+        return [part.result() for part, _ in routed]
 
     def _submit_parts(
         self,
@@ -884,9 +681,9 @@ class ShardedForecastService(ForecastFrontend):
         gen: Optional[_Generation] = None,
         deadline: Optional[Deadline] = None,
     ) -> List[PendingForecast]:
-        parts, workers = self._route_window(window, gen=gen, deadline=deadline)
-        self._maybe_auto_flush(workers, gen=gen)
-        return parts
+        part, worker = self._route_window(window, gen=gen, deadline=deadline)
+        self._maybe_auto_flush([worker], gen=gen)
+        return [part]
 
     # ------------------------------------------------------------------
     # Synchronous queries
@@ -907,68 +704,6 @@ class ShardedForecastService(ForecastFrontend):
             deadline_ms=deadline_ms,
         )[0]
 
-    def forecast_node(
-        self,
-        window: np.ndarray,
-        node: int,
-        horizon: Optional[int] = None,
-        precision: Optional[str] = None,
-        deadline_ms: Optional[float] = None,
-    ) -> np.ndarray:
-        """Forecast a single sensor: returns shape ``(horizon,)``.
-
-        In ``"nodes"`` mode only the owning shard computes (and the result
-        is cached under a shard-scoped key); other modes serve the full
-        network and slice.
-        """
-        if not 0 <= node < self.config.num_nodes:
-            raise IndexError(f"node {node} out of range [0, {self.config.num_nodes})")
-        if self.mode != "nodes":
-            return self.forecast(
-                window, horizon=horizon, precision=precision, deadline_ms=deadline_ms
-            )[:, node]
-        horizon = self._check_horizon(horizon)
-        precision = self._resolve_request_precision(precision)
-        self._count_requests()
-        deadline = self._entry_deadline(deadline_ms)
-        gen = self._gen
-        normalised = self._normalise_window(window, gen=gen)
-        worker = self._workers[self.shard_of(node)]
-        batcher = gen.engine.batchers[worker.index]
-        lo, hi = worker.node_slice
-        key = None
-        if self.cache is not None:
-            key = (
-                self._key_version(precision, gen=gen),
-                f"{hash_window(normalised)}:nodes{lo}-{hi}",
-                horizon,
-            )
-            cached = self.cache.get(key)
-            if cached is not None:
-                return cached[:, node - lo]
-        self._admit("bulk", 1)
-        try:
-            if precision is not None:
-                self._check_deadline(deadline, "precision-chunk")
-                shard_output = np.asarray(
-                    batcher.forward_fn(normalised[None], precision=precision)
-                )[0]
-            else:
-                handle = batcher.submit(normalised, deadline=deadline)
-                self._drain([worker], gen=gen)
-                shard_output = handle.result()
-        except ResilienceError as error:
-            # Single-shard query: the owning shard IS the whole answer, so
-            # degraded mode is a marked-stale cache hit, never a partial.
-            stale = self._serve_stale_instead(key, error)
-            if stale is not None:
-                return stale[:, node - lo]
-            raise
-        shard_forecast = self._denormalise(shard_output, gen=gen)[:horizon]
-        if self.cache is not None:
-            self.cache.put(key, shard_forecast)
-        return shard_forecast[:, node - lo].copy()
-
     # ------------------------------------------------------------------
     # Streaming operation
     # ------------------------------------------------------------------
@@ -978,77 +713,10 @@ class ShardedForecastService(ForecastFrontend):
         with self._requests_lock:
             self._fleet_retries += 1
 
-    def _fanout_interactive(
-        self, batch: np.ndarray, pset, deadline: Optional[Deadline]
-    ) -> Tuple[List[np.ndarray], Dict[int, BaseException]]:
-        """Nodes-mode streaming fan-out through the process tier.
-
-        Shards whose breaker is open are never dispatched to; shards that
-        fail retryably get the retry policy's *remaining* attempts (the
-        fan-out itself was attempt one); outcomes feed the per-shard
-        breakers.  Returns the per-shard ``(1, T', cols)`` blocks (failed
-        shards NaN-filled) plus the shard -> error map.  Non-resilience
-        errors — a deterministic compute bug — propagate loudly.
-        """
-        parts: List[Optional[np.ndarray]] = [None] * self.num_shards
-        failed: Dict[int, BaseException] = {}
-        live: List[int] = []
-        for shard in range(self.num_shards):
-            breaker = self._breakers[shard]
-            if breaker is not None and not breaker.allow():
-                try:
-                    breaker.check()
-                except CircuitOpen as error:
-                    failed[shard] = error
-                    continue
-            live.append(shard)
-        results = (
-            self._tier.call_fanout(
-                live, batch, lane="interactive", pset=pset, deadline=deadline,
-                return_errors=True,
-            )
-            if live
-            else []
-        )
-        retry = self.resilience.retry
-        for shard, result in zip(live, results):
-            breaker = self._breakers[shard]
-            if (
-                isinstance(result, BaseException)
-                and is_retryable(result)
-                and retry is not None
-                and retry.max_attempts > 1
-            ):
-                self._count_retry_fleet(1, result)
-                remaining = replace(retry, max_attempts=retry.max_attempts - 1)
-                try:
-                    result = remaining.call(
-                        lambda s=shard: self._tier.call(
-                            s, batch, lane="interactive", pset=pset, deadline=deadline
-                        ),
-                        deadline=deadline,
-                        on_retry=self._count_retry_fleet,
-                    )
-                except Exception as error:
-                    result = error
-            if isinstance(result, BaseException):
-                if not isinstance(result, ResilienceError):
-                    raise result
-                if breaker is not None and not isinstance(result, DeadlineExceeded):
-                    breaker.record_failure()
-                failed[shard] = result
-            else:
-                if breaker is not None:
-                    breaker.record_success()
-                parts[shard] = result
-        for shard in failed:
-            parts[shard] = self._nan_block(shard, rows=1)
-        return parts, failed
-
     def _call_replica_interactive(
         self, batch: np.ndarray, pset, deadline: Optional[Deadline]
     ) -> np.ndarray:
-        """Replica-mode streaming call: least-busy shard, rerouted around
+        """Process-tier streaming call: least-busy shard, rerouted around
         open breakers, retried under the policy, outcome-fed breakers."""
 
         def attempt() -> np.ndarray:
@@ -1088,9 +756,7 @@ class ShardedForecastService(ForecastFrontend):
         single-worker streaming path.  Degraded modes: an expired budget or
         broken shard serves a marked-stale cache hit when
         ``ResilienceConfig(serve_stale=True)`` and an entry exists (any
-        model version's entry for this very buffer state qualifies);
-        ``"nodes"`` mode raises :class:`PartialResult` carrying the healthy
-        shards' ``(horizon, N)`` forecast with failed columns NaN.
+        model version's entry for this very buffer state qualifies).
         """
         horizon = self._check_horizon(horizon)
         self._count_requests()
@@ -1134,40 +800,11 @@ class ShardedForecastService(ForecastFrontend):
             # Process tier: dispatch on the interactive lane, which jumps
             # ahead of queued bulk chunks on every worker — the streaming
             # path stays responsive under backfill load.
-            pset = gen.engine.pset
-            if self.mode == "nodes":
-                parts, failed = self._fanout_interactive(window[None], pset, deadline)
-                if len(failed) == self.num_shards:
-                    raise next(iter(failed.values()))
-                output = np.concatenate([part[0] for part in parts], axis=-1)
-                forecast = self._denormalise(output, gen=gen)[:horizon]
-                if failed:
-                    raise PartialResult(forecast, failed)
-                return forecast
-            output = self._call_replica_interactive(window[None], pset, deadline)[0]
+            output = self._call_replica_interactive(window[None], gen.engine.pset, deadline)[0]
             return self._denormalise(output, gen=gen)[:horizon]
-        parts, workers = self._route_window(window, gen=gen, deadline=deadline)
-        try:
-            self._drain(workers, gen=gen)
-        except ResilienceError:
-            if self.mode != "nodes":
-                raise
-        merged_parts: List[np.ndarray] = []
-        failed = {}
-        for part, worker in zip(parts, workers):
-            try:
-                merged_parts.append(np.asarray(part.result()))
-            except ResilienceError as error:
-                if self.mode != "nodes":
-                    raise
-                failed[worker.index] = error
-                merged_parts.append(self._nan_block(worker.index))
-        if failed and len(failed) == len(workers):
-            raise next(iter(failed.values()))
-        forecast = self._denormalise(self._merge(merged_parts), gen=gen)[:horizon]
-        if failed:
-            raise PartialResult(forecast, failed)
-        return forecast
+        part, worker = self._route_window(window, gen=gen, deadline=deadline)
+        self._drain([worker], gen=gen)
+        return self._denormalise(np.asarray(part.result()), gen=gen)[:horizon]
 
     # ------------------------------------------------------------------
     def save_artifacts(self, path=None) -> List:
@@ -1295,7 +932,6 @@ class ShardedForecastService(ForecastFrontend):
             runtime=self.runtime,
             flusher=self.flusher.stats() if self.flusher is not None else None,
             precision=self.precision,
-            threads=self.threads,
             executor=self.executor,
             lanes=tuple(gate.stats() for gate in self._gates.values()),
             process_tier=self._tier.stats() if self._tier is not None else None,

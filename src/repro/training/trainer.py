@@ -64,9 +64,6 @@ class TrainerConfig:
     #: Training forwards and gradients always run float64 — the optimiser's
     #: accumulation precision is not a serving knob.
     inference_precision: Optional[str] = None
-    #: Island-parallel replay width of the inference plans (``None``
-    #: consults ``REPRO_RUNTIME_THREADS``).
-    inference_threads: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.max_epochs <= 0 or self.batch_size <= 0:
@@ -243,9 +240,7 @@ class Trainer:
         token = (self.optimizer.step_count, self.model.weights_version)
         if self._inference_runtime is None or self._inference_token != token:
             self._inference_runtime = compile_module(
-                self.model,
-                precision=self.config.inference_precision,
-                threads=self.config.inference_threads,
+                self.model, precision=self.config.inference_precision
             )
             self._inference_token = token
         return self._inference_runtime

@@ -111,23 +111,6 @@ class TestRoundTripParity:
         for fresh, loaded in zip(references, produced):
             assert np.array_equal(fresh, loaded)
 
-    def test_threads_1_vs_4_parity(self, model, windows, store):
-        serial = CompiledModel(model, threads=1, artifact_dir=store)
-        reference = serial(windows)
-
-        parallel = CompiledModel(model, threads=4, artifact_dir=store)
-        parallel_fresh = parallel(windows)
-        # Parallel binding is a different artifact key (its plan carries a
-        # schedule), so the parallel model compiles its own plan...
-        assert parallel.cache_info().compiles == 1
-        # ...and a fresh parallel-bound model warm-starts from it.
-        warm = CompiledModel(model, threads=4, artifact_dir=_fresh_store(store))
-        parallel_loaded = warm(windows)
-        assert warm.cache_info().compiles == 0
-        assert warm.cache_info().artifact_loads == 1
-        assert np.array_equal(parallel_loaded, parallel_fresh)
-        assert np.array_equal(parallel_loaded, reference)
-
     def test_loaded_plan_replays_fresh_batches(self, model, windows, store):
         CompiledModel(model, artifact_dir=store)(windows)
         warm = CompiledModel(model, artifact_dir=_fresh_store(store))
@@ -216,13 +199,30 @@ class TestValidationAndFallback:
         assert fresh.stats().rejects == 1
 
     def test_wrong_format_version_rejected(self, model, windows, store, monkeypatch):
-        CompiledModel(model, artifact_dir=store)(windows)
         import repro.runtime.artifacts as artifacts_module
 
-        monkeypatch.setattr(artifacts_module, "ARTIFACT_FORMAT_VERSION", 2)
-        fresh = _fresh_store(store)
+        reference = CompiledModel(model, artifact_dir=store)(windows)
+        key = store.keys()[0]
+        spec, values, _ = _fresh_store(store).load(key)
+        constants = {slot: values[slot] for slot in spec.const_slots}
+        # Rewrite the artifact under its current key the way the previous
+        # layout version wrote it: a stale file a new build must not bind.
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                artifacts_module,
+                "ARTIFACT_FORMAT_VERSION",
+                artifacts_module.ARTIFACT_FORMAT_VERSION - 1,
+            )
+            _fresh_store(store).save(key, spec, constants)
         with pytest.raises(ArtifactError, match="format"):
-            fresh.load(fresh.keys()[0])
+            _fresh_store(store).load(key)
+
+        warm = CompiledModel(model, artifact_dir=_fresh_store(store))
+        produced = warm(windows)
+        info = warm.cache_info()
+        assert info.artifact_rejects == 1
+        assert info.artifact_loads == 0 and info.compiles == 1
+        assert np.array_equal(produced, reference)
 
     def test_parity_spot_check_rejects_tampered_constants(self, model, windows, store):
         compiled = CompiledModel(model, artifact_dir=store)
@@ -293,17 +293,14 @@ class TestArtifactStore:
         assert weights_fingerprint(model) != before
 
     def test_trace_hash_varies_by_every_key_component(self, model):
-        base = dict(output_slice=None, fold_constants=True, fuse=True,
-                    parallel=False, bucket_cap=1024)
+        base = dict(fold_constants=True, fuse=True, bucket_cap=1024)
         reference = trace_hash(model, (3, 12, NUM_NODES, 1), np.float64, **base)
         assert trace_hash(model, (3, 12, NUM_NODES, 1), np.float64, **base) == reference
         variants = [
             trace_hash(model, (4, 12, NUM_NODES, 1), np.float64, **base),
             trace_hash(model, (3, 12, NUM_NODES, 1), np.float32, **base),
             trace_hash(model, (3, 12, NUM_NODES, 1), np.float64,
-                       **{**base, "output_slice": (0, 4)}),
-            trace_hash(model, (3, 12, NUM_NODES, 1), np.float64,
-                       **{**base, "parallel": True}),
+                       **{**base, "fold_constants": False}),
             trace_hash(model, (3, 12, NUM_NODES, 1), np.float64,
                        **{**base, "bucket_cap": None}),
             trace_hash(model, (3, 12, NUM_NODES, 1), np.float64,

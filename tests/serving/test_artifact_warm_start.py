@@ -1,8 +1,8 @@
 """Artifact-backed serving warm starts: one store, N workers, zero retraces.
 
-The fleet-wide cold-start contract (ISSUE 6): a service — single-worker or
-sharded — pointed at a saved artifact store serves its first request
-without a single trace/fuse/schedule pass, with answers bit-identical to a
+The fleet-wide cold-start contract: a service — single-worker or sharded —
+pointed at a saved artifact store serves its first request without a
+single trace/fuse/pool pass, with answers bit-identical to a
 cold-compiled deployment; replica fleets sharing one store compile each
 trace once instead of once per worker.
 """
@@ -110,7 +110,6 @@ class TestWarmUp:
             tiny_model,
             scaler=forecasting_data.scaler,
             num_shards=2,
-            mode="nodes",
             artifact_dir=store,
         ) as cold:
             cold.warm_up(batch_sizes=(1, 2))
@@ -120,7 +119,6 @@ class TestWarmUp:
             tiny_model,
             scaler=forecasting_data.scaler,
             num_shards=2,
-            mode="nodes",
             artifact_dir=ArtifactStore(store.root),
         ) as warm:
             stats = warm.warm_up(batch_sizes=(1, 2))
@@ -152,41 +150,46 @@ class TestShardedWarmStart:
         assert sum(info.artifact_loads for info in infos) == 2
         assert store.stats().memo_hits == 2
 
-    def test_node_sharded_fleet_restarts_with_zero_retraces(
+    def test_fleet_restarts_with_zero_retraces(
         self, tiny_model, forecasting_data, window, store
     ):
-        with ShardedForecastService(
-            tiny_model,
-            scaler=forecasting_data.scaler,
-            num_shards=2,
-            mode="nodes",
-            artifact_dir=store,
-        ) as cold:
-            reference = cold.forecast(window)
-            assert sum(info.compiles for info in _worker_infos(cold)) == 2
+        def serve_both(fleet):
+            # cache_entries=0: the second query is computed by the other replica.
+            return [fleet.forecast(window) for _ in range(2)]
 
         with ShardedForecastService(
             tiny_model,
             scaler=forecasting_data.scaler,
             num_shards=2,
-            mode="nodes",
+            cache_entries=0,
+            artifact_dir=store,
+        ) as cold:
+            reference = serve_both(cold)[0]
+            assert sum(info.compiles for info in _worker_infos(cold)) == 1
+
+        with ShardedForecastService(
+            tiny_model,
+            scaler=forecasting_data.scaler,
+            num_shards=2,
+            cache_entries=0,
             artifact_dir=ArtifactStore(store.root),
         ) as warm:
-            produced = warm.forecast(window)
+            produced = serve_both(warm)
             infos = _worker_infos(warm)
         assert all(info.compiles == 0 for info in infos)
         assert all(info.artifact_loads == 1 for info in infos)
-        assert np.array_equal(produced, reference)
+        assert all(np.array_equal(forecast, reference) for forecast in produced)
 
     def test_sharded_save_artifacts_exports_every_shard(
         self, tiny_model, forecasting_data, window, tmp_path
     ):
         with ShardedForecastService(
-            tiny_model, scaler=forecasting_data.scaler, num_shards=2, mode="nodes"
+            tiny_model, scaler=forecasting_data.scaler, num_shards=2, cache_entries=0
         ) as fleet:
             fleet.forecast(window)
+            fleet.forecast(window)  # the second replica compiles its plan too
             written = fleet.save_artifacts(tmp_path / "export")
-        assert len(written) == 2  # one sliced plan per shard
+        assert len(written) == 2  # one plan per replica
 
 
 class TestCheckpointAOT:
@@ -211,25 +214,23 @@ class TestCheckpointAOT:
         baseline = ForecastService.from_checkpoint(checkpoint)
         assert np.array_equal(produced, baseline.forecast(window))
 
-    def test_aot_covers_node_sharded_fleets(
+    def test_aot_covers_replica_fleets(
         self, tiny_model, forecasting_data, window, tmp_path
     ):
-        """node_shards=K pre-compiles the sliced-output plans, whose trace
-        keys differ from the full-output plan's — without it a node-sharded
-        fleet finds nothing to bind and compiles on its first request."""
+        """Replicas serve the full-output plans, so the single-worker AOT
+        export warm-starts a whole fleet."""
         checkpoint = save_model_checkpoint(
             tiny_model,
             tmp_path / "dyhsl",
             adjacency=forecasting_data.adjacency,
             scaler=forecasting_data.scaler,
         )
-        directory = save_plan_artifacts(
-            tiny_model, checkpoint, examples=[window[None]], node_shards=2
-        )
+        directory = save_plan_artifacts(tiny_model, checkpoint, examples=[window[None]])
         with ShardedForecastService.from_checkpoint(
-            checkpoint, num_shards=2, mode="nodes", artifact_dir=directory
+            checkpoint, num_shards=2, cache_entries=0, artifact_dir=directory
         ) as fleet:
             produced = fleet.forecast(window)
+            fleet.forecast(window)
             infos = _worker_infos(fleet)
         assert all(info.compiles == 0 for info in infos)
         assert all(info.artifact_loads == 1 for info in infos)

@@ -211,9 +211,8 @@ class TestSingleServiceSwap:
 
 
 class TestShardedSwap:
-    @pytest.mark.parametrize("mode", ["nodes", "replicas"])
     def test_sharded_swap_matches_a_fresh_service(
-        self, tiny_model, other_model, forecasting_data, checkpoint_b, mode
+        self, tiny_model, other_model, forecasting_data, checkpoint_b
     ):
         window = _raw_window(forecasting_data)
         reference = ForecastService(other_model, scaler=forecasting_data.scaler)
@@ -221,7 +220,6 @@ class TestShardedSwap:
             tiny_model,
             scaler=forecasting_data.scaler,
             num_shards=2,
-            mode=mode,
             executor="threads",
         ) as sharded:
             before = sharded.forecast(window)
@@ -241,7 +239,6 @@ class TestShardedSwap:
             tiny_model,
             scaler=forecasting_data.scaler,
             num_shards=2,
-            mode="nodes",
             executor="processes",
         ) as sharded:
             before = sharded.forecast(window)
@@ -331,7 +328,6 @@ class TestNoTornRequests:
             tiny_model,
             scaler=forecasting_data.scaler,
             num_shards=2,
-            mode="nodes",
             executor="threads",
             cache_entries=0,
         ) as sharded:
@@ -345,7 +341,6 @@ class TestNoTornRequests:
             tiny_model,
             scaler=forecasting_data.scaler,
             num_shards=2,
-            mode="nodes",
             executor="processes",
             cache_entries=0,
         ) as sharded:

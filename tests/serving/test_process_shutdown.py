@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 import os
+import select
+import signal
 import subprocess
 import sys
 import time
@@ -68,17 +70,51 @@ print(json.dumps({"ok": True}))
 """
 
 
-def _run(script: str) -> subprocess.CompletedProcess:
+_ORPHAN_SCRIPT = _PREAMBLE + """
+import time
+service = ShardedForecastService(
+    model, scaler=fd.scaler, num_shards=2, cache_entries=0,
+    executor="processes", start_method=sys.argv[1],
+)
+# One window per call: replicas alternate, so the workers start one at a
+# time and no fork overlaps a BLAS call on the other shard's thread.
+service.forecast_many(windows[:1])
+service.forecast_many(windows[1:2])
+pids = [pid for pid in service._tier.worker_pids() if pid is not None]
+print(json.dumps({"pids": pids}), flush=True)
+time.sleep(600)  # killed by the test long before this returns
+"""
+
+
+def _env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(_REPO, "src")
+    return env
+
+
+def _run(script: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True,
         text=True,
         timeout=180,
-        env=env,
+        env=_env(),
         cwd=_REPO,
     )
+
+
+def _alive(pid: int) -> bool:
+    """True while ``pid`` runs; an exited-but-unreaped zombie counts as gone
+    (an orphan's reaper is whatever adopted it, not this test)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
 
 
 def _assert_clean_exit(result: subprocess.CompletedProcess) -> None:
@@ -113,3 +149,42 @@ class TestShutdownHygiene:
         result = _run(_THREAD_SCRIPT)
         _assert_clean_exit(result)
         assert json.loads(result.stdout.strip().splitlines()[-1]) == {"ok": True}
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_workers_exit_when_parent_is_killed(self, start_method):
+        """SIGKILL skips every shutdown hook; the orphaned workers must
+        notice on their own.  Under fork each child holds an inherited copy
+        of the parent's pipe end, so the pipe never reports EOF."""
+        parent = subprocess.Popen(
+            [sys.executable, "-c", _ORPHAN_SCRIPT, start_method],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+            env=_env(),
+            cwd=_REPO,
+        )
+        pids = []
+        try:
+            ready, _, _ = select.select([parent.stdout], [], [], 120.0)
+            assert ready, "parent did not report its workers within 120 s"
+            line = parent.stdout.readline()
+            assert line, "parent exited before reporting its workers"
+            pids = json.loads(line)["pids"]
+            assert len(pids) == 2
+            parent.send_signal(signal.SIGKILL)
+            parent.wait(timeout=10.0)
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and any(_alive(pid) for pid in pids):
+                time.sleep(0.05)
+            survivors = [pid for pid in pids if _alive(pid)]
+            assert not survivors, f"workers {survivors} outlived their killed parent"
+        finally:
+            if parent.poll() is None:
+                parent.kill()
+                parent.wait()
+            parent.stdout.close()
+            for pid in pids:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass

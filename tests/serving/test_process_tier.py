@@ -55,7 +55,6 @@ def single(tiny_model, forecasting_data):
 
 def _executor(tiny_model, forecasting_data, **kwargs):
     config = tiny_model.config
-    kwargs.setdefault("slices", None)
     kwargs.setdefault("num_shards", 1)
     return ProcessShardExecutor(
         tiny_model,
@@ -180,16 +179,13 @@ class TestWorkspaceBinding:
 class TestProcessParity:
     """float64 bit-parity (max|diff| == 0) between process and thread tiers."""
 
-    @pytest.mark.parametrize("mode", ["nodes", "replicas"])
     @pytest.mark.parametrize("num_shards", [1, 2])
     def test_forecast_many_bit_identical(
-        self, tiny_model, forecasting_data, single, mode, num_shards
+        self, tiny_model, forecasting_data, single, num_shards
     ):
         windows = _raw_windows(forecasting_data, 5)
         reference = single.forecast_many(windows)
-        with _sharded(
-            tiny_model, forecasting_data, num_shards=num_shards, mode=mode
-        ) as service:
+        with _sharded(tiny_model, forecasting_data, num_shards=num_shards) as service:
             produced = service.forecast_many(windows)
             assert service.executor == "processes"
             assert np.abs(produced - reference).max() == 0.0
@@ -199,24 +195,19 @@ class TestProcessParity:
 
     def test_single_forecast_and_horizon(self, tiny_model, forecasting_data, single):
         window = _raw_windows(forecasting_data, 1)[0]
-        with _sharded(
-            tiny_model, forecasting_data, num_shards=2, mode="nodes"
-        ) as service:
+        with _sharded(tiny_model, forecasting_data, num_shards=2) as service:
             assert np.array_equal(service.forecast(window), single.forecast(window))
             assert np.array_equal(
                 service.forecast(window, horizon=4), single.forecast(window, horizon=4)
             )
 
-    @pytest.mark.parametrize("mode", ["nodes", "replicas"])
-    def test_forecast_latest_bit_identical(
-        self, tiny_model, forecasting_data, single, mode
-    ):
+    def test_forecast_latest_bit_identical(self, tiny_model, forecasting_data, single):
         signal_ = forecasting_data.dataset.signal[:14]
         for step in signal_:
             single.ingest(step)
         reference = single.forecast_latest()
         with _sharded(
-            tiny_model, forecasting_data, num_shards=2, mode=mode, cache_entries=0
+            tiny_model, forecasting_data, num_shards=2, cache_entries=0
         ) as service:
             for step in signal_:
                 service.ingest(step)
@@ -232,7 +223,6 @@ class TestProcessParity:
             tiny_model,
             forecasting_data,
             num_shards=2,
-            mode="replicas",
             start_method="spawn",
         ) as service:
             produced = service.forecast_many(windows)
@@ -254,7 +244,6 @@ class TestProcessParity:
             tiny_model,
             forecasting_data,
             num_shards=2,
-            mode="replicas",
             precision="float32",
             cache_entries=0,
         ) as service:
@@ -272,18 +261,20 @@ class TestProcessParity:
         reference = single.forecast_many(windows)
         store = ArtifactStore(tmp_path / "plans")
         with _sharded(
-            tiny_model, forecasting_data, num_shards=2, mode="nodes",
-            artifact_dir=store,
+            tiny_model, forecasting_data, num_shards=2, artifact_dir=store
         ) as service:
             assert np.abs(service.forecast_many(windows) - reference).max() == 0.0
+        assert store.stats().saves >= 1
         # Second fleet binds the published artifacts instead of recompiling.
         with _sharded(
-            tiny_model, forecasting_data, num_shards=2, mode="nodes",
-            artifact_dir=store,
+            tiny_model, forecasting_data, num_shards=2,
+            artifact_dir=ArtifactStore(store.root),
         ) as service:
             assert np.abs(service.forecast_many(windows) - reference).max() == 0.0
-            infos = [service.stats()]
-        assert store.stats().saves >= 2
+            compiles = [
+                service._tier.provider(shard).cache_info().compiles for shard in range(2)
+            ]
+        assert compiles == [0, 0]
 
 
 class TestPriorityLanes:
@@ -332,7 +323,6 @@ class TestAdmissionControl:
             tiny_model,
             forecasting_data,
             num_shards=2,
-            mode="replicas",
             executor="threads",
             cache_entries=0,
             bulk_queue_depth=0,
@@ -353,7 +343,6 @@ class TestAdmissionControl:
             tiny_model,
             forecasting_data,
             num_shards=2,
-            mode="replicas",
             executor="threads",
             cache_entries=0,
             interactive_queue_depth=0,
@@ -377,7 +366,6 @@ class TestAdmissionControl:
             tiny_model,
             forecasting_data,
             num_shards=2,
-            mode="replicas",
             cache_entries=0,
             bulk_queue_depth=64,
         ) as service:
@@ -400,7 +388,6 @@ class TestAdmissionControl:
             tiny_model,
             forecasting_data,
             num_shards=2,
-            mode="replicas",
             executor="threads",
             cache_entries=64,
         )

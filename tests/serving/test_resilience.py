@@ -1,12 +1,11 @@
 """Resilience layer: deadlines, retries, circuit breakers, degraded modes.
 
-The contract under test (ISSUE 10): every query accepts a ``deadline_ms``
+The contract under test: every query accepts a ``deadline_ms``
 budget captured at entry and enforced at each queue boundary (expired
 requests fail fast with a typed :class:`DeadlineExceeded`), retryable
 failures are re-dispatched under a bounded jittered-backoff
 :class:`RetryPolicy`, per-shard :class:`CircuitBreaker`\\ s stop hammering a
-failing shard (``"replicas"`` mode reroutes, ``"nodes"`` mode degrades to a
-typed :class:`PartialResult` with NaN columns), stale-serve answers from an
+failing shard (the replica fleet reroutes around it), stale-serve answers from an
 older generation's cache entry marked :class:`StaleForecast`, and
 ``service.health()`` reports it all.  The deterministic fault-injection
 harness behind these scenarios is proven separately in ``test_faults.py``.
@@ -30,7 +29,6 @@ from repro.serving import (
     FaultSpec,
     ForecastService,
     InjectedFault,
-    PartialResult,
     ResilienceConfig,
     ResilienceError,
     ResilientForward,
@@ -346,13 +344,12 @@ class TestServiceDeadlines:
     def test_sharded_deadline_is_total_failure_not_partial(
         self, tiny_model, forecasting_data
     ):
-        """Every shard missing the budget is DeadlineExceeded, not an
-        all-NaN PartialResult."""
+        """Every replica missing the budget fails the query as a whole with
+        a typed DeadlineExceeded."""
         service = ShardedForecastService(
             tiny_model,
             scaler=forecasting_data.scaler,
             num_shards=2,
-            mode="nodes",
             executor="threads",
             cache_entries=0,
         )
@@ -367,7 +364,6 @@ class TestServiceDeadlines:
             tiny_model,
             scaler=forecasting_data.scaler,
             num_shards=2,
-            mode="nodes",
             executor="threads",
             cache_entries=0,
         )
@@ -474,88 +470,6 @@ class TestReplicaReroute:
             health = service.health()
             assert not health.healthy
             assert health.open_breakers == [0, 1]
-        finally:
-            service.close()
-
-
-class TestNodesPartialResult:
-    def test_open_shard_degrades_to_nan_columns(self, tiny_model, forecasting_data):
-        baseline = ForecastService(
-            tiny_model, scaler=forecasting_data.scaler, cache_entries=0
-        )
-        windows = _raw_windows(forecasting_data, 2)
-        reference = baseline.forecast_many(windows)
-        service = ShardedForecastService(
-            tiny_model,
-            scaler=forecasting_data.scaler,
-            num_shards=2,
-            mode="nodes",
-            executor="threads",
-            cache_entries=0,
-            resilience=_breaker_config(),
-        )
-        try:
-            service._breakers[0].record_failure()
-            with pytest.raises(PartialResult) as excinfo:
-                service.forecast_many(windows)
-            partial = excinfo.value
-            assert set(partial.failed_shards) == {0}
-            assert isinstance(partial.failed_shards[0], CircuitOpen)
-            (lo0, hi0), (lo1, hi1) = service.node_slices
-            forecast = partial.forecast
-            assert forecast.shape == (2, 12, forecasting_data.num_nodes)
-            assert np.isnan(forecast[:, :, lo0:hi0]).all()
-            # The healthy shard's columns carry the real (raw-scale) answer.
-            np.testing.assert_allclose(
-                forecast[:, :, lo1:hi1], reference[:, :, lo1:hi1], atol=1e-9
-            )
-            # Recovery: a closed breaker serves the full fleet again.
-            service._breakers[0].record_success()
-            np.testing.assert_array_equal(service.forecast_many(windows), reference)
-        finally:
-            service.close()
-
-    def test_streaming_partial_result(self, tiny_model, forecasting_data):
-        service = ShardedForecastService(
-            tiny_model,
-            scaler=forecasting_data.scaler,
-            num_shards=2,
-            mode="nodes",
-            executor="threads",
-            cache_entries=0,
-            resilience=_breaker_config(),
-        )
-        try:
-            for step in forecasting_data.dataset.signal[:12]:
-                service.ingest(step)
-            service._breakers[1].record_failure()
-            with pytest.raises(PartialResult) as excinfo:
-                service.forecast_latest()
-            partial = excinfo.value
-            assert set(partial.failed_shards) == {1}
-            (lo0, hi0), (lo1, hi1) = service.node_slices
-            assert partial.forecast.shape == (12, forecasting_data.num_nodes)
-            assert np.isnan(partial.forecast[:, lo1:hi1]).all()
-            assert np.isfinite(partial.forecast[:, lo0:hi0]).all()
-        finally:
-            service.close()
-
-    def test_all_shards_failed_is_not_partial(self, tiny_model, forecasting_data):
-        """A result with zero healthy columns is a failure, not a degrade."""
-        service = ShardedForecastService(
-            tiny_model,
-            scaler=forecasting_data.scaler,
-            num_shards=2,
-            mode="nodes",
-            executor="threads",
-            cache_entries=0,
-            resilience=_breaker_config(),
-        )
-        try:
-            for breaker in service._breakers:
-                breaker.record_failure()
-            with pytest.raises(CircuitOpen):
-                service.forecast_many(_raw_windows(forecasting_data, 2))
         finally:
             service.close()
 

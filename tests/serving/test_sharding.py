@@ -5,11 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.serving import (
-    ForecastService,
-    ShardedForecastService,
-    partition_nodes,
-)
+from repro.serving import ForecastService, ShardedForecastService
 from repro.training import save_model_checkpoint
 
 
@@ -31,18 +27,6 @@ def _sharded(tiny_model, forecasting_data, **kwargs):
 
 
 class TestPartitioning:
-    def test_slices_are_contiguous_and_balanced(self):
-        assert partition_nodes(10, 3) == [(0, 4), (4, 7), (7, 10)]
-        assert partition_nodes(8, 4) == [(0, 2), (2, 4), (4, 6), (6, 8)]
-        assert partition_nodes(5, 1) == [(0, 5)]
-        assert partition_nodes(3, 3) == [(0, 1), (1, 2), (2, 3)]
-
-    def test_rejects_bad_partitions(self):
-        with pytest.raises(ValueError):
-            partition_nodes(4, 0)
-        with pytest.raises(ValueError, match="replicas"):
-            partition_nodes(4, 5)
-
     def test_rejects_bad_configuration(self, tiny_model):
         with pytest.raises(ValueError, match="sharding mode"):
             ShardedForecastService(tiny_model, mode="sideways")
@@ -50,6 +34,12 @@ class TestPartitioning:
             ShardedForecastService(tiny_model, num_shards=0)
         with pytest.raises(ValueError):
             ShardedForecastService(tiny_model, auto_flush_at=0)
+
+    def test_nodes_mode_was_removed(self, tiny_model):
+        with pytest.raises(ValueError, match="node sharding was removed"):
+            ShardedForecastService(tiny_model, mode="nodes")
+        with ShardedForecastService(tiny_model) as service:
+            assert service.mode == "replicas"
 
     def test_bad_linger_rejected_before_workers_spawn(self, tiny_model):
         """A constructor that raises must not leak executor threads."""
@@ -69,24 +59,20 @@ class TestPartitioning:
 class TestBitParity:
     """The acceptance contract: sharded output max |diff| == 0."""
 
-    @pytest.mark.parametrize("mode", ["nodes", "replicas"])
     @pytest.mark.parametrize("num_shards", [2, 3])
     def test_forecast_many_is_bit_identical(
-        self, tiny_model, forecasting_data, single, mode, num_shards
+        self, tiny_model, forecasting_data, single, num_shards
     ):
         windows = _raw_windows(forecasting_data, 5)
         reference = single.forecast_many(windows)
-        with _sharded(
-            tiny_model, forecasting_data, num_shards=num_shards, mode=mode
-        ) as sharded:
+        with _sharded(tiny_model, forecasting_data, num_shards=num_shards) as sharded:
             produced = sharded.forecast_many(windows)
         assert produced.shape == reference.shape
         assert np.abs(produced - reference).max() == 0.0
 
-    @pytest.mark.parametrize("mode", ["nodes", "replicas"])
-    def test_single_forecast_and_horizon(self, tiny_model, forecasting_data, single, mode):
+    def test_single_forecast_and_horizon(self, tiny_model, forecasting_data, single):
         window = _raw_windows(forecasting_data, 1)[0]
-        with _sharded(tiny_model, forecasting_data, num_shards=2, mode=mode) as sharded:
+        with _sharded(tiny_model, forecasting_data, num_shards=2) as sharded:
             assert np.array_equal(sharded.forecast(window), single.forecast(window))
             assert np.array_equal(
                 sharded.forecast(window, horizon=4), single.forecast(window, horizon=4)
@@ -97,11 +83,10 @@ class TestBitParity:
         reference = ForecastService(
             tiny_model, scaler=forecasting_data.scaler, runtime="autograd"
         ).forecast_many(windows)
-        for mode in ("nodes", "replicas"):
-            with _sharded(
-                tiny_model, forecasting_data, num_shards=2, mode=mode, runtime="autograd"
-            ) as sharded:
-                assert np.abs(sharded.forecast_many(windows) - reference).max() == 0.0
+        with _sharded(
+            tiny_model, forecasting_data, num_shards=2, runtime="autograd"
+        ) as sharded:
+            assert np.abs(sharded.forecast_many(windows) - reference).max() == 0.0
 
     def test_from_checkpoint_round_trip(self, tiny_model, forecasting_data, single, tmp_path):
         path = save_model_checkpoint(
@@ -116,45 +101,32 @@ class TestBitParity:
 
 
 class TestNodeRouting:
-    def test_shard_of_covers_every_node(self, tiny_model, forecasting_data):
-        with _sharded(tiny_model, forecasting_data, num_shards=3, mode="nodes") as sharded:
-            slices = sharded.node_slices
-            for node in range(tiny_model.config.num_nodes):
-                lo, hi = slices[sharded.shard_of(node)]
-                assert lo <= node < hi
-
-    def test_forecast_node_routes_to_owning_shard_only(
+    def test_forecast_node_matches_single_worker(
         self, tiny_model, forecasting_data, single
     ):
         window = _raw_windows(forecasting_data, 1)[0]
-        with _sharded(tiny_model, forecasting_data, num_shards=2, mode="nodes") as sharded:
-            node = tiny_model.config.num_nodes - 1  # owned by the last shard
+        with _sharded(tiny_model, forecasting_data, num_shards=2) as sharded:
+            node = tiny_model.config.num_nodes - 1
             produced = sharded.forecast_node(window, node)
             assert np.array_equal(produced, single.forecast_node(window, node))
-            stats = sharded.stats()
-            # Only the owning shard saw the request.
-            assert stats.shards[sharded.shard_of(node)].requests == 1
-            assert stats.shards[0].requests == 0
+            # One replica served the whole network once.
+            assert sum(stats.requests for stats in sharded.stats().shards) == 1
 
     def test_forecast_node_cache_hit(self, tiny_model, forecasting_data):
         window = _raw_windows(forecasting_data, 1)[0]
-        with _sharded(tiny_model, forecasting_data, num_shards=2, mode="nodes") as sharded:
+        with _sharded(tiny_model, forecasting_data, num_shards=2) as sharded:
             first = sharded.forecast_node(window, 0)
             again = sharded.forecast_node(window, 0)
             assert np.array_equal(first, again)
             assert sharded.stats().cache.hits == 1
-            # The owning shard computed exactly once.
-            assert sharded.stats().shards[0].requests == 1
+            # The network was computed exactly once.
+            assert sharded.stats().batcher.requests == 1
 
     def test_forecast_node_validates_range(self, tiny_model, forecasting_data):
         window = _raw_windows(forecasting_data, 1)[0]
-        with _sharded(tiny_model, forecasting_data, num_shards=2, mode="nodes") as sharded:
+        with _sharded(tiny_model, forecasting_data, num_shards=2) as sharded:
             with pytest.raises(IndexError):
                 sharded.forecast_node(window, tiny_model.config.num_nodes)
-            with pytest.raises(ValueError, match="mode='nodes'"):
-                _sharded(
-                    tiny_model, forecasting_data, num_shards=2, mode="replicas"
-                ).shard_of(0)
 
 
 class TestCacheAndBatching:
@@ -177,14 +149,6 @@ class TestCacheAndBatching:
             per_shard = [stats.requests for stats in sharded.stats().shards]
             assert per_shard == [3, 3]
 
-    def test_nodes_mode_fans_out_to_every_shard(self, tiny_model, forecasting_data):
-        windows = _raw_windows(forecasting_data, 2)
-        with _sharded(
-            tiny_model, forecasting_data, num_shards=3, mode="nodes", cache_entries=0
-        ) as sharded:
-            sharded.forecast_many(windows)
-            assert [stats.requests for stats in sharded.stats().shards] == [2, 2, 2]
-
     def test_empty_batch(self, tiny_model, forecasting_data):
         with _sharded(tiny_model, forecasting_data, num_shards=2) as sharded:
             empty = sharded.forecast_many(np.zeros((0, 12, tiny_model.config.num_nodes, 1)))
@@ -192,15 +156,14 @@ class TestCacheAndBatching:
 
 
 class TestStreaming:
-    @pytest.mark.parametrize("mode", ["nodes", "replicas"])
     def test_forecast_latest_matches_single_worker(
-        self, tiny_model, forecasting_data, single, mode
+        self, tiny_model, forecasting_data, single
     ):
         signal = forecasting_data.dataset.signal[:14]
         for step in signal:
             single.ingest(step)
         reference = single.forecast_latest()
-        with _sharded(tiny_model, forecasting_data, num_shards=2, mode=mode) as sharded:
+        with _sharded(tiny_model, forecasting_data, num_shards=2) as sharded:
             for step in signal:
                 sharded.ingest(step)
             produced = sharded.forecast_latest()
@@ -216,7 +179,7 @@ class TestLifecycleAndErrors:
         self, tiny_model, forecasting_data, single
     ):
         windows = _raw_windows(forecasting_data, 2)
-        sharded = _sharded(tiny_model, forecasting_data, num_shards=2, mode="nodes")
+        sharded = _sharded(tiny_model, forecasting_data, num_shards=2)
         reference = single.forecast_many(windows)
         sharded.close()
         sharded.close()
@@ -224,7 +187,7 @@ class TestLifecycleAndErrors:
         assert np.abs(sharded.forecast_many(windows) - reference).max() == 0.0
 
     def test_forward_error_reaches_every_pending_handle(self, tiny_model, forecasting_data):
-        sharded = _sharded(tiny_model, forecasting_data, num_shards=2, mode="nodes")
+        sharded = _sharded(tiny_model, forecasting_data, num_shards=2)
         window = _raw_windows(forecasting_data, 1)[0]
 
         def broken(batch):
@@ -232,14 +195,14 @@ class TestLifecycleAndErrors:
 
         for worker in sharded._workers:
             worker.batcher.forward_fn = broken
-        handle = sharded.submit(window)
+        handle = sharded.submit(window)  # queued on one replica
         with pytest.raises(RuntimeError, match="shard exploded"):
-            sharded.forecast(window)
+            sharded.forecast(window)  # computed on the other
+        sharded.close()  # drains the queued request into its handle
         with pytest.raises(RuntimeError, match="batched forward failed"):
             handle.result()
         stats = sharded.stats()
-        assert stats.batcher.failed_flushes >= 2  # both shards recorded it
-        sharded.close()
+        assert stats.batcher.failed_flushes >= 2  # both replicas recorded it
 
     def test_inline_drain_never_steals_the_stop_sentinel(self):
         """Regression: a flush_async() racing close() drains the job queue
@@ -248,7 +211,7 @@ class TestLifecycleAndErrors:
         close() in join()."""
         from repro.serving.sharding import _ShardWorker
 
-        worker = _ShardWorker(0, lambda batch: batch, None, max_batch_size=8)
+        worker = _ShardWorker(0, lambda batch: batch, max_batch_size=8)
         # Reproduce the race deterministically: close() has published the
         # stop flag and queued the sentinel, but the executor has not
         # consumed it yet when a concurrent flush_async() drains inline.
@@ -263,10 +226,10 @@ class TestLifecycleAndErrors:
 
     def test_stats_shape(self, tiny_model, forecasting_data):
         with _sharded(
-            tiny_model, forecasting_data, num_shards=3, mode="nodes", linger_ms=50.0
+            tiny_model, forecasting_data, num_shards=3, linger_ms=50.0
         ) as sharded:
             stats = sharded.stats()
-            assert stats.mode == "nodes"
+            assert stats.mode == "replicas"
             assert stats.num_shards == 3
             assert len(stats.shards) == 3
             assert stats.flusher is not None and stats.flusher.linger_ms == 50.0
