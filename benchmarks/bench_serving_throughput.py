@@ -39,9 +39,11 @@ autograd micro-batched, compiled micro-batched) and asserts two contracts:
   faster and narrowed the measured ratio — the compiled runtime's own
   absolute req/s are unchanged.)
 
-The node-scale sweep scales the synthetic network towards the published
-PEMS08 node count (``REPRO_BENCH_NODE_SCALE`` up to >= 0.5, i.e. 85+
-sensors) with fused-vs-unfused columns and plan stats.  The PR-3 contract
+The node-scale sweep scales the synthetic network up to the published
+PEMS08 node count (170 sensors, further if ``REPRO_BENCH_NODE_SCALE`` asks
+for it) with fused-vs-unfused columns and plan stats; its
+``BENCH_runtime.json`` section carries a provenance block (commit, cores,
+BLAS library and threads, date).  The PR-3 contract
 sits at the 0.5-scale / batch-16 point where the PR-2 runtime had
 converged to 1.0x — and is measured against *both* baselines this PR
 moved: >= 1.15x over the PR-2 autograd configuration (reconstructed live
@@ -59,7 +61,9 @@ Run with::
 from __future__ import annotations
 
 import os
+import sys
 import time
+from pathlib import Path
 from typing import Dict, List
 
 import numpy as np
@@ -73,6 +77,10 @@ from repro.tensor import seed as seed_everything
 
 from conftest import NODE_SCALE, SEED, print_table, record_bench
 
+REPO_ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO_ROOT))
+from perfbench.measure import provenance  # noqa: E402  (commit, cores, BLAS, date)
+
 #: Concurrency levels (pending requests coalesced into one flush).
 BATCH_SIZES = (1, 8, 32, 128)
 
@@ -85,9 +93,9 @@ HIDDEN = 16
 #: Published PEMS08 sensor count, the reference for the node-scale sweep.
 PEMS08_NODES = 170
 
-#: Node-scale sweep: fractions of the published PEMS08 network, up to at
-#: least 0.5 (85 sensors) and further if REPRO_BENCH_NODE_SCALE asks for it.
-SWEEP_SCALES = tuple(sorted({0.06, 0.125, 0.25, 0.5, max(0.5, NODE_SCALE)}))
+#: Node-scale sweep: fractions of the published PEMS08 network, up to the
+#: full 170 sensors (1x) and further if REPRO_BENCH_NODE_SCALE asks for it.
+SWEEP_SCALES = tuple(sorted({0.06, 0.125, 0.25, 0.5, 1.0, max(1.0, NODE_SCALE)}))
 
 
 def _build_model(num_nodes: int = NUM_NODES, hidden: int = HIDDEN) -> DyHSL:
@@ -233,7 +241,7 @@ def test_node_scale_sweep():
     """Autograd vs. unfused vs. fused runtime up to PEMS08 scale.
 
     Sweeps ``REPRO_BENCH_NODE_SCALE``-style fractions of the published 170
-    PEMS08 sensors up to at least 0.5.  As the node count grows, each op
+    PEMS08 sensors up to the full network (1x).  As the node count grows, each op
     moves more data and the fixed Python dispatch cost amortises away —
     this is where PR 2's runtime converged to 1.0x against autograd, and
     where the fusion pass (plus blocked layer norm and the reshape-copy
@@ -350,6 +358,7 @@ def test_node_scale_sweep():
             "batch": concurrency,
             "precision": "float64",
             "workers": 1,
+            "provenance": provenance(REPO_ROOT, "node_scale_sweep", SEED, "float64"),
             "rows": [
                 {
                     "node_scale": row["node scale"],
@@ -359,8 +368,9 @@ def test_node_scale_sweep():
                     "fused_rps": row["fused req/s"],
                     "speedup_vs_autograd": float(row["fused gain"].rstrip("x")),
                     "speedup_vs_pr2_baseline": float(row["vs PR2 base"].rstrip("x")),
+                    "steps": stats_row["steps fused"],
                 }
-                for row in rows
+                for row, stats_row in zip(rows, stats_rows)
             ],
         },
     )

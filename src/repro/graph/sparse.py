@@ -111,10 +111,6 @@ class SparseMatrix:
             cache[dtype] = variant
         return variant
 
-    def dot_array(self, array: np.ndarray) -> np.ndarray:
-        """Multiply against a plain NumPy array (no autograd)."""
-        return self._matrix @ array
-
     def __repr__(self) -> str:
         return f"SparseMatrix(shape={self.shape}, nnz={self.nnz})"
 
@@ -127,34 +123,25 @@ def sparse_matmul(matrix: SparseMatrix, dense: Tensor) -> Tensor:
     matrix:
         Constant sparse matrix of shape ``(M, K)``.
     dense:
-        Tensor of shape ``(K, F)`` or ``(B, K, F)``; batched input is handled
-        by multiplying each batch slice.
+        Tensor of shape ``(K, F)`` or ``(B, K, F)``.
 
     Returns
     -------
     Tensor
         Result of shape ``(M, F)`` or ``(B, M, F)``.
+
+    Either shape is one ``spmm`` op: :func:`repro.tensor.kernels.spmm`
+    multiplies every batch row into its slice of a contiguous result with
+    no transpose or copy of the operand, and the gradient is the same
+    kernel applied with :meth:`SparseMatrix.transposed`.
     """
     if not isinstance(matrix, SparseMatrix):
         raise TypeError("matrix must be a SparseMatrix")
     if not isinstance(dense, Tensor):
         dense = Tensor(dense)
-    k = matrix.shape[1]
-    if dense.ndim == 2:
-        if dense.shape[0] != k:
-            raise ValueError(f"dimension mismatch: sparse {matrix.shape} @ dense {dense.shape}")
-        data = kernels.spmm(dense.data, matrix=matrix)
+    data = kernels.spmm(dense.data, matrix=matrix)  # validates the operand shape
 
-        def grad_fn(g: np.ndarray) -> np.ndarray:
-            return matrix.transposed().dot_array(g)
+    def grad_fn(g: np.ndarray) -> np.ndarray:
+        return kernels.spmm(g, matrix=matrix.transposed())
 
-        return Tensor._make(data, (dense,), (grad_fn,), op=("spmm", {"matrix": matrix}))
-    if dense.ndim == 3:
-        if dense.shape[1] != k:
-            raise ValueError(f"dimension mismatch: sparse {matrix.shape} @ dense {dense.shape}")
-        batch, _, features = dense.shape
-        # Flatten batches into the feature dimension: (K, B*F).
-        flattened = dense.transpose(1, 0, 2).reshape(k, batch * features)
-        result = sparse_matmul(matrix, flattened)
-        return result.reshape(matrix.shape[0], batch, features).transpose(1, 0, 2)
-    raise ValueError("sparse_matmul supports 2-D or 3-D dense operands")
+    return Tensor._make(data, (dense,), (grad_fn,), op=("spmm", {"matrix": matrix}))

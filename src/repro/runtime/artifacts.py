@@ -67,9 +67,11 @@ __all__ = [
 ]
 
 #: Version of the on-disk artifact layout.  Bump on any incompatible change
-#: to the spec encoding; loaders reject artifacts from other versions (the
-#: cost is one recompile, never a wrong plan).
-ARTIFACT_FORMAT_VERSION = 2
+#: to the spec encoding, and whenever lowering changes the step list of an
+#: unchanged trace (an old artifact would otherwise keep replaying the old
+#: plan); loaders reject artifacts from other versions (the cost is one
+#: recompile, never a wrong plan).
+ARTIFACT_FORMAT_VERSION = 3
 
 _SPEC_KEY = "__plan_spec__"
 _META_KEY = "__artifact_meta__"

@@ -220,7 +220,7 @@ def _matmul_vjp(grad, inputs, output, kwargs, needed):
 def _spmm_vjp(grad, inputs, output, kwargs, needed):
     if not needed[0]:
         return (None,)
-    return (kwargs["matrix"].transposed().dot_array(grad),)
+    return (K.spmm(grad, matrix=kwargs["matrix"].transposed()),)
 
 
 def _reshape_vjp(grad, inputs, output, kwargs, needed):

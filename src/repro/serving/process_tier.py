@@ -696,6 +696,10 @@ class _ProcessWorker:
 
     # -- process lifecycle ---------------------------------------------
     def _spawn(self) -> None:
+        # A new incarnation starts with no beacon: the previous worker's
+        # last one would read as stale while this one is still starting.
+        self.shm.buf[0 : _HB_STRUCT.size] = bytes(_HB_STRUCT.size)
+        self._beaconed = False
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         self.process = self._ctx.Process(
             target=_worker_main,
@@ -830,6 +834,13 @@ class _ProcessWorker:
                 raise _WorkerDied(
                     f"pid {self.process.pid}, exitcode {self.process.exitcode}"
                 )
+            if not self._beaconed:
+                # The hang clock starts at the worker's first beacon: until
+                # then it is starting (a spawned worker is still importing),
+                # not wedged.
+                self._beaconed = self.heartbeat_age() is not None
+                sent_at = time.monotonic()
+                continue
             waited = time.monotonic() - sent_at
             if waited > hang_timeout:
                 # The worker is alive but silent past the hang budget AND

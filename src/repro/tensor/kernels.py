@@ -12,10 +12,11 @@ these kernels:
   preallocated output buffers, paying no ``Tensor`` construction, parent
   bookkeeping or closure allocation per op.
 
-Because both modes run the *same* kernel code in the *same* order, the
-compiled forward pass is bit-identical to the autograd forward pass (up to
-BLAS non-determinism, in practice ``<= 1e-10``; see
-``tests/runtime/test_parity.py``).
+Because both modes run the *same* kernel code in the *same* order, a
+float64 compiled forward pass is bit-identical to the autograd forward pass
+(max|diff| == 0; see ``tests/runtime/test_fusion.py`` and
+``tests/runtime/test_sparse_aggregation.py``).  A float32 plan
+stays within rtol/atol 1e-4 of it (``tests/runtime/test_precision.py``).
 
 Conventions
 -----------
@@ -127,13 +128,22 @@ def matmul(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np
     return np.matmul(a, b, out=out)
 
 
+def _csr_matvecs_fallback(n_row, n_col, n_vecs, indptr, indices, data, x, y):
+    """``y += A @ x`` through the public SciPy operator (same signature)."""
+    from scipy import sparse as sp
+
+    csr = sp.csr_matrix((data, indices, indptr), shape=(n_row, n_col))
+    y += (csr @ x.reshape(n_col, n_vecs)).ravel()
+
+
 def _probe_csr_matvecs():
     """Resolve SciPy's raw CSR multi-vector product, verified by a self-test.
 
     ``csr_matvecs`` is the exact routine ``csr_matrix @ dense`` dispatches
     to, so calling it directly (accumulating into a preallocated, zeroed
     output) is bit-identical to the SciPy operator while skipping the
-    wrapper's result allocation.  Returns ``None`` when unavailable.
+    wrapper's result allocation.  Falls back to the operator itself when
+    the private routine is unavailable.
     """
     try:
         from scipy import sparse as sp
@@ -147,20 +157,25 @@ def _probe_csr_matvecs():
             return _sparsetools.csr_matvecs
     except Exception:
         pass
-    return None
+    return _csr_matvecs_fallback
 
 
 _CSR_MATVECS = _probe_csr_matvecs()
 
 
 def spmm(dense: np.ndarray, out: Optional[np.ndarray] = None, *, matrix=None) -> np.ndarray:
-    """Constant-sparse times dense: ``matrix @ dense``.
+    """Constant-sparse times dense: ``matrix @ dense``, batched over rows.
 
-    ``matrix`` is a :class:`repro.graph.sparse.SparseMatrix` captured as a
-    plan constant.  With a contiguous ``out`` the product accumulates
-    directly into the buffer through SciPy's ``csr_matvecs`` (the routine
-    the ``@`` operator itself uses, so the numbers are unchanged); otherwise
-    the SciPy product is computed and copied.
+    ``matrix`` is a :class:`repro.graph.sparse.SparseMatrix` of shape
+    ``(M, K)`` captured as a plan constant; ``dense`` is ``(K, F)`` or
+    ``(B, K, F)`` and the result ``(M, F)`` or ``(B, M, F)``.  Each batch
+    row accumulates straight into ``out[b]`` through SciPy's
+    ``csr_matvecs`` (the routine the ``@`` operator itself uses), so no
+    layout change is made on either side; a 2-D ``dense`` is the ``B = 1``
+    view of the same loop.  Every output element sums the same terms in the
+    same order as the product of the flattened ``(K, B*F)`` operand, so the
+    numbers equal that product bit for bit.  A non-contiguous ``dense`` is
+    copied once, and a non-contiguous ``out`` receives a contiguous result.
 
     Dtype-polymorphic: a non-float64 ``dense`` (a float32 precision-policy
     plan) multiplies against the matrix's cached same-dtype value array
@@ -170,26 +185,28 @@ def spmm(dense: np.ndarray, out: Optional[np.ndarray] = None, *, matrix=None) ->
     """
     if matrix.csr.dtype != dense.dtype:
         matrix = matrix.with_dtype(dense.dtype)
-    if (
-        out is not None
-        and _CSR_MATVECS is not None
-        and dense.ndim == 2
-        and dense.flags.c_contiguous
-        and out.flags.c_contiguous
-        and out.dtype == dense.dtype
-    ):
-        csr = matrix.csr
-        out.fill(0.0)
-        _CSR_MATVECS(
-            csr.shape[0], csr.shape[1], dense.shape[1],
-            csr.indptr, csr.indices, csr.data,
-            dense.ravel(), out.ravel(),
+    csr = matrix.csr
+    rows, cols = csr.shape
+    if dense.ndim not in (2, 3) or dense.shape[-2] != cols:
+        raise ValueError(
+            f"dimension mismatch: sparse {csr.shape} @ dense {dense.shape} "
+            "(dense must be (K, F) or (B, K, F))"
         )
-        return out
-    result = matrix.dot_array(dense)
+    batch = dense.shape[0] if dense.ndim == 3 else 1
+    features = dense.shape[-1]
+    shape = dense.shape[:-2] + (rows, features)
     if out is None:
-        return result
-    np.copyto(out, result)
+        out = np.empty(shape, dtype=dense.dtype)
+    target = out
+    if not (out.flags.c_contiguous and out.dtype == dense.dtype):
+        target = np.empty(shape, dtype=dense.dtype)
+    source = np.ascontiguousarray(dense).reshape(batch, cols * features)
+    result = target.reshape(batch, rows * features)
+    result.fill(0.0)
+    for b in range(batch):
+        _CSR_MATVECS(rows, cols, features, csr.indptr, csr.indices, csr.data, source[b], result[b])
+    if target is not out:
+        np.copyto(out, target)
     return out
 
 

@@ -111,9 +111,35 @@ class TestSparseMatrix:
         out.sum().backward()
         assert x.grad.shape == operand.shape
 
+    def test_sparse_matmul_batched_gradcheck(self):
+        """Central finite differences of a weighted loss over (B, K, F) input."""
+        rng = np.random.default_rng(2)
+        matrix = SparseMatrix((rng.random((4, 6)) < 0.5) * rng.normal(size=(4, 6)))
+        operand = rng.normal(size=(3, 6, 2))
+        weights = rng.normal(size=(3, 4, 2))
+
+        def loss() -> float:
+            return float((sparse_matmul(matrix, Tensor(operand)).numpy() * weights).sum())
+
+        x = Tensor(operand.copy(), requires_grad=True)
+        (sparse_matmul(matrix, x) * Tensor(weights)).sum().backward()
+        eps = 1e-6
+        numeric = np.zeros_like(operand)
+        for index in np.ndindex(operand.shape):
+            original = operand[index]
+            operand[index] = original + eps
+            plus = loss()
+            operand[index] = original - eps
+            minus = loss()
+            operand[index] = original
+            numeric[index] = (plus - minus) / (2.0 * eps)
+        np.testing.assert_allclose(x.grad, numeric, rtol=1e-6, atol=1e-8)
+
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):
             sparse_matmul(SparseMatrix(np.eye(3)), Tensor(np.zeros((4, 2))))
+        with pytest.raises(ValueError):
+            sparse_matmul(SparseMatrix(np.eye(3)), Tensor(np.zeros((2, 4, 2))))
 
     def test_wrong_types_raise(self):
         with pytest.raises(TypeError):

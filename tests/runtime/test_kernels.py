@@ -143,6 +143,64 @@ class TestOutBufferEquivalence:
         assert np.allclose(out2, expected, atol=1e-12)
 
 
+class TestBatchedSpmm:
+    """3-D ``spmm`` against the product of the flattened ``(K, B*F)`` operand."""
+
+    @staticmethod
+    def _flattened(matrix, operand):
+        batch, rows, features = operand.shape
+        flat = np.ascontiguousarray(operand.transpose(1, 0, 2)).reshape(rows, batch * features)
+        product = matrix.with_dtype(operand.dtype).csr @ flat
+        return np.ascontiguousarray(
+            product.reshape(matrix.shape[0], batch, features).transpose(1, 0, 2)
+        )
+
+    @pytest.fixture()
+    def matrix(self):
+        rng = np.random.default_rng(3)
+        return SparseMatrix((rng.random((11, 8)) < 0.35) * rng.normal(size=(11, 8)))
+
+    @pytest.mark.parametrize("batch", [1, 3, 16])
+    def test_float64_is_bit_identical(self, matrix, batch):
+        operand = np.random.default_rng(batch).normal(size=(batch, 8, 5))
+        expected = self._flattened(matrix, operand)
+        assert np.array_equal(K.spmm(operand, matrix=matrix), expected)
+        out = np.full((batch, 11, 5), np.nan)
+        assert K.spmm(operand, out=out, matrix=matrix) is out
+        assert np.array_equal(out, expected)
+
+    def test_float32_matches(self, matrix):
+        operand = np.random.default_rng(4).normal(size=(6, 8, 5)).astype(np.float32)
+        produced = K.spmm(operand, matrix=matrix)
+        assert produced.dtype == np.float32
+        np.testing.assert_allclose(produced, self._flattened(matrix, operand), rtol=1e-6, atol=1e-6)
+
+    def test_non_contiguous_operand_and_out(self, matrix):
+        base = np.random.default_rng(5).normal(size=(4, 5, 8))
+        operand = base.transpose(0, 2, 1)  # (4, 8, 5) strided view
+        assert not operand.flags.c_contiguous
+        expected = self._flattened(matrix, operand)
+        assert np.array_equal(K.spmm(operand, matrix=matrix), expected)
+        holder = np.full((4, 5, 11), np.nan)
+        out = holder.transpose(0, 2, 1)  # (4, 11, 5) strided view
+        assert K.spmm(operand, out=out, matrix=matrix) is out
+        assert np.array_equal(out, expected)
+
+    def test_2d_is_the_single_batch_row(self, matrix):
+        operand = np.random.default_rng(6).normal(size=(8, 5))
+        assert np.array_equal(K.spmm(operand, matrix=matrix), K.spmm(operand[None], matrix=matrix)[0])
+
+    def test_dimension_mismatch_raises(self, matrix):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            K.spmm(np.zeros((2, 11, 5)), matrix=matrix)
+
+    def test_public_operator_fallback_is_bit_identical(self, matrix, monkeypatch):
+        operand = np.random.default_rng(7).normal(size=(3, 8, 5))
+        expected = K.spmm(operand, matrix=matrix)
+        monkeypatch.setattr(K, "_CSR_MATVECS", K._csr_matvecs_fallback)
+        assert np.array_equal(K.spmm(operand, matrix=matrix), expected)
+
+
 class TestFusedPrimitiveGradients:
     """Analytic backward of the new primitives vs. finite differences."""
 

@@ -530,6 +530,35 @@ class TestFaultInjection:
         finally:
             service.close()
 
+    def test_starting_worker_is_not_hung(self, tiny_model, forecasting_data, single):
+        """A spawned worker still importing has written no beacon yet.
+
+        Its first request outlives the 0.5 s hang budget while the child
+        imports NumPy, SciPy and this package; the watchdog must treat it
+        as starting, not wedged, and the answer must be bit-identical.
+        """
+        from repro.serving import ResilienceConfig, RetryPolicy, WatchdogConfig
+
+        service = _sharded(
+            tiny_model,
+            forecasting_data,
+            num_shards=1,
+            cache_entries=0,
+            start_method="spawn",
+            resilience=ResilienceConfig(
+                retry=RetryPolicy(max_attempts=1),
+                watchdog=WatchdogConfig(hang_timeout_s=0.5),
+            ),
+        )
+        try:
+            window = forecasting_data.dataset.signal[:12]
+            np.testing.assert_array_equal(service.forecast(window), single.forecast(window))
+            stats = service.stats().process_tier
+            assert stats.hung_detections == 0
+            assert stats.respawns == 0
+        finally:
+            service.close()
+
     def test_corrupt_header_rejected_not_crashed(self, tiny_model, forecasting_data):
         windows = _raw_windows(forecasting_data, 2)
         batch = forecasting_data.scaler.transform(windows)
