@@ -54,7 +54,7 @@ def main() -> None:
     out_npy = None if out_npy == "-" else out_npy
 
     from repro.runtime import ArtifactStore, CompiledModel
-    from repro.serving import ShardedForecastService
+    from repro.serving import ForecastService
 
     model = _build_model(num_nodes)
     window = np.random.default_rng(SEED + 8).normal(size=(12, num_nodes, 1))
@@ -75,7 +75,7 @@ def main() -> None:
         compiles, loads = info.compiles, info.artifact_loads
     elif mode == "fleet":
         kwargs = {"artifact_dir": store} if store else {}
-        with ShardedForecastService(
+        with ForecastService(
             model,
             num_shards=FLEET_SHARDS,
             cache_entries=0,
@@ -89,9 +89,7 @@ def main() -> None:
             started = time.perf_counter()
             fleet.forecast(window)
             second_ms = (time.perf_counter() - started) * 1e3
-            infos = [
-                worker.batcher.forward_fn.cache_info() for worker in fleet._workers
-            ]
+            infos = [worker.forward.cache_info() for worker in fleet._workers]
         compiles = sum(info.compiles for info in infos)
         loads = sum(info.artifact_loads for info in infos)
     else:  # pragma: no cover - driver passes a known mode

@@ -1,7 +1,7 @@
 """Hot checkpoint swap — swap latency and availability under live traffic.
 
-PR 8 adds zero-downtime checkpoint swaps to every serving tier
-(:meth:`repro.serving.ForecastFrontend.swap_checkpoint`).  Three
+PR 8 adds zero-downtime checkpoint swaps to every serving executor
+(:meth:`repro.serving.ForecastService.swap_checkpoint`).  Three
 measurements judge it:
 
 1. **Swap latency** (``test_swap_latency``): wall-clock of installing a

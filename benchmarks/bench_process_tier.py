@@ -5,8 +5,8 @@ PR 7 moves shard execution off the interpreter's threads and into worker
 (:mod:`repro.serving.process_tier`).  Two measurements judge it:
 
 1. **Aggregate throughput** (``test_process_tier_sweep``): the same
-   16-window query stream through ``ShardedForecastService`` with 1, 2 and
-   4 workers, once with ``executor="threads"`` and once with
+   16-window query stream through ``ForecastService(num_shards=K)`` with 1,
+   2 and 4 workers, once with ``executor="threads"`` and once with
    ``executor="processes"``, at the 0.5x PEMS08 configuration (85 sensors).
    Bit-parity (``max |diff| == 0``) is asserted for every configuration —
    throughput never buys drift.  On a box with >= 4 cores the 4-worker
@@ -42,7 +42,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.core import DyHSL, DyHSLConfig
-from repro.serving import ForecastService, ShardedForecastService
+from repro.serving import ForecastService
 from repro.tensor import seed as seed_everything
 
 from conftest import SEED, print_table, record_bench
@@ -103,10 +103,9 @@ def test_process_tier_sweep():
     services: List[tuple] = []
     for executor in ("threads", "processes"):
         for workers in (1, 2, 4):
-            service = ShardedForecastService(
+            service = ForecastService(
                 model,
                 num_shards=workers,
-                mode="replicas",
                 cache_entries=0,
                 executor=executor,
             )
@@ -190,10 +189,9 @@ def test_mixed_lane_latency():
     bulk = rng.normal(size=(CONCURRENCY, 12, NUM_NODES, 1)) * 10.0 + 50.0
     stream = rng.normal(size=(14, NUM_NODES)) * 10.0 + 50.0
 
-    service = ShardedForecastService(
+    service = ForecastService(
         model,
         num_shards=2,
-        mode="replicas",
         cache_entries=0,
         executor="processes",
         bulk_chunk_rows=4,

@@ -47,7 +47,6 @@ from repro.serving import (
     ForecastService,
     ResilienceConfig,
     RetryPolicy,
-    ShardedForecastService,
     WatchdogConfig,
 )
 from repro.serving.faults import _decision
@@ -119,10 +118,9 @@ def test_kill_recovery():
     )
 
     # Clean baseline: same process-tier configuration, no fault plan.
-    clean = ShardedForecastService(
+    clean = ForecastService(
         model,
         num_shards=1,
-        mode="replicas",
         cache_entries=0,
         executor="processes",
         resilience=resilience,
@@ -141,10 +139,9 @@ def test_kill_recovery():
     plan = FaultPlan.build(
         seed, [FaultSpec(site="worker.dispatch", probability=0.5, action="kill")]
     )
-    faulted = ShardedForecastService(
+    faulted = ForecastService(
         model,
         num_shards=1,
-        mode="replicas",
         cache_entries=0,
         executor="processes",
         resilience=resilience,
@@ -210,10 +207,9 @@ def test_deadline_loaded_p99():
     bulk = rng.normal(size=(16, 12, NUM_NODES, 1)) * 10.0 + 50.0
     stream = rng.normal(size=(14, NUM_NODES)) * 10.0 + 50.0
 
-    service = ShardedForecastService(
+    service = ForecastService(
         model,
         num_shards=2,
-        mode="replicas",
         cache_entries=0,
         executor="processes",
         bulk_chunk_rows=4,

@@ -13,8 +13,8 @@ Three levers stack on the serving path:
    layer norm) cut the redundant memory passes that dominate once arrays
    are large enough to amortise dispatch, and power-of-two batch bucketing
    bounds the plan cache under ragged traffic.
-4. **Multi-worker sharding** (PR 4): ``ShardedForecastService`` splits a
-   query stream round-robin over ``K`` worker threads with independent
+4. **Multi-worker sharding** (PR 4): ``ForecastService(num_shards=K)``
+   splits a query stream round-robin over ``K`` worker threads with independent
    compiled replicas; the merged outputs stay bit-identical to the single
    worker.
 5. **Precision policy** (PR 5): float32 plans halve the memory traffic the
@@ -71,7 +71,7 @@ import numpy as np
 from repro.core import DyHSL, DyHSLConfig
 from repro.nn import MaskedMAELoss
 from repro.runtime import CompiledModel, compile_module, compile_training_model
-from repro.serving import ForecastService, MicroBatcher, ShardedForecastService
+from repro.serving import ForecastService, MicroBatcher
 from repro.tensor import Tensor, no_grad
 from repro.tensor import seed as seed_everything
 
@@ -642,11 +642,10 @@ def test_sharded_serving_sweep():
     """Shard-count sweep (1/2/4 workers) at the 0.5x PEMS08 configuration.
 
     Replays the same 16-window query stream through the single-worker
-    service and through ``ShardedForecastService`` with 1, 2 and 4
-    replica-mode workers (plus a 2-shard sensor-partitioned row for
-    context).  The acceptance contract is **bit-parity**: every sharded
-    configuration must produce ``max |diff| == 0`` against the
-    single-worker service.
+    service and through ``ForecastService(num_shards=K, executor="threads")``
+    with 1, 2 and 4 replica workers.  The acceptance contract is
+    **bit-parity**: every sharded configuration must produce
+    ``max |diff| == 0`` against the single-worker service.
 
     Throughput scaling comes from genuine work partitioning: replica mode
     splits the miss batch round-robin, and each worker's compiled plan
@@ -670,7 +669,9 @@ def test_sharded_serving_sweep():
 
     services = []
     for shards in (1, 2, 4):
-        service = ShardedForecastService(model, num_shards=shards, cache_entries=0)
+        service = ForecastService(
+            model, num_shards=shards, executor="threads", cache_entries=0
+        )
         produced = service.forecast_many(windows)  # warm-up: per-shard plans
         diff = float(np.abs(produced - reference).max())
         assert diff == 0.0, f"replicas x{shards} diverges from the single worker: {diff}"

@@ -15,8 +15,9 @@ model; this example shows the production path that follows (see
 5. restart: persist the rolling buffer next to the checkpoint and bring up
    a second service that resumes streaming forecasts immediately
    (warm start, no 12-step cold window);
-6. scale out: bring up a :class:`repro.serving.ShardedForecastService`
-   from the same checkpoint — four replica workers with asynchronous
+6. scale out: bring up the same :class:`repro.serving.ForecastService`
+   with ``num_shards=4`` from the same checkpoint — four replica workers
+   on the thread executor with asynchronous
    ``submit()`` ingestion (size-threshold plus linger-based background
    flushing) — and verify its forecasts are bit-identical to the
    single-worker service.
@@ -35,7 +36,7 @@ import numpy as np
 
 from repro.core import DyHSL, DyHSLConfig
 from repro.data import ForecastingData, WindowConfig, load_dataset
-from repro.serving import ForecastService, ShardedForecastService
+from repro.serving import ForecastService
 from repro.tensor import seed
 from repro.training import Trainer, TrainerConfig, save_model_checkpoint
 
@@ -136,14 +137,14 @@ def main() -> None:
         )
 
         # 6. Scale out: the same checkpoint behind four replica workers.
-        #    submit() never blocks — batches fire when a shard queue reaches
+        #    submit() never computes — batches fire when a worker queue reaches
         #    auto_flush_at or when the 10 ms linger flusher drains it — and
         #    the merged forecasts are bit-identical to the single worker.
         reference = service.forecast_many(raw_windows)
-        with ShardedForecastService.from_checkpoint(
+        with ForecastService.from_checkpoint(
             checkpoint,
             num_shards=4,
-            mode="replicas",
+            executor="threads",
             cache_entries=256,
             auto_flush_at=8,
             linger_ms=10.0,
@@ -153,7 +154,7 @@ def main() -> None:
             stats = sharded.stats()
             per_shard = [shard.requests for shard in stats.shards]
             print(
-                f"\nsharded service ({stats.num_shards} {stats.mode} workers): "
+                f"\nsharded service ({stats.num_shards} {stats.executor} workers): "
                 f"{len(handles)} async requests routed {per_shard}, "
                 f"{stats.flusher.timed_flushes} linger flushes, "
                 f"max |diff| vs single worker = "

@@ -4,17 +4,20 @@ The training-side layers of the library reproduce the paper; this package
 turns a trained model into something that can answer production traffic —
 the ROADMAP's "serve heavy traffic" north star:
 
-* :class:`ForecastService` — single-worker front end: loads a
-  self-describing checkpoint, answers raw-scale forecast queries through
-  the compiled graph-free runtime (:mod:`repro.runtime`) by default, with
-  ``runtime="autograd"`` / ``REPRO_RUNTIME=autograd`` as the escape hatch;
-* :class:`ShardedForecastService` — the same query surface served by
-  ``num_shards`` concurrent full-model replicas, bit-identical to the single-worker service;
-* :class:`ProcessShardExecutor` — the ``executor="processes"`` backend of
-  the sharded service: each shard's compiled plans replayed by a worker
-  *process* over preallocated shared memory (escaping the interpreter
-  lock), with priority lanes and :class:`ServiceOverloaded` admission
-  control (see :mod:`repro.serving.process_tier`);
+* :class:`ForecastService` — the one serving front end: loads a
+  self-describing checkpoint and answers raw-scale forecast queries
+  through the compiled graph-free runtime (:mod:`repro.runtime`) by
+  default, with ``runtime="autograd"`` / ``REPRO_RUNTIME=autograd`` as the
+  escape hatch.  ``num_shards=K`` full-model replicas run on the
+  ``"inline"`` (one worker, caller's thread), ``"threads"`` or
+  ``"processes"`` executor, bit-identically, with per-lane
+  :class:`ServiceOverloaded` admission control and one
+  :class:`ServiceStats` surface; :class:`ShardedForecastService` is the
+  same class with a two-replica default;
+* :class:`ProcessShardExecutor` — the ``executor="processes"`` backend:
+  each replica's compiled plans replayed by a worker *process* over
+  preallocated shared memory (escaping the interpreter lock), with
+  priority lanes (see :mod:`repro.serving.process_tier`);
 * :class:`MicroBatcher` — coalesces concurrent single-window requests into
   one ``(B, T, N, F)`` forward pass;
 * :class:`BackgroundFlusher` — drains micro-batchers on a time-based
@@ -29,8 +32,8 @@ the ROADMAP's "serve heavy traffic" north star:
   detectors degrade forecasts predictably instead of poisoning the ring
   (see :mod:`repro.serving.quality`);
 
-Every frontend also supports **zero-downtime hot checkpoint swaps**
-(:meth:`ForecastFrontend.swap_checkpoint`): a new generation of weights,
+The service also supports **zero-downtime hot checkpoint swaps**
+(:meth:`ForecastService.swap_checkpoint`): a new generation of weights,
 scaler and warmed engines is built off to the side and published
 atomically, with in-flight requests completing on the old version.
 * :class:`ForecastCache` — LRU cache keyed by
@@ -38,7 +41,7 @@ atomically, with in-flight requests completing on the old version.
   accounting.
 
 A **resilience layer** (:mod:`repro.serving.resilience`) runs through all
-three tiers: per-request deadlines (``deadline_ms=`` on every query,
+three executors: per-request deadlines (``deadline_ms=`` on every query,
 :class:`DeadlineExceeded` on expiry), bounded jittered-backoff retries of
 retryable failures, per-shard circuit breakers (replica reroute),
 optional marked-stale degraded
@@ -80,10 +83,8 @@ from .process_tier import (
     LANES,
     SERVING_EXECUTORS,
     START_METHOD_ENV_VAR,
-    LaneStats,
     ProcessShardExecutor,
     ProcessTierStats,
-    ServiceOverloaded,
     resolve_executor,
     resolve_start_method,
 )
@@ -113,8 +114,15 @@ from .resilience import (
     WorkerCrashed,
     is_retryable,
 )
-from .service import ForecastFrontend, ForecastService, ServiceStats, SwapReport
-from .sharding import ShardedForecastService, ShardedServiceStats
+from .service import (
+    ForecastFrontend,
+    ForecastService,
+    LaneStats,
+    ServiceOverloaded,
+    ServiceStats,
+    SwapReport,
+)
+from .sharding import ShardedForecastService
 
 __all__ = [
     "ForecastFrontend",
@@ -129,7 +137,6 @@ __all__ = [
     "ISSUE_KINDS",
     "IMPUTATION_STRATEGIES",
     "ShardedForecastService",
-    "ShardedServiceStats",
     "SERVING_EXECUTORS",
     "EXECUTOR_ENV_VAR",
     "START_METHOD_ENV_VAR",

@@ -1,13 +1,14 @@
 """Process-backed shard execution: shared-memory plan replay across cores.
 
-Every parallel layer below this one — thread-sharded workers, the
-background flusher — shares one interpreter lock, so a multi-shard service
+Every parallel layer below this one — thread replica workers, the
+background flusher — shares one interpreter lock, so a multi-worker service
 shows near-zero overhead per worker but also near-zero *speedup* on a
-single box once the kernels stop releasing the GIL long enough.  :class:`ProcessShardExecutor` escapes that ceiling: each serving
-shard owns a long-lived **worker process** that replays compiled plans, and
-the sharded service's batcher/worker split stays exactly as it was — the
-executor slots in as the per-shard ``forward_fn``
-(``ShardedForecastService(executor="processes")``).
+single box once the kernels stop releasing the GIL long enough.
+:class:`ProcessShardExecutor` escapes that ceiling: each serving shard owns
+a long-lived **worker process** that replays compiled plans, and the
+service's batcher/worker split stays exactly as it was — the executor slots
+in as the per-shard ``forward_fn``
+(``ForecastService(num_shards=K, executor="processes")``).
 
 Three design rules keep the hot path cheap and the answers bit-identical:
 
@@ -32,13 +33,10 @@ runs unchanged under ``spawn`` (the only method on Windows/macOS
 defaults) — ``fork`` is merely faster to start and is the default where
 available (``REPRO_PROCESS_START_METHOD`` overrides).
 
-On top of the executor sit the two robustness pieces of the serving
-roadmap: **priority lanes** (``lane="interactive"`` requests — the
-streaming ``forecast_latest`` path — jump ahead of queued ``lane="bulk"``
-backfill chunks on every worker) and **admission control**
-(:class:`_LaneGate` enforces a bounded per-lane queue depth with a
-:class:`ServiceOverloaded` fast-reject, so a saturated service degrades
-predictably instead of queueing without bound).
+The executor provides **priority lanes**: ``lane="interactive"`` requests
+— the streaming ``forecast_latest`` path — jump ahead of queued
+``lane="bulk"`` backfill chunks on every worker.  Admission control over
+those lanes lives in the front end (:class:`~repro.serving.ServiceOverloaded`).
 
 Lifecycle is explicit: ``close()`` (or leaving the executor's context)
 drains the dispatchers, stops the workers, and unlinks every shared-memory
@@ -63,7 +61,7 @@ import weakref
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -84,10 +82,8 @@ __all__ = [
     "SERVING_EXECUTORS",
     "START_METHOD_ENV_VAR",
     "LANES",
-    "LaneStats",
     "ProcessTierStats",
     "ProcessShardExecutor",
-    "ServiceOverloaded",
     "resolve_executor",
     "resolve_start_method",
 ]
@@ -95,7 +91,8 @@ __all__ = [
 #: Environment variable selecting the sharded service's shard executor.
 EXECUTOR_ENV_VAR = "REPRO_SERVING_EXECUTOR"
 
-#: Supported shard executors of :class:`~repro.serving.ShardedForecastService`.
+#: Multi-worker executors accepted by :func:`resolve_executor` (a single
+#: worker may also run ``"inline"``, see :class:`~repro.serving.ForecastService`).
 SERVING_EXECUTORS = ("threads", "processes")
 
 #: Environment variable selecting the worker start method (fork/spawn/...).
@@ -162,107 +159,6 @@ def resolve_start_method(method: Optional[str] = None) -> str:
             f"{START_METHOD_ENV_VAR} environment variable)"
         )
     return method
-
-
-class ServiceOverloaded(RuntimeError):
-    """Fast-reject raised when a lane's admission-control depth is exceeded.
-
-    Carries the lane, its observed queue depth and the configured limit so
-    callers (and load shedders above them) can log an actionable reason.
-    The request was rejected at *accept* time — nothing was enqueued, so
-    nothing is silently dropped later.
-
-    Machine-usable backoff contract (stable fields):
-
-    - ``retry_after_hint`` — suggested client backoff in **seconds** before
-      retrying this lane, derived from how far over its limit the lane is.
-      A hint, not a promise: the lane may still be full after the wait.
-    - ``depths`` — a ``{lane: pending_rows}`` snapshot across *all* lanes
-      at reject time, so a client can decide to retry on another lane
-      (e.g. downgrade interactive work to bulk) instead of waiting.
-    """
-
-    def __init__(
-        self,
-        lane: str,
-        pending: int,
-        limit: int,
-        retry_after_hint: Optional[float] = None,
-        depths: Optional[Dict[str, int]] = None,
-    ) -> None:
-        super().__init__(
-            f"{lane} lane is over its admission limit "
-            f"({pending} pending >= limit {limit}); request rejected"
-        )
-        self.lane = lane
-        self.pending = pending
-        self.limit = limit
-        if retry_after_hint is None:
-            # Heuristic: scale a small base wait by the overflow ratio, so
-            # the deeper over-limit the lane is, the longer the hint.
-            over = (pending / limit) if limit else 1.0
-            retry_after_hint = min(0.05 * max(over, 1.0), 5.0)
-        self.retry_after_hint = float(retry_after_hint)
-        self.depths = dict(depths) if depths is not None else {lane: pending}
-
-
-@dataclass(frozen=True)
-class LaneStats:
-    """Admission-control counters of one priority lane."""
-
-    lane: str
-    depth_limit: Optional[int]
-    admitted: int
-    rejected: int
-    pending: int
-
-
-class _LaneGate:
-    """Bounded-admission gate for one lane.
-
-    ``depth_fn`` reports the lane's *live* queue depth (batcher queues plus
-    any process-tier dispatch queues); :meth:`admit` rejects when admitting
-    ``rows`` more would push it past the limit.  A ``None`` limit never
-    rejects but still counts admissions, so ``stats()`` stays meaningful
-    for unbounded deployments.
-    """
-
-    def __init__(
-        self,
-        lane: str,
-        limit: Optional[int],
-        depth_fn: Callable[[], int],
-        snapshot_fn: Optional[Callable[[], Dict[str, int]]] = None,
-    ) -> None:
-        if limit is not None and limit < 0:
-            raise ValueError(f"{lane}_queue_depth must be >= 0 when set")
-        self.lane = lane
-        self.limit = limit
-        self._depth_fn = depth_fn
-        self._snapshot_fn = snapshot_fn
-        self._lock = threading.Lock()
-        self._admitted = 0
-        self._rejected = 0
-
-    def admit(self, rows: int) -> None:
-        """Admit ``rows`` requests or raise :class:`ServiceOverloaded`."""
-        pending = self._depth_fn()
-        with self._lock:
-            if self.limit is not None and pending + rows > self.limit:
-                self._rejected += rows
-                depths = self._snapshot_fn() if self._snapshot_fn is not None else None
-                raise ServiceOverloaded(self.lane, pending, self.limit, depths=depths)
-            self._admitted += rows
-
-    def stats(self) -> LaneStats:
-        with self._lock:
-            return LaneStats(
-                lane=self.lane,
-                depth_limit=self.limit,
-                admitted=self._admitted,
-                rejected=self._rejected,
-                pending=self._depth_fn(),
-            )
 
 
 @dataclass(frozen=True)

@@ -3,41 +3,59 @@
 :class:`ForecastService` is the piece a production deployment talks to.  It
 owns a trained :class:`~repro.core.DyHSL` (loaded from a self-describing
 checkpoint or passed in), the fitted training scaler, a rolling observation
-buffer for streaming ingestion, a micro-batching queue and an LRU forecast
+buffer for streaming ingestion, micro-batching queues and an LRU forecast
 cache, and exposes raw-scale queries:
 
-* :meth:`forecast` — one raw window in, one ``(T', N)`` forecast out;
-* :meth:`forecast_many` — a batch of windows, answered with cache lookups
-  plus a single coalesced forward for the misses;
-* :meth:`submit` — the asynchronous path: enqueue a window, keep going,
-  collect the :class:`~repro.serving.AsyncForecast` handle later.  With
-  ``auto_flush_at`` set, batches fire on a size threshold; with
-  ``linger_ms`` set, a background flusher guarantees no request waits
-  longer than the linger even when the threshold is never reached;
-* :meth:`ingest` / :meth:`forecast_latest` — streaming operation: push
+* :meth:`~ForecastService.forecast` — one raw window in, one ``(T', N)``
+  forecast out;
+* :meth:`~ForecastService.forecast_many` — a batch of windows, answered
+  with cache lookups plus coalesced forwards for the misses;
+* :meth:`~ForecastService.submit` — the asynchronous path: enqueue a
+  window, keep going, collect the :class:`~repro.serving.AsyncForecast`
+  handle later.  With ``auto_flush_at`` set, batches fire on a size
+  threshold; with ``linger_ms`` set, a background flusher guarantees no
+  request waits longer than the linger even when the threshold is never
+  reached;
+* :meth:`~ForecastService.ingest` /
+  :meth:`~ForecastService.forecast_latest` — streaming operation: push
   detector readings as they arrive, forecast from the rolling buffer.
+
+Cache misses are routed round-robin over ``num_shards`` full-model replica
+workers (:class:`_ShardWorker`), each owning its own forward engine and
+:class:`~repro.serving.MicroBatcher`.  Batch rows are independent in every
+model of this library, so sub-batch outputs are **bit-identical** to the
+coalesced batch, whichever executor computes them:
+
+* ``executor="inline"`` — one worker that computes on the caller's thread
+  (the default for ``num_shards=1``): single-window queries are a direct
+  plan call, ``forecast_many`` a batcher submit plus flush, no thread hop;
+* ``executor="threads"`` — one executor thread per worker, so ``K``
+  replicas compute concurrently and :meth:`~ForecastService.submit` never
+  computes on the caller's thread;
+* ``executor="processes"`` — each worker's plans replayed by a worker
+  *process* over shared memory (:mod:`repro.serving.process_tier`), with a
+  priority ``interactive`` lane for :meth:`~ForecastService.forecast_latest`.
+
+Deadlines, bounded retries, per-replica circuit breakers, per-lane
+admission control (:class:`ServiceOverloaded`), zero-downtime hot swaps,
+``health()`` and ``stats()`` are written once, here, for every executor.
 
 Forwards run through the **graph-free compiled runtime**
 (:mod:`repro.runtime`) by default: the model's forward pass is compiled
-once per batch shape into a flat kernel plan — elementwise chains fused
-into blocked single-buffer sweeps — replayed on raw arrays with reused
-workspace buffers.  The service itself passes whatever batch the cache
-misses produce straight through: ragged sizes are padded to power-of-two
+once per batch shape into a flat kernel plan replayed on raw arrays with
+reused workspace buffers.  Ragged batch sizes are padded to power-of-two
 buckets (and sliced back) inside the runtime, so the plan cache stays
 O(log max_batch) under bursty traffic (``REPRO_RUNTIME_BUCKETS`` caps or
 disables this).  The escape hatch back to autograd forwards is the
 ``runtime="autograd"`` argument or ``REPRO_RUNTIME=autograd`` in the
 environment (see ``docs/runtime.md``).
 
-Warm start: :meth:`save_buffer_state` persists the rolling buffer next to
-a checkpoint and :meth:`from_checkpoint`'s ``buffer_state=`` (or
-:meth:`restore_buffer_state`) reloads it, so a restarted service serves
-from its first ingest instead of waiting out a ``T``-step cold window.
-
-The shared plumbing (normalisation, cache keys, the rolling buffer,
-checkpoint loading) lives in :class:`ForecastFrontend`, the base class of
-both this single-worker service and the multi-worker
-:class:`~repro.serving.ShardedForecastService`.
+Warm start: :meth:`~ForecastService.save_buffer_state` persists the rolling
+buffer next to a checkpoint and
+:meth:`~ForecastService.from_checkpoint`'s ``buffer_state=`` (or
+:meth:`~ForecastService.restore_buffer_state`) reloads it, so a restarted
+service serves from its first ingest instead of waiting out a ``T``-step
+cold window.
 
 All inputs and outputs are on the *original* flow scale (vehicles per five
 minutes); normalisation is an internal concern.
@@ -46,11 +64,12 @@ minutes); normalisation is an internal concern.
 from __future__ import annotations
 
 import hashlib
+import queue
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -72,8 +91,11 @@ from .batching import (
 )
 from .buffer import RollingWindowBuffer
 from .cache import CacheStats, ForecastCache, StaleForecast
+from .faults import FaultPlan
+from .process_tier import ProcessShardExecutor, ProcessTierStats, resolve_executor
 from .quality import QualityConfig, QualityStats, SensorHealthMonitor
 from .resilience import (
+    CircuitOpen,
     Deadline,
     DeadlineExceeded,
     ResilienceConfig,
@@ -83,7 +105,14 @@ from .resilience import (
     ShardHealth,
 )
 
-__all__ = ["ServiceStats", "SwapReport", "ForecastFrontend", "ForecastService"]
+__all__ = [
+    "ForecastFrontend",
+    "ForecastService",
+    "LaneStats",
+    "ServiceOverloaded",
+    "ServiceStats",
+    "SwapReport",
+]
 
 
 def _weights_fingerprint(model: Module) -> str:
@@ -95,27 +124,278 @@ def _weights_fingerprint(model: Module) -> str:
     return digest.hexdigest()[:12]
 
 
+# ----------------------------------------------------------------------
+# Admission control: bounded per-lane queue depth with a fast reject.
+# ----------------------------------------------------------------------
+class ServiceOverloaded(RuntimeError):
+    """Fast-reject raised when a lane's admission-control depth is exceeded.
+
+    Carries the lane, its observed queue depth and the configured limit so
+    callers (and load shedders above them) can log an actionable reason.
+    The request was rejected at *accept* time — nothing was enqueued, so
+    nothing is silently dropped later.
+
+    Machine-usable backoff contract (stable fields):
+
+    - ``retry_after_hint`` — suggested client backoff in **seconds** before
+      retrying this lane, derived from how far over its limit the lane is.
+      A hint, not a promise: the lane may still be full after the wait.
+    - ``depths`` — a ``{lane: pending_rows}`` snapshot across *all* lanes
+      at reject time, so a client can decide to retry on another lane
+      (e.g. downgrade interactive work to bulk) instead of waiting.
+    """
+
+    def __init__(
+        self,
+        lane: str,
+        pending: int,
+        limit: int,
+        retry_after_hint: Optional[float] = None,
+        depths: Optional[Dict[str, int]] = None,
+    ) -> None:
+        super().__init__(
+            f"{lane} lane is over its admission limit "
+            f"({pending} pending >= limit {limit}); request rejected"
+        )
+        self.lane = lane
+        self.pending = pending
+        self.limit = limit
+        if retry_after_hint is None:
+            # Heuristic: scale a small base wait by the overflow ratio, so
+            # the deeper over-limit the lane is, the longer the hint.
+            over = (pending / limit) if limit else 1.0
+            retry_after_hint = min(0.05 * max(over, 1.0), 5.0)
+        self.retry_after_hint = float(retry_after_hint)
+        self.depths = dict(depths) if depths is not None else {lane: pending}
+
+
+@dataclass(frozen=True)
+class LaneStats:
+    """Admission-control counters of one priority lane."""
+
+    lane: str
+    depth_limit: Optional[int]
+    admitted: int
+    rejected: int
+    pending: int
+
+
+class _LaneGate:
+    """Bounded-admission gate for one lane.
+
+    ``depth_fn`` reports the lane's *live* queue depth (batcher queues plus
+    any process-tier dispatch queues); :meth:`admit` rejects when admitting
+    ``rows`` more would push it past the limit.  A ``None`` limit never
+    rejects but still counts admissions, so ``stats()`` stays meaningful
+    for unbounded deployments.
+    """
+
+    def __init__(
+        self,
+        lane: str,
+        limit: Optional[int],
+        depth_fn: Callable[[], int],
+        snapshot_fn: Optional[Callable[[], Dict[str, int]]] = None,
+    ) -> None:
+        if limit is not None and limit < 0:
+            raise ValueError(f"{lane}_queue_depth must be >= 0 when set")
+        self.lane = lane
+        self.limit = limit
+        self._depth_fn = depth_fn
+        self._snapshot_fn = snapshot_fn
+        self._lock = threading.Lock()
+        self._admitted = 0
+        self._rejected = 0
+
+    def admit(self, rows: int) -> None:
+        """Admit ``rows`` requests or raise :class:`ServiceOverloaded`."""
+        # An unbounded lane only counts: no depth probe on the hot path.
+        pending = self._depth_fn() if self.limit is not None else 0
+        with self._lock:
+            if self.limit is not None and pending + rows > self.limit:
+                self._rejected += rows
+                depths = self._snapshot_fn() if self._snapshot_fn is not None else None
+                raise ServiceOverloaded(self.lane, pending, self.limit, depths=depths)
+            self._admitted += rows
+
+    def stats(self) -> LaneStats:
+        with self._lock:
+            return LaneStats(
+                lane=self.lane,
+                depth_limit=self.limit,
+                admitted=self._admitted,
+                rejected=self._rejected,
+                pending=self._depth_fn(),
+            )
+
+
+# ----------------------------------------------------------------------
+# Replica workers.
+# ----------------------------------------------------------------------
+class _FlushJob:
+    """A flush scheduled onto a shard worker's thread.
+
+    The job never lets an exception escape into the worker loop: the
+    error is captured for :meth:`wait` (and the failed chunk's request
+    handles already carry it — see :meth:`MicroBatcher.flush`).
+    """
+
+    __slots__ = ("_fn", "_event", "error")
+
+    def __init__(self, fn: Callable[[], object]) -> None:
+        self._fn = fn
+        self._event = threading.Event()
+        self.error: Optional[BaseException] = None
+
+    def __call__(self) -> None:
+        try:
+            self._fn()
+        except BaseException as error:
+            self.error = error
+        finally:
+            self._event.set()
+
+    def wait(self) -> Optional[BaseException]:
+        """Block until the flush settled; returns its error (or ``None``)."""
+        self._event.wait()
+        return self.error
+
+
+class _ShardWorker:
+    """One replica: its current micro-batcher and, optionally, an executor thread.
+
+    A started worker runs every drain of its queue on its own thread (jobs
+    are enqueued with :meth:`flush_async`), so ``K`` workers compute
+    concurrently and a slow one never blocks the linger flusher.  An
+    *inline* worker (``start=False``) never starts a thread: its drains run
+    on the calling thread, exactly like a closed worker's.
+    """
+
+    def __init__(self, index: int, batcher: MicroBatcher, start: bool = True) -> None:
+        self.index = index
+        # The *current* generation's batcher.  A hot swap rebinds this
+        # reference; retired batchers stay drainable through
+        # flush_async(batcher=...).
+        self.batcher = batcher
+        self._jobs: "queue.SimpleQueue[Optional[_FlushJob]]" = queue.SimpleQueue()
+        self._closed = not start
+        self._thread: Optional[threading.Thread] = None
+        if start:
+            self._thread = threading.Thread(
+                target=self._loop, name=f"repro-shard-{index}", daemon=True
+            )
+            self._thread.start()
+
+    @property
+    def forward(self):
+        """The current generation's (resilience-wrapped) forward engine."""
+        return self.batcher.forward_fn
+
+    def _loop(self) -> None:
+        while True:
+            job = self._jobs.get()
+            if job is None:
+                return
+            job()
+
+    def _drain_jobs_inline(self) -> None:
+        """Run queued jobs on the calling thread (executor stopping/stopped)."""
+        while True:
+            try:
+                job = self._jobs.get_nowait()
+            except queue.Empty:
+                return
+            if job is None:
+                # The executor loop's stop sentinel: a drain racing close()
+                # must never consume it — the loop only exits on the
+                # sentinel, so stealing it would leave the thread blocked
+                # in get() forever and deadlock close() in join().  Hand
+                # it back (behind any later jobs, which the loop then runs
+                # before exiting) and stop draining.
+                self._jobs.put(None)
+                return
+            job()
+
+    def flush_async(self, batcher: Optional[MicroBatcher] = None) -> _FlushJob:
+        """Schedule a queue drain on this worker's thread; returns the job.
+
+        ``batcher`` selects which generation's queue to drain (default:
+        the current one), captured at job-creation time — a swap landing
+        between scheduling and execution never redirects the drain.  On
+        an inline or closed worker the drain runs synchronously on the
+        calling thread — a job must never strand a waiter on a dead
+        executor.
+        """
+        job = _FlushJob((batcher if batcher is not None else self.batcher).flush)
+        if self._closed:
+            job()
+            return job
+        self._jobs.put(job)
+        if self._closed:
+            # close() raced past the put; make sure the job still runs.
+            self._drain_jobs_inline()
+        return job
+
+    def close(self) -> None:
+        """Stop the executor thread (idempotent; no queued job is dropped)."""
+        if not self._closed:
+            self._closed = True
+            self._jobs.put(None)
+            self._thread.join()
+        self._drain_jobs_inline()
+
+
+# ----------------------------------------------------------------------
+# Stats and generations.
+# ----------------------------------------------------------------------
+def _merge_batcher_stats(parts: Sequence[BatcherStats]) -> BatcherStats:
+    """Sum batcher counters (across workers, and across hot-swap generations)."""
+    merged = BatcherStats()
+    for part in parts:
+        merged.requests += part.requests
+        merged.flushes += part.flushes
+        merged.coalesced += part.coalesced
+        merged.largest_batch = max(merged.largest_batch, part.largest_batch)
+        merged.failed_flushes += part.failed_flushes
+        merged.failed_requests += part.failed_requests
+        merged.expired_requests += part.expired_requests
+    return merged
+
+
 @dataclass(frozen=True)
 class ServiceStats:
-    """Operational counters of a running service."""
+    """Operational counters of a running service, per worker and aggregated."""
 
     model_version: str
     requests: int
     cache: CacheStats
-    batcher: BatcherStats
+    #: Lifetime batcher counters of each replica worker (hot swaps fold in).
+    shards: Tuple[BatcherStats, ...]
+    #: ``"inline"``, ``"threads"`` or ``"processes"``.
+    executor: str = "inline"
+    num_shards: int = 1
     runtime: str = "compiled"
     flusher: Optional[FlusherStats] = None
-    #: Default execution precision policy of the forward engine.
+    #: Default execution precision policy of the forward engines.
     precision: str = "float64"
+    #: Per-lane admission-control counters.
+    lanes: Tuple[LaneStats, ...] = ()
+    #: Process-tier counters (``None`` unless ``executor="processes"``).
+    process_tier: Optional[ProcessTierStats] = None
     #: Detector-health and imputation counters (None without a monitor).
     quality: Optional[QualityStats] = None
     #: Completed hot checkpoint swaps over the service's lifetime.
     swaps: int = 0
 
+    @property
+    def batcher(self) -> BatcherStats:
+        """Aggregate of the per-worker batcher counters."""
+        return _merge_batcher_stats(self.shards)
+
 
 @dataclass(frozen=True)
 class SwapReport:
-    """What one :meth:`ForecastFrontend.swap_checkpoint` call did."""
+    """What one :meth:`ForecastService.swap_checkpoint` call did."""
 
     old_version: str
     new_version: str
@@ -133,8 +413,24 @@ class SwapReport:
     swap_ms: float
 
 
+class _Engine:
+    """A generation's compute: one micro-batcher per replica worker, plus
+    the process tier's pinned provider set (``None`` off the process tier).
+
+    A hot swap builds a complete new engine off to the side and publishes
+    it by rebinding every worker's ``batcher`` reference — the workers and
+    their job queues survive the swap untouched.
+    """
+
+    __slots__ = ("batchers", "pset")
+
+    def __init__(self, batchers: List[MicroBatcher], pset=None) -> None:
+        self.batchers = batchers
+        self.pset = pset
+
+
 class _Generation:
-    """One immutable serving generation: weights, scaler, version, engines.
+    """One immutable serving generation: weights, scaler, version, engine.
 
     The swap path builds a complete new generation off to the side (plans
     warmed, batchers constructed) and publishes it with a single reference
@@ -152,39 +448,105 @@ class _Generation:
         self.engine = engine
 
 
-class _ServiceEngine:
-    """The single-worker generation payload: one forward, one batcher."""
+class ForecastService:
+    """Serve per-node traffic forecasts from a trained model.
 
-    __slots__ = ("forward", "batcher")
+    Parameters
+    ----------
+    model:
+        A trained :class:`~repro.core.DyHSL` (any module exposing a
+        ``config`` with ``input_length`` / ``output_length`` / ``num_nodes``
+        / ``input_dim`` works).  The service switches it to evaluation mode.
+    scaler:
+        The scaler fitted on the training flow; ``None`` serves on the
+        normalised scale directly.
+    model_version:
+        Cache namespace for this deployment; defaults to a fingerprint of
+        the weights so a redeploy can never serve stale cached forecasts.
+    cache_entries:
+        LRU capacity (0 disables caching).  One cache and one rolling
+        buffer front all workers.
+    max_batch_size:
+        Largest coalesced forward pass of a worker's flush.
+    auto_flush_at:
+        When set, a :meth:`submit` that brings a worker's queue to this
+        size triggers its batched forward.  The flush runs on the worker's
+        thread — or, on the inline executor, on the *submitting* thread
+        (deliberate backpressure: a producer cannot enqueue unbounded work
+        without paying for any of it).
+    linger_ms:
+        When set, a background flusher drains a queue once its oldest
+        request has waited this long — asynchronous traffic below the
+        ``auto_flush_at`` threshold no longer waits for the next submit.
+        Stop it with :meth:`close` (or use the service as a context
+        manager).
+    runtime:
+        ``"compiled"`` (graph-free kernel plans, the default) or
+        ``"autograd"`` (plain ``no_grad`` forwards).  ``None`` consults the
+        ``REPRO_RUNTIME`` environment variable.
+    precision:
+        Execution-precision policy of the compiled plans: ``"float64"``
+        (bit-identical to autograd, the default) or ``"float32"`` (~2x
+        memory-bandwidth headroom; see ``docs/runtime.md``).  ``None``
+        consults ``REPRO_RUNTIME_PRECISION``.  Synchronous queries accept a
+        per-request ``precision=`` override — the float64 SLA path.
+    artifact_dir:
+        Directory (or shared :class:`~repro.runtime.ArtifactStore`) of
+        durable plan artifacts, shared by **all** workers: replicas reuse
+        one in-process memo (each trace is compiled once per fleet) and a
+        restarted service binds its plans from disk instead of re-tracing —
+        the warm-start recipe in ``docs/serving_quickstart.md``.  Fresh
+        compiles are written through.
+    quality / quality_adjacency:
+        Streaming quality control in front of the rolling buffer: a ready
+        :class:`~repro.serving.SensorHealthMonitor`, a
+        :class:`~repro.serving.QualityConfig`, or ``True`` for default
+        thresholds (see :mod:`repro.serving.quality`).
+    resilience:
+        Deadlines, retries, breakers and stale-serve policy
+        (:class:`~repro.serving.ResilienceConfig`; default: retry
+        retryable failures, no breakers).
+    num_shards:
+        Number of full-model replica workers (misses route round-robin).
+    executor:
+        ``"inline"`` (one worker computing on the caller's thread),
+        ``"threads"`` (one executor thread per worker) or ``"processes"``
+        (each worker's plans replayed by a worker *process* over shared
+        memory, escaping the interpreter lock — see
+        :mod:`repro.serving.process_tier`; requires the compiled runtime
+        when set explicitly).  ``None`` means inline for one worker, and
+        otherwise consults the ``REPRO_SERVING_EXECUTOR`` environment
+        variable, falling back to threads.
+    start_method:
+        Worker start method for the process tier (``"fork"`` is the fast
+        default where available; ``"spawn"`` the portable contract).
+        ``None`` consults ``REPRO_PROCESS_START_METHOD``.
+    bulk_queue_depth / interactive_queue_depth:
+        Admission-control limits: a request whose lane already holds this
+        many pending rows is fast-rejected with :class:`ServiceOverloaded`
+        instead of queueing unboundedly (``None``, the default, never
+        rejects).  Bulk covers ``forecast`` / ``forecast_many`` /
+        ``submit`` / ``forecast_node`` misses; interactive covers
+        ``forecast_latest`` misses.
+    bulk_chunk_rows:
+        Process-tier dispatch granularity: bulk batches are split into
+        chunks of this many rows, bounding how long an interactive
+        request waits behind bulk work already in flight.
+    fault_plan:
+        A seeded :class:`~repro.serving.FaultPlan` shipped to process-tier
+        workers (fault-injection harness).
 
-    def __init__(self, forward, batcher) -> None:
-        self.forward = forward
-        self.batcher = batcher
-
-
-def _merge_batcher_stats(parts: List[BatcherStats]) -> BatcherStats:
-    """Sum batcher counters across generations (stats survive a hot swap)."""
-    merged = BatcherStats()
-    for part in parts:
-        merged.requests += part.requests
-        merged.flushes += part.flushes
-        merged.coalesced += part.coalesced
-        merged.largest_batch = max(merged.largest_batch, part.largest_batch)
-        merged.failed_flushes += part.failed_flushes
-        merged.failed_requests += part.failed_requests
-        merged.expired_requests += part.expired_requests
-    return merged
-
-
-class ForecastFrontend:
-    """Shared serving plumbing: scaling, caching, streaming, checkpoints.
-
-    Holds everything a forecast front end needs *around* the model
-    forwards — the fitted scaler, the weights-fingerprint model version,
-    the LRU cache and the rolling streaming buffer — so the single-worker
-    :class:`ForecastService` and the multi-worker
-    :class:`~repro.serving.ShardedForecastService` only differ in how a
-    batch of cache misses is computed.
+    Example
+    -------
+    >>> service = ForecastService.from_checkpoint("dyhsl.npz")
+    >>> forecast = service.forecast(window)          # (T', N), raw scale
+    >>> service.ingest(latest_reading)               # streaming path
+    >>> if service.buffer.ready:
+    ...     forecast = service.forecast_latest()
+    >>> with ForecastService.from_checkpoint("dyhsl.npz", num_shards=4,
+    ...                                      linger_ms=10.0) as fleet:
+    ...     handles = [fleet.submit(w) for w in windows]
+    ...     forecasts = [h.result() for h in handles]
     """
 
     def __init__(
@@ -193,36 +555,56 @@ class ForecastFrontend:
         scaler: Optional[object] = None,
         model_version: Optional[str] = None,
         cache_entries: int = 1024,
+        max_batch_size: int = 128,
+        auto_flush_at: Optional[int] = None,
+        linger_ms: Optional[float] = None,
         runtime: Optional[str] = None,
         precision: Optional[str] = None,
         artifact_dir: Optional[Union[str, Path, ArtifactStore]] = None,
         quality: Union[None, bool, QualityConfig, SensorHealthMonitor] = None,
         quality_adjacency: Optional[np.ndarray] = None,
         resilience: Optional[ResilienceConfig] = None,
+        num_shards: int = 1,
+        executor: Optional[str] = None,
+        start_method: Optional[str] = None,
+        bulk_queue_depth: Optional[int] = None,
+        interactive_queue_depth: Optional[int] = None,
+        bulk_chunk_rows: int = 32,
+        fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         config = getattr(model, "config", None)
         if config is None:
             raise ValueError("model must expose a config attribute")
+        if num_shards <= 0:
+            raise ValueError("num_shards must be positive")
+        if auto_flush_at is not None and auto_flush_at <= 0:
+            raise ValueError("auto_flush_at must be positive when set")
+        if linger_ms is not None and linger_ms <= 0:
+            # Validate before any worker thread spawns: a constructor that
+            # raises must not leak executors blocked on their job queues.
+            raise ValueError("linger_ms must be positive when set")
         model.eval()
         self.config = config
+        self.num_shards = num_shards
+        self.auto_flush_at = auto_flush_at
+        self._max_batch_size = max_batch_size
         # Failure policy for every serving path: deadlines, bounded retries,
         # optional circuit breakers, stale-serve.  The default config retries
         # retryable failures only and enables no breakers — see
         # docs/serving_quickstart.md §"Resilience & degraded modes".
         self.resilience = resilience if resilience is not None else ResilienceConfig()
         self._stale_served = 0
-        # Expiries on direct (non-queued) paths; the batch queue's sweep
-        # counts its own in BatcherStats.expired_requests.
+        # Expiries on direct (non-queued) paths; the batch queues' sweeps
+        # count their own in BatcherStats.expired_requests.
         self._expired_direct = 0
         self._gen = _Generation(model, scaler, model_version or _weights_fingerprint(model))
         self._swap_lock = threading.Lock()
         self._swaps = 0
         self.runtime = resolve_runtime_mode(runtime)
         self.precision = resolve_precision(precision).name
-        # One store instance for the whole deployment: resolved here so the
-        # sharded service hands the SAME object to every worker — N shards
-        # then share one on-disk directory *and* one in-process memo, i.e.
-        # each trace is compiled once per fleet, not once per worker.
+        # One store instance for the whole deployment, handed to every
+        # worker: K replicas share one on-disk directory *and* one
+        # in-process memo, i.e. each trace is compiled once per fleet.
         # (Ignored under the autograd runtime, which compiles nothing.)
         self.artifact_store: Optional[ArtifactStore] = (
             artifact_dir
@@ -237,19 +619,12 @@ class ForecastFrontend:
         self.cache: Optional[ForecastCache] = (
             ForecastCache(max_entries=cache_entries) if cache_entries > 0 else None
         )
-        # Streaming quality control: `quality=` accepts a ready monitor, a
-        # QualityConfig, or True (default thresholds); the monitor sits in
-        # front of the rolling buffer's ring, classifying and imputing every
-        # ingested step (see repro.serving.quality).
         self.quality = self._resolve_quality(quality, quality_adjacency)
         # The streaming ring stores windows at the service's serving
-        # precision.  On the single-worker direct path (_predict hands the
-        # raw array to the compiled plan) a float32 snapshot enters the
-        # float32 plan without an upcast-downcast round trip; batcher-routed
-        # paths (sharded streaming on the thread tier) still coalesce through
-        # a float64 Tensor and pay the plan's entry cast — correct either
-        # way, the ring dtype only removes casts where the array flows
-        # directly.
+        # precision: on the inline direct path a float32 snapshot enters
+        # the float32 plan without an upcast-downcast round trip; queued
+        # paths coalesce through a float64 Tensor and pay the plan's entry
+        # cast — correct either way.
         self.buffer = RollingWindowBuffer(
             input_length=config.input_length,
             num_nodes=config.num_nodes,
@@ -260,12 +635,90 @@ class ForecastFrontend:
         )
         self._requests = 0
         self._requests_lock = threading.Lock()
+        # One breaker per replica (None when breakers are disabled), shared
+        # across hot-swap generations so failure history survives a swap.
+        self._breakers: List = [
+            self.resilience.make_breaker(shard) for shard in range(num_shards)
+        ]
+        self._retired_retries = 0
+        self._fleet_retries = 0
+        # Resolve (and validate) the executor and the admission gates
+        # before any worker thread or process spawns — a constructor that
+        # raises must not leak background machinery.
+        self.executor = self._resolve_executor(executor)
+        self._tier: Optional[ProcessShardExecutor] = None
+        # Overload rejections snapshot every lane's depth, so a client's
+        # backoff decision sees the whole picture, not just its own lane.
+        lane_snapshot = lambda: {  # noqa: E731
+            lane: self._lane_depth(lane) for lane in ("bulk", "interactive")
+        }
+        limits = {"bulk": bulk_queue_depth, "interactive": interactive_queue_depth}
+        self._gates = {
+            lane: _LaneGate(
+                lane, limit, lambda lane=lane: self._lane_depth(lane), snapshot_fn=lane_snapshot
+            )
+            for lane, limit in limits.items()
+        }
+        if self.executor == "processes":
+            # Workers, segments and dispatchers spawn lazily on the first
+            # dispatched batch; constructing the service starts nothing.
+            self._tier = ProcessShardExecutor(
+                model,
+                num_shards=num_shards,
+                window_shape=(config.input_length, config.num_nodes, config.input_dim),
+                output_length=config.output_length,
+                num_nodes=config.num_nodes,
+                precision=self.precision,
+                artifact_store=self.artifact_store,
+                start_method=start_method,
+                bulk_chunk_rows=bulk_chunk_rows,
+                watchdog=self.resilience.watchdog,
+                fault_plan=fault_plan,
+            )
+        # Batcher counters of generations retired by hot swaps, folded into
+        # stats() so a swap never resets the service's lifetime telemetry.
+        self._retired_shard_stats: List[List[BatcherStats]] = [
+            [] for _ in range(num_shards)
+        ]
+        engine, _, _ = self._build_engine(model, warm_sizes=())
+        self._gen.engine = engine
+        self._workers: List[_ShardWorker] = [
+            _ShardWorker(index, batcher, start=self.executor != "inline")
+            for index, batcher in enumerate(engine.batchers)
+        ]
+        self._round_robin = 0
+        self._route_lock = threading.Lock()
+        self._closed = False
+        self.flusher: Optional[BackgroundFlusher] = (
+            BackgroundFlusher(self._flush_targets(), linger_ms=linger_ms)
+            if linger_ms is not None
+            else None
+        )
+
+    def _resolve_executor(self, executor: Optional[str]) -> str:
+        """Inline for a default single worker; otherwise as
+        :func:`~repro.serving.resolve_executor` (argument > environment >
+        threads)."""
+        if executor is None and self.num_shards == 1:
+            return "inline"
+        if executor is not None and executor.lower() == "inline":
+            if self.num_shards != 1:
+                raise ValueError(
+                    "executor='inline' computes on the caller's thread and serves "
+                    f"exactly one worker; num_shards={self.num_shards} needs "
+                    "executor='threads' or 'processes'"
+                )
+            return "inline"
+        return resolve_executor(executor, runtime=self.runtime)
 
     def _resolve_quality(
         self,
         quality: Union[None, bool, QualityConfig, SensorHealthMonitor],
         adjacency: Optional[np.ndarray],
     ) -> Optional[SensorHealthMonitor]:
+        """``quality=`` accepts a ready monitor, a QualityConfig, or True
+        (default thresholds); the monitor classifies and imputes every
+        ingested step before it enters the rolling buffer's ring."""
         if quality is None or quality is False:
             return None
         if isinstance(quality, SensorHealthMonitor):
@@ -310,9 +763,8 @@ class ForecastFrontend:
         ``buffer_state`` optionally points at a
         :meth:`save_buffer_state` sidecar; when given, the rolling buffer is
         restored so streaming queries work immediately (warm start).
-        Remaining keyword arguments go to the service constructor, so
-        sharded deployments load the same checkpoints:
-        ``ShardedForecastService.from_checkpoint(path, num_shards=4)``.
+        Remaining keyword arguments go to the constructor, e.g.
+        ``ForecastService.from_checkpoint(path, num_shards=4)``.
         """
         from ..training.checkpoints import load_model_checkpoint
 
@@ -435,7 +887,7 @@ class ForecastFrontend:
         """Deadline probe that keeps :meth:`health` honest.
 
         Direct-path expiries (predict, precision chunks — anything outside
-        the batch queue, whose sweep already counts its own) land in the
+        the batch queues, whose sweeps already count their own) land in the
         ``expired_requests`` health counter before the typed raise.
         """
         if deadline is None:
@@ -452,7 +904,7 @@ class ForecastFrontend:
 
         An explicit ``deadline_ms`` wins; otherwise the service-wide
         ``ResilienceConfig.default_deadline_ms`` applies; ``None`` for both
-        means no budget (the historical behaviour).
+        means no budget.
         """
         if deadline_ms is None:
             deadline_ms = self.resilience.default_deadline_ms
@@ -475,8 +927,9 @@ class ForecastFrontend:
         return stale
 
     # ------------------------------------------------------------------
-    def _warm_up_sizes(self, batch_sizes, cap: int) -> List[int]:
-        """Resolve a warm-up ladder: explicit sizes, or doubling up to ``cap``."""
+    def _warm_up_sizes(self, batch_sizes) -> List[int]:
+        """Resolve a warm-up ladder: explicit sizes, or doubling up to the
+        batcher cap."""
         if batch_sizes is not None:
             sizes = sorted({int(size) for size in batch_sizes})
             if not sizes or sizes[0] <= 0:
@@ -484,10 +937,10 @@ class ForecastFrontend:
             return sizes
         sizes: List[int] = []
         size = 1
-        while size < cap:
+        while size < self._max_batch_size:
             sizes.append(size)
             size *= 2
-        sizes.append(cap)
+        sizes.append(self._max_batch_size)
         return sizes
 
     def _example_batch(self, size: int) -> np.ndarray:
@@ -497,239 +950,98 @@ class ForecastFrontend:
         )
 
     # ------------------------------------------------------------------
-    # Shared query skeleton.  The cache front, miss deduplication and
-    # finalisation (denormalise -> horizon -> cache insert) are identical
-    # for every frontend; subclasses provide only the compute:
-    # _compute_misses (synchronous) and _submit_parts (asynchronous).
+    # Generation machinery (hot checkpoint swap).
     # ------------------------------------------------------------------
-    def _compute_misses(
-        self,
-        windows: List[np.ndarray],
-        precision: Optional[str] = None,
-        gen: Optional[_Generation] = None,
-        deadline: Optional[Deadline] = None,
-    ) -> List[np.ndarray]:
-        """Run the model for deduplicated misses (normalised in and out).
+    def _build_engine(self, model: Module, warm_sizes=None) -> Tuple[_Engine, int, int]:
+        """Build (engine, plans_reused, plans_compiled) for a generation.
 
-        ``precision`` is a resolved per-request override (never the
-        default): such requests bypass the micro-batch queues — mixing
-        precisions in one coalesced forward would serve some requests at
-        the wrong policy — and compute on the calling thread.  ``gen`` is
-        the generation captured at request entry; the compute must run on
-        that generation's engines even if a swap lands mid-request.
-        ``deadline`` is the budget captured at entry; expired requests fail
-        typed before compute.
+        ``warm_sizes=()`` marks the constructor's initial build (no plan
+        warming, and the process tier's already-installed provider set is
+        reused); any other value is a swap build — the new engines are
+        fully warmed *before* publication, so the first request on the new
+        generation never pays a trace.
         """
-        raise NotImplementedError
-
-    def _submit_parts(
-        self, window: np.ndarray, gen: Optional[_Generation] = None,
-        deadline: Optional[Deadline] = None,
-    ) -> List["PendingForecast"]:
-        """Enqueue one normalised window; returns its pending parts."""
-        raise NotImplementedError
-
-    def _admit(self, lane: str, rows: int) -> None:
-        """Admission-control hook, called at accept time for cache misses.
-
-        The base frontend admits everything; the sharded service overrides
-        this with bounded per-lane gates that raise
-        :class:`~repro.serving.ServiceOverloaded` — always *before* the
-        request touches a queue, so accepted work is never shed later.
-        """
-
-    def _finalize(self, key, horizon: int, gen: Optional[_Generation] = None):
-        """Build the denormalise -> cache hook for one query's single part."""
-        gen = gen or self._gen
-
-        def finalize(parts: List[np.ndarray]) -> np.ndarray:
-            forecast = self._denormalise(parts[0], gen=gen)[:horizon]
-            if self.cache is not None and key is not None:
-                self.cache.put(key, forecast)
-            return forecast.copy()
-
-        return finalize
-
-    def _serve_normalised_batch(
-        self,
-        normalised: List[np.ndarray],
-        horizon: int,
-        precision: Optional[str] = None,
-        gen: Optional[_Generation] = None,
-        deadline: Optional[Deadline] = None,
-    ) -> np.ndarray:
-        """Serve normalised windows: cache hits, deduplicated misses, stack.
-
-        ``precision`` is a resolved per-request override; it namespaces the
-        cache keys (a float32 answer must never satisfy a float64 query)
-        and is forwarded to :meth:`_compute_misses`.  When compute fails
-        with a typed resilience error and stale-serve is on, misses are
-        answered from any model version's cached entry for the same window
-        (the whole stacked result is then a :class:`StaleForecast`).
-        """
-        gen = gen or self._gen
-        version = self._key_version(precision, gen=gen)
-        results: List[Optional[np.ndarray]] = [None] * len(normalised)
-        # Requests that miss the cache, grouped by key so identical in-flight
-        # windows share one forward slot.
-        miss_groups: "dict[tuple, List[int]]" = {}
-        for index, window in enumerate(normalised):
-            key = ForecastCache.make_key(version, window, horizon)
-            if self.cache is not None:
-                cached = self.cache.get(key)
-                if cached is not None:
-                    results[index] = cached
-                    continue
-            miss_groups.setdefault(key, []).append(index)
-
-        served_stale = False
-        if miss_groups:
-            groups = list(miss_groups.items())
-            self._admit("bulk", len(groups))
-            try:
-                outputs = self._compute_misses(
-                    [normalised[group[0]] for _, group in groups],
-                    precision=precision,
-                    gen=gen,
-                    deadline=deadline,
+        initial = warm_sizes == ()
+        pset = None
+        if self._tier is not None:
+            pset = (
+                self._tier.current_generation()
+                if initial
+                else self._tier.prepare_generation(model)
+            )
+        forwards: List[Callable] = []
+        for index in range(self.num_shards):
+            # Separate CompiledModel per replica: plans and workspace
+            # buffers are per-worker, so replicas execute concurrently; the
+            # weights stay shared by reference, and every replica gets the
+            # SAME store object, so the fleet compiles each trace once.
+            if self._tier is not None:
+                forwards.append(self._tier.proxy(index, pset=pset))
+            elif self.runtime == "compiled":
+                forwards.append(
+                    CompiledModel(
+                        model, precision=self.precision, artifact_dir=self.artifact_store
+                    )
                 )
-            except ResilienceError as error:
-                if not (self.resilience.serve_stale and self.cache is not None):
-                    raise
-                stale = [self.cache.get_stale(key) for key, _ in groups]
-                if any(entry is None for entry in stale):
-                    # Degraded mode can only answer what some generation
-                    # once computed; a window never seen fails typed.
-                    raise
-                self._count_stale(len(groups))
-                served_stale = True
-                outputs = None
-                for (key, group), entry in zip(groups, stale):
-                    results[group[0]] = entry
-                    for index in group[1:]:
-                        results[index] = entry.copy()
-            if outputs is not None:
-                for (key, group), output in zip(groups, outputs):
-                    forecast = self._denormalise(output, gen=gen)[:horizon]
-                    if self.cache is not None:
-                        self.cache.put(key, forecast)
-                    results[group[0]] = forecast
-                    for index in group[1:]:
-                        results[index] = forecast.copy()
-        stacked = np.stack(results, axis=0)
-        return StaleForecast(stacked) if served_stale else stacked
+            else:
+                forwards.append(model)
+        reused = compiled = 0
+        if self.runtime == "compiled" and not initial:
+            # By default the streaming batch of 1, or an explicit size
+            # ladder.  With AOT artifacts in the store these are disk binds.
+            sizes = [1] if warm_sizes is None else self._warm_up_sizes(warm_sizes)
+            for forward in forwards:
+                for size in sizes:
+                    forward.compile_for(self._example_batch(size))
+                info = forward.cache_info()
+                reused += info.artifact_loads
+                compiled += info.compiles
+        # Every path funnels through a worker batcher's forward_fn (the
+        # inline direct path reads the same object), so wrapping here puts
+        # the breaker consult, bounded retries and outcome accounting on
+        # one choke point per worker (engine plumbing — compile_for /
+        # cache_info / save_artifacts — delegates through).
+        batchers = [
+            MicroBatcher(
+                ResilientForward(
+                    forward, retry=self.resilience.retry, breaker=self._breakers[index]
+                ),
+                max_batch_size=self._max_batch_size,
+            )
+            for index, forward in enumerate(forwards)
+        ]
+        return _Engine(batchers, pset), reused, compiled
 
-    def forecast_many(
-        self,
-        windows: np.ndarray,
-        horizon: Optional[int] = None,
-        precision: Optional[str] = None,
-        deadline_ms: Optional[float] = None,
-    ) -> np.ndarray:
-        """Forecast a batch of raw windows with caching plus batched compute.
+    def _flush_targets(self) -> List[Tuple[MicroBatcher, Callable]]:
+        """The linger flusher's view: each worker's batcher and its drain."""
+        return [(worker.batcher, worker.flush_async) for worker in self._workers]
 
-        Cache hits are answered directly; misses are deduplicated (identical
-        in-flight windows are computed once) and computed by the concrete
-        frontend — one coalesced micro-batched forward on the single-worker
-        service, round-robin replica batches on the sharded one.  An empty
-        batch is answered with an empty ``(0, horizon, N)`` array instead
-        of reaching the model.
+    def _publish_generation(self, gen: _Generation) -> None:
+        # Runs under the buffer lock: the generation reference, every
+        # worker's current batcher and the tier's default provider set
+        # move together — a snapshot() reader sees all or none of it.
+        self._gen = gen
+        for worker, batcher in zip(self._workers, gen.engine.batchers):
+            worker.batcher = batcher
+        if self._tier is not None:
+            self._tier.install_generation(gen.engine.pset)
 
-        ``precision`` overrides the service's execution-precision policy
-        for this query only — e.g. ``precision="float64"`` is the SLA path
-        of a ``precision="float32"`` deployment, served bit-identically to
-        an all-float64 service from its own cache namespace.
+    def _retire_generation(self, old: _Generation) -> None:
+        # Drain the retired queues (concurrently, on the worker threads);
+        # requests still queued there complete on the old weights — their
+        # process proxies pin the old provider set.
+        jobs = [
+            worker.flush_async(batcher)
+            for worker, batcher in zip(self._workers, old.engine.batchers)
+        ]
+        for job in jobs:
+            job.wait()  # errors are carried by the affected handles
+        for index, batcher in enumerate(old.engine.batchers):
+            self._retired_shard_stats[index].append(batcher.stats)
+            self._retired_retries += getattr(batcher.forward_fn, "retries", 0)
+        if self.flusher is not None:
+            self.flusher.retarget(self._flush_targets())
 
-        ``deadline_ms`` caps the request's total time budget: misses still
-        queued (or dispatched chunks still waiting) past the budget fail
-        with a typed :class:`~repro.serving.DeadlineExceeded` instead of
-        computing.
-        """
-        horizon = self._check_horizon(horizon)
-        precision = self._resolve_request_precision(precision)
-        deadline = self._entry_deadline(deadline_ms)
-        # One generation per request: a hot swap mid-batch must not mix the
-        # old scaler's normalisation with the new model's forward.
-        gen = self._gen
-        normalised = self._normalise_batch(windows, gen=gen)
-        self._count_requests(len(normalised))
-        if not normalised:
-            return self._empty_forecasts(horizon)
-        return self._serve_normalised_batch(
-            normalised, horizon, precision=precision, gen=gen, deadline=deadline
-        )
-
-    def submit(self, window: np.ndarray, horizon: Optional[int] = None,
-               deadline_ms: Optional[float] = None) -> AsyncForecast:
-        """Enqueue one raw window; returns a handle to collect later.
-
-        The batched forward runs when ``auto_flush_at`` requests are
-        pending, when the ``linger_ms`` background flusher fires, or
-        lazily on :meth:`AsyncForecast.result` — whichever happens first.
-        Cache hits return an already-settled handle.  (See the concrete
-        service's ``auto_flush_at`` documentation for *which thread* the
-        size-threshold flush runs on.)  ``deadline_ms`` rides with the
-        queued entry: if it expires before a flush reaches the entry, the
-        handle fails typed with
-        :class:`~repro.serving.DeadlineExceeded` instead of computing.
-        """
-        horizon = self._check_horizon(horizon)
-        deadline = self._entry_deadline(deadline_ms)
-        self._count_requests()
-        gen = self._gen
-        normalised = self._normalise_window(window, gen=gen)
-        key = None
-        if self.cache is not None:
-            key = ForecastCache.make_key(self._key_version(gen=gen), normalised, horizon)
-            cached = self.cache.get(key)
-            if cached is not None:
-                return AsyncForecast.completed(cached)
-        self._admit("bulk", 1)
-        parts = self._submit_parts(normalised, gen=gen, deadline=deadline)
-        return AsyncForecast(parts, self._finalize(key, horizon, gen=gen))
-
-    def forecast_node(
-        self,
-        window: np.ndarray,
-        node: int,
-        horizon: Optional[int] = None,
-        precision: Optional[str] = None,
-        deadline_ms: Optional[float] = None,
-    ) -> np.ndarray:
-        """Forecast a single sensor: returns shape ``(horizon,)``.
-
-        Serves the full network through :meth:`forecast` (and its cache)
-        and slices the sensor's column.
-        """
-        if not 0 <= node < self.config.num_nodes:
-            raise IndexError(f"node {node} out of range [0, {self.config.num_nodes})")
-        return self.forecast(
-            window, horizon=horizon, precision=precision, deadline_ms=deadline_ms
-        )[:, node]
-
-    # ------------------------------------------------------------------
-    # Streaming operation
-    # ------------------------------------------------------------------
-    def ingest(self, observation: np.ndarray) -> None:
-        """Push one raw observation step ``(N, F)`` into the rolling buffer."""
-        self.buffer.ingest(observation)
-
-    def save_buffer_state(self, path: Union[str, Path]) -> Path:
-        """Persist the rolling buffer next to a checkpoint (warm start).
-
-        A restarted service built with ``from_checkpoint(..., buffer_state=...)``
-        (or :meth:`restore_buffer_state`) resumes streaming forecasts
-        immediately instead of waiting out a ``T``-step cold window.
-        """
-        return self.buffer.save(path)
-
-    def restore_buffer_state(self, path: Union[str, Path]) -> None:
-        """Reload a :meth:`save_buffer_state` snapshot into the live buffer."""
-        self.buffer.restore(path)
-
-    # ------------------------------------------------------------------
-    # Hot checkpoint swap (zero downtime).
-    # ------------------------------------------------------------------
     def _validate_swap_config(self, config) -> None:
         """A swapped checkpoint must describe the same serving geometry."""
         for attr in ("num_nodes", "input_length", "output_length", "input_dim"):
@@ -740,22 +1052,6 @@ class ForecastFrontend:
                     f"service built for {attr}={live}; geometry changes need "
                     "a new deployment"
                 )
-
-    def _build_engine(self, model: Module, warm_sizes=None) -> Tuple[object, int, int]:
-        """Build (engine, plans_reused, plans_compiled) for a new generation.
-
-        The base frontend has no engines; concrete services construct their
-        forward/batcher payload here, fully warmed, *before* publication —
-        the first request on the new generation must not pay a trace.
-        """
-        return None, 0, 0
-
-    def _publish_generation(self, gen: _Generation) -> None:
-        """Install a fully-built generation (runs under the buffer lock)."""
-        self._gen = gen
-
-    def _retire_generation(self, old: _Generation) -> None:
-        """Drain whatever the old generation still owes after publication."""
 
     def swap_checkpoint(self, path: Union[str, Path], warm_sizes=None) -> SwapReport:
         """Atomically install a new checkpoint into the live service.
@@ -817,276 +1113,314 @@ class ForecastFrontend:
         )
 
     # ------------------------------------------------------------------
-    # Health surface (resilience visibility).
+    # Admission control
     # ------------------------------------------------------------------
-    def _health_shards(self) -> Tuple[ShardHealth, ...]:
-        """Per-shard liveness/breaker rows; concrete services override."""
-        return ()
+    def _lane_depth(self, lane: str) -> int:
+        """Live queue depth of one lane across batchers and the tier."""
+        if lane == "bulk":
+            depth = sum(worker.batcher.pending for worker in self._workers)
+            if self._tier is not None:
+                depth += self._tier.lane_pending("bulk")
+            return depth
+        return self._tier.lane_pending("interactive") if self._tier is not None else 0
 
-    def _health_lane_depths(self) -> dict:
-        return {}
+    def _admit(self, lane: str, rows: int) -> None:
+        """Reject at accept time when a lane is over its depth limit.
 
-    def _health_counters(self) -> Tuple[int, int]:
-        """(expired_requests, retries) for the health snapshot."""
-        return 0, 0
-
-    def health(self) -> ServiceHealth:
-        """Resilience snapshot: breaker states, worker liveness, lane depths.
-
-        ``healthy`` is the operator's one-bit summary: no breaker is open
-        and no spawned worker is known dead.  The per-shard rows carry the
-        detail (heartbeat ages, respawn/hang counters, breaker snapshots).
+        Raising here — before anything is enqueued — is what makes the
+        overload behaviour predictable: an admitted request is never
+        dropped later, and a rejected one never occupied a queue slot.
         """
-        shards = self._health_shards()
-        expired, retries = self._health_counters()
-        healthy = True
-        for shard in shards:
-            if shard.breaker is not None and shard.breaker.state == "open":
-                healthy = False
-            if shard.worker_alive is False:
-                healthy = False
-        with self._requests_lock:
-            stale_served = self._stale_served
-        return ServiceHealth(
-            healthy=healthy,
-            shards=shards,
-            lane_depths=self._health_lane_depths(),
-            stale_served=stale_served,
-            expired_requests=expired,
-            retries=retries,
-        )
+        self._gates[lane].admit(rows)
 
     # ------------------------------------------------------------------
-    # Lifecycle: subclasses with background threads override close().
+    # Routing
     # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Release background resources; the base frontend has none."""
+    def _next_worker(self) -> _ShardWorker:
+        """Round-robin over the replicas, skipping open circuit breakers.
 
-    def __enter__(self):
-        return self
+        With breakers enabled, a replica whose breaker is open is routed
+        *around* — the query lands on a healthy replica instead of failing
+        (reroute-on-breaker).  Only when every replica is refusing does the
+        query fail fast, with the soonest-to-recover breaker's
+        :class:`CircuitOpen`.  Routing only reads breaker state: a
+        half-open replica's single probe is claimed by the forward itself.
+        """
+        with self._route_lock:
+            soonest: Optional[CircuitOpen] = None
+            for _ in range(len(self._workers)):
+                worker = self._workers[self._round_robin % len(self._workers)]
+                self._round_robin += 1
+                breaker = self._breakers[worker.index]
+                if breaker is None or breaker.state != "open":
+                    return worker
+                try:
+                    breaker.check()
+                except CircuitOpen as error:
+                    if soonest is None or error.retry_after < soonest.retry_after:
+                        soonest = error
+            if soonest is None:  # pragma: no cover - state()/check() race
+                worker = self._workers[self._round_robin % len(self._workers)]
+                self._round_robin += 1
+                return worker
+            raise soonest
 
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self.close()
-
-
-class ForecastService(ForecastFrontend):
-    """Serve per-node traffic forecasts from a trained model.
-
-    Parameters
-    ----------
-    model:
-        A trained :class:`~repro.core.DyHSL` (any module exposing a
-        ``config`` with ``input_length`` / ``output_length`` / ``num_nodes``
-        / ``input_dim`` works).  The service switches it to evaluation mode.
-    scaler:
-        The scaler fitted on the training flow; ``None`` serves on the
-        normalised scale directly.
-    model_version:
-        Cache namespace for this deployment; defaults to a fingerprint of
-        the weights so a redeploy can never serve stale cached forecasts.
-    cache_entries:
-        LRU capacity (0 disables caching).
-    max_batch_size:
-        Largest coalesced forward pass of the micro-batcher.
-    auto_flush_at:
-        When set, a :meth:`submit` that brings the queue to this size
-        triggers the batched forward immediately.  The size-based flush
-        runs on the *submitting* thread (deliberate backpressure — see
-        the sharded service for fully non-blocking submits).
-    linger_ms:
-        When set, a background flusher drains the queue once its oldest
-        request has waited this long — asynchronous traffic below the
-        ``auto_flush_at`` threshold no longer waits for the next submit.
-        Stop it with :meth:`close` (or use the service as a context
-        manager).
-    runtime:
-        ``"compiled"`` (graph-free kernel plans, the default) or
-        ``"autograd"`` (plain ``no_grad`` forwards).  ``None`` consults the
-        ``REPRO_RUNTIME`` environment variable.
-    precision:
-        Execution-precision policy of the compiled plans: ``"float64"``
-        (bit-identical to autograd, the default) or ``"float32"`` (~2x
-        memory-bandwidth headroom; see ``docs/runtime.md``).  ``None``
-        consults ``REPRO_RUNTIME_PRECISION``.  Synchronous queries accept a
-        per-request ``precision=`` override — the float64 SLA path.
-    artifact_dir:
-        Directory (or shared :class:`~repro.runtime.ArtifactStore`) of
-        durable plan artifacts: a restarted service rebuilds its plans from
-        disk instead of re-tracing — the warm-start recipe in
-        ``docs/serving_quickstart.md``.  Fresh compiles are written through.
-
-    Example
-    -------
-    >>> service = ForecastService.from_checkpoint("dyhsl.npz")
-    >>> forecast = service.forecast(window)          # (T', N), raw scale
-    >>> service.ingest(latest_reading)               # streaming path
-    >>> if service.buffer.ready:
-    ...     forecast = service.forecast_latest()
-    """
-
-    def __init__(
+    def _route_window(
         self,
-        model: Module,
-        scaler: Optional[object] = None,
-        model_version: Optional[str] = None,
-        cache_entries: int = 1024,
-        max_batch_size: int = 128,
-        auto_flush_at: Optional[int] = None,
-        linger_ms: Optional[float] = None,
-        runtime: Optional[str] = None,
-        precision: Optional[str] = None,
-        artifact_dir: Optional[Union[str, Path, ArtifactStore]] = None,
-        quality: Union[None, bool, QualityConfig, SensorHealthMonitor] = None,
-        quality_adjacency: Optional[np.ndarray] = None,
-        resilience: Optional[ResilienceConfig] = None,
-    ) -> None:
-        super().__init__(
-            model,
-            scaler=scaler,
-            model_version=model_version,
-            cache_entries=cache_entries,
-            runtime=runtime,
-            precision=precision,
-            artifact_dir=artifact_dir,
-            quality=quality,
-            quality_adjacency=quality_adjacency,
-            resilience=resilience,
-        )
-        self._max_batch_size = max_batch_size
-        self._auto_flush_at = auto_flush_at
-        # The single worker's breaker (None unless configured).  Created
-        # once and shared across generations, so a hot swap never resets
-        # an open breaker's failure history.
-        self._breaker = self.resilience.make_breaker(0)
-        # Batcher counters of generations retired by hot swaps, folded into
-        # stats() so a swap never resets the service's lifetime telemetry.
-        self._retired_stats: List[BatcherStats] = []
-        self._retired_retries = 0
-        self._gen.engine, _, _ = self._build_engine(model, warm_sizes=())
-        self.flusher: Optional[BackgroundFlusher] = (
-            BackgroundFlusher([self.batcher], linger_ms=linger_ms)
-            if linger_ms is not None
-            else None
-        )
+        window: np.ndarray,
+        gen: _Generation,
+        deadline: Optional[Deadline] = None,
+    ) -> Tuple[PendingForecast, _ShardWorker]:
+        """Submit one normalised window to the next replica.
 
-    # ------------------------------------------------------------------
-    # The live engines (one forward callable plus one micro-batcher per
-    # generation): read through self._gen so a hot swap retargets every
-    # serving path with one assignment.
-    # ------------------------------------------------------------------
-    @property
-    def _forward(self):
-        return self._gen.engine.forward
+        Requests enqueue on the batchers of the generation captured at
+        request entry, so a hot swap mid-request never splits one window
+        across two weight versions.  ``deadline`` rides with each queue
+        entry; an entry whose budget expires before its flush is failed
+        typed at the sweep, never computed.
+        """
+        worker = self._next_worker()
+        return gen.engine.batchers[worker.index].submit(window, deadline=deadline), worker
 
-    @property
-    def batcher(self) -> MicroBatcher:
-        """The current generation's micro-batching queue."""
-        return self._gen.engine.batcher
+    def _drain(self, workers: Sequence[_ShardWorker], gen: _Generation) -> None:
+        """Flush the given workers' queues concurrently; re-raise the first error.
 
-    def _build_engine(self, model: Module, warm_sizes=None) -> Tuple[_ServiceEngine, int, int]:
-        # One forward callable for every serving path: the compiled runtime
-        # returns plain arrays, the autograd model returns Tensors; both are
-        # normalised in _predict / MicroBatcher.flush.
-        forward = (
-            CompiledModel(model, precision=self.precision, artifact_dir=self.artifact_store)
-            if self.runtime == "compiled"
-            else model
-        )
-        reused = compiled = 0
-        if self.runtime == "compiled" and warm_sizes != ():
-            # Warm the new plans BEFORE the generation goes live: by default
-            # the streaming batch of 1, or an explicit size ladder.  With
-            # AOT artifacts in the store these are disk binds, not traces.
-            sizes = [1] if warm_sizes is None else self._warm_up_sizes(warm_sizes, self._max_batch_size)
-            for size in sizes:
-                forward.compile_for(self._example_batch(size))
-            info = forward.cache_info()
-            reused, compiled = info.artifact_loads, info.compiles
-        # Breaker + bounded-retry policy wraps the forward at the one point
-        # every serving path funnels through (the batcher's forward_fn and
-        # the direct _predict path read the same object).
-        forward = ResilientForward(
-            forward, retry=self.resilience.retry, breaker=self._breaker
-        )
-        batcher = MicroBatcher(
-            forward, max_batch_size=self._max_batch_size, auto_flush_at=self._auto_flush_at
-        )
-        return _ServiceEngine(forward, batcher), reused, compiled
-
-    def _retire_generation(self, old: _Generation) -> None:
-        if old.engine is None:
+        Every job is waited for before raising, so all touched workers are
+        settled (their handles fulfilled or failed) when the caller sees
+        the exception.  Inline, the one queue flushes on the caller's
+        thread directly — no job, no hop.
+        """
+        if self.executor == "inline":
+            gen.engine.batchers[0].flush()
             return
-        try:
-            # Requests still queued on the old generation complete on the
-            # old weights (their handles lazily flush this same batcher, so
-            # nothing is lost even if this drain races them).
-            old.engine.batcher.flush()
-        except BaseException:
-            pass  # the affected handles carry the error
-        self._retired_stats.append(old.engine.batcher.stats)
-        self._retired_retries += getattr(old.engine.forward, "retries", 0)
-        if self.flusher is not None:
-            self.flusher.retarget([self.batcher])
+        jobs = [
+            worker.flush_async(gen.engine.batchers[worker.index])
+            for worker in dict.fromkeys(workers)
+        ]
+        first_error: Optional[BaseException] = None
+        for job in jobs:
+            error = job.wait()
+            if error is not None and first_error is None:
+                first_error = error
+        if first_error is not None:
+            raise first_error
 
     # ------------------------------------------------------------------
+    # Compute
+    # ------------------------------------------------------------------
+    def _compute_misses(
+        self,
+        windows: List[np.ndarray],
+        precision: Optional[str],
+        gen: _Generation,
+        deadline: Optional[Deadline],
+    ) -> List[np.ndarray]:
+        """Run the model for deduplicated misses (normalised in and out).
+
+        Misses route round-robin over the replicas, compute on the workers'
+        executors, and come back in request order.  ``precision`` is a
+        resolved per-request override (never the default): such requests
+        bypass the micro-batch queues — mixing precisions in one coalesced
+        forward would serve some requests at the wrong policy — and compute
+        directly through the next replica's engine, chunked to the batcher
+        cap so the override path keeps the same peak-batch bound as a
+        flush.  ``gen`` is the generation captured at request entry; the
+        compute runs on its engines even if a swap lands mid-request.
+        """
+        if precision is not None:
+            outputs: List[np.ndarray] = []
+            for start in range(0, len(windows), self._max_batch_size):
+                self._check_deadline(deadline, "precision-chunk")
+                batch = np.stack(windows[start : start + self._max_batch_size], axis=0)
+                forward = gen.engine.batchers[self._next_worker().index].forward_fn
+                outputs.extend(np.asarray(forward(batch, precision=precision)))
+            return outputs
+        routed = [self._route_window(window, gen, deadline=deadline) for window in windows]
+        self._drain([worker for _, worker in routed], gen)
+        return [part.result() for part, _ in routed]
+
     def _predict(
         self,
         window: np.ndarray,
-        horizon: int,
+        gen: _Generation,
+        deadline: Optional[Deadline],
         precision: Optional[str] = None,
-        gen: Optional[_Generation] = None,
-        deadline: Optional[Deadline] = None,
+        lane: str = "bulk",
     ) -> np.ndarray:
-        """One uncached forward of a normalised window -> raw-scale forecast.
+        """One uncached forward of a normalised window (normalised output).
 
-        The compiled runtime takes the raw array (its entry cast owns the
-        dtype handling, so a float32 streaming window is served zero-copy);
-        the autograd fallback wraps in a float64 ``Tensor`` as ever.
+        Inline, this is a direct plan call on the caller's thread — no
+        queue, no hop; the compiled runtime takes the raw array (its entry
+        cast owns the dtype handling, so a float32 streaming window is
+        served zero-copy).  On the process tier the streaming lane
+        dispatches to the least-busy worker ahead of queued bulk chunks.
+        Everything else is a one-window :meth:`_compute_misses`.
         """
-        gen = gen or self._gen
-        forward = gen.engine.forward
-        self._check_deadline(deadline, "predict")
-        with no_grad():
-            if self.runtime == "compiled":
-                outputs = (
-                    forward(window[None], precision=precision)
-                    if precision is not None
-                    else forward(window[None])
-                )
-            else:
-                outputs = forward(Tensor(np.asarray(window, dtype=float)[None]))
-        predictions = outputs.data if isinstance(outputs, Tensor) else np.asarray(outputs)
-        return self._denormalise(predictions[0], gen=gen)[:horizon]
+        if self.executor == "inline":
+            self._check_deadline(deadline, "predict")
+            forward = gen.engine.batchers[0].forward_fn
+            with no_grad():
+                if self.runtime == "compiled":
+                    outputs = (
+                        forward(window[None], precision=precision)
+                        if precision is not None
+                        else forward(window[None])
+                    )
+                else:
+                    outputs = forward(Tensor(np.asarray(window, dtype=float)[None]))
+            return (outputs.data if isinstance(outputs, Tensor) else np.asarray(outputs))[0]
+        if lane == "interactive" and self._tier is not None:
+            return self._call_replica_interactive(window[None], gen.engine.pset, deadline)[0]
+        return self._compute_misses([window], precision=precision, gen=gen, deadline=deadline)[0]
 
-    def _forecast_normalised(
+    def _count_retry_fleet(self, attempt: int, error: Optional[BaseException]) -> None:
+        """Retry counter of the interactive tier path (the batcher paths
+        count inside their ResilientForward wrappers)."""
+        with self._requests_lock:
+            self._fleet_retries += 1
+
+    def _call_replica_interactive(
+        self, batch: np.ndarray, pset, deadline: Optional[Deadline]
+    ) -> np.ndarray:
+        """Process-tier streaming call: least-busy shard, rerouted around
+        open breakers, retried under the policy, outcome-fed breakers."""
+
+        def attempt() -> np.ndarray:
+            shard = self._tier.least_busy_shard()
+            breaker = self._breakers[shard]
+            if breaker is not None and not breaker.allow():
+                for candidate in range(self.num_shards):
+                    other = self._breakers[candidate]
+                    if other is None or other.allow():
+                        shard, breaker = candidate, other
+                        break
+                else:
+                    breaker.check()  # every replica refusing: raise typed
+            try:
+                result = self._tier.call(
+                    shard, batch, lane="interactive", pset=pset, deadline=deadline
+                )
+            except Exception as error:
+                if breaker is not None and not isinstance(error, DeadlineExceeded):
+                    breaker.record_failure()
+                raise
+            if breaker is not None:
+                breaker.record_success()
+            return result
+
+        retry = self.resilience.retry
+        if retry is None:
+            return attempt()
+        return retry.call(attempt, deadline=deadline, on_retry=self._count_retry_fleet)
+
+    def _serve_one(
         self,
         window: np.ndarray,
+        key,
         horizon: int,
+        gen: _Generation,
+        deadline: Optional[Deadline],
         precision: Optional[str] = None,
-        gen: Optional[_Generation] = None,
-        deadline: Optional[Deadline] = None,
+        lane: str = "bulk",
     ) -> np.ndarray:
-        """Serve one normalised window, consulting the cache around the model."""
-        gen = gen or self._gen
-        key = None
-        if self.cache is not None:
-            key = ForecastCache.make_key(self._key_version(precision, gen=gen), window, horizon)
-            cached = self.cache.get(key)
-            if cached is not None:
-                return cached
+        """Compute one cache miss, then denormalise -> horizon -> cache.
+
+        A typed resilience failure serves a marked-stale entry for ``key``
+        instead when stale-serve is on and one exists.
+        """
         try:
-            forecast = self._predict(
-                window, horizon, precision=precision, gen=gen, deadline=deadline
-            )
+            output = self._predict(window, gen, deadline, precision=precision, lane=lane)
         except ResilienceError as error:
             stale = self._serve_stale_instead(key, error)
             if stale is not None:
                 return stale
             raise
-        if self.cache is not None:
+        forecast = self._denormalise(output, gen=gen)[:horizon]
+        if key is not None:
             self.cache.put(key, forecast)
         return forecast.copy()
 
+    def _finalize(self, key, horizon: int, gen: _Generation):
+        """Build the denormalise -> cache hook for one submitted window."""
+
+        def finalize(parts: List[np.ndarray]) -> np.ndarray:
+            forecast = self._denormalise(parts[0], gen=gen)[:horizon]
+            if self.cache is not None and key is not None:
+                self.cache.put(key, forecast)
+            return forecast.copy()
+
+        return finalize
+
+    def _serve_normalised_batch(
+        self,
+        normalised: List[np.ndarray],
+        horizon: int,
+        precision: Optional[str],
+        gen: _Generation,
+        deadline: Optional[Deadline],
+    ) -> np.ndarray:
+        """Serve normalised windows: cache hits, deduplicated misses, stack.
+
+        ``precision`` is a resolved per-request override; it namespaces the
+        cache keys (a float32 answer must never satisfy a float64 query)
+        and is forwarded to :meth:`_compute_misses`.  When compute fails
+        with a typed resilience error and stale-serve is on, misses are
+        answered from any model version's cached entry for the same window
+        (the whole stacked result is then a :class:`StaleForecast`).
+        """
+        version = self._key_version(precision, gen=gen)
+        results: List[Optional[np.ndarray]] = [None] * len(normalised)
+        # Requests that miss the cache, grouped by key so identical in-flight
+        # windows share one forward slot.
+        miss_groups: "dict[tuple, List[int]]" = {}
+        for index, window in enumerate(normalised):
+            key = ForecastCache.make_key(version, window, horizon)
+            if self.cache is not None:
+                cached = self.cache.get(key)
+                if cached is not None:
+                    results[index] = cached
+                    continue
+            miss_groups.setdefault(key, []).append(index)
+
+        served_stale = False
+        if miss_groups:
+            groups = list(miss_groups.items())
+            self._admit("bulk", len(groups))
+            try:
+                outputs = self._compute_misses(
+                    [normalised[group[0]] for _, group in groups],
+                    precision=precision,
+                    gen=gen,
+                    deadline=deadline,
+                )
+            except ResilienceError:
+                if not (self.resilience.serve_stale and self.cache is not None):
+                    raise
+                stale = [self.cache.get_stale(key) for key, _ in groups]
+                if any(entry is None for entry in stale):
+                    # Degraded mode can only answer what some generation
+                    # once computed; a window never seen fails typed.
+                    raise
+                self._count_stale(len(groups))
+                served_stale = True
+                outputs = None
+                for (key, group), entry in zip(groups, stale):
+                    results[group[0]] = entry
+                    for index in group[1:]:
+                        results[index] = entry.copy()
+            if outputs is not None:
+                for (key, group), output in zip(groups, outputs):
+                    forecast = self._denormalise(output, gen=gen)[:horizon]
+                    if self.cache is not None:
+                        self.cache.put(key, forecast)
+                    results[group[0]] = forecast
+                    for index in group[1:]:
+                        results[index] = forecast.copy()
+        stacked = np.stack(results, axis=0)
+        return StaleForecast(stacked) if served_stale else stacked
+
+    # ------------------------------------------------------------------
+    # Queries
     # ------------------------------------------------------------------
     def forecast(
         self,
@@ -1125,62 +1459,110 @@ class ForecastService(ForecastFrontend):
         self._count_requests()
         deadline = self._entry_deadline(deadline_ms)
         gen = self._gen
-        return self._forecast_normalised(
-            self._normalise_window(window, gen=gen),
-            horizon,
-            precision=precision,
-            gen=gen,
-            deadline=deadline,
-        )
+        window = self._normalise_window(window, gen=gen)
+        key = None
+        if self.cache is not None:
+            key = ForecastCache.make_key(self._key_version(precision, gen=gen), window, horizon)
+            cached = self.cache.get(key)
+            if cached is not None:
+                return cached
+        self._admit("bulk", 1)
+        return self._serve_one(window, key, horizon, gen, deadline, precision=precision)
 
-    # ------------------------------------------------------------------
-    # The compute hooks behind the shared forecast_many / submit skeleton
-    # (see ForecastFrontend): misses coalesce into one batched forward
-    # pass, chunked by the batcher's max_batch_size.
-    #
-    # One sizing note on submit(): the single-worker service has no
-    # executor thread, so the auto_flush_at size-threshold flush runs on
-    # the *submitting* thread — the threshold is deliberate backpressure,
-    # bounding how much work a producer can enqueue without paying for
-    # any of it.  Linger drains always run on the background flusher;
-    # ShardedForecastService schedules both kinds of drain onto its
-    # worker threads, so its submit never computes.
-    # ------------------------------------------------------------------
-    def _compute_misses(
+    def forecast_many(
         self,
-        windows: List[np.ndarray],
+        windows: np.ndarray,
+        horizon: Optional[int] = None,
         precision: Optional[str] = None,
-        gen: Optional[_Generation] = None,
-        deadline: Optional[Deadline] = None,
-    ) -> List[np.ndarray]:
-        engine = (gen or self._gen).engine
-        if precision is not None:
-            # Per-request precision override: direct compiled forwards at
-            # the requested policy, off the (single-policy) batch queue —
-            # chunked like a flush so an override query keeps the same
-            # peak-batch bound as the default path.
-            size = engine.batcher.max_batch_size
-            outputs: List[np.ndarray] = []
-            for start in range(0, len(windows), size):
-                self._check_deadline(deadline, "precision-chunk")
-                chunk = np.stack(windows[start : start + size], axis=0)
-                outputs.extend(engine.forward(chunk, precision=precision))
-            return outputs
-        pending = [engine.batcher.submit(window, deadline=deadline) for window in windows]
-        engine.batcher.flush()
-        return [handle.result() for handle in pending]
+        deadline_ms: Optional[float] = None,
+    ) -> np.ndarray:
+        """Forecast a batch of raw windows with caching plus batched compute.
 
-    def _submit_parts(
+        Cache hits are answered directly; misses are deduplicated (identical
+        in-flight windows are computed once) and split round-robin into one
+        coalesced micro-batched forward per replica.  An empty batch is
+        answered with an empty ``(0, horizon, N)`` array instead of
+        reaching the model.
+
+        ``precision`` overrides the service's execution-precision policy
+        for this query only — e.g. ``precision="float64"`` is the SLA path
+        of a ``precision="float32"`` deployment, served bit-identically to
+        an all-float64 service from its own cache namespace.
+
+        ``deadline_ms`` caps the request's total time budget: misses still
+        queued (or dispatched chunks still waiting) past the budget fail
+        with a typed :class:`~repro.serving.DeadlineExceeded` instead of
+        computing.
+        """
+        horizon = self._check_horizon(horizon)
+        precision = self._resolve_request_precision(precision)
+        deadline = self._entry_deadline(deadline_ms)
+        # One generation per request: a hot swap mid-batch must not mix the
+        # old scaler's normalisation with the new model's forward.
+        gen = self._gen
+        normalised = self._normalise_batch(windows, gen=gen)
+        self._count_requests(len(normalised))
+        if not normalised:
+            return self._empty_forecasts(horizon)
+        return self._serve_normalised_batch(normalised, horizon, precision, gen, deadline)
+
+    def submit(self, window: np.ndarray, horizon: Optional[int] = None,
+               deadline_ms: Optional[float] = None) -> AsyncForecast:
+        """Enqueue one raw window; returns a handle to collect later.
+
+        The batched forward runs when ``auto_flush_at`` requests are
+        pending on the window's worker, when the ``linger_ms`` background
+        flusher fires, or lazily on :meth:`AsyncForecast.result` —
+        whichever happens first.  Cache hits return an already-settled
+        handle.  ``deadline_ms`` rides with the queued entry: if it expires
+        before a flush reaches the entry, the handle fails typed with
+        :class:`~repro.serving.DeadlineExceeded` instead of computing.
+        """
+        horizon = self._check_horizon(horizon)
+        deadline = self._entry_deadline(deadline_ms)
+        self._count_requests()
+        gen = self._gen
+        normalised = self._normalise_window(window, gen=gen)
+        key = None
+        if self.cache is not None:
+            key = ForecastCache.make_key(self._key_version(gen=gen), normalised, horizon)
+            cached = self.cache.get(key)
+            if cached is not None:
+                return AsyncForecast.completed(cached)
+        self._admit("bulk", 1)
+        part, worker = self._route_window(normalised, gen, deadline=deadline)
+        if self.auto_flush_at is not None:
+            batcher = gen.engine.batchers[worker.index]
+            if batcher.pending >= self.auto_flush_at:
+                worker.flush_async(batcher)
+        return AsyncForecast([part], self._finalize(key, horizon, gen))
+
+    def forecast_node(
         self,
         window: np.ndarray,
-        gen: Optional[_Generation] = None,
-        deadline: Optional[Deadline] = None,
-    ) -> List[PendingForecast]:
-        return [(gen or self._gen).engine.batcher.submit(window, deadline=deadline)]
+        node: int,
+        horizon: Optional[int] = None,
+        precision: Optional[str] = None,
+        deadline_ms: Optional[float] = None,
+    ) -> np.ndarray:
+        """Forecast a single sensor: returns shape ``(horizon,)``.
+
+        Serves the full network through :meth:`forecast` (and its cache)
+        and slices the sensor's column.
+        """
+        if not 0 <= node < self.config.num_nodes:
+            raise IndexError(f"node {node} out of range [0, {self.config.num_nodes})")
+        return self.forecast(
+            window, horizon=horizon, precision=precision, deadline_ms=deadline_ms
+        )[:, node]
 
     # ------------------------------------------------------------------
     # Streaming operation
     # ------------------------------------------------------------------
+    def ingest(self, observation: np.ndarray) -> None:
+        """Push one raw observation step ``(N, F)`` into the rolling buffer."""
+        self.buffer.ingest(observation)
+
     def forecast_latest(
         self, horizon: Optional[int] = None, deadline_ms: Optional[float] = None
     ) -> np.ndarray:
@@ -1190,118 +1572,175 @@ class ForecastService(ForecastFrontend):
         of a content hash of the window, so a repeated poll between stream
         advances costs one counter read plus one dictionary lookup — no
         window materialisation, no SHA-1 over ``T * N * F`` floats.
+        Misses are admitted on the ``interactive`` lane.  Degraded modes:
+        an expired budget or broken replica serves a marked-stale cache
+        hit when ``ResilienceConfig(serve_stale=True)`` and an entry exists
+        (any model version's entry for this very buffer state qualifies).
         """
         horizon = self._check_horizon(horizon)
         self._count_requests()
         deadline = self._entry_deadline(deadline_ms)
-        if self.cache is None:
-            # snapshot(also=...): lock-consistent copy, and the serving
-            # generation is captured under that same lock — a racing ingest
-            # OR hot swap lands entirely before or after it, never
-            # mid-window (the swap publishes its generation inside
-            # buffer.rescale, under this very lock).
-            window, _, gen = self.buffer.snapshot(also=lambda: self._gen)
-            return self._predict(window, horizon, gen=gen, deadline=deadline).copy()
-        key = (self._key_version(), self.buffer.cache_token(), horizon)
-        cached = self.cache.get(key)
-        if cached is not None:
-            return cached
-        # Miss: copy the window atomically with its token AND the serving
-        # generation (all taken under the buffer's mutation lock), so the
-        # cache entry always describes exactly the data that was forecast —
-        # and a swap that re-normalises the ring can never pair the old
-        # window with the new model.
+        if self.cache is not None:
+            cached = self.cache.get((self._key_version(), self.buffer.cache_token(), horizon))
+            if cached is not None:
+                return cached
+        self._admit("interactive", 1)
+        # Copy the window atomically with its token AND the serving
+        # generation (all taken under the buffer's mutation lock): a racing
+        # ingest or hot swap — which publishes inside buffer.rescale, under
+        # this very lock — lands entirely before or after, so the cache
+        # entry always describes exactly the data that was forecast.
         window, token, gen = self.buffer.snapshot(also=lambda: self._gen)
-        key = (self._key_version(gen=gen), token, horizon)
-        try:
-            forecast = self._predict(window, horizon, gen=gen, deadline=deadline)
-        except ResilienceError as error:
-            # Stale streaming fallback: the content index keys on the buffer
-            # token, so an entry a *previous model version* computed for this
-            # very window is still discoverable after a hot swap.
-            stale = self._serve_stale_instead(key, error)
-            if stale is not None:
-                return stale
-            raise
-        self.cache.put(key, forecast)
-        return forecast.copy()
+        key = (self._key_version(gen=gen), token, horizon) if self.cache is not None else None
+        return self._serve_one(window, key, horizon, gen, deadline, lane="interactive")
+
+    def save_buffer_state(self, path: Union[str, Path]) -> Path:
+        """Persist the rolling buffer next to a checkpoint (warm start).
+
+        A restarted service built with ``from_checkpoint(..., buffer_state=...)``
+        (or :meth:`restore_buffer_state`) resumes streaming forecasts
+        immediately instead of waiting out a ``T``-step cold window.
+        """
+        return self.buffer.save(path)
+
+    def restore_buffer_state(self, path: Union[str, Path]) -> None:
+        """Reload a :meth:`save_buffer_state` snapshot into the live buffer."""
+        self.buffer.restore(path)
 
     # ------------------------------------------------------------------
+    # Plans
+    # ------------------------------------------------------------------
     def save_artifacts(self, path=None) -> List:
-        """Persist every compiled plan as a durable artifact (AOT warm start).
+        """Persist every worker's compiled plans as durable artifacts.
 
         ``path`` may be a directory or an
-        :class:`~repro.runtime.ArtifactStore`; omitted, the store attached
-        at construction (``artifact_dir=``) is used.  A service restarted
-        against the same store serves its first request with zero retraces.
+        :class:`~repro.runtime.ArtifactStore`; omitted, the store shared by
+        the workers (``artifact_dir=``) is used.  A service restarted
+        against the same store binds every worker's plans from disk — zero
+        retraces on the first request.
         """
         if self.runtime != "compiled":
             raise ValueError("plan artifacts require the compiled runtime")
-        return self._forward.save_artifacts(path)
+        written: List = []
+        for worker in self._workers:
+            written.extend(worker.forward.save_artifacts(path))
+        return written
 
     def warm_up(self, batch_sizes=None) -> List:
-        """Build the batch-size ladder of plans before traffic arrives.
+        """Build every worker's batch-size plan ladder before traffic arrives.
 
         A freshly started service pays its trace/fuse/schedule work — or,
         pointed at a saved artifact store (``artifact_dir=``), a few disk
-        binds — here instead of on the first unlucky requests.  One plan
-        per batch size is prepared; by default a doubling ladder up to the
-        batcher's ``max_batch_size``.  Returns the
+        binds — here instead of on the first unlucky requests.  Each worker
+        prepares one plan per batch size (by default a doubling ladder up
+        to ``max_batch_size``) against the **shared** artifact store, so
+        replicas after the first hit its in-process memo.  Returns the
         :class:`~repro.runtime.PlanStats` of every warmed plan.  No-op
         under the autograd runtime, which has nothing to compile.
         """
         if self.runtime != "compiled":
             return []
+        sizes = self._warm_up_sizes(batch_sizes)
         return [
-            self._forward.compile_for(self._example_batch(size))
-            for size in self._warm_up_sizes(batch_sizes, self.batcher.max_batch_size)
+            worker.forward.compile_for(self._example_batch(size))
+            for worker in self._workers
+            for size in sizes
         ]
 
     # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
     def close(self) -> None:
-        """Stop the background flusher and drain the queue; idempotent.
+        """Drain the queues, stop the flusher and the workers; idempotent.
 
-        With or without a flusher, no handle is left pending after
-        ``close()`` (a failing final drain is carried by the affected
-        handles, as always).  Synchronous queries keep working after —
-        only the timed drains stop.
+        After ``close()`` no handle is left pending (a failing final drain
+        is carried by the affected handles, as always), and synchronous
+        queries and late ``result()`` calls keep working through lazy
+        flushes on the calling thread — only the timed drains, the worker
+        threads and the worker processes stop.
         """
+        if self._closed:
+            return
+        self._closed = True
         if self.flusher is not None:
             self.flusher.close(drain=True)
         else:
-            try:
-                self.batcher.flush()
-            except BaseException:
-                pass  # the affected handles carry the error
+            for worker in self._workers:
+                try:
+                    worker.batcher.flush()
+                except BaseException:
+                    pass  # the affected handles carry the error
+        for worker in self._workers:
+            worker.close()
+        # The tier closes last: the drains above may still dispatch to it.
+        if self._tier is not None:
+            self._tier.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc_value, traceback) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
-    # health() hooks (see ForecastFrontend.health)
+    # Health and stats
     # ------------------------------------------------------------------
-    def _health_shards(self) -> Tuple[ShardHealth, ...]:
-        return (
-            ShardHealth(
-                shard=0,
-                breaker=self._breaker.snapshot() if self._breaker is not None else None,
-                worker_pid=None,
-                worker_alive=None,
-                heartbeat_age_s=None,
-                respawns=0,
-                hung_detections=0,
-            ),
+    def _shard_stats(self) -> Tuple[BatcherStats, ...]:
+        """Lifetime batcher counters per worker (retired generations folded in)."""
+        return tuple(
+            _merge_batcher_stats(self._retired_shard_stats[worker.index] + [worker.batcher.stats])
+            for worker in self._workers
         )
 
-    def _health_lane_depths(self) -> dict:
-        return {"bulk": self.batcher.pending}
+    def health(self) -> ServiceHealth:
+        """Resilience snapshot: breaker states, worker liveness, lane depths.
 
-    def _health_counters(self) -> Tuple[int, int]:
-        batcher = _merge_batcher_stats(self._retired_stats + [self.batcher.stats])
-        retries = self._retired_retries + getattr(self._forward, "retries", 0)
+        ``healthy`` is the operator's one-bit summary: no breaker is open
+        and no spawned worker is known dead.  The per-shard rows carry the
+        detail (heartbeat ages, respawn/hang counters, breaker snapshots).
+        """
+        tier_rows: Dict[int, Dict[str, object]] = {}
+        if self._tier is not None:
+            tier_rows = {int(row["shard"]): row for row in self._tier.worker_health()}
+        shards: List[ShardHealth] = []
+        for shard, breaker in enumerate(self._breakers):
+            row = tier_rows.get(shard)
+            shards.append(
+                ShardHealth(
+                    shard=shard,
+                    breaker=breaker.snapshot() if breaker is not None else None,
+                    worker_pid=row["pid"] if row else None,
+                    worker_alive=row["alive"] if row else None,
+                    heartbeat_age_s=row["heartbeat_age_s"] if row else None,
+                    respawns=int(row["respawns"]) if row else 0,
+                    hung_detections=int(row["hung_detections"]) if row else 0,
+                )
+            )
+        healthy = not any(
+            (shard.breaker is not None and shard.breaker.state == "open")
+            or shard.worker_alive is False
+            for shard in shards
+        )
+        retries = self._retired_retries + sum(
+            getattr(worker.forward, "retries", 0) for worker in self._workers
+        )
+        expired = sum(stats.expired_requests for stats in self._shard_stats())
         with self._requests_lock:
-            expired = self._expired_direct + batcher.expired_requests
-        return expired, retries
+            expired += self._expired_direct
+            retries += self._fleet_retries
+            stale_served = self._stale_served
+        return ServiceHealth(
+            healthy=healthy,
+            shards=tuple(shards),
+            lane_depths={lane: self._lane_depth(lane) for lane in self._gates},
+            stale_served=stale_served,
+            expired_requests=expired,
+            retries=retries,
+        )
 
     def stats(self) -> ServiceStats:
-        """Operational counters: requests, cache hit rate, batch amortisation."""
+        """Operational counters: requests, cache hit rate, batch amortisation,
+        per-worker batchers, lanes and (on the process tier) the workers."""
         cache_stats = (
             self.cache.stats()
             if self.cache is not None
@@ -1311,10 +1750,19 @@ class ForecastService(ForecastFrontend):
             model_version=self.model_version,
             requests=self._requests,
             cache=cache_stats,
-            batcher=_merge_batcher_stats(self._retired_stats + [self.batcher.stats]),
+            shards=self._shard_stats(),
+            executor=self.executor,
+            num_shards=self.num_shards,
             runtime=self.runtime,
             flusher=self.flusher.stats() if self.flusher is not None else None,
             precision=self.precision,
+            lanes=tuple(gate.stats() for gate in self._gates.values()),
+            process_tier=self._tier.stats() if self._tier is not None else None,
             quality=self.buffer.quality_stats(),
             swaps=self._swaps,
         )
+
+
+#: Alias read by ``perfbench/tracing.py``, which wraps ``ingest``,
+#: ``forecast_many`` and ``swap_checkpoint`` through this name.
+ForecastFrontend = ForecastService

@@ -241,7 +241,7 @@ class TestServingPrecision:
         sla = service.forecast_many(windows, precision="float64")
         assert np.array_equal(sla, reference)
         # Every compiled plan served a (bucketed) batch of at most 4.
-        forward = service._forward
+        forward = service._workers[0].forward
         assert all(stats.input_shape[0] <= 4 for stats in forward.plan_stats())
 
     def test_autograd_runtime_rejects_float32(self, served):

@@ -30,20 +30,20 @@ def store(tmp_path):
 
 
 def _worker_infos(service: ShardedForecastService):
-    return [worker.batcher.forward_fn.cache_info() for worker in service._workers]
+    return [worker.forward.cache_info() for worker in service._workers]
 
 
 class TestSingleWorkerWarmStart:
     def test_restart_serves_with_zero_retraces(self, tiny_model, forecasting_data, window, store):
         cold = ForecastService(tiny_model, scaler=forecasting_data.scaler, artifact_dir=store)
         reference = cold.forecast(window)
-        assert cold._forward.cache_info().compiles == 1
+        assert cold._workers[0].forward.cache_info().compiles == 1
 
         warm = ForecastService(
             tiny_model, scaler=forecasting_data.scaler, artifact_dir=ArtifactStore(store.root)
         )
         produced = warm.forecast(window)
-        info = warm._forward.cache_info()
+        info = warm._workers[0].forward.cache_info()
         assert info.compiles == 0
         assert info.artifact_loads == 1
         assert np.array_equal(produced, reference)
@@ -61,10 +61,10 @@ class TestWarmUp:
         )
         stats = service.warm_up(batch_sizes=(1, 2))
         assert [s.input_shape[0] for s in stats] == [1, 2]
-        assert service._forward.cache_info().compiles == 2
+        assert service._workers[0].forward.cache_info().compiles == 2
         # The first request after warm-up does no plan work at all.
         service.forecast(window)
-        assert service._forward.cache_info().compiles == 2
+        assert service._workers[0].forward.cache_info().compiles == 2
 
     def test_warm_up_binds_from_store_on_restart(
         self, tiny_model, forecasting_data, window, store
@@ -77,7 +77,7 @@ class TestWarmUp:
             tiny_model, scaler=forecasting_data.scaler, artifact_dir=ArtifactStore(store.root)
         )
         warm.warm_up(batch_sizes=(1, 2))
-        info = warm._forward.cache_info()
+        info = warm._workers[0].forward.cache_info()
         assert info.compiles == 0
         assert info.artifact_loads == 2
         assert np.array_equal(warm.forecast(window), reference)
@@ -208,7 +208,7 @@ class TestCheckpointAOT:
 
         service = ForecastService.from_checkpoint(checkpoint, artifact_dir=directory)
         produced = service.forecast(window)
-        info = service._forward.cache_info()
+        info = service._workers[0].forward.cache_info()
         assert info.compiles == 0
         assert info.artifact_loads == 1
         baseline = ForecastService.from_checkpoint(checkpoint)
@@ -251,6 +251,6 @@ class TestCheckpointAOT:
             checkpoint, artifact_dir=directory, precision="float32"
         )
         service.forecast(window)
-        info = service._forward.cache_info()
+        info = service._workers[0].forward.cache_info()
         assert info.compiles == 0
         assert info.artifact_loads == 1

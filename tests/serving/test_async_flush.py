@@ -124,7 +124,7 @@ class TestServiceSubmit:
         )
         handles = [service.submit(window) for window in windows]
         assert all(handle.done for handle in handles)
-        assert service.batcher.stats.flushes == 1
+        assert service.stats().batcher.flushes == 1
 
     def test_completed_handle(self):
         value = np.arange(4.0)

@@ -310,7 +310,7 @@ class TestServiceDeadlines:
         with pytest.raises(DeadlineExceeded) as excinfo:
             service.forecast_many(_raw_windows(forecasting_data, 3), deadline_ms=1e-4)
         assert excinfo.value.stage == "batch-queue"
-        assert service.batcher.stats.expired_requests >= 1
+        assert service.stats().batcher.expired_requests >= 1
         assert service.health().expired_requests >= 1
 
     def test_expired_submit_fails_the_handle_not_the_submitter(
@@ -451,6 +451,30 @@ class TestReplicaReroute:
             assert service.health().open_breakers == [0]
         finally:
             service.close()
+
+    def test_half_open_replica_recovers_through_its_probe(
+        self, tiny_model, forecasting_data
+    ):
+        """Routing only reads breaker state: the half-open probe is left for
+        the replica's forward to claim, so one success closes the breaker."""
+        windows = _raw_windows(forecasting_data, 2)
+        reference = ForecastService(
+            tiny_model, scaler=forecasting_data.scaler, cache_entries=0
+        ).forecast_many(windows)
+        with ForecastService(
+            tiny_model,
+            scaler=forecasting_data.scaler,
+            num_shards=2,
+            executor="threads",
+            cache_entries=0,
+            resilience=_breaker_config(breaker_reset_timeout_s=0.05),
+        ) as service:
+            service._breakers[0].record_failure()
+            time.sleep(0.1)  # shard 0 is half-open now
+            assert service._breakers[0].state == "half_open"
+            np.testing.assert_array_equal(service.forecast_many(windows), reference)
+            assert service._breakers[0].state == "closed"
+            assert service.health().healthy
 
     def test_every_replica_open_raises_circuit_open(self, tiny_model, forecasting_data):
         service = ShardedForecastService(
@@ -594,7 +618,7 @@ class TestHealth:
         assert health.healthy
         assert len(health.shards) == 1
         assert health.shards[0].breaker is None  # breakers off by default
-        assert health.lane_depths == {"bulk": 0}
+        assert health.lane_depths == {"bulk": 0, "interactive": 0}
         assert (health.stale_served, health.expired_requests, health.retries) == (0, 0, 0)
         assert health.open_breakers == []
 
@@ -605,7 +629,7 @@ class TestHealth:
             resilience=_breaker_config(),
         )
         assert service.health().healthy
-        service._breaker.record_failure()
+        service._breakers[0].record_failure()
         health = service.health()
         assert not health.healthy
         assert health.open_breakers == [0]

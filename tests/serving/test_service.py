@@ -147,8 +147,8 @@ class TestForecastMany:
         np.testing.assert_array_equal(forecasts[0], forecasts[2])
         np.testing.assert_array_equal(forecasts[1], forecasts[3])
         # Six requests, but only the two unique windows hit the model.
-        assert service.batcher.stats.requests == 2
-        assert service.batcher.stats.largest_batch == 2
+        assert service.stats().batcher.requests == 2
+        assert service.stats().batcher.largest_batch == 2
 
     def test_second_burst_served_from_cache(self, service, forecasting_data):
         windows = np.stack([_raw_window(forecasting_data, i) for i in range(3)], axis=0)

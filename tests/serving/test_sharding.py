@@ -39,7 +39,7 @@ class TestPartitioning:
         with pytest.raises(ValueError, match="node sharding was removed"):
             ShardedForecastService(tiny_model, mode="nodes")
         with ShardedForecastService(tiny_model) as service:
-            assert service.mode == "replicas"
+            assert service.num_shards == 2
 
     def test_bad_linger_rejected_before_workers_spawn(self, tiny_model):
         """A constructor that raises must not leak executor threads."""
@@ -209,9 +209,10 @@ class TestLifecycleAndErrors:
         inline; consuming the executor's None stop sentinel there would
         leave the worker thread blocked in get() forever and deadlock
         close() in join()."""
-        from repro.serving.sharding import _ShardWorker
+        from repro.serving import MicroBatcher
+        from repro.serving.service import _ShardWorker
 
-        worker = _ShardWorker(0, lambda batch: batch, max_batch_size=8)
+        worker = _ShardWorker(0, MicroBatcher(lambda batch: batch, max_batch_size=8))
         # Reproduce the race deterministically: close() has published the
         # stop flag and queued the sentinel, but the executor has not
         # consumed it yet when a concurrent flush_async() drains inline.
@@ -229,7 +230,6 @@ class TestLifecycleAndErrors:
             tiny_model, forecasting_data, num_shards=3, linger_ms=50.0
         ) as sharded:
             stats = sharded.stats()
-            assert stats.mode == "replicas"
             assert stats.num_shards == 3
             assert len(stats.shards) == 3
             assert stats.flusher is not None and stats.flusher.linger_ms == 50.0

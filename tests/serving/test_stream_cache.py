@@ -146,7 +146,7 @@ class TestRuntimeEscapeHatch:
         assert service.runtime == "autograd"
         # The resilience wrapper fronts every forward; the engine underneath
         # must be the plain autograd module.
-        assert service._forward.wrapped is tiny_model
+        assert service._workers[0].forward.wrapped is tiny_model
 
     def test_invalid_mode_is_rejected(self, tiny_model, forecasting_data):
         with pytest.raises(ValueError):
