@@ -35,8 +35,10 @@ Run with::
 from __future__ import annotations
 
 import os
+import sys
 import threading
 import time
+from pathlib import Path
 from typing import Dict, List
 
 import numpy as np
@@ -46,6 +48,10 @@ from repro.serving import ForecastService
 from repro.tensor import seed as seed_everything
 
 from conftest import SEED, print_table, record_bench
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO_ROOT))
+from perfbench.measure import provenance  # noqa: E402  (commit, cores, BLAS, date)
 
 #: Published PEMS08 sensor count; the sweep runs at half of it.
 PEMS08_NODES = 170
@@ -160,6 +166,10 @@ def test_process_tier_sweep():
             "batch": CONCURRENCY,
             "cores": cores,
             "precision": "float64",
+            "provenance": provenance(
+                REPO_ROOT, "process_tier", SEED, "float64",
+                start_method=services[-1][2]._tier.start_method,
+            ),
             "rows": [
                 {
                     "executor": row["executor"],

@@ -721,6 +721,7 @@ def test_sharded_serving_sweep():
             "batch": concurrency,
             "cores": cores,
             "precision": "float64",
+            "provenance": provenance(REPO_ROOT, "sharded_serving", SEED, "float64"),
             "rows": [
                 {
                     "configuration": row["configuration"],

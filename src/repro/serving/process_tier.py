@@ -69,6 +69,7 @@ from ..runtime import (
     ArtifactStore,
     CompiledModel,
     bind_plan,
+    blas,
     bucket_batch_size,
     plan_workspace_nbytes,
     resolve_precision,
@@ -175,6 +176,11 @@ class ProcessTierStats:
     segment_nbytes: int
     escalations: int = 0
     hung_detections: int = 0
+    #: Cores this process may run on (``os.sched_getaffinity``).
+    cores: int = 1
+    #: Live OpenBLAS threads each worker read back after sizing its pool;
+    #: ``None`` for an unspawned worker or where no OpenBLAS was found.
+    blas_threads: Tuple[Optional[int], ...] = ()
 
 
 # ----------------------------------------------------------------------
@@ -190,9 +196,10 @@ class ProcessTierStats:
 # are already one more than strictly required.
 #
 # The heartbeat block holds the worker's liveness beacon: a magic word,
-# a monotonically-increasing beat counter, and a ``time.monotonic()``
+# a monotonically-increasing beat counter, a ``time.monotonic()``
 # timestamp (valid across processes on Linux — CLOCK_MONOTONIC is
-# system-wide).  The worker writes it from its *serve loop only* — never
+# system-wide) and the worker's live OpenBLAS thread count (-1: none
+# found).  The worker writes it from its *serve loop only* — never
 # a side thread — so a wedged main loop (hang, deadlock, runaway compute)
 # stops the beacon, which is exactly what the parent's watchdog watches.
 # Corollary: a legitimate long plan replay also pauses the beacon, so the
@@ -210,25 +217,27 @@ _DTYPE_CODES = {"float64": 0, "float32": 1}
 _DTYPE_BY_CODE = {code: np.dtype(name) for name, code in _DTYPE_CODES.items()}
 
 _HB_MAGIC = 0x48425254  # "HBRT"
-_HB_STRUCT = struct.Struct("<QQd")  # magic beat monotonic-timestamp
+_HB_STRUCT = struct.Struct("<QQdq")  # magic beat monotonic-timestamp blas-threads
 _HB_NBYTES = 64  # one aligned block at segment offset 0
 
 
-def _write_heartbeat(shm, beat: int) -> None:
-    shm.buf[0 : _HB_STRUCT.size] = _HB_STRUCT.pack(_HB_MAGIC, beat, time.monotonic())
+def _write_heartbeat(shm, beat: int, blas_threads: int) -> None:
+    shm.buf[0 : _HB_STRUCT.size] = _HB_STRUCT.pack(
+        _HB_MAGIC, beat, time.monotonic(), blas_threads
+    )
 
 
-def _read_heartbeat(shm) -> Optional[Tuple[int, float]]:
-    """``(beat, timestamp)`` of the worker's last beacon, or ``None``.
+def _read_heartbeat(shm) -> Optional[Tuple[int, float, int]]:
+    """``(beat, timestamp, blas_threads)`` of the worker's last beacon, or ``None``.
 
-    The 24-byte read is not atomic against the worker's write; a torn read
+    The 32-byte read is not atomic against the worker's write; a torn read
     fails the magic check (or yields a slightly stale timestamp), both of
     which the watchdog tolerates — it only acts on *seconds* of silence.
     """
-    magic, beat, stamp = _HB_STRUCT.unpack(bytes(shm.buf[0 : _HB_STRUCT.size]))
+    magic, beat, stamp, threads = _HB_STRUCT.unpack(bytes(shm.buf[0 : _HB_STRUCT.size]))
     if magic != _HB_MAGIC:
         return None
-    return beat, stamp
+    return beat, stamp, threads
 
 
 def _align(nbytes: int) -> int:
@@ -405,9 +414,15 @@ def _worker_serve_one(conn, shm, seg_addr, plans, stores, arena, layout, message
     conn.send(("res", seq, slot))
 
 
-def _worker_main(conn, shm_name, layout, store_roots, request_delay=0.0,
-                 fault_plan=None) -> None:
+def _worker_main(conn, shm_name, layout, store_roots, blas_threads,
+                 request_delay=0.0, fault_plan=None) -> None:
     """Entry point of one shard's worker process: bind, replay, publish.
+
+    The worker first caps its OpenBLAS pool at its share of the cores
+    (``blas_threads``), before any plan runs, whatever the start method:
+    a forked child inherits the parent's pool size, a spawned or
+    forkserver child starts at one thread per core (or at an explicit
+    ``OPENBLAS_NUM_THREADS``, which a smaller value keeps).
 
     The serve loop exits once the process that started it is gone (the
     worker is re-parented).  A forked child inherits the parent's end of
@@ -415,6 +430,8 @@ def _worker_main(conn, shm_name, layout, store_roots, request_delay=0.0,
     that end and ``conn.poll`` never reports EOF; without the parent check
     an orphaned worker would poll forever.
     """
+    blas.set_threads(min(blas.threads() or blas_threads, blas_threads))
+    live_threads = blas.threads() or -1  # -1: no OpenBLAS loaded
     parent_pid = os.getppid()
     import gc
     import signal
@@ -449,7 +466,7 @@ def _worker_main(conn, shm_name, layout, store_roots, request_delay=0.0,
             # Liveness beacon: written only from this serve loop, so a
             # wedged loop stops the beacon and trips the parent watchdog.
             beat += 1
-            _write_heartbeat(shm, beat)
+            _write_heartbeat(shm, beat, live_threads)
             if os.getppid() != parent_pid:
                 return  # orphaned: the owning process is gone
             try:
@@ -465,7 +482,7 @@ def _worker_main(conn, shm_name, layout, store_roots, request_delay=0.0,
             if message[0] != "req" or len(message) != 4:
                 continue
             beat += 1
-            _write_heartbeat(shm, beat)
+            _write_heartbeat(shm, beat, live_threads)
             _worker_serve_one(
                 conn, shm, seg_addr, plans, stores, arena, layout, message, request_delay
             )
@@ -559,7 +576,7 @@ class _ProcessWorker:
     """One shard's worker process, its segment, and its dispatcher thread."""
 
     def __init__(self, shard: int, ctx, start_method: str, layout: _SegmentLayout,
-                 store_roots: Sequence[str], request_delay: float,
+                 store_roots: Sequence[str], blas_threads: int, request_delay: float,
                  watchdog: Optional[WatchdogConfig] = None,
                  fault_plan: Optional[FaultPlan] = None) -> None:
         from multiprocessing import shared_memory
@@ -569,6 +586,7 @@ class _ProcessWorker:
         self._start_method = start_method
         self.layout = layout
         self._store_roots = list(store_roots)
+        self._blas_threads = blas_threads
         self._request_delay = request_delay
         self._watchdog = watchdog if watchdog is not None else WatchdogConfig()
         self._fault_plan = fault_plan
@@ -600,7 +618,7 @@ class _ProcessWorker:
         self.process = self._ctx.Process(
             target=_worker_main,
             args=(child_conn, self.shm.name, self.layout, self._store_roots,
-                  self._request_delay, self._fault_plan),
+                  self._blas_threads, self._request_delay, self._fault_plan),
             name=f"repro-plan-worker-{self.shard}",
             daemon=True,
         )
@@ -691,6 +709,13 @@ class _ProcessWorker:
         if beacon is None:
             return None
         return max(0.0, time.monotonic() - beacon[1])
+
+    def blas_threads(self) -> Optional[int]:
+        """The worker's live OpenBLAS thread count, as its beacon reports it."""
+        beacon = _read_heartbeat(self.shm)
+        if beacon is None or beacon[2] < 0:
+            return None
+        return beacon[2]
 
     def _roundtrip(self, job: _Job) -> np.ndarray:
         self._seq += 1
@@ -832,19 +857,28 @@ atexit.register(_close_all_executors)
 
 
 class _ProviderSet:
-    """One weights generation's parent-side compile/validate engines.
+    """One weights generation's parent-side compile/validate engine.
 
-    A hot checkpoint swap builds a fresh set (new :class:`CompiledModel`
-    providers over the new weights, empty artifact-key memo) and installs
-    it atomically; proxies pin the set they were built against, so a
-    batcher flushing late still replays its own generation's plans.
+    A single :class:`CompiledModel` provider serves all K replicas, so each
+    (shape, dtype) is compiled or loaded and spot-checked once per
+    generation, not once per shard; shards racing on a new shape wait for
+    the first one under that shape's lock.  A hot checkpoint swap builds a
+    fresh set (a new provider over the new weights, empty artifact-key
+    memo) and installs it atomically; proxies pin the set they were built
+    against, so a batcher flushing late still replays its own generation's
+    plans.
     """
 
-    __slots__ = ("providers", "keys")
+    __slots__ = ("provider", "keys", "_key_locks")
 
-    def __init__(self, providers: List[CompiledModel]) -> None:
-        self.providers = providers
-        self.keys: Dict[Tuple[int, Tuple[int, ...], str], str] = {}
+    def __init__(self, provider: CompiledModel) -> None:
+        self.provider = provider
+        self.keys: Dict[Tuple[Tuple[int, ...], str], str] = {}
+        self._key_locks: Dict[Tuple[Tuple[int, ...], str], threading.Lock] = {}
+
+    def key_lock(self, memo_key: Tuple[Tuple[int, ...], str]) -> threading.Lock:
+        # dict.setdefault is atomic: racing shards get the same lock.
+        return self._key_locks.setdefault(memo_key, threading.Lock())
 
 
 class _ProcessShardForward:
@@ -854,8 +888,8 @@ class _ProcessShardForward:
     replaces (arrays or Tensors in, ``(B, T', N)`` float64 arrays out;
     per-request ``precision=`` honoured) and delegating the plan-cache
     management surface (``cache_info`` / ``save_artifacts`` /
-    ``compile_for``) to the shard's parent-side provider — warm-up, AOT
-    export and the warm-start counter contracts are executor-agnostic.
+    ``compile_for``) to the generation's parent-side provider — warm-up,
+    AOT export and the warm-start counter contracts are executor-agnostic.
 
     The forward pins the provider set it was built against: after a hot
     swap, in-flight work queued on an old generation's batcher settles
@@ -878,19 +912,17 @@ class _ProcessShardForward:
 
     # Plan-cache surface, delegated to the parent-side provider.
     def cache_info(self):
-        return self._tier.provider(self._shard, pset=self._pset).cache_info()
+        return self._pset.provider.cache_info()
 
     def save_artifacts(self, path=None):
-        return self._tier.provider(self._shard, pset=self._pset).save_artifacts(path)
+        return self._pset.provider.save_artifacts(path)
 
     def compile_for(self, example, precision=None):
-        return self._tier.provider(self._shard, pset=self._pset).compile_for(
-            example, precision=precision
-        )
+        return self._pset.provider.compile_for(example, precision=precision)
 
     @property
     def precision(self) -> str:
-        return self._tier.provider(self._shard, pset=self._pset).precision
+        return self._pset.provider.precision
 
 
 class ProcessShardExecutor:
@@ -900,8 +932,9 @@ class ProcessShardExecutor:
     ----------
     model:
         The served module; compiled (and parity-spot-checked) only in the
-        parent, by one :class:`~repro.runtime.CompiledModel` *provider* per
-        shard.  Workers bind the resulting artifacts — they never trace.
+        parent, by one :class:`~repro.runtime.CompiledModel` *provider*
+        shared by every shard.  Workers bind the resulting artifacts — they
+        never trace.
     window_shape / output_length / num_nodes:
         Geometry of the served model (request and response slot sizing).
     precision / artifact_store:
@@ -922,6 +955,12 @@ class ProcessShardExecutor:
     dispatch to each shard, so constructing a service (or serving purely
     through its thread-side caches) starts no processes — and the segment
     arena can be sized from the first request's actual plan layout.
+
+    **CPU budget.**  Each worker caps its OpenBLAS pool at
+    ``max(1, cores // num_shards)`` before it runs a plan, and the parent
+    holds the same :func:`~repro.runtime.blas.limit` while the tier is
+    open, because its compiles and parity spot checks run beside the
+    workers.
     """
 
     def __init__(
@@ -948,6 +987,7 @@ class ProcessShardExecutor:
         self.start_method = resolve_start_method(start_method)
         self._ctx = mp.get_context(self.start_method)
         self.num_shards = num_shards
+        self.blas_budget = blas.budget(num_shards)
         self._window_shape = tuple(int(dim) for dim in window_shape)
         self._output_length = int(output_length)
         self._num_nodes = int(num_nodes)
@@ -970,18 +1010,14 @@ class ProcessShardExecutor:
         self._lane_batches = {lane: 0 for lane in LANES}
         self._lane_rows = {lane: 0 for lane in LANES}
         self._closed = False
+        self._blas_limit = blas.limit(self.blas_budget)
         _LIVE.add(self)
 
     # ------------------------------------------------------------------
     def _build_pset(self, model) -> _ProviderSet:
-        """One provider (compile/validate engine) per shard over ``model``."""
+        """One provider (compile/validate engine) for every shard over ``model``."""
         return _ProviderSet(
-            [
-                CompiledModel(
-                    model, precision=self._precision, artifact_dir=self._provider_store
-                )
-                for _ in range(self.num_shards)
-            ]
+            CompiledModel(model, precision=self._precision, artifact_dir=self._provider_store)
         )
 
     def current_generation(self) -> _ProviderSet:
@@ -1001,38 +1037,46 @@ class ProcessShardExecutor:
         """Make ``pset`` the generation that new proxies pin."""
         self._pset = pset
 
-    def provider(self, shard: int, pset: Optional[_ProviderSet] = None) -> CompiledModel:
-        """The parent-side compile/validate engine of one shard."""
-        return (pset if pset is not None else self._pset).providers[shard]
+    def provider(self, pset: Optional[_ProviderSet] = None) -> CompiledModel:
+        """The parent-side compile/validate engine every shard shares."""
+        return (pset if pset is not None else self._pset).provider
 
-    def _ensure_key(self, shard: int, shape: Tuple[int, ...], dtype: np.dtype,
+    def _ensure_key(self, shape: Tuple[int, ...], dtype: np.dtype,
                     pset: Optional[_ProviderSet] = None) -> str:
-        """Compile+spot-check in the parent; make the artifact disk-loadable."""
+        """Compile+spot-check in the parent; make the artifact disk-loadable.
+
+        Once per (shape, dtype) and generation: a shard that finds another
+        shard validating the same shape waits for it instead of loading and
+        checking the plan a second time.
+        """
         pset = pset if pset is not None else self._pset
-        memo_key = (shard, shape, dtype.name)
+        memo_key = (shape, dtype.name)
         key = pset.keys.get(memo_key)
         if key is not None:
             return key
-        provider = pset.providers[shard]
-        provider.ensure_validated(np.zeros(shape, dtype=dtype), precision=dtype.name)
-        key = provider.artifact_key(shape, precision=dtype.name)
-        on_disk = any(
-            (Path(root) / f"{key}.plan.npz").exists() for root in self._store_roots
-        )
-        if not on_disk:
-            # Read-only (or memo-only) deployment store: spill the plan to
-            # the private temp store so the worker can bind it from disk.
-            cached = provider.artifact_store.peek(key)
-            if cached is not None:
-                spec, constants = cached
-                self._spill.save(key, spec, constants)
-        pset.keys[memo_key] = key
+        with pset.key_lock(memo_key):
+            key = pset.keys.get(memo_key)
+            if key is not None:
+                return key
+            provider = pset.provider
+            provider.ensure_validated(np.zeros(shape, dtype=dtype), precision=dtype.name)
+            key = provider.artifact_key(shape, precision=dtype.name)
+            on_disk = any(
+                (Path(root) / f"{key}.plan.npz").exists() for root in self._store_roots
+            )
+            if not on_disk:
+                # Read-only (or memo-only) deployment store: spill the plan
+                # to the private temp store so the worker can bind it.
+                cached = provider.artifact_store.peek(key)
+                if cached is not None:
+                    spec, constants = cached
+                    self._spill.save(key, spec, constants)
+            pset.keys[memo_key] = key
         return key
 
-    def _layout_for(self, shard: int, key: str,
-                    pset: Optional[_ProviderSet] = None) -> _SegmentLayout:
+    def _layout_for(self, key: str, pset: Optional[_ProviderSet] = None) -> _SegmentLayout:
         """Size one shard's segment from its first plan's buffer layout."""
-        provider = self.provider(shard, pset=pset)
+        provider = self.provider(pset)
         spec = None
         for store in (provider.artifact_store, self._spill):
             # peek, not load: sizing the segment must not distort the
@@ -1068,8 +1112,9 @@ class ProcessShardExecutor:
                     shard,
                     self._ctx,
                     self.start_method,
-                    self._layout_for(shard, key, pset=pset),
+                    self._layout_for(key, pset=pset),
                     self._store_roots,
+                    self.blas_budget,
                     self._request_delay,
                     watchdog=self._watchdog,
                     fault_plan=self._fault_plan,
@@ -1078,17 +1123,17 @@ class ProcessShardExecutor:
         return worker
 
     # ------------------------------------------------------------------
-    def _make_jobs(self, shard: int, array: np.ndarray, lane: str,
+    def _make_jobs(self, array: np.ndarray, lane: str,
                    dtype: np.dtype, pset: Optional[_ProviderSet] = None,
                    deadline: Optional[Deadline] = None) -> List[_Job]:
-        provider = self.provider(shard, pset=pset)
+        provider = self.provider(pset)
         jobs: List[_Job] = []
         for start in range(0, array.shape[0], self._chunk_rows):
             chunk = array[start : start + self._chunk_rows]
             trim = chunk.shape[0]
             padded, _ = pad_batch_to_bucket(chunk, provider.bucket_cap)
             padded = np.ascontiguousarray(padded)
-            key = self._ensure_key(shard, padded.shape, dtype, pset=pset)
+            key = self._ensure_key(padded.shape, dtype, pset=pset)
             job = _Job(padded, lane, key, trim, deadline=deadline)
             jobs.append(job)
         return jobs
@@ -1137,7 +1182,7 @@ class ProcessShardExecutor:
         """
         if lane not in _LANE_IDS:
             raise ValueError(f"unknown lane {lane!r}; expected one of {LANES}")
-        provider = self.provider(shard, pset=pset)
+        provider = self.provider(pset)
         array = np.asarray(array)
         if self._closed:
             # Post-close lazy serving: late handle.result() flushes must
@@ -1151,7 +1196,7 @@ class ProcessShardExecutor:
         dtype = np.dtype(resolve_precision(precision if precision is not None else provider.precision))
         if array.dtype != dtype:
             array = array.astype(dtype)
-        jobs = self._make_jobs(shard, array, lane, dtype, pset=pset, deadline=deadline)
+        jobs = self._make_jobs(array, lane, dtype, pset=pset, deadline=deadline)
         self._dispatch(shard, jobs, pset=pset)
         return np.concatenate(self._settle(jobs), axis=0)
 
@@ -1252,7 +1297,15 @@ class ProcessShardExecutor:
                     for worker in self._workers
                     if worker is not None
                 ),
+                cores=blas.cores(),
+                blas_threads=self.worker_blas_threads(),
             )
+
+    def worker_blas_threads(self) -> Tuple[Optional[int], ...]:
+        """Each shard worker's live OpenBLAS thread count (``None``: unspawned)."""
+        return tuple(
+            worker.blas_threads() if worker is not None else None for worker in self._workers
+        )
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -1270,6 +1323,7 @@ class ProcessShardExecutor:
         for worker in self._workers:
             if worker is not None:
                 worker.close()
+        self._blas_limit.release()
         shutil.rmtree(self._spill_root, ignore_errors=True)
 
     def __enter__(self) -> "ProcessShardExecutor":

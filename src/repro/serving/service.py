@@ -40,6 +40,11 @@ Deadlines, bounded retries, per-replica circuit breakers, per-lane
 admission control (:class:`ServiceOverloaded`), zero-downtime hot swaps,
 ``health()`` and ``stats()`` are written once, here, for every executor.
 
+The executors own the CPU budget: K > 1 threads or processes run OpenBLAS
+at ``max(1, cores // K)`` threads per worker (:mod:`repro.runtime.blas`),
+so the replicas share the cores instead of oversubscribing them; the
+inline executor leaves BLAS as it found it.
+
 Forwards run through the **graph-free compiled runtime**
 (:mod:`repro.runtime`) by default: the model's forward pass is compiled
 once per batch shape into a flat kernel plan replayed on raw arrays with
@@ -67,6 +72,7 @@ import hashlib
 import queue
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -77,6 +83,7 @@ from ..nn import Module
 from ..runtime import (
     ArtifactStore,
     CompiledModel,
+    blas,
     resolve_precision,
     resolve_runtime_mode,
 )
@@ -386,6 +393,13 @@ class ServiceStats:
     quality: Optional[QualityStats] = None
     #: Completed hot checkpoint swaps over the service's lifetime.
     swaps: int = 0
+    #: Cores this process may run on (``os.sched_getaffinity``).
+    cores: int = 1
+    #: Replica workers computing forecasts (``num_shards``).
+    workers: int = 1
+    #: Live OpenBLAS threads of each worker (``None``: no OpenBLAS found,
+    #: or a process worker not spawned yet).
+    blas_threads: Tuple[Optional[int], ...] = ()
 
     @property
     def batcher(self) -> BatcherStats:
@@ -659,6 +673,12 @@ class ForecastService:
             )
             for lane, limit in limits.items()
         }
+        # K thread workers share this process's BLAS pool: hold it at their
+        # share of the cores for the life of the service.
+        self._blas_limit = None
+        if self.executor == "threads" and num_shards > 1:
+            self._blas_limit = blas.limit(blas.budget(num_shards))
+            weakref.finalize(self, self._blas_limit.release)
         if self.executor == "processes":
             # Workers, segments and dispatchers spawn lazily on the first
             # dispatched batch; constructing the service starts nothing.
@@ -993,7 +1013,9 @@ class ForecastService:
             for forward in forwards:
                 for size in sizes:
                     forward.compile_for(self._example_batch(size))
-                info = forward.cache_info()
+            # Process replicas share one provider: count its plans once.
+            for engine in [pset.provider] if pset is not None else forwards:
+                info = engine.cache_info()
                 reused += info.artifact_loads
                 compiled += info.compiles
         # Every path funnels through a worker batcher's forward_fn (the
@@ -1672,6 +1694,8 @@ class ForecastService:
                     pass  # the affected handles carry the error
         for worker in self._workers:
             worker.close()
+        if self._blas_limit is not None:
+            self._blas_limit.release()
         # The tier closes last: the drains above may still dispatch to it.
         if self._tier is not None:
             self._tier.close()
@@ -1746,6 +1770,10 @@ class ForecastService:
             if self.cache is not None
             else CacheStats(hits=0, misses=0, evictions=0, size=0, max_entries=0)
         )
+        if self._tier is not None:
+            blas_threads = self._tier.worker_blas_threads()
+        else:
+            blas_threads = (blas.threads(),) * self.num_shards
         return ServiceStats(
             model_version=self.model_version,
             requests=self._requests,
@@ -1760,6 +1788,9 @@ class ForecastService:
             process_tier=self._tier.stats() if self._tier is not None else None,
             quality=self.buffer.quality_stats(),
             swaps=self._swaps,
+            cores=blas.cores(),
+            workers=self.num_shards,
+            blas_threads=blas_threads,
         )
 
 

@@ -30,6 +30,10 @@ def store(tmp_path):
 
 
 def _worker_infos(service: ShardedForecastService):
+    """Counters of each distinct plan engine: one per thread replica, and
+    one parent-side provider shared by every process replica."""
+    if service._tier is not None:
+        return [service._tier.provider().cache_info()]
     return [worker.forward.cache_info() for worker in service._workers]
 
 
@@ -146,9 +150,10 @@ class TestShardedWarmStart:
             for _ in range(3):
                 fleet.forecast(window)
             infos = _worker_infos(fleet)
+        # One engine traces; every other engine binds from the shared memo.
         assert sum(info.compiles for info in infos) == 1
-        assert sum(info.artifact_loads for info in infos) == 2
-        assert store.stats().memo_hits == 2
+        assert sum(info.artifact_loads for info in infos) == len(infos) - 1
+        assert store.stats().memo_hits == len(infos) - 1
 
     def test_fleet_restarts_with_zero_retraces(
         self, tiny_model, forecasting_data, window, store

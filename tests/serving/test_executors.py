@@ -5,11 +5,15 @@ and after a hot swap, behind one stats/health surface."""
 from __future__ import annotations
 
 import dataclasses
+import gc
+import multiprocessing
+import sys
 
 import numpy as np
 import pytest
 
 from repro.core import DyHSL
+from repro.runtime import ArtifactStore, blas
 from repro.serving import (
     EXECUTOR_ENV_VAR,
     ForecastService,
@@ -146,3 +150,96 @@ class TestReducedPrecision:
             np.testing.assert_allclose(produced, expected, rtol=1e-4, atol=1e-4)
             # The float64 SLA override is exact on every executor.
             assert np.array_equal(service.forecast_many(windows, precision="float64"), expected)
+
+
+needs_openblas = pytest.mark.skipif(
+    blas.threads() is None, reason="no OpenBLAS mapped into this process"
+)
+
+
+@needs_openblas
+class TestCpuBudget:
+    """K workers share the cores: max(1, cores // K) BLAS threads each."""
+
+    @pytest.fixture(autouse=True)
+    def _no_held_limits(self):
+        gc.collect()  # services an earlier test never closed release their limits
+        before = blas.threads()
+        yield
+        blas.set_threads(before)
+
+    @pytest.mark.parametrize(
+        "start_method",
+        [m for m in ("fork", "spawn", "forkserver") if m in multiprocessing.get_all_start_methods()],
+    )
+    def test_process_workers_run_at_their_share(
+        self, tiny_model, forecasting_data, start_method
+    ):
+        windows = np.stack([forecasting_data.dataset.signal[i : i + 12] for i in range(4)])
+        expected = _autograd(tiny_model, forecasting_data.scaler, windows)
+        before = blas.threads()
+        # A cap, never a raise: below the budget an explicit pin is kept.
+        budget = min(before, max(1, blas.cores() // 2))
+        with _service(
+            tiny_model, forecasting_data, "processes", 2,
+            cache_entries=0, start_method=start_method,
+        ) as service:
+            # The parent's spot checks run beside the workers: it holds the
+            # same budget while the tier is open.
+            assert blas.threads() == budget
+            produced = service.forecast_many(windows)
+            stats = service.stats()
+        assert np.abs(produced - expected).max() == 0.0
+        assert stats.blas_threads == (budget, budget)
+        assert stats.process_tier.blas_threads == (budget, budget)
+        assert (stats.cores, stats.workers) == (blas.cores(), 2)
+        assert stats.process_tier.cores == blas.cores()
+        assert blas.threads() == before
+
+    def test_thread_workers_share_one_pool_at_their_share(
+        self, tiny_model, forecasting_data
+    ):
+        budget = max(1, blas.cores() // 2)
+        blas.set_threads(blas.cores())
+        with _service(tiny_model, forecasting_data, "threads", 2) as service:
+            assert service.stats().blas_threads == (budget, budget)
+        assert blas.threads() == blas.cores()
+
+    def test_inline_leaves_blas_alone(self, tiny_model, forecasting_data):
+        blas.set_threads(blas.cores())
+        with _service(tiny_model, forecasting_data, "inline", 1) as service:
+            service.forecast(forecasting_data.dataset.signal[:12])
+            stats = service.stats()
+        assert stats.blas_threads == (blas.cores(),)
+        assert blas.threads() == blas.cores()
+
+
+class TestSharedValidator:
+    @pytest.mark.parametrize("num_shards", [2, 4])
+    def test_replicas_load_and_check_a_new_shape_once(
+        self, tiny_model, forecasting_data, tmp_path, num_shards
+    ):
+        windows = np.stack(
+            [forecasting_data.dataset.signal[i : i + 12] for i in range(num_shards)]
+        )
+        store = ArtifactStore(tmp_path / "plans")
+        with _service(
+            tiny_model, forecasting_data, "inline", 1, cache_entries=0, artifact_dir=store
+        ) as cold:
+            cold.forecast(windows[0])  # compiles and publishes the 1-row plan
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with _service(
+                tiny_model, forecasting_data, "processes", num_shards,
+                cache_entries=0, artifact_dir=ArtifactStore(store.root),
+            ) as warm:
+                # One window routes to each replica: every shard needs the
+                # 1-row plan at once.
+                produced = warm.forecast_many(windows)
+                info = warm._tier.provider().cache_info()
+        finally:
+            sys.setswitchinterval(interval)
+        assert (info.artifact_loads, info.artifact_rejects, info.compiles) == (1, 0, 0)
+        expected = _autograd(tiny_model, forecasting_data.scaler, windows)
+        assert np.abs(produced - expected).max() == 0.0

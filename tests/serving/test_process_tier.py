@@ -271,10 +271,8 @@ class TestProcessParity:
             artifact_dir=ArtifactStore(store.root),
         ) as service:
             assert np.abs(service.forecast_many(windows) - reference).max() == 0.0
-            compiles = [
-                service._tier.provider(shard).cache_info().compiles for shard in range(2)
-            ]
-        assert compiles == [0, 0]
+            compiles = service._tier.provider().cache_info().compiles
+        assert compiles == 0
 
 
 class TestPriorityLanes:
