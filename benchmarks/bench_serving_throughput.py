@@ -71,6 +71,7 @@ import numpy as np
 from repro.core import DyHSL, DyHSLConfig
 from repro.nn import MaskedMAELoss
 from repro.runtime import CompiledModel, compile_module, compile_training_model
+from repro.runtime.engine import bucket_batch_size, pad_batch_to_bucket
 from repro.serving import ForecastService, MicroBatcher
 from repro.tensor import Tensor, no_grad
 from repro.tensor import seed as seed_everything
@@ -79,6 +80,7 @@ from conftest import NODE_SCALE, SEED, print_table, record_bench
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT))
+from perfbench import deploy  # noqa: E402  (the perfbench deployment's model)
 from perfbench.measure import provenance  # noqa: E402  (commit, cores, BLAS, date)
 
 #: Concurrency levels (pending requests coalesced into one flush).
@@ -92,6 +94,9 @@ HIDDEN = 16
 
 #: Published PEMS08 sensor count, the reference for the node-scale sweep.
 PEMS08_NODES = 170
+
+#: perfbench backfill-170's request mix (``perfbench/workloads.py``).
+BACKFILL_SIZES = (1, 2, 3, 5, 7, 9, 12, 14, 16, 19, 23, 27, 32)
 
 #: Node-scale sweep: fractions of the published PEMS08 network, up to the
 #: full 170 sensors (1x) and further if REPRO_BENCH_NODE_SCALE asks for it.
@@ -499,9 +504,9 @@ def test_bucketed_vs_exact_plan_compilation():
     Replays the same stream of ragged batch sizes through an exact-shape
     CompiledModel and a bucketed one (both with the serving default LRU of
     16 plans).  Exact mode compiles one plan per distinct size — more
-    compiles than cache slots; bucketing needs O(log max_batch) plans, so
-    after the first occurrence of each bucket every request replays a warm
-    plan.
+    compiles than cache slots; bucketing splits each batch into
+    power-of-two pieces and needs O(log max_batch) plans, so after the
+    first occurrence of each piece size every request replays warm plans.
     """
     model = _build_model()
     rng = np.random.default_rng(SEED + 3)
@@ -547,8 +552,95 @@ def test_bucketed_vs_exact_plan_compilation():
     )
     # Bucketing must change the numbers by nothing and the plan count a lot.
     assert np.array_equal(results["exact"], results["bucketed"])
-    assert plan_counts["bucketed"] <= 7  # buckets {1,2,4,8,16,32,64}
+    assert plan_counts["bucketed"] <= 6  # pieces {1,2,4,8,16,32}
     assert plan_counts["bucketed"] < len(set(sizes))
+
+
+def test_ragged_cycle():
+    """One backfill cycle: ragged batches padded to their bucket vs. split
+    into power-of-two pieces.
+
+    Every size of perfbench's backfill mix runs once through one
+    CompiledModel of the perfbench deployment's model that holds the plans
+    1..32.  *Padded* replays the earlier serving path (pad to the bucket,
+    run the bucket plan, slice back); *decomposed* is today's call.  Both use
+    the same plans in the same process, timed as an interleaved best-of,
+    and must agree exactly (max |diff| == 0) in the same run.
+    """
+    repeats = 5
+    rng = np.random.default_rng(SEED + 7)
+    rows: List[dict] = []
+    for sensors in (deploy.PEMS08_SENSORS // 2, deploy.PEMS08_SENSORS):
+        seed_everything(deploy.RELEASE_SEEDS[0])
+        config = DyHSLConfig(
+            num_nodes=sensors, input_length=deploy.INPUT_LENGTH, **deploy.MODEL_CONFIG
+        )
+        model = DyHSL(config, deploy.road_network(sensors).adjacency).eval()
+        compiled = CompiledModel(model)
+        for size in (1, 2, 4, 8, 16, 32):
+            compiled.compile_for(np.zeros((size, deploy.INPUT_LENGTH, sensors, 1)))
+        batches = [
+            rng.normal(size=(int(size), deploy.INPUT_LENGTH, sensors, 1))
+            for size in BACKFILL_SIZES
+        ]
+
+        def padded_cycle():
+            return [
+                compiled(pad_batch_to_bucket(batch, compiled.bucket_cap)[0])[: len(batch)]
+                for batch in batches
+            ]
+
+        def decomposed_cycle():
+            return [compiled(batch) for batch in batches]
+
+        max_diff = max(
+            float(np.abs(padded - decomposed).max())
+            for padded, decomposed in zip(padded_cycle(), decomposed_cycle())
+        )
+        padded_s, decomposed_s = _best_of_interleaved([padded_cycle, decomposed_cycle], repeats)
+        assert compiled.cache_info().compiles == 6, "no plan shape beyond the warm ladder"
+        windows = sum(BACKFILL_SIZES)
+        rows.append(
+            {
+                "sensors": sensors,
+                "windows": windows,
+                "padded rows": sum(bucket_batch_size(size, compiled.bucket_cap)
+                                   for size in BACKFILL_SIZES),
+                "padded ms": round(padded_s * 1e3, 1),
+                "decomposed ms": round(decomposed_s * 1e3, 1),
+                "speedup": round(padded_s / decomposed_s, 2),
+                "max |diff|": max_diff,
+            }
+        )
+        assert max_diff == 0.0, f"decomposed rows diverge at {sensors} sensors: {max_diff}"
+
+    print_table(
+        f"Ragged backfill cycle — padded buckets vs. power-of-two pieces (best of {repeats})",
+        rows,
+        ["sensors", "windows", "padded rows", "padded ms", "decomposed ms", "speedup",
+         "max |diff|"],
+    )
+    record_bench(
+        "ragged_cycle",
+        {
+            "sizes": list(BACKFILL_SIZES),
+            "precision": "float64",
+            "repeats": repeats,
+            "provenance": provenance(REPO_ROOT, "ragged_cycle", SEED, "float64"),
+            "rows": [
+                {
+                    "sensors": row["sensors"],
+                    "windows": row["windows"],
+                    "padded_rows": row["padded rows"],
+                    "padded_ms": row["padded ms"],
+                    "decomposed_ms": row["decomposed ms"],
+                    "speedup": row["speedup"],
+                    "max_abs_diff": row["max |diff|"],
+                }
+                for row in rows
+            ],
+        },
+    )
 
 
 def test_compiled_training_forward():

@@ -49,6 +49,7 @@ from .engine import (
     PlanSpec,
     PlanStats,
     StepSpec,
+    batch_pieces,
     bind_plan,
     bucket_batch_size,
     plan_workspace_nbytes,
@@ -87,6 +88,7 @@ __all__ = [
     "VerifyError",
     "VerifyReport",
     "WORKSPACE_ALIGN",
+    "batch_pieces",
     "bind_plan",
     "bucket_batch_size",
     "build_plan_spec",

@@ -71,7 +71,7 @@ __all__ = [
 #: unchanged trace (an old artifact would otherwise keep replaying the old
 #: plan); loaders reject artifacts from other versions (the cost is one
 #: recompile, never a wrong plan).
-ARTIFACT_FORMAT_VERSION = 3
+ARTIFACT_FORMAT_VERSION = 4
 
 _SPEC_KEY = "__plan_spec__"
 _META_KEY = "__artifact_meta__"

@@ -43,6 +43,7 @@ __all__ = [
     "plan_workspace_nbytes",
     "resolve_bucket_cap",
     "resolve_precision",
+    "batch_pieces",
     "bucket_batch_size",
     "pad_batch_to_bucket",
 ]
@@ -51,7 +52,8 @@ __all__ = [
 #: :func:`resolve_bucket_cap`).
 BUCKETS_ENV_VAR = "REPRO_RUNTIME_BUCKETS"
 
-#: Largest padded batch by default; batches beyond it compile exact plans.
+#: Largest batch split into power-of-two plan pieces by default; batches
+#: beyond it compile exact plans.
 DEFAULT_BUCKET_CAP = 1024
 
 #: Environment variable selecting the default execution precision (see
@@ -110,13 +112,28 @@ def resolve_bucket_cap(policy: Union[None, bool, int] = None) -> Optional[int]:
     return int(policy)
 
 
-def bucket_batch_size(batch: int, cap: Optional[int]) -> int:
-    """The padded batch size served for ``batch`` under bucket cap ``cap``.
+def batch_pieces(batch: int, cap: Optional[int]) -> List[int]:
+    """Row counts of the plans that serve a ``batch``-row request under ``cap``.
 
-    Batches are rounded up to the next power of two (clamped to the cap),
-    so a ragged stream of sizes compiles O(log cap) plans instead of one
-    per observed size.  Batches above the cap — and any batch when
-    bucketing is disabled — keep their exact size.
+    A batch of at most ``cap`` rows runs as its binary decomposition into
+    power-of-two pieces, largest first (19 rows run as 16 + 2 + 1), so a
+    ragged stream of sizes replays O(log cap) plans and computes no padding
+    row.  A batch above the cap — and any batch when bucketing is disabled —
+    runs as one exact-shape piece.  Splitting is exact because no forward
+    here lets a row depend on its batch (``docs/runtime.md`` §Batch bucketing).
+    """
+    if cap is None or batch > cap:
+        return [batch]
+    return [1 << bit for bit in reversed(range(batch.bit_length())) if batch >> bit & 1]
+
+
+def bucket_batch_size(batch: int, cap: Optional[int]) -> int:
+    """The next power-of-two bucket of ``batch`` under cap ``cap``.
+
+    Serving does not pad (see :func:`batch_pieces`); the compiled training
+    forward with bucketing on does, and reference replays may, since a
+    row's output does not depend on its batch.  Batches above the cap —
+    and any batch when bucketing is disabled — keep their exact size.
     """
     if cap is None or batch <= 1 or batch > cap:
         return batch
@@ -127,17 +144,10 @@ def pad_batch_to_bucket(array: np.ndarray, cap: Optional[int]):
     """Pad axis 0 of ``array`` up to its bucket; returns ``(array, trim)``.
 
     ``trim`` is the original batch size when padding happened, ``None``
-    when the array is served as-is.  Padding rows replicate the first row:
-    replicated rows run the exact arithmetic of a real row, so they can
-    never produce the NaN/Inf a zero row might (e.g. through a division),
-    and the caller discards them via ``trim`` anyway.  Models must treat
-    batch rows independently — true of every forward in this library
-    (evaluation mode uses running statistics, and no model reduces over
-    axis 0).
-
-    Edge shapes are served without padding: an empty batch has no row to
-    replicate (:class:`CompiledModel` short-circuits it before reaching
-    here), and a batch above the cap keeps its exact size.
+    when the array is returned as-is (an empty batch, a batch already at
+    its bucket, or one above the cap).  Padding rows replicate the first
+    row, so they can never produce the NaN/Inf a zero row might (e.g.
+    through a division).
     """
     if array.ndim == 0 or array.shape[0] == 0:
         return array, None
@@ -453,13 +463,10 @@ class Plan:
             values[out_slot] = kernel(*[values[i] for i in in_slots], out=buffer, **kwargs)
         return values[self._output_slot]
 
-    def call(self, array: np.ndarray, trim: Optional[int] = None) -> np.ndarray:
+    def call(self, array: np.ndarray) -> np.ndarray:
         """Thread-safe execution returning a fresh float64 output copy.
 
-        ``trim`` keeps only the first ``trim`` rows of the result — the
-        slice-back half of batch bucketing, taken before the copy so a
-        padded batch never materialises its padding rows twice.  A
-        reduced-precision plan casts its output back to float64 here (the
+        A reduced-precision plan casts its output back to float64 here (the
         exit half of the precision policy; the cast replaces the copy, so
         it is free).
 
@@ -470,8 +477,6 @@ class Plan:
         with self._exec_lock:
             try:
                 result = self.execute(array)
-                if trim is not None:
-                    result = result[:trim]
                 # astype always copies here, so both branches detach the
                 # result from the reused workspace.
                 result = (
@@ -502,14 +507,16 @@ class CompiledModel:
     micro-batcher produces coalesced batches of many different sizes under
     bursty traffic, and each plan owns workspace proportional to its batch,
     so an unbounded cache would grow memory for the life of the service.
-    **Batch bucketing** bounds what that cache has to hold: ragged batches
-    are padded along axis 0 up to the next power-of-two bucket (by
-    replicating the first row — always finite, and sliced back off the
-    output), so the LRU sees O(log max_batch) distinct shapes instead of
-    one per observed size.  Disable or cap it with ``bucket_batches`` or
-    the ``REPRO_RUNTIME_BUCKETS`` environment variable (see
-    :func:`resolve_bucket_cap`); batches above the cap serve exact-shape
-    plans.
+    **Batch bucketing** bounds what that cache has to hold: a ragged batch
+    runs as power-of-two pieces along axis 0, largest first (19 rows as
+    16 + 2 + 1, see :func:`batch_pieces`), whose outputs are concatenated.
+    The LRU sees O(log max_batch) distinct shapes instead of one per
+    observed size, and no padding row is ever computed.  The split is
+    bit-exact because a row's output never depends on the other rows of
+    its batch.  Disable or cap it with ``bucket_batches`` or the
+    ``REPRO_RUNTIME_BUCKETS`` environment variable (see
+    :func:`resolve_bucket_cap`); the cap bounds the largest piece, and
+    batches above it serve exact-shape plans.
 
     ``precision`` selects the plans' execution dtype: ``"float64"`` (the
     default, bit-identical to autograd) or ``"float32"`` (~2x memory
@@ -589,7 +596,7 @@ class CompiledModel:
 
     @property
     def bucket_cap(self) -> Optional[int]:
-        """Largest padded batch bucket (``None`` when bucketing is disabled)."""
+        """Largest batch split into plan pieces (``None`` when bucketing is disabled)."""
         return self._bucket_cap
 
     def _plan_key(self, shape: Tuple[int, ...], dtype: np.dtype) -> Tuple:
@@ -604,6 +611,12 @@ class CompiledModel:
     def _resolve_call_dtype(self, precision) -> np.dtype:
         return self._dtype if precision is None else resolve_precision(precision)
 
+    def _as_call_array(self, x, precision) -> np.ndarray:
+        """``x`` as an array of the call's plan dtype (cast on entry)."""
+        dtype = self._resolve_call_dtype(precision)
+        array = x.data if isinstance(x, Tensor) else np.asarray(x)
+        return array if array.dtype == dtype else array.astype(dtype)
+
     def __call__(self, x, precision: Union[None, str, np.dtype] = None) -> np.ndarray:
         """Forward ``x`` (Tensor or array-like); returns a fresh float64 ndarray.
 
@@ -614,9 +627,11 @@ class CompiledModel:
         a float32 policy is served zero-copy, never bounced through
         float64) and the output is cast back to float64 on exit.
 
-        Ragged batch sizes are padded up to their bucket and the output
-        sliced back, so callers (micro-batcher, serving paths) can pass any
-        batch through unchanged.  The model-wide lock only guards
+        A ragged batch runs as power-of-two plan pieces whose outputs are
+        concatenated (see :func:`batch_pieces`), so callers (micro-batcher,
+        serving paths) can pass any batch through unchanged.  The pieces
+        run through an inner method, so wrappers of this call see one
+        forward per request batch.  The model-wide lock only guards
         plan-cache lookups and inserts — never a compile and never an
         execution — so requests for already compiled shapes proceed while a
         new shape compiles, and requests with different batch shapes run
@@ -624,35 +639,38 @@ class CompiledModel:
         serialise on the plan's own lock).
 
         Edge shapes are hardened rather than special plans: an empty batch
-        (``B == 0``) replays the single-row bucket plan on a probe row and
-        trims everything back off — tracing a degenerate ``(0, ...)`` shape
-        or letting it churn the plan LRU would buy nothing — and a batch
-        above the bucket cap runs an exact-shape plan (see
-        :func:`pad_batch_to_bucket`).
+        (``B == 0``) replays the single-row plan on a probe row and trims
+        everything back off — tracing a degenerate ``(0, ...)`` shape or
+        letting it churn the plan LRU would buy nothing — and a batch above
+        the bucket cap runs an exact-shape plan.
         """
-        dtype = self._resolve_call_dtype(precision)
-        array = x.data if isinstance(x, Tensor) else np.asarray(x)
-        if array.dtype != dtype:
-            array = array.astype(dtype)
-        if array.ndim > 0 and array.shape[0] == 0:
+        array = self._as_call_array(x, precision)
+        if array.shape[0] == 0:
             tail = array.shape[1:]
             known = self._empty_output_shapes.get(tail)
-            if known is not None:
-                return np.empty((0,) + known, dtype=np.float64)
-            probe = np.zeros((1,) + tail, dtype=dtype)
-            result = self._get_or_compile(probe).call(probe, trim=0)
-            self._empty_output_shapes[tail] = result.shape[1:]
-            return result
-        array, trim = self._pad_to_bucket(array)
-        plan = self._get_or_compile(array)
-        result = plan.call(array, trim=trim)
-        if plan.pending_parity:
-            result = self._confirm_parity(plan, array, result, trim)
-        return result
+            if known is None:
+                probe = np.zeros((1,) + tail, dtype=array.dtype)
+                known = self._get_or_compile(probe).call(probe).shape[1:]
+                self._empty_output_shapes[tail] = known
+            return np.empty((0,) + known, dtype=np.float64)
+        outputs = [self._run(piece) for piece in self._pieces(array)]
+        return outputs[0] if len(outputs) == 1 else np.concatenate(outputs)
 
-    def _pad_to_bucket(self, array: np.ndarray) -> Tuple[np.ndarray, Optional[int]]:
-        """Pad axis 0 up to this model's bucket; see :func:`pad_batch_to_bucket`."""
-        return pad_batch_to_bucket(array, self._bucket_cap)
+    def _pieces(self, array: np.ndarray) -> List[np.ndarray]:
+        """Views of ``array`` along axis 0, one per plan piece (see :func:`batch_pieces`)."""
+        views, start = [], 0
+        for rows in batch_pieces(array.shape[0], self._bucket_cap):
+            views.append(array[start : start + rows])
+            start += rows
+        return views
+
+    def _run(self, array: np.ndarray) -> np.ndarray:
+        """Serve one plan piece, spot-checking an artifact-loaded plan first."""
+        plan = self._get_or_compile(array)
+        result = plan.call(array)
+        if plan.pending_parity:
+            result = self._confirm_parity(plan, array, result)
+        return result
 
     def _get_or_compile(self, array: np.ndarray) -> Plan:
         """Fetch the plan for ``array.shape``, compiling outside the cache lock.
@@ -753,7 +771,7 @@ class CompiledModel:
             "weights": self._weights_fp or "",
         }
 
-    def _confirm_parity(self, plan: Plan, array: np.ndarray, result: np.ndarray, trim) -> np.ndarray:
+    def _confirm_parity(self, plan: Plan, array: np.ndarray, result: np.ndarray) -> np.ndarray:
         """Validate the first result served by an artifact-loaded plan.
 
         Row 0 of ``result`` is compared against the autograd forward of
@@ -772,8 +790,6 @@ class CompiledModel:
         stale weights smuggled past the hash) is orders of magnitude
         outside either band.
         """
-        if result.shape[0] == 0:
-            return result  # empty-batch probe: nothing to check, stay pending
         row = np.ascontiguousarray(array[:1], dtype=np.float64)
         expected = self._module(Tensor(row)).data[0]
         got = result[0]
@@ -805,7 +821,7 @@ class CompiledModel:
                 self._plans[key] = fresh
                 while len(self._plans) > self._max_plans:
                     self._plans.popitem(last=False)
-        return fresh.call(array, trim=trim)
+        return fresh.call(array)
 
     def _load_artifact(self, array: np.ndarray) -> Optional[Plan]:
         """Rebuild the plan for ``array`` from the store, or ``None``.
@@ -901,21 +917,18 @@ class CompiledModel:
             )
 
     def compile_for(self, example, precision: Union[None, str, np.dtype] = None) -> PlanStats:
-        """Eagerly compile the plan that would serve ``example``'s shape.
+        """Eagerly compile the plans that would serve ``example``'s shape.
 
-        The example is bucketed and precision-cast exactly like a live
-        request, so the returned stats describe the plan requests of this
-        size (and policy) will hit.
+        The example is split into plan pieces and precision-cast exactly
+        like a live request, so requests of this size (and policy) find
+        every plan they run on.  Returns the stats of the largest piece's
+        plan.
         """
-        dtype = self._resolve_call_dtype(precision)
-        array = example.data if isinstance(example, Tensor) else np.asarray(example)
-        if array.dtype != dtype:
-            array = array.astype(dtype)
-        array, _ = self._pad_to_bucket(array)
-        return self._get_or_compile(array).stats
+        pieces = self._pieces(self._as_call_array(example, precision))
+        return [self._get_or_compile(piece).stats for piece in pieces][0]
 
     def artifact_key(self, shape: Tuple[int, ...], precision: Union[None, str, np.dtype] = None) -> str:
-        """The artifact trace hash serving an (already bucketed) input shape.
+        """The artifact trace hash of the plan serving one piece's input shape.
 
         This is the name under which :meth:`save_artifacts` / the
         write-through publish stores the plan — the lookup handle a
@@ -927,7 +940,7 @@ class CompiledModel:
         return self._trace_key(tuple(int(dim) for dim in shape), dtype)
 
     def ensure_validated(self, example, precision: Union[None, str, np.dtype] = None) -> PlanStats:
-        """Ensure a parity-confirmed plan exists for ``example``'s shape.
+        """Ensure parity-confirmed plans exist for ``example``'s shape.
 
         Like :meth:`compile_for`, but an artifact-loaded plan is also taken
         through its deferred row-0 parity spot check here (executing the
@@ -937,20 +950,17 @@ class CompiledModel:
         already be spot-checked — or rejected and republished — by the
         parent.
         """
-        dtype = self._resolve_call_dtype(precision)
-        array = example.data if isinstance(example, Tensor) else np.asarray(example)
-        if array.dtype != dtype:
-            array = array.astype(dtype)
-        array, _ = self._pad_to_bucket(array)
-        plan = self._get_or_compile(array)
-        if plan.pending_parity:
-            probe = np.ascontiguousarray(array)
-            result = plan.call(probe, trim=None)
-            self._confirm_parity(plan, probe, result, None)
-            # A failed check replaced the plan (and its artifact) with a
-            # fresh compile; re-fetch whichever plan now serves the shape.
-            plan = self._get_or_compile(array)
-        return plan.stats
+        stats = []
+        for piece in self._pieces(self._as_call_array(example, precision)):
+            plan = self._get_or_compile(piece)
+            if plan.pending_parity:
+                probe = np.ascontiguousarray(piece)
+                self._confirm_parity(plan, probe, plan.call(probe))
+                # A failed check replaced the plan (and its artifact) with a
+                # fresh compile; re-fetch whichever plan now serves the shape.
+                plan = self._get_or_compile(piece)
+            stats.append(plan.stats)
+        return stats[0]
 
     def recompile(self) -> None:
         """Drop all cached plans (required after parameter updates)."""

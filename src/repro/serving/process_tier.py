@@ -68,13 +68,12 @@ import numpy as np
 from ..runtime import (
     ArtifactStore,
     CompiledModel,
+    batch_pieces,
     bind_plan,
     blas,
-    bucket_batch_size,
     plan_workspace_nbytes,
     resolve_precision,
 )
-from ..runtime.engine import pad_batch_to_bucket
 from .faults import FaultPlan, fault_point, install_fault_plan
 from .resilience import Deadline, TransientError, WatchdogConfig, WorkerCrashed
 
@@ -516,14 +515,14 @@ class _WorkerHung(RuntimeError):
 
 
 class _Job:
-    __slots__ = ("array", "lane", "key", "trim", "deadline", "event", "result", "error")
+    __slots__ = ("array", "lane", "key", "rows", "deadline", "event", "result", "error")
 
-    def __init__(self, array: np.ndarray, lane: str, key: str, trim: int,
+    def __init__(self, array: np.ndarray, lane: str, key: str,
                  deadline: Optional[Deadline] = None) -> None:
         self.array = array
         self.lane = lane
         self.key = key
-        self.trim = trim
+        self.rows = array.shape[0]
         self.deadline = deadline
         self.event = threading.Event()
         self.result: Optional[np.ndarray] = None
@@ -551,7 +550,7 @@ class _LaneQueue:
                 for lane in LANES:
                     if self._queues[lane]:
                         job = self._queues[lane].popleft()
-                        self._in_flight[job.lane] += job.trim
+                        self._in_flight[job.lane] += job.rows
                         return job
                 if self._stopped:
                     return None
@@ -559,12 +558,12 @@ class _LaneQueue:
 
     def task_done(self, job: _Job) -> None:
         with self._cond:
-            self._in_flight[job.lane] -= job.trim
+            self._in_flight[job.lane] -= job.rows
 
     def pending_rows(self, lane: str) -> int:
         """Rows queued or in flight on one lane (admission-control depth)."""
         with self._cond:
-            return sum(job.trim for job in self._queues[lane]) + self._in_flight[lane]
+            return sum(job.rows for job in self._queues[lane]) + self._in_flight[lane]
 
     def stop(self) -> None:
         with self._cond:
@@ -806,7 +805,7 @@ class _ProcessWorker:
         # astype(copy=True) both detaches the result from the segment and
         # applies the float64 exit cast of the precision contract — exactly
         # what Plan.call does on the thread tier.
-        return view[: job.trim].astype(np.float64)
+        return view.astype(np.float64)
 
     # -- shutdown ------------------------------------------------------
     def close(self) -> None:
@@ -1085,7 +1084,7 @@ class ProcessShardExecutor:
             if cached is not None:
                 spec = cached[0]
                 break
-        rows = bucket_batch_size(self._chunk_rows, provider.bucket_cap)
+        rows = self._chunk_rows  # no plan piece is larger than a chunk
         request_cap = rows * int(np.prod(self._window_shape)) * 8
         response_cap = max(rows * self._output_length * self._num_nodes * 8, 4096)
         if spec is not None:
@@ -1130,12 +1129,11 @@ class ProcessShardExecutor:
         jobs: List[_Job] = []
         for start in range(0, array.shape[0], self._chunk_rows):
             chunk = array[start : start + self._chunk_rows]
-            trim = chunk.shape[0]
-            padded, _ = pad_batch_to_bucket(chunk, provider.bucket_cap)
-            padded = np.ascontiguousarray(padded)
-            key = self._ensure_key(padded.shape, dtype, pset=pset)
-            job = _Job(padded, lane, key, trim, deadline=deadline)
-            jobs.append(job)
+            for rows in batch_pieces(chunk.shape[0], provider.bucket_cap):
+                piece = np.ascontiguousarray(chunk[:rows])
+                chunk = chunk[rows:]
+                key = self._ensure_key(piece.shape, dtype, pset=pset)
+                jobs.append(_Job(piece, lane, key, deadline=deadline))
         return jobs
 
     def _dispatch(self, shard: int, jobs: List[_Job],
@@ -1145,7 +1143,7 @@ class ProcessShardExecutor:
             worker.queue.put(job)
         with self._stats_lock:
             self._lane_batches[jobs[0].lane] += len(jobs)
-            self._lane_rows[jobs[0].lane] += sum(job.trim for job in jobs)
+            self._lane_rows[jobs[0].lane] += sum(job.rows for job in jobs)
 
     @staticmethod
     def _settle(jobs: List[_Job]) -> List[np.ndarray]:
@@ -1160,7 +1158,7 @@ class ProcessShardExecutor:
                 except (AttributeError, TypeError):  # pragma: no cover
                     pass
                 raise error
-            fulfilled += job.trim
+            fulfilled += job.rows
         return [job.result for job in jobs]
 
     def call(self, shard: int, array, lane: str = "bulk",
@@ -1170,9 +1168,11 @@ class ProcessShardExecutor:
         """Forward one ``(B, T, N, F)`` batch through a shard's worker.
 
         Bit-identical to the thread tier: the batch is cast to the plan
-        dtype and bucket-padded exactly as
-        :meth:`~repro.runtime.CompiledModel.__call__` would, replayed by
-        the worker, and the trimmed output exit-cast back to float64.
+        dtype and split into chunks of ``bulk_chunk_rows`` rows, each
+        chunk into the power-of-two plan pieces
+        :meth:`~repro.runtime.CompiledModel.__call__` would run (see
+        :func:`~repro.runtime.batch_pieces`); the worker replays every
+        piece and the outputs are exit-cast back to float64.
         ``pset`` selects the weights generation (default: current) — plans
         are compiled, keyed and replayed against that generation only.
         ``deadline`` rides with every dispatched chunk: a chunk still

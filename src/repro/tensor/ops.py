@@ -194,12 +194,19 @@ def tensordot_last(a: Tensor, b: Tensor) -> Tensor:
 
     Equivalent to ``numpy.tensordot(a, b, axes=1)`` and used where models mix
     features with a weight matrix while keeping arbitrary leading axes.
+
+    Inputs of 3+ dimensions keep their batch axis: one ``(R, K)`` GEMM per
+    batch row, so BLAS cannot pick a batch-size-dependent path and a row's
+    output never depends on its batch.  ``R`` is explicit because an empty
+    batch cannot resolve ``-1``.
     """
     a, b = _coerce(a), _coerce(b)
     lead_shape = a.shape[:-1]
-    flattened = a.reshape(-1, a.shape[-1])
-    result = flattened.matmul(b)
-    return result.reshape(*lead_shape, b.shape[-1])
+    if a.ndim >= 3:
+        grouped = a.reshape(lead_shape[0], int(np.prod(lead_shape[1:])), a.shape[-1])
+    else:
+        grouped = a.reshape(-1, a.shape[-1])
+    return grouped.matmul(b).reshape(*lead_shape, b.shape[-1])
 
 
 def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

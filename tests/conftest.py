@@ -37,6 +37,27 @@ def small_adjacency(small_network):
 
 
 @pytest.fixture(scope="session")
+def wide_dyhsl():
+    """An 85-sensor, hidden-16 DyHSL in eval mode.
+
+    The smallest model at which a batch-flattened output-head GEMM gave a
+    row different results at batch 1 and batch 32 (OpenBLAS picks its
+    kernel path by row count); the tiny fixtures are too small to show it.
+    """
+    from repro.core import DyHSL, DyHSLConfig
+
+    seed_everything(5)
+    rng = np.random.default_rng(5)
+    adjacency = (rng.random((85, 85)) < 0.05).astype(float)
+    np.fill_diagonal(adjacency, 0.0)
+    config = DyHSLConfig(
+        num_nodes=85, hidden_dim=16, prior_layers=1, num_hyperedges=8,
+        window_sizes=(1, 12), mhce_layers=1,
+    )
+    return DyHSL(config, adjacency).eval()
+
+
+@pytest.fixture(scope="session")
 def small_dataset():
     """A scaled-down synthetic PEMS08 stand-in (10 sensors, ~2 days)."""
     return load_dataset(

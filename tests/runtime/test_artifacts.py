@@ -50,6 +50,7 @@ def model(adjacency) -> DyHSL:
 
 @pytest.fixture()
 def windows() -> np.ndarray:
+    """Three windows: served as a 2-row and a 1-row plan piece."""
     return np.random.default_rng(22).normal(size=(3, 12, NUM_NODES, 1))
 
 
@@ -71,14 +72,14 @@ class TestRoundTripParity:
     def test_float64_load_is_bit_identical_to_compile(self, model, windows, store):
         compiled = CompiledModel(model, artifact_dir=store)
         reference = compiled(windows)
-        assert compiled.cache_info().compiles == 1
-        assert compiled.cache_info().artifact_saves == 1
+        assert compiled.cache_info().compiles == 2
+        assert compiled.cache_info().artifact_saves == 2
 
         warm = CompiledModel(model, artifact_dir=_fresh_store(store))
         produced = warm(windows)
         info = warm.cache_info()
         assert info.compiles == 0
-        assert info.artifact_loads == 1
+        assert info.artifact_loads == 2
         assert info.artifact_rejects == 0
         assert np.array_equal(produced, reference)
 
@@ -89,7 +90,7 @@ class TestRoundTripParity:
         warm = CompiledModel(model, precision="float32", artifact_dir=_fresh_store(store))
         produced = warm(windows)
         assert warm.cache_info().compiles == 0
-        assert warm.cache_info().artifact_loads == 1
+        assert warm.cache_info().artifact_loads == 2
         # Load-vs-recompile replays the identical steps on identical
         # constants, so even the reduced-precision plans agree bit for bit;
         # the documented float32 contract (vs the float64 plan) is looser.
@@ -99,15 +100,15 @@ class TestRoundTripParity:
 
     def test_bucketed_shapes_round_trip(self, model, windows, store):
         compiled = CompiledModel(model, bucket_batches=4, artifact_dir=store)
-        # 3 pads to the 4-bucket; 5 exceeds the cap and compiles exact.
+        # 3 runs as 2 + 1; 5 exceeds the cap and compiles exact.
         ragged = [windows, np.concatenate([windows, windows[:2]], axis=0)]
         references = [compiled(batch) for batch in ragged]
-        assert compiled.cache_info().compiles == 2
+        assert compiled.cache_info().compiles == 3
 
         warm = CompiledModel(model, bucket_batches=4, artifact_dir=_fresh_store(store))
         produced = [warm(batch) for batch in ragged]
         assert warm.cache_info().compiles == 0
-        assert warm.cache_info().artifact_loads == 2
+        assert warm.cache_info().artifact_loads == 3
         for fresh, loaded in zip(references, produced):
             assert np.array_equal(fresh, loaded)
 
@@ -122,7 +123,7 @@ class TestRoundTripParity:
         compiled = CompiledModel(model)
         compiled(windows)
         written = compiled.save_artifacts(tmp_path / "out")
-        assert len(written) == 1
+        assert len(written) == 2
         assert all(path.name.endswith(".plan.npz") for path in written)
         warm = CompiledModel(model, artifact_dir=tmp_path / "out")
         assert np.array_equal(warm(windows), compiled(windows))
@@ -137,36 +138,37 @@ class TestRoundTripParity:
 # Validation and fallback
 # ----------------------------------------------------------------------
 class TestValidationAndFallback:
-    def _single_artifact(self, store: ArtifactStore):
+    def _piece_artifacts(self, store: ArtifactStore):
+        """The two artifacts of the 3-window batch: its 2-row and 1-row pieces."""
         keys = store.keys()
-        assert len(keys) == 1
-        return store.path_for(keys[0])
+        assert len(keys) == 2
+        return [store.path_for(key) for key in keys]
 
     def test_corrupted_artifact_rejected_with_recompile(self, model, windows, store):
         reference = CompiledModel(model, artifact_dir=store)(windows)
-        path = self._single_artifact(store)
-        blob = bytearray(path.read_bytes())
-        blob[len(blob) // 2] ^= 0xFF
-        path.write_bytes(bytes(blob))
+        for path in self._piece_artifacts(store):
+            blob = bytearray(path.read_bytes())
+            blob[len(blob) // 2] ^= 0xFF
+            path.write_bytes(bytes(blob))
 
         warm = CompiledModel(model, artifact_dir=_fresh_store(store))
         produced = warm(windows)
         info = warm.cache_info()
-        assert info.artifact_rejects == 1
+        assert info.artifact_rejects == 2
         assert info.artifact_loads == 0
-        assert info.compiles == 1
+        assert info.compiles == 2
         assert np.array_equal(produced, reference)
 
     def test_truncated_artifact_rejected_with_recompile(self, model, windows, store):
         reference = CompiledModel(model, artifact_dir=store)(windows)
-        path = self._single_artifact(store)
-        blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) // 3])
+        for path in self._piece_artifacts(store):
+            blob = path.read_bytes()
+            path.write_bytes(blob[: len(blob) // 3])
 
         warm = CompiledModel(model, artifact_dir=_fresh_store(store))
         produced = warm(windows)
-        assert warm.cache_info().artifact_rejects == 1
-        assert warm.cache_info().compiles == 1
+        assert warm.cache_info().artifact_rejects == 2
+        assert warm.cache_info().compiles == 2
         assert np.array_equal(produced, reference)
 
     def test_stale_weights_never_served(self, model, windows, store):
@@ -181,15 +183,15 @@ class TestValidationAndFallback:
         produced = warm(windows)
         info = warm.cache_info()
         # The stale artifact has a different trace hash, so it is a MISS
-        # (not even opened), and the fresh compile matches autograd.
-        assert info.compiles == 1
+        # (not even opened), and the fresh compiles match autograd.
+        assert info.compiles == 2
         assert info.artifact_loads == 0
         assert np.array_equal(produced, CompiledModel(model)(windows))
 
     def test_renamed_artifact_fails_trace_hash_echo(self, model, windows, store):
         compiled = CompiledModel(model, artifact_dir=store)
         compiled(windows)
-        path = self._single_artifact(store)
+        path = self._piece_artifacts(store)[0]
         wrong_key = "0" * 64
         path.rename(store.path_for(wrong_key))
 
@@ -220,8 +222,9 @@ class TestValidationAndFallback:
         warm = CompiledModel(model, artifact_dir=_fresh_store(store))
         produced = warm(windows)
         info = warm.cache_info()
+        # Only the rewritten piece is rejected; the other piece still binds.
         assert info.artifact_rejects == 1
-        assert info.artifact_loads == 0 and info.compiles == 1
+        assert info.artifact_loads == 1 and info.compiles == 1
         assert np.array_equal(produced, reference)
 
     def test_parity_spot_check_rejects_tampered_constants(self, model, windows, store):
@@ -249,7 +252,7 @@ class TestValidationAndFallback:
         compiled(windows)
         info = compiled.cache_info()
         assert info.artifact_rejects == 0
-        assert store.stats().misses == 1  # the pre-compile probe
+        assert store.stats().misses == 2  # the pre-compile probe of each piece
 
 
 # ----------------------------------------------------------------------
@@ -263,8 +266,8 @@ class TestArtifactStore:
         produced = second(windows)
         # The second model never touched the disk: the store's memo
         # (populated by the first model's write-through) served the spec.
-        assert second.cache_info().artifact_loads == 1
-        assert store.stats().memo_hits == 1
+        assert second.cache_info().artifact_loads == 2
+        assert store.stats().memo_hits == 2
         assert np.array_equal(produced, first(windows))
 
     def test_readonly_store_never_writes(self, model, windows, tmp_path):
@@ -275,13 +278,13 @@ class TestArtifactStore:
         # The memo still primes sibling workers sharing the object.
         sibling = CompiledModel(model, artifact_dir=readonly)
         sibling(windows)
-        assert sibling.cache_info().artifact_loads == 1
+        assert sibling.cache_info().artifact_loads == 2
 
     def test_contains_and_keys(self, model, windows, store):
         compiled = CompiledModel(model, artifact_dir=store)
         compiled(windows)
         keys = store.keys()
-        assert len(keys) == 1
+        assert len(keys) == 2
         assert keys[0] in store
         assert "f" * 64 not in store
 

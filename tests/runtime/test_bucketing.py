@@ -1,9 +1,12 @@
-"""Batch bucketing: ragged batches pad to power-of-two plans, bit-exactly.
+"""Batch bucketing: ragged batches run as power-of-two plan pieces, bit-exactly.
 
 Under bucketing the plan LRU holds O(log max_batch) plans instead of one
-per observed batch size; padded rows replicate the first row and are
-sliced back off the output, so callers see exactly the forecasts an
-exact-shape plan would have produced.
+per observed batch size: a batch runs as its binary decomposition into
+power-of-two pieces (19 rows as 16 + 2 + 1) whose outputs are
+concatenated, and no padding row is computed.  That is exact only because
+a row's output never depends on the rest of its batch, which
+:class:`TestRowIndependence` checks at a size where BLAS changes its GEMM
+path with the row count.
 """
 
 from __future__ import annotations
@@ -16,10 +19,12 @@ from repro.runtime import (
     BUCKETS_ENV_VAR,
     CompiledModel,
     DEFAULT_BUCKET_CAP,
+    batch_pieces,
     bucket_batch_size,
     compile_module,
     resolve_bucket_cap,
 )
+from repro.runtime.engine import pad_batch_to_bucket
 from repro.tensor import Tensor, no_grad
 from repro.tensor import seed as seed_everything
 
@@ -52,6 +57,19 @@ def _reference(model, x):
 
 
 class TestBucketPolicy:
+    def test_binary_decomposition_largest_first(self):
+        cap = DEFAULT_BUCKET_CAP
+        assert batch_pieces(1, cap) == [1]
+        assert batch_pieces(3, cap) == [2, 1]
+        assert batch_pieces(19, cap) == [16, 2, 1]
+        assert batch_pieces(32, cap) == [32]
+        assert batch_pieces(0, cap) == []
+
+    def test_pieces_above_the_cap_or_disabled_are_exact(self):
+        assert batch_pieces(100, 100) == [64, 32, 4]  # no piece exceeds the cap
+        assert batch_pieces(101, 100) == [101]  # above the cap: exact
+        assert batch_pieces(9, None) == [9]  # disabled: exact
+
     def test_power_of_two_rounding(self):
         cap = DEFAULT_BUCKET_CAP
         assert bucket_batch_size(1, cap) == 1
@@ -87,7 +105,7 @@ class TestBucketPolicy:
 
 class TestBucketedServing:
     def test_ragged_batches_are_bit_identical(self, model):
-        """Padding plus slice-back must be invisible in the numbers."""
+        """Splitting into pieces must be invisible in the numbers."""
         compiled = compile_module(model)
         rng = np.random.default_rng(82)
         for batch in RAGGED_BATCHES:
@@ -102,11 +120,13 @@ class TestBucketedServing:
         for batch in RAGGED_BATCHES:
             compiled(rng.normal(size=(batch, 12, NUM_NODES, 1)))
         shapes = sorted(stats.input_shape[0] for stats in compiled.plan_stats())
-        assert shapes == [1, 4, 32, 128]
-        # Re-serving any size landing in those buckets compiles nothing new.
-        for batch in (4, 20, 31, 65, 128):
+        # 1; 3 = 2 + 1; 17 = 16 + 1; 100 = 64 + 32 + 4.
+        assert shapes == [1, 2, 4, 16, 32, 64]
+        # Re-serving any size made of those pieces compiles nothing new.
+        for batch in (4, 20, 35, 65, 119):
             compiled(rng.normal(size=(batch, 12, NUM_NODES, 1)))
-        assert len(compiled.plan_stats()) == 4
+        assert len(compiled.plan_stats()) == 6
+        assert compiled.cache_info().compiles == 6
 
     def test_bucketing_disabled_compiles_exact_shapes(self, model):
         compiled = CompiledModel(model, bucket_batches=False)
@@ -134,7 +154,9 @@ class TestBucketedServing:
     def test_compile_for_reports_the_bucketed_plan(self, model):
         compiled = compile_module(model)
         stats = compiled.compile_for(np.zeros((5, 12, NUM_NODES, 1)))
-        assert stats.input_shape[0] == 8
+        # 5 runs as 4 + 1; the stats are the largest piece's.
+        assert stats.input_shape[0] == 4
+        assert sorted(s.input_shape[0] for s in compiled.plan_stats()) == [1, 4]
 
 
 class TestEdgeShapes:
@@ -170,8 +192,6 @@ class TestEdgeShapes:
         assert [stats.input_shape[0] for stats in compiled.plan_stats()] == [9]
 
     def test_pad_helper_leaves_edge_shapes_alone(self):
-        from repro.runtime.engine import pad_batch_to_bucket
-
         empty = np.zeros((0, 3))
         padded, trim = pad_batch_to_bucket(empty, 16)
         assert padded is empty and trim is None
@@ -182,7 +202,7 @@ class TestEdgeShapes:
 
 class TestServingPathsPassRaggedThrough:
     """ForecastService / MicroBatcher need no changes: any coalesced batch
-    size funnels into the bucketed CompiledModel unchanged."""
+    size funnels into the CompiledModel unchanged and is split there."""
 
     def test_micro_batcher_over_compiled_model(self, model):
         from repro.serving import MicroBatcher
@@ -195,6 +215,40 @@ class TestServingPathsPassRaggedThrough:
         batcher.flush()
         produced = np.stack([handle.result() for handle in pending], axis=0)
         assert np.array_equal(produced, _reference(model, windows))
-        # 5 requests coalesced into one flush, served by the bucket-8 plan.
+        # 5 requests coalesced into one flush, served by the 4- and 1-row plans.
         assert batcher.stats.flushes == 1
-        assert [stats.input_shape[0] for stats in compiled.plan_stats()] == [8]
+        assert sorted(stats.input_shape[0] for stats in compiled.plan_stats()) == [1, 4]
+
+
+class TestRowIndependence:
+    """Every row of a DyHSL forward is bit-identical under any batch
+    composition: alone, in its power-of-two pieces, or in the padded
+    bucket, through autograd and through the compiled plans."""
+
+    @pytest.fixture(scope="class")
+    def windows(self, wide_dyhsl):
+        nodes = wide_dyhsl.config.num_nodes
+        return np.random.default_rng(90).normal(size=(19, 12, nodes, 1))
+
+    @pytest.fixture(scope="class")
+    def alone(self, wide_dyhsl, windows):
+        return np.concatenate([_reference(wide_dyhsl, row[None]) for row in windows])
+
+    def test_autograd_rows_ignore_their_batch(self, wide_dyhsl, windows, alone):
+        padded, trim = pad_batch_to_bucket(windows, DEFAULT_BUCKET_CAP)
+        assert padded.shape[0] == 32 and trim == 19
+        assert np.abs(_reference(wide_dyhsl, padded)[:19] - alone).max() == 0.0
+        assert np.abs(_reference(wide_dyhsl, windows) - alone).max() == 0.0
+        pieces, start = [], 0
+        for rows in batch_pieces(19, DEFAULT_BUCKET_CAP):
+            pieces.append(_reference(wide_dyhsl, windows[start : start + rows]))
+            start += rows
+        assert np.abs(np.concatenate(pieces) - alone).max() == 0.0
+
+    def test_compiled_rows_ignore_their_batch(self, wide_dyhsl, windows, alone):
+        served = compile_module(wide_dyhsl)(windows)
+        assert np.abs(served - alone).max() == 0.0
+        exact = CompiledModel(wide_dyhsl, bucket_batches=False)
+        padded, _ = pad_batch_to_bucket(windows, DEFAULT_BUCKET_CAP)
+        assert np.abs(exact(padded)[:19] - alone).max() == 0.0
+        assert np.abs(exact(windows[:1]) - alone[:1]).max() == 0.0

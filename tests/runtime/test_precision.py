@@ -136,8 +136,9 @@ class TestPolicyPlumbing:
         compiled(windows)
         compiled(windows, precision="float32")
         stats = compiled.plan_stats()
-        assert len(stats) == 2
-        assert sorted(s.dtype for s in stats) == ["float32", "float64"]
+        # Three windows run as a 2-row and a 1-row piece, once per dtype.
+        assert len(stats) == 4
+        assert sorted(s.dtype for s in stats) == ["float32", "float32", "float64", "float64"]
 
     def test_float32_input_is_not_upcast(self, adjacency, windows):
         """A float32 input under a float32 policy must enter as-is (the
@@ -148,7 +149,7 @@ class TestPolicyPlumbing:
         from_f64 = compiled(windows)
         from_f32 = compiled(windows.astype(np.float32))
         assert np.array_equal(from_f64, from_f32)
-        assert [s.dtype for s in compiled.plan_stats()] == ["float32"]
+        assert [s.dtype for s in compiled.plan_stats()] == ["float32", "float32"]
 
     def test_empty_batch_respects_policy(self, adjacency, windows):
         compiled = compile_module(_dyhsl(adjacency, "low_rank"), precision="float32")

@@ -93,8 +93,9 @@ class TestWarmUp:
             tiny_model, scaler=forecasting_data.scaler, max_batch_size=6
         )
         stats = service.warm_up()
-        # The trailing size (the batcher cap, 6) rounds up to its bucket.
-        assert [s.input_shape[0] for s in stats] == [1, 2, 4, 8]
+        # The trailing size (the batcher cap, 6) runs as 4 + 2; its stats
+        # are the largest piece's.
+        assert [s.input_shape[0] for s in stats] == [1, 2, 4, 4]
 
     def test_autograd_warm_up_is_a_noop(self, tiny_model, forecasting_data):
         service = ForecastService(

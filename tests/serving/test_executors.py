@@ -113,6 +113,22 @@ class TestExecutorMatrix:
         assert len(shapes) == 1
 
 
+class TestRaggedRowParity:
+    @pytest.mark.parametrize("executor,num_shards", EXECUTORS, ids=_IDS)
+    def test_ragged_batch_is_bit_identical_to_autograd(self, wide_dyhsl, executor, num_shards):
+        """19 windows run as plan pieces (16 + 2 + 1, or per replica 8 + 2
+        and 8 + 1) and must still equal one autograd forward of all 19."""
+        nodes = wide_dyhsl.config.num_nodes
+        windows = np.random.default_rng(91).normal(size=(19, 12, nodes, 1))
+        with ForecastService(
+            wide_dyhsl, num_shards=num_shards, executor=executor, cache_entries=0
+        ) as service:
+            served = service.forecast_many(windows)
+        with no_grad():
+            expected = wide_dyhsl(Tensor(windows)).data
+        assert np.abs(served - expected).max() == 0.0
+
+
 class TestExecutorResolution:
     def test_one_worker_defaults_to_inline(self, tiny_model, monkeypatch):
         monkeypatch.setenv(EXECUTOR_ENV_VAR, "processes")
