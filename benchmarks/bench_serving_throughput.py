@@ -70,7 +70,7 @@ import numpy as np
 
 from repro.core import DyHSL, DyHSLConfig
 from repro.nn import MaskedMAELoss
-from repro.runtime import CompiledModel, compile_module, compile_training_model
+from repro.runtime import CompiledModel, blas, compile_module, compile_training_model
 from repro.runtime.engine import bucket_batch_size, pad_batch_to_bucket
 from repro.serving import ForecastService, MicroBatcher
 from repro.tensor import Tensor, no_grad
@@ -639,6 +639,133 @@ def test_ragged_cycle():
                 }
                 for row in rows
             ],
+        },
+    )
+
+
+def test_lane_parallel(monkeypatch):
+    """One backfill cycle on one row lane vs. two.
+
+    Every size of perfbench's backfill mix runs through two CompiledModels
+    of the perfbench deployment's model: ``lanes=1`` (the caller's thread
+    runs every piece) and ``lanes=2`` (the rows split into two chunks that
+    run at once).  Each size and the whole cycle are timed as an
+    interleaved best-of whose order alternates every round, and the lanes'
+    outputs must equal the single lane's and the autograd forward's exactly
+    (max |diff| == 0) in the same run.  The 2-row batch is also timed split
+    1 | 1, the measurement behind ``MIN_LANE_ROWS``.
+    """
+    from repro.runtime import engine
+
+    repeats = 7
+    rng = np.random.default_rng(SEED + 8)
+    rows: List[dict] = []
+    sections: List[dict] = []
+    for sensors in (deploy.PEMS08_SENSORS // 2, deploy.PEMS08_SENSORS):
+        seed_everything(deploy.RELEASE_SEEDS[0])
+        config = DyHSLConfig(
+            num_nodes=sensors, input_length=deploy.INPUT_LENGTH, **deploy.MODEL_CONFIG
+        )
+        model = DyHSL(config, deploy.road_network(sensors).adjacency).eval()
+        serial, laned = CompiledModel(model, lanes=1), CompiledModel(model, lanes=2)
+        batches = [
+            rng.normal(size=(int(size), deploy.INPUT_LENGTH, sensors, 1))
+            for size in BACKFILL_SIZES
+        ]
+        two = batches[BACKFILL_SIZES.index(2)]
+
+        def split_two():
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "MIN_LANE_ROWS", 1)
+                return laned(two)
+
+        max_diff = 0.0
+        with no_grad():
+            for batch in batches:
+                expected = model(Tensor(batch)).data
+                for produced in (serial(batch), laned(batch)):
+                    max_diff = max(max_diff, float(np.abs(produced - expected).max()))
+            max_diff = max(max_diff, float(np.abs(split_two() - model(Tensor(two)).data).max()))
+        try:
+            per_size = []
+            for size, batch in zip(BACKFILL_SIZES, batches):
+                candidates = [lambda: serial(batch), lambda: laned(batch)]
+                if size == 2:
+                    candidates.append(split_two)
+                bests = [float("inf")] * len(candidates)
+                for round_ in range(repeats):
+                    order = range(len(candidates))
+                    for index in (order if round_ % 2 == 0 else reversed(order)):
+                        started = time.perf_counter()
+                        candidates[index]()
+                        bests[index] = min(bests[index], time.perf_counter() - started)
+                per_size.append((int(size), bests))
+            cycle_bests = [float("inf")] * 2
+            for round_ in range(repeats):
+                for index in ((0, 1) if round_ % 2 == 0 else (1, 0)):
+                    compiled = (serial, laned)[index]
+                    started = time.perf_counter()
+                    for batch in batches:
+                        compiled(batch)
+                    cycle_bests[index] = min(cycle_bests[index], time.perf_counter() - started)
+            # The one-lane model ran at the process's BLAS count; the laned
+            # one held BLAS at one thread per split call, as a service does.
+            serial_blas_threads = blas.threads()
+        finally:
+            laned.close()
+        assert max_diff == 0.0, f"lanes diverge at {sensors} sensors: {max_diff}"
+        serial_s, lanes_s = cycle_bests
+        two_bests = dict(per_size)[2]
+        rows.append(
+            {
+                "sensors": sensors,
+                "1 lane ms": round(serial_s * 1e3, 1),
+                "2 lanes ms": round(lanes_s * 1e3, 1),
+                "speedup": round(serial_s / lanes_s, 2),
+                "n=2 split": round(two_bests[0] / two_bests[2], 2),
+                "max |diff|": max_diff,
+            }
+        )
+        sections.append(
+            {
+                "sensors": sensors,
+                "windows": sum(BACKFILL_SIZES),
+                "cycle_1_lane_ms": round(serial_s * 1e3, 1),
+                "cycle_2_lanes_ms": round(lanes_s * 1e3, 1),
+                "cycle_speedup": round(serial_s / lanes_s, 2),
+                "sizes": [
+                    {
+                        "rows": size,
+                        "lanes_1_ms": round(bests[0] * 1e3, 2),
+                        "lanes_2_ms": round(bests[1] * 1e3, 2),
+                        "speedup": round(bests[0] / bests[1], 2),
+                    }
+                    for size, bests in per_size
+                ],
+                "two_rows": {
+                    "one_lane_ms": round(two_bests[0] * 1e3, 2),
+                    "split_1_1_ms": round(two_bests[2] * 1e3, 2),
+                    "speedup_of_split": round(two_bests[0] / two_bests[2], 2),
+                },
+                "max_abs_diff": max_diff,
+                "blas_threads_one_lane": serial_blas_threads,
+            }
+        )
+
+    print_table(
+        f"Backfill cycle — one row lane vs. two (best of {repeats}, interleaved)",
+        rows,
+        ["sensors", "1 lane ms", "2 lanes ms", "speedup", "n=2 split", "max |diff|"],
+    )
+    record_bench(
+        "lane_parallel",
+        {
+            "sizes": list(BACKFILL_SIZES),
+            "precision": "float64",
+            "repeats": repeats,
+            "min_lane_rows": engine.MIN_LANE_ROWS,
+            "provenance": provenance(REPO_ROOT, "lane_parallel", SEED, "float64"),
+            "rows": sections,
         },
     )
 

@@ -52,6 +52,7 @@ from .engine import (
     batch_pieces,
     bind_plan,
     bucket_batch_size,
+    lane_pieces,
     plan_workspace_nbytes,
     resolve_bucket_cap,
     resolve_precision,
@@ -95,6 +96,7 @@ __all__ = [
     "compile_module",
     "compile_plan",
     "compile_training_model",
+    "lane_pieces",
     "plan_trainable",
     "plan_workspace_nbytes",
     "resolve_bucket_cap",

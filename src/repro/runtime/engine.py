@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -26,6 +27,7 @@ import numpy as np
 
 from ..tensor import Tensor
 from ..tensor import kernels as K
+from . import blas
 
 __all__ = [
     "Plan",
@@ -44,6 +46,7 @@ __all__ = [
     "resolve_bucket_cap",
     "resolve_precision",
     "batch_pieces",
+    "lane_pieces",
     "bucket_batch_size",
     "pad_batch_to_bucket",
 ]
@@ -85,7 +88,7 @@ def resolve_bucket_cap(policy: Union[None, bool, int] = None) -> Optional[int]:
     """Resolve the batch-bucketing policy to a bucket cap (or ``None``).
 
     ``policy`` may be ``True`` (bucketing on, default cap), ``False``
-    (disabled), a positive integer (cap on the largest padded bucket) or
+    (disabled), a positive integer (cap on the largest plan piece) or
     ``None`` to consult the ``REPRO_RUNTIME_BUCKETS`` environment variable,
     which accepts the same spellings: unset/empty or ``on`` for the
     default, ``off``/``exact``/``none``/``0`` to disable, or an integer cap.
@@ -125,6 +128,28 @@ def batch_pieces(batch: int, cap: Optional[int]) -> List[int]:
     if cap is None or batch > cap:
         return [batch]
     return [1 << bit for bit in reversed(range(batch.bit_length())) if batch >> bit & 1]
+
+
+#: Rows per lane chunk that a split aims for at least (see
+#: :func:`lane_pieces`): two rows split 1 | 1 ran slower than one 2-row plan
+#: (``benchmarks/BENCH_runtime.json`` ``lane_parallel``), because a 1-row
+#: forward is bound by per-step dispatch, which holds the interpreter lock.
+MIN_LANE_ROWS = 2
+
+
+def lane_pieces(batch: int, cap: Optional[int], lanes: int) -> List[List[int]]:
+    """Plan pieces of each row lane serving a ``batch``-row request.
+
+    The batch splits into at most ``lanes`` row-contiguous chunks whose
+    sizes differ by at most one (larger first), and each chunk runs as its
+    :func:`batch_pieces` decomposition: 19 rows on two lanes run as
+    ``[[8, 2], [8, 1]]``.  No more chunks are used than give each
+    :data:`MIN_LANE_ROWS` rows (rounding up), so 2 rows stay on one lane
+    and 5 rows on three lanes run as 2 | 2 | 1; no lane is ever empty.
+    """
+    lanes = max(1, min(lanes, -(-batch // MIN_LANE_ROWS)))
+    rows, extra = divmod(batch, lanes)
+    return [batch_pieces(rows + (lane < extra), cap) for lane in range(lanes)]
 
 
 def bucket_batch_size(batch: int, cap: Optional[int]) -> int:
@@ -442,6 +467,27 @@ class Plan:
         #: Deferring the check onto the first real result keeps the warm
         #: start to one plan execution instead of two.
         self.pending_parity = False
+        # Row lane -> this plan's copy for it (see lane_copy).
+        self._lane_copies: Dict[int, "Plan"] = {}
+
+    def lane_copy(self, lane: int) -> "Plan":
+        """The plan row lane ``lane`` replays: this plan for lane 0, else a copy.
+
+        A copy is bound from :attr:`spec` and this plan's constants, so it
+        needs no retrace and no artifact; it shares the constants, owns its
+        workspace, and lives exactly as long as this plan.  Only
+        :class:`CompiledModel` calls this, never on a plan whose parity spot
+        check is still pending.
+        """
+        if lane == 0:
+            return self
+        copy = self._lane_copies.get(lane)
+        if copy is None:
+            values: List[Optional[np.ndarray]] = [None] * self.spec.num_slots
+            for slot, value in self.constants().items():
+                values[slot] = value
+            copy = self._lane_copies.setdefault(lane, bind_plan(self.spec, values))
+        return copy
 
     def constants(self) -> Dict[int, np.ndarray]:
         """Constant slot values (already cast to the plan dtype), by slot.
@@ -518,6 +564,18 @@ class CompiledModel:
     :func:`resolve_bucket_cap`); the cap bounds the largest piece, and
     batches above it serve exact-shape plans.
 
+    **Row lanes** (``lanes=L``, default 1) spend several cores on one
+    batch: its rows split into at most L row-contiguous chunks of
+    near-equal size (:func:`lane_pieces`), chunk 0 runs on the caller's thread and chunks
+    1..L-1 on L-1 lane threads, each lane replaying its own copy of the
+    shape's plan (:meth:`Plan.lane_copy`).  The split is exact for the
+    same reason the pieces are.  While a split batch runs, the process
+    holds OpenBLAS at one thread (:mod:`repro.runtime.blas`; the limit is
+    process-wide, so other BLAS work in the process runs at one thread for
+    that time too), keeping lanes x BLAS threads within L cores; the limit
+    is released when the call returns.  :meth:`close` stops the lane
+    threads.
+
     ``precision`` selects the plans' execution dtype: ``"float64"`` (the
     default, bit-identical to autograd) or ``"float32"`` (~2x memory
     bandwidth).  Calls may override it, and ``None`` consults the
@@ -549,9 +607,12 @@ class CompiledModel:
         bucket_batches: Union[None, bool, int] = None,
         precision: Union[None, str, np.dtype] = None,
         artifact_dir=None,
+        lanes: int = 1,
     ) -> None:
         if max_plans <= 0:
             raise ValueError("max_plans must be positive")
+        if lanes <= 0:
+            raise ValueError("lanes must be positive")
         module.eval()
         self._module = module
         self._fold_constants = fold_constants
@@ -573,6 +634,11 @@ class CompiledModel:
         self._artifact_rejects = 0
         self._artifact_saves = 0
         self._verifies = 0
+        self._lanes = int(lanes)
+        # The lane threads, started on the first split batch; after close()
+        # every lane runs on the caller's thread.
+        self._lane_pool: Optional[ThreadPoolExecutor] = None
+        self._closed = False
 
     @staticmethod
     def _as_store(artifact_dir):
@@ -627,16 +693,16 @@ class CompiledModel:
         a float32 policy is served zero-copy, never bounced through
         float64) and the output is cast back to float64 on exit.
 
-        A ragged batch runs as power-of-two plan pieces whose outputs are
-        concatenated (see :func:`batch_pieces`), so callers (micro-batcher,
-        serving paths) can pass any batch through unchanged.  The pieces
-        run through an inner method, so wrappers of this call see one
-        forward per request batch.  The model-wide lock only guards
-        plan-cache lookups and inserts — never a compile and never an
-        execution — so requests for already compiled shapes proceed while a
-        new shape compiles, and requests with different batch shapes run
-        concurrently (their workspaces are disjoint; same-shape requests
-        serialise on the plan's own lock).
+        A ragged batch runs as power-of-two plan pieces, split across the
+        row lanes, whose outputs are concatenated in row order (see
+        :func:`lane_pieces`), so callers (micro-batcher, serving paths) can
+        pass any batch through unchanged.  The pieces run through an inner
+        method, so wrappers of this call see one forward per request batch.
+        The model-wide lock only guards plan-cache lookups and inserts —
+        never a compile and never an execution — so requests for already
+        compiled shapes proceed while a new shape compiles, and requests
+        with different batch shapes run concurrently (their workspaces are
+        disjoint; same-shape requests serialise on the plan's own lock).
 
         Edge shapes are hardened rather than special plans: an empty batch
         (``B == 0``) replays the single-row plan on a probe row and trims
@@ -653,24 +719,95 @@ class CompiledModel:
                 known = self._get_or_compile(probe).call(probe).shape[1:]
                 self._empty_output_shapes[tail] = known
             return np.empty((0,) + known, dtype=np.float64)
-        outputs = [self._run(piece) for piece in self._pieces(array)]
+        outputs = self._run_lanes(self._pieces(array))
         return outputs[0] if len(outputs) == 1 else np.concatenate(outputs)
 
-    def _pieces(self, array: np.ndarray) -> List[np.ndarray]:
-        """Views of ``array`` along axis 0, one per plan piece (see :func:`batch_pieces`)."""
-        views, start = [], 0
-        for rows in batch_pieces(array.shape[0], self._bucket_cap):
-            views.append(array[start : start + rows])
-            start += rows
-        return views
+    def _pieces(self, array: np.ndarray) -> List[List[np.ndarray]]:
+        """Views of ``array`` along axis 0: each lane's plan pieces (see :func:`lane_pieces`)."""
+        lanes, start = [], 0
+        for pieces in lane_pieces(array.shape[0], self._bucket_cap, self._lanes):
+            views = []
+            for rows in pieces:
+                views.append(array[start : start + rows])
+                start += rows
+            lanes.append(views)
+        return lanes
 
-    def _run(self, array: np.ndarray) -> np.ndarray:
-        """Serve one plan piece, spot-checking an artifact-loaded plan first."""
+    def _run_lanes(self, lanes: List[List[np.ndarray]]) -> List[np.ndarray]:
+        """Every piece's output in row order; lane k > 0 runs on a lane thread.
+
+        OpenBLAS runs at one thread while the lanes do.  Every lane finishes
+        before this returns or raises, and the first error in row order is
+        the one raised.
+        """
+        if len(lanes) == 1:
+            return [self._run(piece) for piece in lanes[0]]
+        held = blas.limit(1)
+        try:
+            futures = self._submit_lanes(lanes[1:])
+            if futures is None:
+                return [self._run(piece) for pieces in lanes for piece in pieces]
+            try:
+                outputs = [self._run(piece) for piece in lanes[0]]
+            finally:
+                wait(futures)
+            for future in futures:
+                outputs.extend(future.result())
+            return outputs
+        finally:
+            held.release()
+
+    def _submit_lanes(self, lanes: List[List[np.ndarray]]):
+        """Start lanes 1.. on the lane threads; ``None`` once closed."""
+        # Build and spot-check every plan the lanes replay here first, so
+        # lanes never race to compile one shape and never copy a plan whose
+        # artifact is unchecked.
+        for piece in {piece.shape: piece for pieces in lanes for piece in pieces}.values():
+            self._validated_plan(piece)
+        with self._lock:
+            if self._closed:
+                return None
+            if self._lane_pool is None:
+                self._lane_pool = ThreadPoolExecutor(
+                    self._lanes - 1, thread_name_prefix="plan-lane"
+                )
+            return [
+                self._lane_pool.submit(self._run_lane, pieces, lane)
+                for lane, pieces in enumerate(lanes, 1)
+            ]
+
+    def _run_lane(self, pieces: List[np.ndarray], lane: int) -> List[np.ndarray]:
+        return [self._run(piece, lane) for piece in pieces]
+
+    def _run(self, array: np.ndarray, lane: int = 0) -> np.ndarray:
+        """Serve one plan piece on ``lane``, spot-checking an artifact-loaded plan first."""
         plan = self._get_or_compile(array)
-        result = plan.call(array)
         if plan.pending_parity:
-            result = self._confirm_parity(plan, array, result)
-        return result
+            return self._confirm_parity(plan, array, plan.call(array))
+        return plan.lane_copy(lane).call(array)
+
+    def _validated_plan(self, array: np.ndarray) -> Plan:
+        """The plan for ``array``'s shape, its parity spot check done."""
+        plan = self._get_or_compile(array)
+        if plan.pending_parity:
+            probe = np.ascontiguousarray(array)
+            self._confirm_parity(plan, probe, plan.call(probe))
+            # A failed check replaced the plan (and its artifact) with a
+            # fresh compile; re-fetch whichever plan now serves the shape.
+            plan = self._get_or_compile(array)
+        return plan
+
+    def close(self) -> None:
+        """Stop the lane threads; idempotent.
+
+        The model keeps serving: later calls run every lane's pieces on the
+        caller's thread.
+        """
+        with self._lock:
+            self._closed = True
+            pool, self._lane_pool = self._lane_pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
 
     def _get_or_compile(self, array: np.ndarray) -> Plan:
         """Fetch the plan for ``array.shape``, compiling outside the cache lock.
@@ -919,13 +1056,13 @@ class CompiledModel:
     def compile_for(self, example, precision: Union[None, str, np.dtype] = None) -> PlanStats:
         """Eagerly compile the plans that would serve ``example``'s shape.
 
-        The example is split into plan pieces and precision-cast exactly
-        like a live request, so requests of this size (and policy) find
-        every plan they run on.  Returns the stats of the largest piece's
-        plan.
+        The example is split into lanes and plan pieces and precision-cast
+        exactly like a live request, so requests of this size (and policy)
+        find every plan they run on.  Returns the stats of the largest
+        piece's plan.
         """
-        pieces = self._pieces(self._as_call_array(example, precision))
-        return [self._get_or_compile(piece).stats for piece in pieces][0]
+        lanes = self._pieces(self._as_call_array(example, precision))
+        return [self._get_or_compile(piece).stats for pieces in lanes for piece in pieces][0]
 
     def artifact_key(self, shape: Tuple[int, ...], precision: Union[None, str, np.dtype] = None) -> str:
         """The artifact trace hash of the plan serving one piece's input shape.
@@ -950,20 +1087,12 @@ class CompiledModel:
         already be spot-checked — or rejected and republished — by the
         parent.
         """
-        stats = []
-        for piece in self._pieces(self._as_call_array(example, precision)):
-            plan = self._get_or_compile(piece)
-            if plan.pending_parity:
-                probe = np.ascontiguousarray(piece)
-                self._confirm_parity(plan, probe, plan.call(probe))
-                # A failed check replaced the plan (and its artifact) with a
-                # fresh compile; re-fetch whichever plan now serves the shape.
-                plan = self._get_or_compile(piece)
-            stats.append(plan.stats)
-        return stats[0]
+        lanes = self._pieces(self._as_call_array(example, precision))
+        return [self._validated_plan(piece).stats for pieces in lanes for piece in pieces][0]
 
     def recompile(self) -> None:
-        """Drop all cached plans (required after parameter updates)."""
+        """Drop all cached plans and their lane copies (required after
+        parameter updates)."""
         with self._lock:
             self._plans.clear()
             self._empty_output_shapes.clear()

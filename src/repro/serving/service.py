@@ -40,16 +40,20 @@ Deadlines, bounded retries, per-replica circuit breakers, per-lane
 admission control (:class:`ServiceOverloaded`), zero-downtime hot swaps,
 ``health()`` and ``stats()`` are written once, here, for every executor.
 
-The executors own the CPU budget: K > 1 threads or processes run OpenBLAS
-at ``max(1, cores // K)`` threads per worker (:mod:`repro.runtime.blas`),
-so the replicas share the cores instead of oversubscribing them; the
-inline executor leaves BLAS as it found it.
+The executors own the CPU budget of ``max(1, cores // K)`` cores per
+worker (:mod:`repro.runtime.blas`), so the replicas share the cores
+instead of oversubscribing them.  K > 1 thread or process workers run
+OpenBLAS at that many threads.  The inline worker spends the cores on row
+lanes instead: a batch splits into one row chunk per core (at most
+:data:`MAX_PLAN_LANES`), computed at once (see
+:class:`~repro.runtime.CompiledModel`), with OpenBLAS at one thread while
+the lanes run.  Thread and process workers keep one lane.
 
 Forwards run through the **graph-free compiled runtime**
 (:mod:`repro.runtime`) by default: the model's forward pass is compiled
 once per batch shape into a flat kernel plan replayed on raw arrays with
-reused workspace buffers.  Ragged batch sizes are padded to power-of-two
-buckets (and sliced back) inside the runtime, so the plan cache stays
+reused workspace buffers.  Ragged batch sizes run as power-of-two plan
+pieces inside the runtime, with no padding row, so the plan cache stays
 O(log max_batch) under bursty traffic (``REPRO_RUNTIME_BUCKETS`` caps or
 disables this).  The escape hatch back to autograd forwards is the
 ``runtime="autograd"`` argument or ``REPRO_RUNTIME=autograd`` in the
@@ -120,6 +124,11 @@ __all__ = [
     "ServiceStats",
     "SwapReport",
 ]
+
+#: Most row lanes the inline worker runs: two lanes is the measured
+#: configuration (``benchmarks/BENCH_runtime.json`` ``lane_parallel``, two
+#: cores); more lanes on a wider host are unmeasured.
+MAX_PLAN_LANES = 2
 
 
 def _weights_fingerprint(model: Module) -> str:
@@ -400,6 +409,9 @@ class ServiceStats:
     #: Live OpenBLAS threads of each worker (``None``: no OpenBLAS found,
     #: or a process worker not spawned yet).
     blas_threads: Tuple[Optional[int], ...] = ()
+    #: Row lanes the inline worker splits a batch across (1 for thread and
+    #: process workers and under the autograd runtime).
+    plan_lanes: int = 1
 
     @property
     def batcher(self) -> BatcherStats:
@@ -429,18 +441,25 @@ class SwapReport:
 
 class _Engine:
     """A generation's compute: one micro-batcher per replica worker, plus
-    the process tier's pinned provider set (``None`` off the process tier).
+    the process tier's pinned provider set (``None`` off the process tier)
+    and the in-process compiled models (whose lane threads it stops).
 
     A hot swap builds a complete new engine off to the side and publishes
     it by rebinding every worker's ``batcher`` reference — the workers and
     their job queues survive the swap untouched.
     """
 
-    __slots__ = ("batchers", "pset")
+    __slots__ = ("batchers", "pset", "models")
 
-    def __init__(self, batchers: List[MicroBatcher], pset=None) -> None:
+    def __init__(self, batchers: List[MicroBatcher], pset=None, models=()) -> None:
         self.batchers = batchers
         self.pset = pset
+        self.models = models
+
+    def close(self) -> None:
+        """Stop the models' lane threads; the models keep serving inline."""
+        for model in self.models:
+            model.close()
 
 
 class _Generation:
@@ -673,6 +692,13 @@ class ForecastService:
             )
             for lane, limit in limits.items()
         }
+        # The inline worker spends the cores on row lanes; thread and
+        # process replicas spread batches across the cores themselves.
+        self._lanes = (
+            min(blas.cores(), MAX_PLAN_LANES)
+            if self.runtime == "compiled" and self.executor == "inline"
+            else 1
+        )
         # K thread workers share this process's BLAS pool: hold it at their
         # share of the cores for the life of the service.
         self._blas_limit = None
@@ -1000,7 +1026,10 @@ class ForecastService:
             elif self.runtime == "compiled":
                 forwards.append(
                     CompiledModel(
-                        model, precision=self.precision, artifact_dir=self.artifact_store
+                        model,
+                        precision=self.precision,
+                        artifact_dir=self.artifact_store,
+                        lanes=self._lanes,
                     )
                 )
             else:
@@ -1032,7 +1061,8 @@ class ForecastService:
             )
             for index, forward in enumerate(forwards)
         ]
-        return _Engine(batchers, pset), reused, compiled
+        models = [forward for forward in forwards if isinstance(forward, CompiledModel)]
+        return _Engine(batchers, pset, models), reused, compiled
 
     def _flush_targets(self) -> List[Tuple[MicroBatcher, Callable]]:
         """The linger flusher's view: each worker's batcher and its drain."""
@@ -1061,6 +1091,7 @@ class ForecastService:
         for index, batcher in enumerate(old.engine.batchers):
             self._retired_shard_stats[index].append(batcher.stats)
             self._retired_retries += getattr(batcher.forward_fn, "retries", 0)
+        old.engine.close()
         if self.flusher is not None:
             self.flusher.retarget(self._flush_targets())
 
@@ -1694,6 +1725,7 @@ class ForecastService:
                     pass  # the affected handles carry the error
         for worker in self._workers:
             worker.close()
+        self._gen.engine.close()
         if self._blas_limit is not None:
             self._blas_limit.release()
         # The tier closes last: the drains above may still dispatch to it.
@@ -1791,6 +1823,7 @@ class ForecastService:
             cores=blas.cores(),
             workers=self.num_shards,
             blas_threads=blas_threads,
+            plan_lanes=self._lanes,
         )
 
 

@@ -37,7 +37,16 @@ def small_adjacency(small_network):
 
 
 @pytest.fixture(scope="session")
-def wide_dyhsl():
+def wide_adjacency():
+    """The 85-sensor road-network adjacency of :func:`wide_dyhsl`."""
+    rng = np.random.default_rng(5)
+    adjacency = (rng.random((85, 85)) < 0.05).astype(float)
+    np.fill_diagonal(adjacency, 0.0)
+    return adjacency
+
+
+@pytest.fixture(scope="session")
+def wide_dyhsl(wide_adjacency):
     """An 85-sensor, hidden-16 DyHSL in eval mode.
 
     The smallest model at which a batch-flattened output-head GEMM gave a
@@ -47,14 +56,11 @@ def wide_dyhsl():
     from repro.core import DyHSL, DyHSLConfig
 
     seed_everything(5)
-    rng = np.random.default_rng(5)
-    adjacency = (rng.random((85, 85)) < 0.05).astype(float)
-    np.fill_diagonal(adjacency, 0.0)
     config = DyHSLConfig(
         num_nodes=85, hidden_dim=16, prior_layers=1, num_hyperedges=8,
         window_sizes=(1, 12), mhce_layers=1,
     )
-    return DyHSL(config, adjacency).eval()
+    return DyHSL(config, wide_adjacency).eval()
 
 
 @pytest.fixture(scope="session")

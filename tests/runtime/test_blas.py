@@ -6,6 +6,7 @@ import gc
 import random
 import sys
 import threading
+import types
 
 import numpy as np  # noqa: F401  (loads NumPy's OpenBLAS)
 import pytest
@@ -30,6 +31,24 @@ def test_probe_finds_the_loaded_library():
     assert blas.cores() >= 1
     assert blas.budget(1) == blas.cores()
     assert blas.budget(10 * blas.cores()) == 1
+
+
+def test_the_probe_rescans_only_after_an_import(monkeypatch):
+    blas.threads()
+    reads = []
+
+    def counting_open(path, *args, **kwargs):
+        reads.append(path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(blas, "open", counting_open, raising=False)
+    limit = blas.limit(1)
+    limit.release()
+    blas.threads()
+    assert reads == []  # a split batch's limit costs no /proc read
+    monkeypatch.setitem(sys.modules, "_blas_probe_new_module", types.ModuleType("new"))
+    blas.threads()
+    assert reads == ["/proc/self/maps"]
 
 
 def test_set_threads_round_trip():

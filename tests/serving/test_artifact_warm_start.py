@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.runtime import ArtifactStore
+from repro.runtime import ArtifactStore, blas
 from repro.serving import ForecastService, ShardedForecastService
 from repro.training import artifact_dir_for, save_model_checkpoint, save_plan_artifacts
 
@@ -59,6 +59,12 @@ class TestSingleWorkerWarmStart:
 
 
 class TestWarmUp:
+    @pytest.fixture(autouse=True)
+    def _two_cores(self, monkeypatch):
+        # A one-worker service splits batches across one row lane per core,
+        # and the ladder's piece shapes follow; pin the core count.
+        monkeypatch.setattr(blas, "cores", lambda: 2)
+
     def test_warm_up_prepares_the_ladder(self, tiny_model, forecasting_data, window, store):
         service = ForecastService(
             tiny_model, scaler=forecasting_data.scaler, artifact_dir=store
@@ -93,9 +99,10 @@ class TestWarmUp:
             tiny_model, scaler=forecasting_data.scaler, max_batch_size=6
         )
         stats = service.warm_up()
-        # The trailing size (the batcher cap, 6) runs as 4 + 2; its stats
-        # are the largest piece's.
-        assert [s.input_shape[0] for s in stats] == [1, 2, 4, 4]
+        # On two row lanes 4 runs as 2 | 2 and the trailing size (the
+        # batcher cap, 6) as 2 + 1 | 2 + 1; each size's stats are its
+        # largest piece's.  Two rows stay on one lane.
+        assert [s.input_shape[0] for s in stats] == [1, 2, 2, 2]
 
     def test_autograd_warm_up_is_a_noop(self, tiny_model, forecasting_data):
         service = ForecastService(
