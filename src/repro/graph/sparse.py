@@ -140,8 +140,4 @@ def sparse_matmul(matrix: SparseMatrix, dense: Tensor) -> Tensor:
     if not isinstance(dense, Tensor):
         dense = Tensor(dense)
     data = kernels.spmm(dense.data, matrix=matrix)  # validates the operand shape
-
-    def grad_fn(g: np.ndarray) -> np.ndarray:
-        return kernels.spmm(g, matrix=matrix.transposed())
-
-    return Tensor._make(data, (dense,), (grad_fn,), op=("spmm", {"matrix": matrix}))
+    return Tensor._make(data, (dense,), op=("spmm", {"matrix": matrix}))

@@ -1,8 +1,8 @@
 """Graph-free inference runtime.
 
 Serving traffic through the autograd engine wastes most of its time in
-Python: even under ``no_grad`` every op builds a ``Tensor``, a parent tuple
-and gradient closures, so per-op dispatch — not the matmuls — dominates at
+Python: even under ``no_grad`` every op builds a ``Tensor`` and an op
+record, so per-op dispatch — not the matmuls — dominates at
 scale (the Section IV-D complexity argument of the paper is about raw
 arithmetic, which this layer gets back to).  The runtime compiles a
 :class:`~repro.nn.Module` forward pass into a flat plan of calls into
@@ -120,7 +120,6 @@ RUNTIME_MODES = ("compiled", "autograd")
 
 def compile_module(
     module,
-    fold_constants: bool = True,
     fuse: bool = True,
     bucket_batches=None,
     precision=None,
@@ -138,7 +137,6 @@ def compile_module(
     """
     return CompiledModel(
         module,
-        fold_constants=fold_constants,
         fuse=fuse,
         bucket_batches=bucket_batches,
         precision=precision,

@@ -13,7 +13,7 @@ serialised into one ``.npz`` file keyed by a **trace hash** over
 * the parameter *values* (constant folding bakes weights into plans, so a
   weight change must change the key),
 * the input shape (after bucketing), the execution precision, the bucket
-  cap, and the compile options (folding, fusion).
+  cap, and the fusion option.
 
 A fresh process — a restarted worker, a newly forked shard — looks the
 artifact up by recomputing the hash from its live module, so a stale
@@ -129,7 +129,6 @@ def trace_hash(
     input_shape: Tuple[int, ...],
     dtype,
     *,
-    fold_constants: bool = True,
     fuse: bool = True,
     bucket_cap: Optional[int] = None,
     weights: Optional[str] = None,
@@ -148,7 +147,9 @@ def trace_hash(
         f"weights:{weights if weights is not None else weights_fingerprint(module)}",
         f"shape:{tuple(int(dim) for dim in input_shape)}",
         f"dtype:{np.dtype(dtype).name}",
-        f"fold:{bool(fold_constants)}",
+        # Inference plans always fold constants; the literal keeps keys
+        # byte-identical to stores written while folding was an option.
+        "fold:True",
         f"fuse:{bool(fuse)}",
         f"bucket_cap:{bucket_cap}",
     )

@@ -366,7 +366,6 @@ def classify_steps(
 def build_plan_spec(
     module,
     example: np.ndarray,
-    fold_constants: bool = True,
     fuse: bool = True,
     dtype=np.float64,
 ):
@@ -383,7 +382,7 @@ def build_plan_spec(
     compile would produce.
     """
     dtype = np.dtype(dtype)
-    lowered = lower_module(module, example, fold_constants=fold_constants, fuse=fuse)
+    lowered = lower_module(module, example, fuse=fuse)
     classified = classify_steps(lowered.steps, lowered.values, lowered.input_value)
     output_slot = lowered.output_slot
 
@@ -511,7 +510,6 @@ def build_plan_spec(
 def compile_plan(
     module,
     example: np.ndarray,
-    fold_constants: bool = True,
     fuse: bool = True,
     dtype=np.float64,
 ) -> Plan:
@@ -527,7 +525,5 @@ def compile_plan(
     binding) — the same two halves an on-disk plan artifact goes through,
     so loaded plans are structurally identical to compiled ones.
     """
-    spec, values = build_plan_spec(
-        module, example, fold_constants=fold_constants, fuse=fuse, dtype=dtype
-    )
+    spec, values = build_plan_spec(module, example, fuse=fuse, dtype=dtype)
     return bind_plan(spec, values)

@@ -10,8 +10,8 @@ step and **zero allocations for intermediates**: every non-view step writes
 into a buffer allocated once at compile time and reused across calls
 (view steps — reshape, transpose, slicing — produce zero-copy views and
 need no buffer at all).  This is the difference to an autograd forward
-under ``no_grad``, which still builds a ``Tensor``, a parent tuple and a
-gradient-closure tuple per op and allocates every intermediate array.
+under ``no_grad``, which still builds a ``Tensor`` and an op record per op
+and allocates every intermediate array.
 """
 
 from __future__ import annotations
@@ -601,7 +601,6 @@ class CompiledModel:
     def __init__(
         self,
         module,
-        fold_constants: bool = True,
         max_plans: int = 16,
         fuse: bool = True,
         bucket_batches: Union[None, bool, int] = None,
@@ -615,7 +614,6 @@ class CompiledModel:
             raise ValueError("lanes must be positive")
         module.eval()
         self._module = module
-        self._fold_constants = fold_constants
         self._fuse = fuse
         self._bucket_cap = resolve_bucket_cap(bucket_batches)
         self._dtype = resolve_precision(precision)
@@ -855,7 +853,6 @@ class CompiledModel:
         plan = compile_plan(
             self._module,
             array,
-            fold_constants=self._fold_constants,
             fuse=self._fuse,
             dtype=array.dtype,
         )
@@ -895,7 +892,6 @@ class CompiledModel:
             self._module,
             shape,
             dtype,
-            fold_constants=self._fold_constants,
             fuse=self._fuse,
             bucket_cap=self._bucket_cap,
             weights=fingerprint,

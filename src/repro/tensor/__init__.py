@@ -6,13 +6,15 @@ implementation with a small reverse-mode automatic-differentiation engine:
 * :class:`repro.tensor.Tensor` — array wrapper with gradient tracking.
 * :mod:`repro.tensor.kernels` — raw ndarray kernels shared by the autograd
   engine and the graph-free inference runtime (:mod:`repro.runtime`).
+* :mod:`repro.tensor.gradients` — every op's backward, shared by autograd
+  and the compiled training tape.
 * :mod:`repro.tensor.ops` — structural operations (concatenate, stack, pad…).
 * :mod:`repro.tensor.functional` — activations, dropout and loss primitives.
 * :mod:`repro.tensor.init` — weight initialisers.
 * :mod:`repro.tensor.random` — seed management for reproducible runs.
 """
 
-from . import functional, init, kernels, ops, random
+from . import functional, gradients, init, kernels, ops, random
 from .ops import concatenate, layer_norm, one_hot, pad, split, stack, unfold_windows, where
 from .random import fork_rng, get_rng, seed
 from .tensor import Tensor, is_grad_enabled, no_grad
@@ -34,6 +36,7 @@ __all__ = [
     "get_rng",
     "fork_rng",
     "functional",
+    "gradients",
     "ops",
     "init",
     "random",

@@ -5,12 +5,12 @@ plain function over ``numpy.ndarray`` operands.  Two execution modes consume
 these kernels:
 
 * the **autograd engine** (:class:`repro.tensor.Tensor`): each ``Tensor`` op
-  calls the kernel for its forward payload and wraps the result with the
-  gradient closures needed for training;
+  calls the kernel for its forward payload and records the op, whose
+  backward is its entry in :data:`repro.tensor.gradients.GRADIENTS`;
 * the **graph-free inference runtime** (:mod:`repro.runtime`): a compiled
   plan replays the recorded kernel calls directly on raw arrays with
-  preallocated output buffers, paying no ``Tensor`` construction, parent
-  bookkeeping or closure allocation per op.
+  preallocated output buffers, paying no ``Tensor`` construction or parent
+  bookkeeping per op.
 
 Because both modes run the *same* kernel code in the *same* order, a
 float64 compiled forward pass is bit-identical to the autograd forward pass
@@ -80,8 +80,6 @@ __all__ = [
     "fused_elementwise",
     "tanh_backward",
     "sigmoid_backward",
-    "relu_backward",
-    "leaky_relu_backward",
     "softmax_backward",
     "log_softmax_backward",
     "layer_norm_backward",
@@ -643,10 +641,9 @@ def _layer_norm_into(
 
 
 # ----------------------------------------------------------------------
-# Analytic backwards shared by the autograd engine and the recorded-tape
-# training runtime.  Each maps the output gradient plus the saved forward
-# values to the input gradient with the exact op sequence the historical
-# autograd closures used, so both consumers produce the same numbers.
+# Analytic backwards of the gradient table (repro.tensor.gradients).  Each
+# maps the output gradient plus the saved forward values to the input
+# gradient.  They are not plan kernels and stay out of KERNELS.
 # ----------------------------------------------------------------------
 def tanh_backward(grad: np.ndarray, output: np.ndarray) -> np.ndarray:
     """``d tanh``: ``g * (1 - y^2)`` from the saved output ``y``."""
@@ -656,18 +653,6 @@ def tanh_backward(grad: np.ndarray, output: np.ndarray) -> np.ndarray:
 def sigmoid_backward(grad: np.ndarray, output: np.ndarray) -> np.ndarray:
     """``d sigmoid``: ``g * y * (1 - y)`` from the saved output ``y``."""
     return grad * output * (1.0 - output)
-
-
-def relu_backward(grad: np.ndarray, value: np.ndarray) -> np.ndarray:
-    """``d relu``: gradient gated by the positive mask of the input."""
-    return grad * (value > 0)
-
-
-def leaky_relu_backward(
-    grad: np.ndarray, value: np.ndarray, *, negative_slope: float = 0.01
-) -> np.ndarray:
-    """``d leaky_relu``: slope mask of the input applied to the gradient."""
-    return grad * np.where(value > 0, 1.0, negative_slope)
 
 
 def softmax_backward(grad: np.ndarray, output: np.ndarray, *, axis: int = -1) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import kernels as K
-from .tensor import Tensor, _unbroadcast
+from .tensor import Tensor
 
 __all__ = [
     "concatenate",
@@ -46,22 +46,7 @@ def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise ValueError("concatenate() requires at least one tensor")
     data = K.concat(*[t.data for t in tensors], axis=axis)
-
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def make_grad_fn(index: int):
-        start, stop = offsets[index], offsets[index + 1]
-
-        def grad_fn(g: np.ndarray) -> np.ndarray:
-            slicer = [slice(None)] * g.ndim
-            slicer[axis] = slice(start, stop)
-            return g[tuple(slicer)]
-
-        return grad_fn
-
-    grad_fns = tuple(make_grad_fn(i) for i in range(len(tensors)))
-    return Tensor._make(data, tuple(tensors), grad_fns, op=("concat", {"axis": axis}))
+    return Tensor._make(data, tuple(tensors), op=("concat", {"axis": axis}))
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -70,15 +55,7 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise ValueError("stack() requires at least one tensor")
     data = K.stack(*[t.data for t in tensors], axis=axis)
-
-    def make_grad_fn(index: int):
-        def grad_fn(g: np.ndarray) -> np.ndarray:
-            return np.take(g, index, axis=axis)
-
-        return grad_fn
-
-    grad_fns = tuple(make_grad_fn(i) for i in range(len(tensors)))
-    return Tensor._make(data, tuple(tensors), grad_fns, op=("stack", {"axis": axis}))
+    return Tensor._make(data, tuple(tensors), op=("stack", {"axis": axis}))
 
 
 def split(tensor: Tensor, sections: int, axis: int = 0) -> List[Tensor]:
@@ -109,16 +86,7 @@ def pad(tensor: Tensor, pad_width: Sequence[Tuple[int, int]], value: float = 0.0
             f"pad_width has {len(pad_width)} entries but the tensor has {tensor.ndim} dimensions"
         )
     data = K.pad(tensor.data, pad_width=pad_width, value=value)
-
-    def grad_fn(g: np.ndarray) -> np.ndarray:
-        slicer = tuple(
-            slice(before, g.shape[axis] - after) for axis, (before, after) in enumerate(pad_width)
-        )
-        return g[slicer]
-
-    return Tensor._make(
-        data, (tensor,), (grad_fn,), op=("pad", {"pad_width": pad_width, "value": value})
-    )
+    return Tensor._make(data, (tensor,), op=("pad", {"pad_width": pad_width, "value": value}))
 
 
 def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
@@ -129,15 +97,7 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     condition = np.asarray(condition, dtype=bool)
     data = K.where(a.data, b.data, condition=condition)
-    return Tensor._make(
-        data,
-        (a, b),
-        (
-            lambda g: _unbroadcast(g * condition, a.shape),
-            lambda g: _unbroadcast(g * (~condition), b.shape),
-        ),
-        op=("where", {"condition": condition}),
-    )
+    return Tensor._make(data, (a, b), op=("where", {"condition": condition}))
 
 
 def outer(a: Tensor, b: Tensor) -> Tensor:
@@ -237,20 +197,6 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
     x_hat, sigma = K.layer_norm_stats(x.data, axes, eps)
     data = np.multiply(x_hat, weight.data)
     np.add(data, bias.data, out=data)
-    weight_data = weight.data
-
-    def grad_x(g: np.ndarray) -> np.ndarray:
-        return K.layer_norm_backward(g, x_hat, sigma, weight_data, axes=axes)
-
-    def grad_weight(g: np.ndarray) -> np.ndarray:
-        return _unbroadcast(g * x_hat, weight.shape)
-
-    def grad_bias(g: np.ndarray) -> np.ndarray:
-        return _unbroadcast(g, bias.shape)
-
     return Tensor._make(
-        data,
-        (x, weight, bias),
-        (grad_x, grad_weight, grad_bias),
-        op=("layer_norm", {"axes": axes, "eps": eps}),
+        data, (x, weight, bias), op=("layer_norm", {"axes": axes, "eps": eps}), saved=(x_hat, sigma)
     )

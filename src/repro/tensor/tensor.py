@@ -27,11 +27,12 @@ array([[2., 4.],
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import kernels as K
+from .gradients import GRADIENTS
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled"]
 
@@ -109,26 +110,6 @@ def is_grad_enabled() -> bool:
     return _GRAD_MODE.enabled
 
 
-def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
-    """Reduce ``grad`` so that it matches ``shape``.
-
-    NumPy broadcasting expands operands during the forward pass; the gradient
-    of a broadcast operand is the sum of the output gradient over the
-    broadcast axes.
-    """
-    if grad.shape == shape:
-        return grad
-    # Sum over leading axes that were added by broadcasting.
-    extra_dims = grad.ndim - len(shape)
-    if extra_dims > 0:
-        grad = grad.sum(axis=tuple(range(extra_dims)))
-    # Sum over axes that were size 1 in the original shape.
-    axes = tuple(i for i, dim in enumerate(shape) if dim == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
-
-
 def _as_array(value: ArrayLike, dtype=_DEFAULT_DTYPE) -> np.ndarray:
     """Coerce ``value`` into a NumPy array of the engine's default dtype."""
     if isinstance(value, Tensor):
@@ -154,7 +135,7 @@ class Tensor:
         listings.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_grad_fns", "name")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_op", "_inputs", "_saved", "name")
 
     def __init__(
         self,
@@ -168,8 +149,13 @@ class Tensor:
             self.data = np.asarray(data, dtype=_DEFAULT_DTYPE)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
-        self._parents: Tuple["Tensor", ...] = ()
-        self._grad_fns: Tuple[Callable[[np.ndarray], np.ndarray], ...] = ()
+        # (input position, parent) for every parent that requires grad.
+        # ``_make`` sets it on outputs that require grad, together with the
+        # node's ``_op`` spec, ``_inputs`` (every input array as it was at
+        # forward time) and ``_saved`` (what the forward kept for the
+        # backward, see repro.tensor.gradients); those three slots stay
+        # unset on every other tensor.
+        self._parents: Tuple[Tuple[int, "Tensor"], ...] = ()
         self.name = name
 
     # ------------------------------------------------------------------
@@ -263,44 +249,35 @@ class Tensor:
     def _make(
         data: np.ndarray,
         parents: Sequence["Tensor"],
-        grad_fns: Sequence[Callable[[np.ndarray], np.ndarray]],
-        op: Optional[OpSpec] = None,
+        op: OpSpec,
+        saved: Any = None,
     ) -> "Tensor":
         """Create an output tensor wired to its parents.
 
-        ``grad_fns[i]`` maps the gradient of the output to the gradient
-        contribution of ``parents[i]``.  Parents that do not require
-        gradients are dropped so the graph stays minimal.
-
         ``op`` identifies the kernel that produced ``data`` (name plus
-        constant kwargs).  It is ignored during normal execution; when the
-        runtime compiler has installed a trace hook, every op is reported to
-        it so the forward pass can be replayed without the autograd layer.
+        constant kwargs); its entry in
+        :data:`repro.tensor.gradients.GRADIENTS` is the backward.  When the
+        output requires grad it keeps the op, every parent's array and
+        ``saved`` (whatever the forward kept for the backward); parents
+        that do not require gradients get none.
+
+        When the runtime compiler has installed a trace hook, every op is
+        also reported to it so the forward pass can be replayed without the
+        autograd layer.
         """
-        out = Tensor._finish(data, parents, grad_fns)
+        requires_grad = _GRAD_MODE.enabled and any(p.requires_grad for p in parents)
+        out = Tensor(data, requires_grad=requires_grad)
+        if requires_grad:
+            out._parents = tuple(
+                (position, parent) for position, parent in enumerate(parents) if parent.requires_grad
+            )
+            out._op = op
+            out._inputs = tuple(parent.data for parent in parents)
+            out._saved = saved
         if _TRACE_HOOKS:
             hook = _TRACE_HOOKS.get(threading.get_ident())
             if hook is not None:
                 hook(op, tuple(parents), out)
-        return out
-
-    @staticmethod
-    def _finish(
-        data: np.ndarray,
-        parents: Sequence["Tensor"],
-        grad_fns: Sequence[Callable[[np.ndarray], np.ndarray]],
-    ) -> "Tensor":
-        requires_grad = _GRAD_MODE.enabled and any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=requires_grad)
-        if requires_grad:
-            kept_parents: List[Tensor] = []
-            kept_fns: List[Callable[[np.ndarray], np.ndarray]] = []
-            for parent, fn in zip(parents, grad_fns):
-                if parent.requires_grad:
-                    kept_parents.append(parent)
-                    kept_fns.append(fn)
-            out._parents = tuple(kept_parents)
-            out._grad_fns = tuple(kept_fns)
         return out
 
     def backward(self, grad: Optional[ArrayLike] = None) -> None:
@@ -343,7 +320,7 @@ class Tensor:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for parent in node._parents:
+            for _, parent in node._parents:
                 if id(parent) not in visited:
                     stack.append((parent, False))
 
@@ -353,10 +330,11 @@ class Tensor:
             if node_grad is None:
                 continue
             if node._parents:
-                for parent, grad_fn in zip(node._parents, node._grad_fns):
-                    contribution = grad_fn(node_grad)
-                    if contribution is None:
-                        continue
+                name, kwargs = node._op
+                entry = GRADIENTS[name]
+                inputs, output, saved = node._inputs, node.data, node._saved
+                for position, parent in node._parents:
+                    contribution = entry[position](node_grad, inputs, output, kwargs, saved)
                     existing = grads.get(id(parent))
                     if existing is None:
                         grads[id(parent)] = contribution
@@ -380,82 +358,41 @@ class Tensor:
 
     def __add__(self, other: ArrayLike) -> "Tensor":
         other = self._coerce(other)
-        data = K.add(self.data, other.data)
-        return Tensor._make(
-            data,
-            (self, other),
-            (
-                lambda g: _unbroadcast(g, self.shape),
-                lambda g: _unbroadcast(g, other.shape),
-            ),
-            op=("add", {}),
-        )
+        return Tensor._make(K.add(self.data, other.data), (self, other), op=("add", {}))
 
     def __radd__(self, other: ArrayLike) -> "Tensor":
         return self.__add__(other)
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
         other = self._coerce(other)
-        data = K.sub(self.data, other.data)
-        return Tensor._make(
-            data,
-            (self, other),
-            (
-                lambda g: _unbroadcast(g, self.shape),
-                lambda g: _unbroadcast(-g, other.shape),
-            ),
-            op=("sub", {}),
-        )
+        return Tensor._make(K.sub(self.data, other.data), (self, other), op=("sub", {}))
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
         return self._coerce(other).__sub__(self)
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
         other = self._coerce(other)
-        data = K.mul(self.data, other.data)
-        return Tensor._make(
-            data,
-            (self, other),
-            (
-                lambda g: _unbroadcast(g * other.data, self.shape),
-                lambda g: _unbroadcast(g * self.data, other.shape),
-            ),
-            op=("mul", {}),
-        )
+        return Tensor._make(K.mul(self.data, other.data), (self, other), op=("mul", {}))
 
     def __rmul__(self, other: ArrayLike) -> "Tensor":
         return self.__mul__(other)
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
         other = self._coerce(other)
-        data = K.div(self.data, other.data)
-        return Tensor._make(
-            data,
-            (self, other),
-            (
-                lambda g: _unbroadcast(g / other.data, self.shape),
-                lambda g: _unbroadcast(-g * self.data / (other.data ** 2), other.shape),
-            ),
-            op=("div", {}),
-        )
+        return Tensor._make(K.div(self.data, other.data), (self, other), op=("div", {}))
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
         return self._coerce(other).__truediv__(self)
 
     def __neg__(self) -> "Tensor":
-        return Tensor._make(K.neg(self.data), (self,), (lambda g: -g,), op=("neg", {}))
+        return Tensor._make(K.neg(self.data), (self,), op=("neg", {}))
 
     def __pow__(self, exponent: float) -> "Tensor":
         if isinstance(exponent, Tensor):
             raise TypeError("tensor exponents are not supported; use exp/log instead")
         exponent = float(exponent)
         data = K.pow_scalar(self.data, exponent=exponent)
-        base = self.data
-
-        def grad_fn(g: np.ndarray) -> np.ndarray:
-            return g * exponent * np.power(base, exponent - 1)
-
-        return Tensor._make(data, (self,), (grad_fn,), op=("pow", {"exponent": exponent}))
+        return Tensor._make(data, (self,), op=("pow", {"exponent": exponent}))
 
     def __matmul__(self, other: ArrayLike) -> "Tensor":
         return self.matmul(other)
@@ -466,33 +403,7 @@ class Tensor:
     def matmul(self, other: ArrayLike) -> "Tensor":
         """Matrix product supporting 1-D, 2-D and batched operands."""
         other = self._coerce(other)
-        a, b = self.data, other.data
-        data = K.matmul(a, b)
-
-        def grad_a(g: np.ndarray) -> np.ndarray:
-            if b.ndim == 1 and a.ndim == 1:
-                return g * b
-            if b.ndim == 1:
-                grad = np.expand_dims(g, -1) * b
-            elif a.ndim == 1:
-                grad = (g[..., None, :] * b).sum(axis=-1)
-            else:
-                grad = g @ np.swapaxes(b, -1, -2)
-            return _unbroadcast(grad, a.shape)
-
-        def grad_b(g: np.ndarray) -> np.ndarray:
-            if a.ndim == 1 and b.ndim == 1:
-                return g * a
-            if a.ndim == 1:
-                grad = np.expand_dims(a, -1) * np.expand_dims(g, -2)
-                return _unbroadcast(grad, b.shape)
-            if b.ndim == 1:
-                grad = (np.swapaxes(a, -1, -2) @ np.expand_dims(g, -1))[..., 0]
-                return _unbroadcast(grad, b.shape)
-            grad = np.swapaxes(a, -1, -2) @ g
-            return _unbroadcast(grad, b.shape)
-
-        return Tensor._make(data, (self, other), (grad_a, grad_b), op=("matmul", {}))
+        return Tensor._make(K.matmul(self.data, other.data), (self, other), op=("matmul", {}))
 
     # ------------------------------------------------------------------
     # Shape manipulation
@@ -501,11 +412,8 @@ class Tensor:
         """Return a tensor with the same data and a new shape."""
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        original_shape = self.shape
         data = K.reshape(self.data, shape=shape)
-        return Tensor._make(
-            data, (self,), (lambda g: g.reshape(original_shape),), op=("reshape", {"shape": shape})
-        )
+        return Tensor._make(data, (self,), op=("reshape", {"shape": shape}))
 
     def transpose(self, *axes: int) -> "Tensor":
         """Permute the axes of the tensor.
@@ -517,11 +425,8 @@ class Tensor:
             axes = tuple(axes[0])
         if not axes:
             axes = tuple(reversed(range(self.ndim)))
-        inverse = np.argsort(axes)
         data = K.transpose(self.data, axes=axes)
-        return Tensor._make(
-            data, (self,), (lambda g: g.transpose(inverse),), op=("transpose", {"axes": axes})
-        )
+        return Tensor._make(data, (self,), op=("transpose", {"axes": axes}))
 
     def swapaxes(self, axis1: int, axis2: int) -> "Tensor":
         """Swap two axes of the tensor."""
@@ -531,43 +436,24 @@ class Tensor:
 
     def squeeze(self, axis: Optional[int] = None) -> "Tensor":
         """Remove axes of length one."""
-        original_shape = self.shape
         data = K.squeeze(self.data, axis=axis)
-        return Tensor._make(
-            data, (self,), (lambda g: g.reshape(original_shape),), op=("squeeze", {"axis": axis})
-        )
+        return Tensor._make(data, (self,), op=("squeeze", {"axis": axis}))
 
     def unsqueeze(self, axis: int) -> "Tensor":
         """Insert a new axis of length one at ``axis``."""
-        original_shape = self.shape
         data = K.unsqueeze(self.data, axis=axis)
-        return Tensor._make(
-            data, (self,), (lambda g: g.reshape(original_shape),), op=("unsqueeze", {"axis": axis})
-        )
+        return Tensor._make(data, (self,), op=("unsqueeze", {"axis": axis}))
 
     def expand(self, *shape: int) -> "Tensor":
         """Broadcast the tensor to ``shape`` (read-only expansion)."""
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        original_shape = self.shape
         data = K.broadcast(self.data, shape=shape)
-        return Tensor._make(
-            data,
-            (self,),
-            (lambda g: _unbroadcast(g, original_shape),),
-            op=("broadcast", {"shape": shape}),
-        )
+        return Tensor._make(data, (self,), op=("broadcast", {"shape": shape}))
 
     def __getitem__(self, index) -> "Tensor":
         data = K.getitem(self.data, index=index)
-        original_shape = self.shape
-
-        def grad_fn(g: np.ndarray) -> np.ndarray:
-            full = np.zeros(original_shape, dtype=_DEFAULT_DTYPE)
-            np.add.at(full, index, g)
-            return full
-
-        return Tensor._make(data, (self,), (grad_fn,), op=("getitem", {"index": index}))
+        return Tensor._make(data, (self,), op=("getitem", {"index": index}))
 
     # ------------------------------------------------------------------
     # Reductions
@@ -575,39 +461,12 @@ class Tensor:
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Sum of elements over the given axis (or all elements)."""
         data = K.reduce_sum(self.data, axis=axis, keepdims=keepdims)
-        original_shape = self.shape
-
-        def grad_fn(g: np.ndarray) -> np.ndarray:
-            if axis is None:
-                return np.broadcast_to(g, original_shape).copy() if not keepdims else np.broadcast_to(g, original_shape).copy()
-            g_expanded = g if keepdims else np.expand_dims(g, axis)
-            return np.broadcast_to(g_expanded, original_shape).copy()
-
-        return Tensor._make(
-            data, (self,), (grad_fn,), op=("sum", {"axis": axis, "keepdims": keepdims})
-        )
+        return Tensor._make(data, (self,), op=("sum", {"axis": axis, "keepdims": keepdims}))
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Arithmetic mean over the given axis (or all elements)."""
         data = K.reduce_mean(self.data, axis=axis, keepdims=keepdims)
-        original_shape = self.shape
-        if axis is None:
-            count = self.data.size
-        else:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            count = 1
-            for ax in axes:
-                count *= original_shape[ax]
-
-        def grad_fn(g: np.ndarray) -> np.ndarray:
-            if axis is None:
-                return np.broadcast_to(g / count, original_shape).copy()
-            g_expanded = g if keepdims else np.expand_dims(g, axis)
-            return np.broadcast_to(g_expanded / count, original_shape).copy()
-
-        return Tensor._make(
-            data, (self,), (grad_fn,), op=("mean", {"axis": axis, "keepdims": keepdims})
-        )
+        return Tensor._make(data, (self,), op=("mean", {"axis": axis, "keepdims": keepdims}))
 
     def var(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Biased variance over the given axis (population variance)."""
@@ -619,22 +478,7 @@ class Tensor:
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Maximum over the given axis; gradients flow to the arg-max entries."""
         data = K.reduce_max(self.data, axis=axis, keepdims=keepdims)
-        original = self.data
-
-        def grad_fn(g: np.ndarray) -> np.ndarray:
-            if axis is None:
-                mask = (original == original.max()).astype(_DEFAULT_DTYPE)
-                mask /= mask.sum()
-                return mask * g
-            expanded_max = original.max(axis=axis, keepdims=True)
-            mask = (original == expanded_max).astype(_DEFAULT_DTYPE)
-            mask /= mask.sum(axis=axis, keepdims=True)
-            g_expanded = g if keepdims else np.expand_dims(g, axis)
-            return mask * g_expanded
-
-        return Tensor._make(
-            data, (self,), (grad_fn,), op=("max", {"axis": axis, "keepdims": keepdims})
-        )
+        return Tensor._make(data, (self,), op=("max", {"axis": axis, "keepdims": keepdims}))
 
     def min(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Minimum over the given axis; gradients flow to the arg-min entries."""
@@ -645,86 +489,46 @@ class Tensor:
     # ------------------------------------------------------------------
     def exp(self) -> "Tensor":
         """Element-wise exponential."""
-        data = K.exp(self.data)
-        return Tensor._make(data, (self,), (lambda g: g * data,), op=("exp", {}))
+        return Tensor._make(K.exp(self.data), (self,), op=("exp", {}))
 
     def log(self) -> "Tensor":
         """Element-wise natural logarithm."""
-        data = K.log(self.data)
-        source = self.data
-        return Tensor._make(data, (self,), (lambda g: g / source,), op=("log", {}))
+        return Tensor._make(K.log(self.data), (self,), op=("log", {}))
 
     def sqrt(self) -> "Tensor":
         """Element-wise square root."""
-        data = K.sqrt(self.data)
-        return Tensor._make(data, (self,), (lambda g: g * 0.5 / data,), op=("sqrt", {}))
+        return Tensor._make(K.sqrt(self.data), (self,), op=("sqrt", {}))
 
     def abs(self) -> "Tensor":
         """Element-wise absolute value (sub-gradient 0 at zero)."""
-        data = K.absolute(self.data)
-        sign = np.sign(self.data)
-        return Tensor._make(data, (self,), (lambda g: g * sign,), op=("abs", {}))
+        return Tensor._make(K.absolute(self.data), (self,), op=("abs", {}))
 
     def tanh(self) -> "Tensor":
         """Element-wise hyperbolic tangent."""
-        data = K.tanh(self.data)
-        return Tensor._make(
-            data, (self,), (lambda g: K.tanh_backward(g, data),), op=("tanh", {})
-        )
+        return Tensor._make(K.tanh(self.data), (self,), op=("tanh", {}))
 
     def sigmoid(self) -> "Tensor":
         """Element-wise logistic sigmoid."""
-        data = K.sigmoid(self.data)
-        return Tensor._make(
-            data, (self,), (lambda g: K.sigmoid_backward(g, data),), op=("sigmoid", {})
-        )
+        return Tensor._make(K.sigmoid(self.data), (self,), op=("sigmoid", {}))
 
     def relu(self) -> "Tensor":
         """Element-wise rectified linear unit."""
-        mask = (self.data > 0).astype(_DEFAULT_DTYPE)
-        data = self.data * mask
-        return Tensor._make(data, (self,), (lambda g: g * mask,), op=("relu", {}))
+        return Tensor._make(K.relu(self.data), (self,), op=("relu", {}))
 
     def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
         """Element-wise leaky ReLU."""
-        mask = np.where(self.data > 0, 1.0, negative_slope)
-        data = self.data * mask
-        return Tensor._make(
-            data,
-            (self,),
-            (lambda g: g * mask,),
-            op=("leaky_relu", {"negative_slope": negative_slope}),
-        )
+        data = K.leaky_relu(self.data, negative_slope=negative_slope)
+        return Tensor._make(data, (self,), op=("leaky_relu", {"negative_slope": negative_slope}))
 
     def clip(self, minimum: Optional[float] = None, maximum: Optional[float] = None) -> "Tensor":
         """Clamp values into ``[minimum, maximum]``; gradient is zero outside."""
         data = K.clip(self.data, minimum=minimum, maximum=maximum)
-        lower = -np.inf if minimum is None else minimum
-        upper = np.inf if maximum is None else maximum
-        mask = ((self.data >= lower) & (self.data <= upper)).astype(_DEFAULT_DTYPE)
-        return Tensor._make(
-            data,
-            (self,),
-            (lambda g: g * mask,),
-            op=("clip", {"minimum": minimum, "maximum": maximum}),
-        )
+        return Tensor._make(data, (self,), op=("clip", {"minimum": minimum, "maximum": maximum}))
 
     def maximum(self, other: ArrayLike) -> "Tensor":
         """Element-wise maximum with ties splitting the gradient equally."""
         other = self._coerce(other)
-        data = K.maximum(self.data, other.data)
-        self_mask = (self.data > other.data).astype(_DEFAULT_DTYPE)
-        tie_mask = (self.data == other.data).astype(_DEFAULT_DTYPE) * 0.5
-        other_mask = (other.data > self.data).astype(_DEFAULT_DTYPE)
-        return Tensor._make(
-            data,
-            (self, other),
-            (
-                lambda g: _unbroadcast(g * (self_mask + tie_mask), self.shape),
-                lambda g: _unbroadcast(g * (other_mask + tie_mask), other.shape),
-            ),
-            op=("maximum", {}),
-        )
+        return Tensor._make(K.maximum(self.data, other.data), (self, other), op=("maximum", {}))
 
     def minimum(self, other: ArrayLike) -> "Tensor":
         """Element-wise minimum with ties splitting the gradient equally."""
@@ -742,20 +546,12 @@ class Tensor:
         the classic ``y * (g - sum(g * y))``.
         """
         data = K.softmax(self.data, axis=axis)
-
-        def grad_fn(g: np.ndarray) -> np.ndarray:
-            return K.softmax_backward(g, data, axis=axis)
-
-        return Tensor._make(data, (self,), (grad_fn,), op=("softmax", {"axis": axis}))
+        return Tensor._make(data, (self,), op=("softmax", {"axis": axis}))
 
     def log_softmax(self, axis: int = -1) -> "Tensor":
         """Logarithm of the softmax along ``axis`` (primitive, see softmax)."""
         data = K.log_softmax(self.data, axis=axis)
-
-        def grad_fn(g: np.ndarray) -> np.ndarray:
-            return K.log_softmax_backward(g, data, axis=axis)
-
-        return Tensor._make(data, (self,), (grad_fn,), op=("log_softmax", {"axis": axis}))
+        return Tensor._make(data, (self,), op=("log_softmax", {"axis": axis}))
 
 
 def _ensure_tensor(value: ArrayLike) -> Tensor:

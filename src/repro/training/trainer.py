@@ -52,12 +52,6 @@ class TrainerConfig:
     null_value: Optional[float] = 0.0
     shuffle: bool = True
     verbose: bool = False
-    #: Replay the training forward through the compiled runtime when the
-    #: model is eligible (no active dropout / batch norm — see
-    #: :func:`repro.runtime.plan_trainable`); ineligible models fall back
-    #: to plain autograd automatically.  ``REPRO_RUNTIME=autograd`` also
-    #: disables it.
-    compiled_training: bool = True
     #: Execution-precision policy of the *inference* plans behind
     #: :meth:`Trainer.predict` / :meth:`Trainer.evaluate` (``"float64"`` /
     #: ``"float32"``; ``None`` consults ``REPRO_RUNTIME_PRECISION``).
@@ -80,6 +74,11 @@ class TrainingHistory:
     validation_mae: List[float] = field(default_factory=list)
     epoch_seconds: List[float] = field(default_factory=list)
     best_epoch: Optional[int] = None
+    #: Which runtime ran the training forwards: ``"compiled"`` (fused plan
+    #: replay plus the recorded-tape backward) or ``"autograd: <reason>"``,
+    #: the reason being :func:`repro.runtime.plan_trainable`'s or the
+    #: ``REPRO_RUNTIME`` escape hatch.
+    training_runtime: str = ""
 
     @property
     def num_epochs(self) -> int:
@@ -121,7 +120,8 @@ class Trainer:
         self._inference_runtime = None
         self._inference_token = None
         self._training_runtime = None
-        self._training_runtime_resolved = False
+        # plan_trainable's reason once resolved ("" when eligible).
+        self._training_ineligible: Optional[str] = None
 
     # ------------------------------------------------------------------
     def _normalise_targets(self, targets: np.ndarray) -> np.ndarray:
@@ -130,7 +130,7 @@ class Trainer:
     def _train_epoch(self, loader: DataLoader) -> float:
         """One optimisation pass over the training split.
 
-        When the model is eligible (see :attr:`TrainerConfig.compiled_training`)
+        When the model is eligible (see :func:`repro.runtime.plan_trainable`)
         the forward replays the fused kernel plan of the compiled training
         runtime: autograd re-attaches only at the loss boundary (the
         predictions become a leaf tensor), and the plan's recorded-tape
@@ -159,19 +159,25 @@ class Trainer:
         return float(np.mean(losses)) if losses else 0.0
 
     def _training_forward_runtime(self):
-        """The compiled training runtime, or ``None`` for plain autograd."""
-        if not self.config.compiled_training:
-            return None
-        from ..runtime import resolve_runtime_mode
+        """The compiled training runtime, or ``None`` for plain autograd.
+
+        Records the choice in :attr:`TrainingHistory.training_runtime`.
+        """
+        from ..runtime import RUNTIME_ENV_VAR, resolve_runtime_mode
 
         if resolve_runtime_mode(None) != "compiled":
+            self.history.training_runtime = f"autograd: {RUNTIME_ENV_VAR}=autograd"
             return None
-        if not self._training_runtime_resolved:
-            self._training_runtime_resolved = True
+        if self._training_ineligible is None:
             from ..runtime import compile_training_model, plan_trainable
 
-            if plan_trainable(self.model)[0]:
+            trainable, self._training_ineligible = plan_trainable(self.model)
+            if trainable:
                 self._training_runtime = compile_training_model(self.model)
+        self.history.training_runtime = (
+            "compiled" if self._training_runtime is not None
+            else f"autograd: {self._training_ineligible}"
+        )
         return self._training_runtime
 
     def predict(

@@ -296,14 +296,12 @@ class TestArtifactStore:
         assert weights_fingerprint(model) != before
 
     def test_trace_hash_varies_by_every_key_component(self, model):
-        base = dict(fold_constants=True, fuse=True, bucket_cap=1024)
+        base = dict(fuse=True, bucket_cap=1024)
         reference = trace_hash(model, (3, 12, NUM_NODES, 1), np.float64, **base)
         assert trace_hash(model, (3, 12, NUM_NODES, 1), np.float64, **base) == reference
         variants = [
             trace_hash(model, (4, 12, NUM_NODES, 1), np.float64, **base),
             trace_hash(model, (3, 12, NUM_NODES, 1), np.float32, **base),
-            trace_hash(model, (3, 12, NUM_NODES, 1), np.float64,
-                       **{**base, "fold_constants": False}),
             trace_hash(model, (3, 12, NUM_NODES, 1), np.float64,
                        **{**base, "bucket_cap": None}),
             trace_hash(model, (3, 12, NUM_NODES, 1), np.float64,

@@ -9,9 +9,7 @@ Contracts:
   accumulation-order noise (<= 1e-12 relative) and matches central finite
   differences;
 * ineligible models (active dropout, batch norm) are rejected and the
-  Trainer falls back to plain autograd;
-* bucketed training steps (ragged final batch) produce exactly the
-  gradients of an exact-shape step.
+  Trainer falls back to plain autograd, saying why in its history.
 """
 
 from __future__ import annotations
@@ -242,16 +240,29 @@ class TestSavedChainIntermediates:
             out_slot for name, _, _, _, out_slot, _ in plan._steps
             if name == "fused_elementwise"
         }
-        assert set(plan._fused_saved) == fused_slots
+        layer_norm_slots = {
+            out_slot for name, _, _, _, out_slot, _ in plan._steps
+            if name == "layer_norm"
+        }
+        # Exactly the fused chains (per-link values) and the layer norms
+        # ((x_hat, sigma)) are saved; no other step keeps anything.
+        assert set(plan._saved) == fused_slots | layer_norm_slots
+        chains = {out_slot: kwargs["chain"] for name, _, _, kwargs, out_slot, _ in plan._steps
+                  if name == "fused_elementwise"}
+        for slot in fused_slots:
+            assert isinstance(plan._saved[slot], list)
+            assert len(plan._saved[slot]) == len(chains[slot])
+        for slot in layer_norm_slots:
+            assert isinstance(plan._saved[slot], tuple) and len(plan._saved[slot]) == 2
         predictions = Tensor(step.predictions, requires_grad=True)
         loss = _mae_like(predictions)
         loss.backward()
         step.backward(predictions.grad)
         # Consumed (popped) by the backward, cleared by release().
-        assert not plan._fused_saved
+        assert not plan._saved
 
     def test_gradients_unchanged_by_the_saved_path(self):
-        """Saved-intermediate backward == recompute backward == autograd."""
+        """Saved-intermediate backward == autograd."""
         model = _dyhsl(seed=203)
         model.train()
         x = np.random.default_rng(204).normal(size=(3, 12, NUM_NODES, 1))
@@ -261,38 +272,11 @@ class TestSavedChainIntermediates:
         assert _max_rel_diff(ref_grads, tape_grads) <= 1e-12
 
 
-class TestBucketedTraining:
-    def test_ragged_batch_grads_equal_exact_batch_grads(self):
-        model = _dyhsl(seed=98)
-        model.train()
-        x = np.random.default_rng(99).normal(size=(5, 12, NUM_NODES, 1))
-
-        # Exact-shape reference (bucketing disabled).
-        model.zero_grad()
-        exact = compile_training_model(model, bucket_batches=False)
-        step = exact.step(x)
-        predictions = Tensor(step.predictions, requires_grad=True)
-        loss = _mae_like(predictions)
-        loss.backward()
-        step.backward(predictions.grad)
-        reference = {name: p.grad.copy() for name, p in model.named_parameters()}
-
-        # Bucketed: batch 5 pads to 8; padded rows must contribute nothing.
-        model.zero_grad()
-        bucketed = compile_training_model(model, bucket_batches=True)
-        step = bucketed.step(x)
-        assert step.predictions.shape[0] == 5
-        assert bucketed.plan_stats()[0].input_shape[0] == 8
-        predictions = Tensor(step.predictions, requires_grad=True)
-        loss = _mae_like(predictions)
-        loss.backward()
-        step.backward(predictions.grad)
-        produced = {name: p.grad.copy() for name, p in model.named_parameters()}
-        assert _max_rel_diff(reference, produced) <= 1e-12
-
-
 class TestTrainerIntegration:
-    def _trainer(self, compiled: bool, dropout: float = 0.0):
+    def _trainer(self, dropout: float = 0.0, baseline: str = ""):
+        """A 2-epoch trainer on a small DyHSL (or the named registry model);
+        ``dropout=None`` keeps the DyHSL config default."""
+        from repro.baselines import create_baseline
         from repro.data import ForecastingData, TrafficSimulatorConfig, WindowConfig, load_dataset
         from repro.training import Trainer, TrainerConfig
 
@@ -305,27 +289,33 @@ class TestTrainerIntegration:
             simulator_config=TrafficSimulatorConfig(seed=101),
         )
         data = ForecastingData(dataset, window=WindowConfig(12, 12))
-        config = DyHSLConfig(
-            num_nodes=data.dataset.num_nodes,
-            hidden_dim=8,
-            prior_layers=1,
-            num_hyperedges=4,
-            window_sizes=(1, 12),
-            mhce_layers=1,
-            dropout=dropout,
-        )
-        model = DyHSL(config, data.dataset.adjacency)
-        trainer_config = TrainerConfig(
-            max_epochs=2, batch_size=8, patience=5, compiled_training=compiled
-        )
+        if baseline:
+            model = create_baseline(
+                baseline, data.dataset.adjacency, data.dataset.num_nodes, hidden_dim=8
+            )
+        else:
+            config = DyHSLConfig(
+                num_nodes=data.dataset.num_nodes,
+                hidden_dim=8,
+                prior_layers=1,
+                num_hyperedges=4,
+                window_sizes=(1, 12),
+                mhce_layers=1,
+                **({} if dropout is None else {"dropout": dropout}),
+            )
+            model = DyHSL(config, data.dataset.adjacency)
+        trainer_config = TrainerConfig(max_epochs=2, batch_size=8, patience=5)
         return Trainer(model, data, trainer_config)
 
-    def test_compiled_training_matches_autograd_training(self):
-        autograd_trainer = self._trainer(compiled=False)
-        compiled_trainer = self._trainer(compiled=True)
-        autograd_history = autograd_trainer.fit()
+    def test_compiled_training_matches_autograd_training(self, monkeypatch):
+        monkeypatch.setenv("REPRO_RUNTIME", "autograd")
+        autograd_history = self._trainer().fit()
+        monkeypatch.delenv("REPRO_RUNTIME")
+        compiled_trainer = self._trainer()
         compiled_history = compiled_trainer.fit()
         assert compiled_trainer._training_runtime is not None  # it really ran compiled
+        assert compiled_history.training_runtime == "compiled"
+        assert autograd_history.training_runtime == "autograd: REPRO_RUNTIME=autograd"
         assert compiled_history.train_loss == pytest.approx(
             autograd_history.train_loss, rel=0, abs=1e-9
         )
@@ -334,17 +324,28 @@ class TestTrainerIntegration:
         )
 
     def test_dropout_model_falls_back_to_autograd(self):
-        trainer = self._trainer(compiled=True, dropout=0.2)
-        trainer.fit()
+        trainer = self._trainer(dropout=0.2)
+        history = trainer.fit()
         assert trainer._training_runtime is None
+        assert history.training_runtime.startswith("autograd: ")
+        assert "dropout (p=0.2)" in history.training_runtime
+
+    def test_history_names_the_training_runtime(self):
+        """The default DyHSL (dropout 0.1) says why it trains on autograd;
+        a dropout-free registry model trains compiled."""
+        default = self._trainer(dropout=None).fit().training_runtime
+        assert default.startswith("autograd: ")
+        assert "'prior_encoder.dropout'" in default
+        assert self._trainer(baseline="GRU-ED").fit().training_runtime == "compiled"
 
     def test_environment_escape_hatch_disables_compiled_training(self, monkeypatch):
         monkeypatch.setenv("REPRO_RUNTIME", "autograd")
-        trainer = self._trainer(compiled=True)
+        trainer = self._trainer()
         assert trainer._training_forward_runtime() is None
+        assert trainer.history.training_runtime == "autograd: REPRO_RUNTIME=autograd"
 
     def test_predict_caches_by_parameter_version(self):
-        trainer = self._trainer(compiled=False)
+        trainer = self._trainer()
         first = trainer._compiled_for_inference()
         assert trainer._compiled_for_inference() is first  # no weight change
         trainer.fit()  # optimiser steps + best-epoch restore bump the token
@@ -364,7 +365,7 @@ class TestTrainerIntegration:
 
     def test_predictions_track_weight_updates_through_the_cache(self):
         """The cached plan must never serve stale folded weights."""
-        trainer = self._trainer(compiled=False)
+        trainer = self._trainer()
         inputs = trainer.data.test.inputs[:4]
         before = trainer.predict(inputs)
         trainer.fit()
