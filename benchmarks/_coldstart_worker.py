@@ -78,6 +78,7 @@ def main() -> None:
         with ForecastService(
             model,
             num_shards=FLEET_SHARDS,
+            executor="processes",
             cache_entries=0,
             precision=precision,
             **kwargs,
@@ -89,9 +90,9 @@ def main() -> None:
             started = time.perf_counter()
             fleet.forecast(window)
             second_ms = (time.perf_counter() - started) * 1e3
-            infos = [worker.forward.cache_info() for worker in fleet._workers]
-        compiles = sum(info.compiles for info in infos)
-        loads = sum(info.artifact_loads for info in infos)
+            # The replicas share one parent-side provider: count it once.
+            info = fleet._tier.provider().cache_info()
+        compiles, loads = info.compiles, info.artifact_loads
     else:  # pragma: no cover - driver passes a known mode
         raise SystemExit(f"unknown mode {mode!r}")
 

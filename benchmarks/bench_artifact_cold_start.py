@@ -22,7 +22,7 @@ memoised), every measurement runs in an actual subprocess via
 ``_coldstart_worker.py`` — cold workers compile the ladder, warm workers
 bind it from a store saved ahead of time.  Measured at the 0.5x PEMS08
 acceptance point (85 sensors) in both precisions, single-worker and as a
-2-replica fleet, asserting the acceptance contract:
+2-replica process fleet, asserting the acceptance contract:
 
 * the artifact-warm first request is **>= 5x** faster than the cold
   compile (plan compilation dominates readiness at this scale; the
@@ -109,7 +109,7 @@ def test_artifact_cold_start(tmp_path):
     scenarios = [
         ("single", "float64", 1, len(LADDER)),
         ("single", "float32", 1, len(LADDER)),
-        ("fleet", "float64", 2, 2 * len(LADDER)),
+        ("fleet", "float64", 2, len(LADDER)),
     ]
     rows: List[dict] = []
     bench_rows: List[dict] = []
@@ -122,8 +122,8 @@ def test_artifact_cold_start(tmp_path):
 
         # AOT seeding: compile once, save the ladder's artifacts (the
         # "write artifacts alongside the checkpoint at train time" step).
-        # Replicas share the store's memo, so a fleet compiles each trace
-        # once.
+        # Process replicas share one parent-side provider, so a fleet
+        # compiles each trace once.
         seeded = _run_worker(mode, precision, store, None)
         assert seeded["compiles"] == len(LADDER)
 

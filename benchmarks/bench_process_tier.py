@@ -1,21 +1,20 @@
-"""Process tier — threads-vs-processes shard sweep and mixed-lane latency.
+"""Process tier — process-replica sweep and mixed-lane latency.
 
 PR 7 moves shard execution off the interpreter's threads and into worker
 *processes* replaying compiled plan artifacts over shared memory
 (:mod:`repro.serving.process_tier`).  Two measurements judge it:
 
 1. **Aggregate throughput** (``test_process_tier_sweep``): the same
-   16-window query stream through ``ForecastService(num_shards=K)`` with 1,
-   2 and 4 workers, once with ``executor="threads"`` and once with
-   ``executor="processes"``, at the 0.5x PEMS08 configuration (85 sensors).
+   16-window query stream through the inline single-worker service and
+   through ``ForecastService(num_shards=K, executor="processes")`` with 1,
+   2 and 4 workers, at the 0.5x PEMS08 configuration (85 sensors).
    Bit-parity (``max |diff| == 0``) is asserted for every configuration —
    throughput never buys drift.  On a box with >= 4 cores the 4-worker
-   process tier must clear **1.5x** the single-worker thread service;
-   NumPy kernels release the GIL, so thread shards already overlap — the
-   process tier's margin comes from sidestepping the serialised Python
-   dispatch between kernels.  On smaller boxes the sweep still runs and
-   records the numbers (the ``cores`` column makes the regime explicit),
-   but only parity is asserted.
+   process tier must clear **1.5x** the inline service; its margin comes
+   from sidestepping the serialised Python dispatch between kernels.  On
+   smaller boxes the sweep still runs and records the numbers (the
+   ``cores`` column makes the regime explicit), but only parity is
+   asserted.
 
 2. **Interactive latency under bulk load** (``test_mixed_lane_latency``):
    ``forecast_latest`` p50/p99 on an otherwise idle service versus the
@@ -97,7 +96,7 @@ def _best_of_interleaved(callables, repeats: int):
 
 
 def test_process_tier_sweep():
-    """Threads vs. processes at 1/2/4 workers, bit-parity everywhere."""
+    """Process replicas at 1/2/4 workers against inline, bit-parity everywhere."""
     cores = _cores()
     model = _build_model()
     rng = np.random.default_rng(SEED + 11)
@@ -107,20 +106,17 @@ def test_process_tier_sweep():
     reference = single.forecast_many(windows)  # warm-up: compiles the plan
 
     services: List[tuple] = []
-    for executor in ("threads", "processes"):
-        for workers in (1, 2, 4):
-            service = ForecastService(
-                model,
-                num_shards=workers,
-                cache_entries=0,
-                executor=executor,
-            )
-            produced = service.forecast_many(windows)  # warm: plans + spawns
-            diff = float(np.abs(produced - reference).max())
-            assert diff == 0.0, (
-                f"{executor} x{workers} diverges from the single worker: {diff}"
-            )
-            services.append((executor, workers, service))
+    for workers in (1, 2, 4):
+        service = ForecastService(
+            model,
+            num_shards=workers,
+            cache_entries=0,
+            executor="processes",
+        )
+        produced = service.forecast_many(windows)  # warm: plans + spawns
+        diff = float(np.abs(produced - reference).max())
+        assert diff == 0.0, f"processes x{workers} diverges from the single worker: {diff}"
+        services.append(("processes", workers, service))
 
     candidates = [lambda: single.forecast_many(windows)]
     candidates += [
@@ -132,7 +128,7 @@ def test_process_tier_sweep():
 
     rows: List[Dict] = [
         {
-            "executor": "single worker",
+            "executor": "inline",
             "workers": 1,
             "cores": cores,
             "req/s": round(single_rps, 1),

@@ -1,6 +1,6 @@
 """Serving throughput — micro-batching and the graph-free compiled runtime.
 
-Three levers stack on the serving path:
+Four levers stack on the serving path:
 
 1. **Micro-batching** (PR 1): coalescing concurrent single-window requests
    into one ``(B, T, N, F)`` forward amortises the per-op Python dispatch
@@ -13,11 +13,7 @@ Three levers stack on the serving path:
    layer norm) cut the redundant memory passes that dominate once arrays
    are large enough to amortise dispatch, and power-of-two batch bucketing
    bounds the plan cache under ragged traffic.
-4. **Multi-worker sharding** (PR 4): ``ForecastService(num_shards=K)``
-   splits a query stream round-robin over ``K`` worker threads with independent
-   compiled replicas; the merged outputs stay bit-identical to the single
-   worker.
-5. **Precision policy** (PR 5): float32 plans halve the memory traffic the
+4. **Precision policy** (PR 5): float32 plans halve the memory traffic the
    fused kernels are bound by (the documented tolerance contract bounds
    the drift; float64 plans stay bit-exact).
 
@@ -896,123 +892,3 @@ def test_compiled_training_forward():
         },
     )
 
-
-def test_sharded_serving_sweep():
-    """Shard-count sweep (1/2/4 workers) at the 0.5x PEMS08 configuration.
-
-    Replays the same 16-window query stream through the single-worker
-    service and through ``ForecastService(num_shards=K, executor="threads")``
-    with 1, 2 and 4 replica workers.  The acceptance contract is
-    **bit-parity**: every sharded configuration must produce
-    ``max |diff| == 0`` against the single-worker service.
-
-    Throughput scaling comes from genuine work partitioning: replica mode
-    splits the miss batch round-robin, and each worker's compiled plan
-    executes on its own thread (NumPy kernels release the GIL), so on a
-    multi-core box the sub-batches overlap.  On a single-core box the
-    same sweep records the scheduling overhead instead — the sweep
-    therefore asserts a hard overhead floor everywhere and the actual
-    scaling gain only where there are cores to scale onto (the recorded
-    ``workers x cores`` column makes the regime explicit).
-    """
-    num_nodes = max(8, int(round(PEMS08_NODES * 0.5)))
-    concurrency = 16
-    repeats = 5
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    model = _build_model(num_nodes=num_nodes)
-    rng = np.random.default_rng(SEED + 5)
-    windows = rng.normal(size=(concurrency, 12, num_nodes, 1)) * 10.0 + 50.0
-
-    single = ForecastService(model, cache_entries=0)
-    reference = single.forecast_many(windows)  # warm-up: compiles the plan
-
-    services = []
-    for shards in (1, 2, 4):
-        service = ForecastService(
-            model, num_shards=shards, executor="threads", cache_entries=0
-        )
-        produced = service.forecast_many(windows)  # warm-up: per-shard plans
-        diff = float(np.abs(produced - reference).max())
-        assert diff == 0.0, f"replicas x{shards} diverges from the single worker: {diff}"
-        services.append((shards, service))
-
-    candidates = [lambda: single.forecast_many(windows)]
-    candidates += [
-        (lambda service=service: service.forecast_many(windows))
-        for _, service in services
-    ]
-    timings = _best_of_interleaved(candidates, repeats)
-    single_rps = concurrency / timings[0]
-
-    rows: List[dict] = [
-        {
-            "configuration": "single worker",
-            "workers": 1,
-            "cores": cores,
-            "req/s": round(single_rps, 1),
-            "vs single": "1.00x",
-            "max |diff|": "0.0e+00",
-        }
-    ]
-    replica_rps: Dict[int, float] = {}
-    for (shards, _), seconds in zip(services, timings[1:]):
-        rps = concurrency / seconds
-        replica_rps[shards] = rps
-        rows.append(
-            {
-                "configuration": "sharded (replicas)",
-                "workers": shards,
-                "cores": cores,
-                "req/s": round(rps, 1),
-                "vs single": f"{rps / single_rps:.2f}x",
-                "max |diff|": "0.0e+00",
-            }
-        )
-    print_table(
-        f"Shard-count sweep — {num_nodes} sensors (0.5x PEMS08), batch {concurrency}",
-        rows,
-        ["configuration", "workers", "cores", "req/s", "vs single", "max |diff|"],
-    )
-    record_bench(
-        "sharded_serving",
-        {
-            "sensors": num_nodes,
-            "batch": concurrency,
-            "cores": cores,
-            "precision": "float64",
-            "provenance": provenance(REPO_ROOT, "sharded_serving", SEED, "float64"),
-            "rows": [
-                {
-                    "configuration": row["configuration"],
-                    "workers": row["workers"],
-                    "precision": "float64",
-                    "rps": row["req/s"],
-                    "speedup_vs_single_worker": float(row["vs single"].rstrip("x")),
-                }
-                for row in rows
-            ],
-        },
-    )
-    for _, service in services:
-        service.close()
-
-    # Overhead floor: routing through one replica worker thread must stay
-    # close to the plain service (same plan, one queue+thread hop) ...
-    assert replica_rps[1] >= 0.5 * single_rps, (
-        f"1-worker sharded service at {replica_rps[1]:.1f} req/s pays more than "
-        f"2x overhead vs the single worker ({single_rps:.1f} req/s)"
-    )
-    # ... and multi-worker configurations may never collapse: even on one
-    # core the round-robin split costs only smaller per-worker batches.
-    for shards in (2, 4):
-        assert replica_rps[shards] >= 0.4 * single_rps, (
-            f"{shards}-worker replica sharding collapsed to "
-            f"{replica_rps[shards]:.1f} req/s vs single {single_rps:.1f}"
-        )
-    # The scaling contract proper only holds where there are cores to use.
-    if cores and cores >= 2:
-        best = max(replica_rps[2], replica_rps[4])
-        assert best >= 1.15 * replica_rps[1], (
-            f"multi-worker sharding does not scale on {cores} cores: "
-            f"{ {k: round(v, 1) for k, v in replica_rps.items()} } req/s"
-        )

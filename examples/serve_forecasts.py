@@ -16,11 +16,10 @@ model; this example shows the production path that follows (see
    a second service that resumes streaming forecasts immediately
    (warm start, no 12-step cold window);
 6. scale out: bring up the same :class:`repro.serving.ForecastService`
-   with ``num_shards=4`` from the same checkpoint — four replica workers
-   on the thread executor with asynchronous
-   ``submit()`` ingestion (size-threshold plus linger-based background
-   flushing) — and verify its forecasts are bit-identical to the
-   single-worker service.
+   with ``num_shards=2`` from the same checkpoint — two replica workers,
+   each a worker process, with asynchronous ``submit()`` ingestion
+   (size-threshold plus linger-based background flushing) — and verify
+   its forecasts are bit-identical to the single-worker service.
 
 Run it with::
 
@@ -136,15 +135,15 @@ def main() -> None:
             f"{float(restarted.forecast_latest().max()):.0f} vehicles/5min"
         )
 
-        # 6. Scale out: the same checkpoint behind four replica workers.
-        #    submit() never computes — batches fire when a worker queue reaches
+        # 6. Scale out: the same checkpoint behind two process replicas
+        #    (the default executor for num_shards > 1).  submit() never
+        #    computes — batches fire when a worker queue reaches
         #    auto_flush_at or when the 10 ms linger flusher drains it — and
         #    the merged forecasts are bit-identical to the single worker.
         reference = service.forecast_many(raw_windows)
         with ForecastService.from_checkpoint(
             checkpoint,
-            num_shards=4,
-            executor="threads",
+            num_shards=2,
             cache_entries=256,
             auto_flush_at=8,
             linger_ms=10.0,
@@ -154,7 +153,7 @@ def main() -> None:
             stats = sharded.stats()
             per_shard = [shard.requests for shard in stats.shards]
             print(
-                f"\nsharded service ({stats.num_shards} {stats.executor} workers): "
+                f"\nsharded service ({stats.num_shards} workers on {stats.executor}): "
                 f"{len(handles)} async requests routed {per_shard}, "
                 f"{stats.flusher.timed_flushes} linger flushes, "
                 f"max |diff| vs single worker = "

@@ -8,12 +8,12 @@ the ROADMAP's "serve heavy traffic" north star:
   self-describing checkpoint and answers raw-scale forecast queries
   through the compiled graph-free runtime (:mod:`repro.runtime`) by
   default, with ``runtime="autograd"`` / ``REPRO_RUNTIME=autograd`` as the
-  escape hatch.  ``num_shards=K`` full-model replicas run on the
-  ``"inline"`` (one worker, caller's thread), ``"threads"`` or
-  ``"processes"`` executor, bit-identically, with per-lane
-  :class:`ServiceOverloaded` admission control and one
-  :class:`ServiceStats` surface; :class:`ShardedForecastService` is the
-  same class with a two-replica default;
+  escape hatch.  One worker runs ``"inline"`` on the caller's thread;
+  ``num_shards=K`` full-model replicas run on the ``"processes"``
+  executor, bit-identically, with per-lane :class:`ServiceOverloaded`
+  admission control and one :class:`ServiceStats` surface;
+  :class:`ShardedForecastService` is the same class with a two-replica
+  default;
 * :class:`ProcessShardExecutor` — the ``executor="processes"`` backend:
   each replica's compiled plans replayed by a worker *process* over
   preallocated shared memory (escaping the interpreter lock), with
@@ -40,8 +40,8 @@ atomically, with in-flight requests completing on the old version.
   ``(model version, window hash or buffer token, horizon)`` with hit/miss
   accounting.
 
-A **resilience layer** (:mod:`repro.serving.resilience`) runs through all
-three executors: per-request deadlines (``deadline_ms=`` on every query,
+A **resilience layer** (:mod:`repro.serving.resilience`) runs through both
+executors: per-request deadlines (``deadline_ms=`` on every query,
 :class:`DeadlineExceeded` on expiry), bounded jittered-backoff retries of
 retryable failures, per-shard circuit breakers (replica reroute),
 optional marked-stale degraded
@@ -52,8 +52,8 @@ seeded :class:`FaultPlan` rules drive named ``fault_point`` sites
 (kill / hang / delay / raise / corrupt) bit-for-bit reproducibly.
 
 See ``examples/serve_forecasts.py`` for an end-to-end walkthrough and
-``benchmarks/bench_serving_throughput.py`` for the micro-batching,
-runtime and shard-sweep measurements.
+``benchmarks/bench_serving_throughput.py`` for the micro-batching and
+runtime measurements.
 """
 
 from .batching import (
@@ -79,13 +79,10 @@ from .faults import (
     install_fault_plan,
 )
 from .process_tier import (
-    EXECUTOR_ENV_VAR,
     LANES,
-    SERVING_EXECUTORS,
     START_METHOD_ENV_VAR,
     ProcessShardExecutor,
     ProcessTierStats,
-    resolve_executor,
     resolve_start_method,
 )
 from .quality import (
@@ -115,6 +112,7 @@ from .resilience import (
     is_retryable,
 )
 from .service import (
+    SERVING_EXECUTORS,
     ForecastFrontend,
     ForecastService,
     LaneStats,
@@ -138,14 +136,12 @@ __all__ = [
     "IMPUTATION_STRATEGIES",
     "ShardedForecastService",
     "SERVING_EXECUTORS",
-    "EXECUTOR_ENV_VAR",
     "START_METHOD_ENV_VAR",
     "LANES",
     "LaneStats",
     "ProcessShardExecutor",
     "ProcessTierStats",
     "ServiceOverloaded",
-    "resolve_executor",
     "resolve_start_method",
     "MicroBatcher",
     "PendingForecast",

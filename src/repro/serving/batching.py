@@ -12,8 +12,8 @@ dynamic-batching pattern of inference servers.
 
 The batcher is deliberately ignorant of batch *shapes* beyond equality
 checks: whatever ragged coalesced size a flush produces is handed to the
-forward callable unchanged, and the compiled runtime's batch bucketing
-(see ``docs/runtime.md``) pads it to a power-of-two plan internally.
+forward callable unchanged, and the compiled runtime (see
+``docs/runtime.md``) runs it as power-of-two plan pieces internally.
 
 Usage::
 
@@ -33,10 +33,9 @@ loop (see ``docs/serving_quickstart.md``):
   even when the ``auto_flush_at`` threshold was never reached, so trickle
   traffic stops waiting for the next submit (or for its caller to block
   in ``result()``);
-* :class:`AsyncForecast` — a composite handle assembling one forecast
-  from one or more :class:`PendingForecast` parts (the per-shard outputs
-  of a sharded service) plus a finalisation hook (denormalisation, cache
-  insertion).
+* :class:`AsyncForecast` — a handle finishing one
+  :class:`PendingForecast` with a finalisation hook (denormalisation,
+  cache insertion).
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -116,23 +115,22 @@ class PendingForecast:
 
 
 class AsyncForecast:
-    """One forecast assembled from pending parts plus a finalisation hook.
+    """One queued forecast plus a finalisation hook.
 
-    ``parts`` are the :class:`PendingForecast` handles this forecast is
-    built from — one per owning shard in a sharded service, exactly one
-    for a single-worker service.  ``finalize`` maps the settled part
-    arrays to the caller-facing forecast (shard merging, denormalisation,
-    horizon truncation, cache insertion).  :meth:`result` drives the same
-    lazy-flush semantics as :class:`PendingForecast`, so a handle is
-    always answerable even when no background flusher is running.
+    ``part`` is the :class:`PendingForecast` of the window on its worker's
+    queue; ``finalize`` maps its settled array to the caller-facing
+    forecast (denormalisation, horizon truncation, cache insertion).
+    :meth:`result` drives the same lazy-flush semantics as
+    :class:`PendingForecast`, so a handle is always answerable even when no
+    background flusher is running.
     """
 
     def __init__(
         self,
-        parts: Sequence[PendingForecast],
-        finalize: Callable[[List[np.ndarray]], np.ndarray],
+        part: Optional[PendingForecast],
+        finalize: Callable[[np.ndarray], np.ndarray],
     ) -> None:
-        self._parts = list(parts)
+        self._part = part
         self._finalize = finalize
         self._value: Optional[np.ndarray] = None
         self._settled = False
@@ -140,23 +138,23 @@ class AsyncForecast:
     @classmethod
     def completed(cls, value: np.ndarray) -> "AsyncForecast":
         """A handle that is already settled (e.g. answered from the cache)."""
-        handle = cls((), lambda parts: value)
+        handle = cls(None, lambda output: value)
         handle._value = value
         handle._settled = True
         return handle
 
     @property
     def done(self) -> bool:
-        """Whether every part has been computed (or failed)."""
-        return self._settled or all(part.done for part in self._parts)
+        """Whether the forecast has been computed (or failed)."""
+        return self._settled or self._part.done
 
     def result(self) -> np.ndarray:
-        """The raw-scale forecast; triggers lazy flushes if parts are pending.
+        """The raw-scale forecast; triggers a lazy flush if still pending.
 
-        Re-raises the underlying forward error if any part failed.
+        Re-raises the underlying forward error if the forward failed.
         """
         if not self._settled:
-            self._value = self._finalize([part.result() for part in self._parts])
+            self._value = self._finalize(self._part.result())
             self._settled = True
         return self._value
 
@@ -405,11 +403,12 @@ class BackgroundFlusher:
     Parameters
     ----------
     targets:
-        The batchers to watch.  Each entry is either a
-        :class:`MicroBatcher` (drained with its own :meth:`~MicroBatcher.flush`
-        on the flusher thread) or a ``(batcher, flush)`` pair — a sharded
-        service passes the shard worker's asynchronous flush so drains run
-        on the worker thread and a slow shard cannot block the timer.
+        ``(batcher, flush)`` pairs: the batchers to watch and how to drain
+        each.  A service passes each worker's
+        :meth:`~repro.serving.service._ShardWorker.flush_async`, so a
+        process replica's drain runs on its worker thread and a slow
+        replica cannot block the timer; ``flush`` may also be the batcher's
+        own :meth:`~MicroBatcher.flush`, run on the flusher thread.
     linger_ms:
         Maximum milliseconds a request may wait before its batcher is
         drained.
@@ -427,13 +426,7 @@ class BackgroundFlusher:
             raise ValueError("linger_ms must be positive")
         self._linger = linger_ms / 1000.0
         self.linger_ms = float(linger_ms)
-        self._targets: List[Tuple[MicroBatcher, Callable[[], object]]] = []
-        for target in targets:
-            if isinstance(target, MicroBatcher):
-                self._targets.append((target, target.flush))
-            else:
-                batcher, flush = target
-                self._targets.append((batcher, flush))
+        self._targets: List[Tuple[MicroBatcher, Callable[[], object]]] = list(targets)
         self._wake = threading.Event()
         self._stop = threading.Event()
         self._stats_lock = threading.Lock()
@@ -460,13 +453,7 @@ class BackgroundFlusher:
         and their handles stay lazily flushable — and the new batchers'
         submit listeners are wired so the first enqueue wakes the timer.
         """
-        resolved: List[Tuple[MicroBatcher, Callable[[], object]]] = []
-        for target in targets:
-            if isinstance(target, MicroBatcher):
-                resolved.append((target, target.flush))
-            else:
-                batcher, flush = target
-                resolved.append((batcher, flush))
+        resolved: List[Tuple[MicroBatcher, Callable[[], object]]] = list(targets)
         old = self._targets
         for batcher, _ in resolved:
             batcher.submit_listener = self._wake.set
@@ -502,8 +489,8 @@ class BackgroundFlusher:
         return max(deadline - now, 0.0)
 
     def _drain_due(self, now: float) -> None:
-        # First pass schedules every due drain (asynchronous flush targets
-        # start concurrently on their worker threads), second pass waits for
+        # First pass schedules every due drain (a process replica's drain
+        # starts concurrently on its worker thread), second pass waits for
         # them — without the wait, a still-queued drain would leave
         # oldest_pending_at() in the past and spin this loop at timeout 0.
         scheduled = []

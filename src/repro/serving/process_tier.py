@@ -1,14 +1,12 @@
 """Process-backed shard execution: shared-memory plan replay across cores.
 
-Every parallel layer below this one — thread replica workers, the
-background flusher — shares one interpreter lock, so a multi-worker service
-shows near-zero overhead per worker but also near-zero *speedup* on a
-single box once the kernels stop releasing the GIL long enough.
-:class:`ProcessShardExecutor` escapes that ceiling: each serving shard owns
-a long-lived **worker process** that replays compiled plans, and the
-service's batcher/worker split stays exactly as it was — the executor slots
-in as the per-shard ``forward_fn``
-(``ForecastService(num_shards=K, executor="processes")``).
+Threads of one interpreter share its lock, so replicas computing on
+threads would gain little on a single box once the kernels stop releasing
+the GIL long enough.  :class:`ProcessShardExecutor` escapes that ceiling:
+each serving shard owns a long-lived **worker process** that replays
+compiled plans, and the service's batcher/worker split stays exactly as it
+was — the executor slots in as the per-shard ``forward_fn``
+(``ForecastService(num_shards=K)``, or ``executor="processes"``).
 
 Three design rules keep the hot path cheap and the answers bit-identical:
 
@@ -78,22 +76,12 @@ from .faults import FaultPlan, fault_point, install_fault_plan
 from .resilience import Deadline, TransientError, WatchdogConfig, WorkerCrashed
 
 __all__ = [
-    "EXECUTOR_ENV_VAR",
-    "SERVING_EXECUTORS",
     "START_METHOD_ENV_VAR",
     "LANES",
     "ProcessTierStats",
     "ProcessShardExecutor",
-    "resolve_executor",
     "resolve_start_method",
 ]
-
-#: Environment variable selecting the sharded service's shard executor.
-EXECUTOR_ENV_VAR = "REPRO_SERVING_EXECUTOR"
-
-#: Multi-worker executors accepted by :func:`resolve_executor` (a single
-#: worker may also run ``"inline"``, see :class:`~repro.serving.ForecastService`).
-SERVING_EXECUTORS = ("threads", "processes")
 
 #: Environment variable selecting the worker start method (fork/spawn/...).
 START_METHOD_ENV_VAR = "REPRO_PROCESS_START_METHOD"
@@ -103,37 +91,6 @@ LANES = ("interactive", "bulk")
 
 _LANE_IDS = {lane: index for index, lane in enumerate(LANES)}
 _LANE_NAMES = {index: lane for lane, index in _LANE_IDS.items()}
-
-
-def resolve_executor(executor: Optional[str] = None, runtime: str = "compiled") -> str:
-    """Resolve the shard executor: explicit argument > env var > threads.
-
-    The process tier replays *compiled plans* — it has nothing to run for
-    an autograd deployment.  An **explicit** ``executor="processes"``
-    combined with a non-compiled runtime is a configuration error and
-    raises (before anything spawns); a process preference coming only from
-    the :data:`EXECUTOR_ENV_VAR` environment falls back to ``"threads"``
-    silently, so exporting the variable fleet-wide never breaks the
-    autograd escape hatch.
-    """
-    explicit = executor is not None
-    if executor is None:
-        executor = os.environ.get(EXECUTOR_ENV_VAR, "").strip().lower() or "threads"
-    executor = executor.lower()
-    if executor not in SERVING_EXECUTORS:
-        raise ValueError(
-            f"unknown shard executor {executor!r}; expected one of {SERVING_EXECUTORS} "
-            f"(set via argument or the {EXECUTOR_ENV_VAR} environment variable)"
-        )
-    if executor == "processes" and runtime != "compiled":
-        if explicit:
-            raise ValueError(
-                "executor='processes' requires the compiled runtime: worker "
-                "processes replay plan artifacts and never trace; "
-                f"runtime={runtime!r} has no plans to replay"
-            )
-        return "threads"
-    return executor
 
 
 def resolve_start_method(method: Optional[str] = None) -> str:
@@ -435,6 +392,11 @@ def _worker_main(conn, shm_name, layout, store_roots, blas_threads,
     import gc
     import signal
     from multiprocessing import shared_memory
+
+    # A forked child inherits the parent's whole heap; freezing it keeps
+    # the collector (and the exit-time collect below) to the objects this
+    # worker makes, instead of walking, and copying, every inherited page.
+    gc.freeze()
 
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -804,7 +766,7 @@ class _ProcessWorker:
         ).reshape(shape)
         # astype(copy=True) both detaches the result from the segment and
         # applies the float64 exit cast of the precision contract — exactly
-        # what Plan.call does on the thread tier.
+        # what Plan.call does in the parent.
         return view.astype(np.float64)
 
     # -- shutdown ------------------------------------------------------
@@ -937,10 +899,11 @@ class ProcessShardExecutor:
     window_shape / output_length / num_nodes:
         Geometry of the served model (request and response slot sizing).
     precision / artifact_store:
-        As for the thread tier; the store (when given) is shared with the
-        workers by *root path* — a worker binds from disk, not from the
-        parent's memo.  Plans missing from disk (e.g. a read-only store)
-        are spilled to a private temp store the workers also search.
+        As for :class:`~repro.runtime.CompiledModel`; the store (when
+        given) is shared with the workers by *root path* — a worker binds
+        from disk, not from the parent's memo.  Plans missing from disk
+        (e.g. a read-only store) are spilled to a private temp store the
+        workers also search.
     start_method:
         ``fork`` / ``spawn`` / ``forkserver``; ``None`` consults
         ``REPRO_PROCESS_START_METHOD`` then prefers fork.
@@ -952,7 +915,7 @@ class ProcessShardExecutor:
 
     Workers, segments and dispatchers spawn **lazily** on the first
     dispatch to each shard, so constructing a service (or serving purely
-    through its thread-side caches) starts no processes — and the segment
+    through its parent-side caches) starts no processes — and the segment
     arena can be sized from the first request's actual plan layout.
 
     **CPU budget.**  Each worker caps its OpenBLAS pool at
@@ -1167,8 +1130,8 @@ class ProcessShardExecutor:
              deadline: Optional[Deadline] = None) -> np.ndarray:
         """Forward one ``(B, T, N, F)`` batch through a shard's worker.
 
-        Bit-identical to the thread tier: the batch is cast to the plan
-        dtype and split into chunks of ``bulk_chunk_rows`` rows, each
+        Bit-identical to an in-process plan call: the batch is cast to the
+        plan dtype and split into chunks of ``bulk_chunk_rows`` rows, each
         chunk into the power-of-two plan pieces
         :meth:`~repro.runtime.CompiledModel.__call__` would run (see
         :func:`~repro.runtime.batch_pieces`); the worker replays every

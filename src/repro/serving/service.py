@@ -27,27 +27,27 @@ model of this library, so sub-batch outputs are **bit-identical** to the
 coalesced batch, whichever executor computes them:
 
 * ``executor="inline"`` — one worker that computes on the caller's thread
-  (the default for ``num_shards=1``): single-window queries are a direct
-  plan call, ``forecast_many`` a batcher submit plus flush, no thread hop;
-* ``executor="threads"`` — one executor thread per worker, so ``K``
-  replicas compute concurrently and :meth:`~ForecastService.submit` never
-  computes on the caller's thread;
+  (the default for ``num_shards=1``, and the only executor of the autograd
+  runtime): single-window queries are a direct plan call,
+  ``forecast_many`` a batcher submit plus flush, no thread hop;
 * ``executor="processes"`` — each worker's plans replayed by a worker
   *process* over shared memory (:mod:`repro.serving.process_tier`), with a
-  priority ``interactive`` lane for :meth:`~ForecastService.forecast_latest`.
+  priority ``interactive`` lane for :meth:`~ForecastService.forecast_latest`
+  (the default for ``num_shards > 1``).  A parent-side thread per worker
+  waits on its process, so ``K`` replicas compute concurrently and a slow
+  one never blocks the linger flusher.
 
 Deadlines, bounded retries, per-replica circuit breakers, per-lane
 admission control (:class:`ServiceOverloaded`), zero-downtime hot swaps,
-``health()`` and ``stats()`` are written once, here, for every executor.
+``health()`` and ``stats()`` are written once, here, for both executors.
 
-The executors own the CPU budget of ``max(1, cores // K)`` cores per
-worker (:mod:`repro.runtime.blas`), so the replicas share the cores
-instead of oversubscribing them.  K > 1 thread or process workers run
-OpenBLAS at that many threads.  The inline worker spends the cores on row
-lanes instead: a batch splits into one row chunk per core (at most
-:data:`MAX_PLAN_LANES`), computed at once (see
+The executors own the CPU budget (:mod:`repro.runtime.blas`).  K process
+workers run OpenBLAS at ``max(1, cores // K)`` threads each, so the
+replicas share the cores instead of oversubscribing them.  The inline
+worker spends the cores on row lanes instead: a batch splits into one row
+chunk per core (at most :data:`MAX_PLAN_LANES`), computed at once (see
 :class:`~repro.runtime.CompiledModel`), with OpenBLAS at one thread while
-the lanes run.  Thread and process workers keep one lane.
+the lanes run.  Process workers keep one lane.
 
 Forwards run through the **graph-free compiled runtime**
 (:mod:`repro.runtime`) by default: the model's forward pass is compiled
@@ -76,7 +76,6 @@ import hashlib
 import queue
 import threading
 import time
-import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -103,7 +102,7 @@ from .batching import (
 from .buffer import RollingWindowBuffer
 from .cache import CacheStats, ForecastCache, StaleForecast
 from .faults import FaultPlan
-from .process_tier import ProcessShardExecutor, ProcessTierStats, resolve_executor
+from .process_tier import ProcessShardExecutor, ProcessTierStats
 from .quality import QualityConfig, QualityStats, SensorHealthMonitor
 from .resilience import (
     CircuitOpen,
@@ -120,6 +119,7 @@ __all__ = [
     "ForecastFrontend",
     "ForecastService",
     "LaneStats",
+    "SERVING_EXECUTORS",
     "ServiceOverloaded",
     "ServiceStats",
     "SwapReport",
@@ -129,6 +129,9 @@ __all__ = [
 #: configuration (``benchmarks/BENCH_runtime.json`` ``lane_parallel``, two
 #: cores); more lanes on a wider host are unmeasured.
 MAX_PLAN_LANES = 2
+
+#: The executors a :class:`ForecastService` runs its replica workers on.
+SERVING_EXECUTORS = ("inline", "processes")
 
 
 def _weights_fingerprint(model: Module) -> str:
@@ -280,11 +283,12 @@ class _FlushJob:
 class _ShardWorker:
     """One replica: its current micro-batcher and, optionally, an executor thread.
 
-    A started worker runs every drain of its queue on its own thread (jobs
-    are enqueued with :meth:`flush_async`), so ``K`` workers compute
-    concurrently and a slow one never blocks the linger flusher.  An
-    *inline* worker (``start=False``) never starts a thread: its drains run
-    on the calling thread, exactly like a closed worker's.
+    A started worker (a process replica's) runs every drain of its queue on
+    its own thread (jobs are enqueued with :meth:`flush_async`), so ``K``
+    round trips to the worker processes overlap and a slow one never
+    blocks the linger flusher.  An *inline* worker (``start=False``) never
+    starts a thread: its drains run on the calling thread, exactly like a
+    closed worker's.
     """
 
     def __init__(self, index: int, batcher: MicroBatcher, start: bool = True) -> None:
@@ -387,7 +391,7 @@ class ServiceStats:
     cache: CacheStats
     #: Lifetime batcher counters of each replica worker (hot swaps fold in).
     shards: Tuple[BatcherStats, ...]
-    #: ``"inline"``, ``"threads"`` or ``"processes"``.
+    #: ``"inline"`` or ``"processes"``.
     executor: str = "inline"
     num_shards: int = 1
     runtime: str = "compiled"
@@ -409,8 +413,8 @@ class ServiceStats:
     #: Live OpenBLAS threads of each worker (``None``: no OpenBLAS found,
     #: or a process worker not spawned yet).
     blas_threads: Tuple[Optional[int], ...] = ()
-    #: Row lanes the inline worker splits a batch across (1 for thread and
-    #: process workers and under the autograd runtime).
+    #: Row lanes the inline worker splits a batch across (1 for process
+    #: workers and under the autograd runtime).
     plan_lanes: int = 1
 
     @property
@@ -525,8 +529,8 @@ class ForecastService:
         per-request ``precision=`` override — the float64 SLA path.
     artifact_dir:
         Directory (or shared :class:`~repro.runtime.ArtifactStore`) of
-        durable plan artifacts, shared by **all** workers: replicas reuse
-        one in-process memo (each trace is compiled once per fleet) and a
+        durable plan artifacts, shared by **all** workers (process
+        replicas bind from it; each trace is compiled once per fleet), so a
         restarted service binds its plans from disk instead of re-tracing —
         the warm-start recipe in ``docs/serving_quickstart.md``.  Fresh
         compiles are written through.
@@ -542,14 +546,11 @@ class ForecastService:
     num_shards:
         Number of full-model replica workers (misses route round-robin).
     executor:
-        ``"inline"`` (one worker computing on the caller's thread),
-        ``"threads"`` (one executor thread per worker) or ``"processes"``
-        (each worker's plans replayed by a worker *process* over shared
-        memory, escaping the interpreter lock — see
-        :mod:`repro.serving.process_tier`; requires the compiled runtime
-        when set explicitly).  ``None`` means inline for one worker, and
-        otherwise consults the ``REPRO_SERVING_EXECUTOR`` environment
-        variable, falling back to threads.
+        ``"inline"`` (one worker computing on the caller's thread) or
+        ``"processes"`` (each worker's plans replayed by a worker *process*
+        over shared memory, escaping the interpreter lock — see
+        :mod:`repro.serving.process_tier`; requires the compiled runtime).
+        ``None`` means inline for one worker and processes for more.
     start_method:
         Worker start method for the process tier (``"fork"`` is the fast
         default where available; ``"spawn"`` the portable contract).
@@ -635,10 +636,9 @@ class ForecastService:
         self._swaps = 0
         self.runtime = resolve_runtime_mode(runtime)
         self.precision = resolve_precision(precision).name
-        # One store instance for the whole deployment, handed to every
-        # worker: K replicas share one on-disk directory *and* one
-        # in-process memo, i.e. each trace is compiled once per fleet.
-        # (Ignored under the autograd runtime, which compiles nothing.)
+        # One store instance for the whole deployment, shared by every
+        # worker.  (Ignored under the autograd runtime, which compiles
+        # nothing.)
         self.artifact_store: Optional[ArtifactStore] = (
             artifact_dir
             if artifact_dir is None or isinstance(artifact_dir, ArtifactStore)
@@ -692,19 +692,13 @@ class ForecastService:
             )
             for lane, limit in limits.items()
         }
-        # The inline worker spends the cores on row lanes; thread and
-        # process replicas spread batches across the cores themselves.
+        # The inline worker spends the cores on row lanes; process
+        # replicas spread batches across the cores themselves.
         self._lanes = (
             min(blas.cores(), MAX_PLAN_LANES)
             if self.runtime == "compiled" and self.executor == "inline"
             else 1
         )
-        # K thread workers share this process's BLAS pool: hold it at their
-        # share of the cores for the life of the service.
-        self._blas_limit = None
-        if self.executor == "threads" and num_shards > 1:
-            self._blas_limit = blas.limit(blas.budget(num_shards))
-            weakref.finalize(self, self._blas_limit.release)
         if self.executor == "processes":
             # Workers, segments and dispatchers spawn lazily on the first
             # dispatched batch; constructing the service starts nothing.
@@ -742,20 +736,28 @@ class ForecastService:
         )
 
     def _resolve_executor(self, executor: Optional[str]) -> str:
-        """Inline for a default single worker; otherwise as
-        :func:`~repro.serving.resolve_executor` (argument > environment >
-        threads)."""
-        if executor is None and self.num_shards == 1:
-            return "inline"
-        if executor is not None and executor.lower() == "inline":
-            if self.num_shards != 1:
-                raise ValueError(
-                    "executor='inline' computes on the caller's thread and serves "
-                    f"exactly one worker; num_shards={self.num_shards} needs "
-                    "executor='threads' or 'processes'"
-                )
-            return "inline"
-        return resolve_executor(executor, runtime=self.runtime)
+        """Inline for one worker, processes for more; an explicit executor
+        must fit the worker count and the runtime."""
+        if executor is None:
+            executor = "inline" if self.num_shards == 1 else "processes"
+        executor = executor.lower()
+        if executor not in SERVING_EXECUTORS:
+            raise ValueError(
+                f"unknown executor {executor!r}; expected one of {SERVING_EXECUTORS}"
+            )
+        if executor == "inline" and self.num_shards != 1:
+            raise ValueError(
+                "executor='inline' computes on the caller's thread and serves "
+                f"exactly one worker; num_shards={self.num_shards} needs "
+                "executor='processes'"
+            )
+        if executor == "processes" and self.runtime != "compiled":
+            raise ValueError(
+                f"runtime={self.runtime!r} serves one inline worker: worker "
+                "processes replay compiled plans and never trace; use "
+                "num_shards=1 or the compiled runtime"
+            )
+        return executor
 
     def _resolve_quality(
         self,
@@ -1015,25 +1017,23 @@ class ForecastService:
                 if initial
                 else self._tier.prepare_generation(model)
             )
-        forwards: List[Callable] = []
-        for index in range(self.num_shards):
-            # Separate CompiledModel per replica: plans and workspace
-            # buffers are per-worker, so replicas execute concurrently; the
-            # weights stay shared by reference, and every replica gets the
-            # SAME store object, so the fleet compiles each trace once.
-            if self._tier is not None:
-                forwards.append(self._tier.proxy(index, pset=pset))
-            elif self.runtime == "compiled":
-                forwards.append(
-                    CompiledModel(
-                        model,
-                        precision=self.precision,
-                        artifact_dir=self.artifact_store,
-                        lanes=self._lanes,
-                    )
+        if self._tier is not None:
+            # Process replicas share the generation's one parent-side
+            # provider, so the fleet compiles each trace once.
+            forwards: List[Callable] = [
+                self._tier.proxy(index, pset=pset) for index in range(self.num_shards)
+            ]
+        elif self.runtime == "compiled":
+            forwards = [
+                CompiledModel(
+                    model,
+                    precision=self.precision,
+                    artifact_dir=self.artifact_store,
+                    lanes=self._lanes,
                 )
-            else:
-                forwards.append(model)
+            ]
+        else:
+            forwards = [model]
         reused = compiled = 0
         if self.runtime == "compiled" and not initial:
             # By default the streaming batch of 1, or an explicit size
@@ -1396,8 +1396,8 @@ class ForecastService:
     def _finalize(self, key, horizon: int, gen: _Generation):
         """Build the denormalise -> cache hook for one submitted window."""
 
-        def finalize(parts: List[np.ndarray]) -> np.ndarray:
-            forecast = self._denormalise(parts[0], gen=gen)[:horizon]
+        def finalize(output: np.ndarray) -> np.ndarray:
+            forecast = self._denormalise(output, gen=gen)[:horizon]
             if self.cache is not None and key is not None:
                 self.cache.put(key, forecast)
             return forecast.copy()
@@ -1588,7 +1588,7 @@ class ForecastService:
             batcher = gen.engine.batchers[worker.index]
             if batcher.pending >= self.auto_flush_at:
                 worker.flush_async(batcher)
-        return AsyncForecast([part], self._finalize(key, horizon, gen))
+        return AsyncForecast(part, self._finalize(key, horizon, gen))
 
     def forecast_node(
         self,
@@ -1686,10 +1686,11 @@ class ForecastService:
         pointed at a saved artifact store (``artifact_dir=``), a few disk
         binds — here instead of on the first unlucky requests.  Each worker
         prepares one plan per batch size (by default a doubling ladder up
-        to ``max_batch_size``) against the **shared** artifact store, so
-        replicas after the first hit its in-process memo.  Returns the
-        :class:`~repro.runtime.PlanStats` of every warmed plan.  No-op
-        under the autograd runtime, which has nothing to compile.
+        to ``max_batch_size``); process replicas share one parent-side
+        provider, so a size after the first replica's is a cache hit.
+        Returns the :class:`~repro.runtime.PlanStats` of every warmed
+        plan.  No-op under the autograd runtime, which has nothing to
+        compile.
         """
         if self.runtime != "compiled":
             return []
@@ -1726,8 +1727,6 @@ class ForecastService:
         for worker in self._workers:
             worker.close()
         self._gen.engine.close()
-        if self._blas_limit is not None:
-            self._blas_limit.release()
         # The tier closes last: the drains above may still dispatch to it.
         if self._tier is not None:
             self._tier.close()
@@ -1802,10 +1801,9 @@ class ForecastService:
             if self.cache is not None
             else CacheStats(hits=0, misses=0, evictions=0, size=0, max_entries=0)
         )
-        if self._tier is not None:
-            blas_threads = self._tier.worker_blas_threads()
-        else:
-            blas_threads = (blas.threads(),) * self.num_shards
+        blas_threads = (
+            self._tier.worker_blas_threads() if self._tier is not None else (blas.threads(),)
+        )
         return ServiceStats(
             model_version=self.model_version,
             requests=self._requests,

@@ -260,8 +260,6 @@ class TestServiceLanes:
         "executor, num_shards, runtime, lanes",
         [
             ("inline", 1, None, 2),
-            ("threads", 1, None, 1),
-            ("threads", 2, None, 1),
             ("processes", 2, None, 1),
             ("inline", 1, "autograd", 1),
         ],

@@ -40,7 +40,7 @@ def _wait_until(predicate, timeout=5.0):
 class TestLingerFlush:
     def test_sub_threshold_request_is_drained_by_linger(self):
         batcher = MicroBatcher(_echo_forward, auto_flush_at=50)
-        flusher = BackgroundFlusher([batcher], linger_ms=10.0)
+        flusher = BackgroundFlusher([(batcher, batcher.flush)], linger_ms=10.0)
         try:
             handle = batcher.submit(np.full((12, 4, 1), 3.0))
             assert _wait_until(lambda: handle.done)
@@ -62,7 +62,7 @@ class TestLingerFlush:
 
     def test_close_drains_pending_requests(self):
         batcher = MicroBatcher(_echo_forward, auto_flush_at=50)
-        flusher = BackgroundFlusher([batcher], linger_ms=60_000.0)  # never fires
+        flusher = BackgroundFlusher([(batcher, batcher.flush)], linger_ms=60_000.0)  # never fires
         handle = batcher.submit(np.zeros((12, 4, 1)))
         flusher.close(drain=True)
         assert handle.done
@@ -73,7 +73,7 @@ class TestLingerFlush:
             raise RuntimeError("boom")
 
         batcher = MicroBatcher(broken)
-        flusher = BackgroundFlusher([batcher], linger_ms=5.0)
+        flusher = BackgroundFlusher([(batcher, batcher.flush)], linger_ms=5.0)
         try:
             handle = batcher.submit(np.zeros((12, 4, 1)))
             assert _wait_until(lambda: handle.done)
@@ -86,8 +86,9 @@ class TestLingerFlush:
             flusher.close()
 
     def test_rejects_non_positive_linger(self):
+        batcher = MicroBatcher(_echo_forward)
         with pytest.raises(ValueError):
-            BackgroundFlusher([MicroBatcher(_echo_forward)], linger_ms=0.0)
+            BackgroundFlusher([(batcher, batcher.flush)], linger_ms=0.0)
 
 
 class TestServiceSubmit:
@@ -160,7 +161,7 @@ class TestConcurrentStress:
             return data[:, :, :, 0]
 
         batcher = MicroBatcher(counting_forward, max_batch_size=16, auto_flush_at=7)
-        flusher = BackgroundFlusher([batcher], linger_ms=2.0)
+        flusher = BackgroundFlusher([(batcher, batcher.flush)], linger_ms=2.0)
         results = [[None] * self.PER_THREAD for _ in range(self.THREADS)]
         errors = []
         stop_explicit = threading.Event()

@@ -1,6 +1,6 @@
-"""One front end, three executors: every query path of ``ForecastService``
-is bit-identical to autograd on inline, thread and process workers, before
-and after a hot swap, behind one stats/health surface."""
+"""One front end, two executors: every query path of ``ForecastService``
+is bit-identical to autograd on the inline worker and on process workers,
+before and after a hot swap, behind one stats/health surface."""
 
 from __future__ import annotations
 
@@ -14,18 +14,13 @@ import pytest
 
 from repro.core import DyHSL
 from repro.runtime import ArtifactStore, blas
-from repro.serving import (
-    EXECUTOR_ENV_VAR,
-    ForecastService,
-    ServiceStats,
-    ShardedForecastService,
-)
+from repro.serving import ForecastService, ServiceStats, ShardedForecastService
 from repro.tensor import Tensor, no_grad
 from repro.tensor import seed as seed_everything
 from repro.training import save_model_checkpoint
 
 #: (executor, num_shards) combinations every serving path must agree on.
-EXECUTORS = [("inline", 1), ("threads", 1), ("threads", 2), ("processes", 2)]
+EXECUTORS = [("inline", 1), ("processes", 2)]
 _IDS = [f"{executor}-{shards}" for executor, shards in EXECUTORS]
 
 
@@ -130,24 +125,22 @@ class TestRaggedRowParity:
 
 
 class TestExecutorResolution:
-    def test_one_worker_defaults_to_inline(self, tiny_model, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV_VAR, "processes")
+    def test_one_worker_defaults_to_inline(self, tiny_model):
         assert ForecastService(tiny_model).executor == "inline"
         assert ForecastService(tiny_model, executor="INLINE").executor == "inline"
-
-    def test_several_workers_follow_the_environment(self, tiny_model, monkeypatch):
-        monkeypatch.delenv(EXECUTOR_ENV_VAR, raising=False)
-        with ForecastService(tiny_model, num_shards=2) as service:
-            assert service.executor == "threads"
-        monkeypatch.setenv(EXECUTOR_ENV_VAR, "processes")
+        # Several workers run on processes; one may too, when asked.
         with ForecastService(tiny_model, num_shards=2) as service:
             assert service.executor == "processes"
+        with ForecastService(tiny_model, executor="processes") as service:
+            assert (service.executor, service.num_shards) == ("processes", 1)
 
     def test_invalid_configurations_raise(self, tiny_model):
         with pytest.raises(ValueError, match="node sharding was removed"):
             ShardedForecastService(tiny_model, mode="nodes")
         with pytest.raises(ValueError, match="exactly one worker"):
             ForecastService(tiny_model, num_shards=2, executor="inline")
+        with pytest.raises(ValueError, match=r"\('inline', 'processes'\)"):
+            ForecastService(tiny_model, num_shards=2, executor="threads")
 
 
 class TestReducedPrecision:
@@ -211,15 +204,6 @@ class TestCpuBudget:
         assert (stats.cores, stats.workers) == (blas.cores(), 2)
         assert stats.process_tier.cores == blas.cores()
         assert blas.threads() == before
-
-    def test_thread_workers_share_one_pool_at_their_share(
-        self, tiny_model, forecasting_data
-    ):
-        budget = max(1, blas.cores() // 2)
-        blas.set_threads(blas.cores())
-        with _service(tiny_model, forecasting_data, "threads", 2) as service:
-            assert service.stats().blas_threads == (budget, budget)
-        assert blas.threads() == blas.cores()
 
     def test_inline_leaves_blas_alone(self, tiny_model, forecasting_data):
         blas.set_threads(blas.cores())

@@ -211,7 +211,7 @@ class TestFaultPoint:
 
 
 # ----------------------------------------------------------------------
-# The chaos soak, thread tier.
+# The chaos soak, inline worker and process replicas.
 # ----------------------------------------------------------------------
 def _soak_single(tiny_model, forecasting_data, seed, requests=20):
     """One seeded storm against a fresh single-worker service.
@@ -269,7 +269,7 @@ class TestChaosSoak:
             tiny_model,
             scaler=forecasting_data.scaler,
             num_shards=2,
-            executor="threads",
+            executor="processes",
             cache_entries=0,
             resilience=ResilienceConfig(
                 retry=RetryPolicy(max_attempts=2, base_delay_ms=0.2)

@@ -66,7 +66,8 @@ service = ShardedForecastService(
 handle = service.submit(windows[0])
 handle.result()
 print(json.dumps({"ok": True}))
-# Deliberately NO close(): flusher/executor threads must not deadlock exit.
+# Deliberately NO close(): the replicas' worker threads and the atexit-closed
+# process tier must not deadlock exit.
 """
 
 

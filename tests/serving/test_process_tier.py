@@ -1,7 +1,7 @@
 """Process-backed serving tier: shared-memory plan replay, lanes, faults.
 
 The contract under test (ISSUE 7): worker processes replay compiled plan
-artifacts bit-identically to the thread tier, interactive requests overtake
+artifacts bit-identically to in-process plans, interactive requests overtake
 bulk backfill, overload is rejected at accept time, and a killed worker is
 detected, reported with partial progress, and respawned — all without the
 child ever tracing a model or the parent pickling an array payload.
@@ -18,19 +18,18 @@ import numpy as np
 import pytest
 
 from repro.runtime import (
+    RUNTIME_ENV_VAR,
     ArtifactStore,
     bind_plan,
     compile_plan,
     plan_workspace_nbytes,
 )
 from repro.serving import (
-    EXECUTOR_ENV_VAR,
     START_METHOD_ENV_VAR,
     ForecastService,
     ProcessShardExecutor,
     ServiceOverloaded,
     ShardedForecastService,
-    resolve_executor,
     resolve_start_method,
 )
 
@@ -66,30 +65,25 @@ def _executor(tiny_model, forecasting_data, **kwargs):
 
 
 class TestResolvers:
-    def test_defaults_to_threads(self, monkeypatch):
-        monkeypatch.delenv(EXECUTOR_ENV_VAR, raising=False)
-        assert resolve_executor() == "threads"
+    def test_unknown_executor_rejected(self, tiny_model):
+        for executor in ("fibers", "threads"):
+            with pytest.raises(ValueError, match="unknown executor"):
+                ForecastService(tiny_model, num_shards=2, executor=executor)
 
-    def test_env_var_selects_processes(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV_VAR, "processes")
-        assert resolve_executor() == "processes"
-
-    def test_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV_VAR, "processes")
-        assert resolve_executor("threads") == "threads"
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="unknown shard executor"):
-            resolve_executor("fibers")
-
-    def test_explicit_processes_requires_compiled_runtime(self):
+    def test_explicit_processes_requires_compiled_runtime(self, tiny_model):
         with pytest.raises(ValueError, match="compiled runtime"):
-            resolve_executor("processes", runtime="autograd")
+            ForecastService(tiny_model, executor="processes", runtime="autograd")
 
-    def test_env_processes_falls_back_for_autograd(self, monkeypatch):
-        # Fleet-wide env export must not break the autograd escape hatch.
-        monkeypatch.setenv(EXECUTOR_ENV_VAR, "processes")
-        assert resolve_executor(runtime="autograd") == "threads"
+    @pytest.mark.parametrize("by_env", [False, True], ids=["argument", "env"])
+    def test_autograd_serves_one_inline_worker(self, tiny_model, monkeypatch, by_env):
+        # No silent fallback: autograd with several workers is a typed error.
+        if by_env:
+            monkeypatch.setenv(RUNTIME_ENV_VAR, "autograd")
+        runtime = None if by_env else "autograd"
+        with pytest.raises(ValueError, match="autograd.*serves one inline worker"):
+            ForecastService(tiny_model, num_shards=2, runtime=runtime)
+        with ForecastService(tiny_model, runtime=runtime) as service:
+            assert (service.runtime, service.executor) == ("autograd", "inline")
 
     def test_start_method_prefers_fork(self, monkeypatch):
         monkeypatch.delenv(START_METHOD_ENV_VAR, raising=False)
@@ -177,7 +171,7 @@ class TestWorkspaceBinding:
 
 
 class TestProcessParity:
-    """float64 bit-parity (max|diff| == 0) between process and thread tiers."""
+    """float64 bit-parity (max|diff| == 0) between process and inline workers."""
 
     @pytest.mark.parametrize("num_shards", [1, 2])
     def test_forecast_many_bit_identical(
@@ -240,15 +234,15 @@ class TestProcessParity:
             scaler=forecasting_data.scaler,
             precision="float32",
             cache_entries=0,
-        ) as thread32, _sharded(
+        ) as inline32, _sharded(
             tiny_model,
             forecasting_data,
             num_shards=2,
             precision="float32",
             cache_entries=0,
         ) as service:
-            # The float32 deployment matches the thread tier bit for bit...
-            reference32 = thread32.forecast_many(windows)
+            # The float32 deployment matches the inline worker bit for bit...
+            reference32 = inline32.forecast_many(windows)
             assert np.abs(service.forecast_many(windows) - reference32).max() == 0.0
             # ...and its per-request float64 SLA path matches full precision.
             produced = service.forecast_many(windows, precision="float64")
@@ -315,13 +309,14 @@ class TestPriorityLanes:
 
 
 class TestAdmissionControl:
+    """The lane gates are the same on every executor: the inline worker
+    covers them, and the process fleet where its dispatch queues count."""
+
     def test_zero_bulk_depth_fast_rejects(self, tiny_model, forecasting_data):
         windows = _raw_windows(forecasting_data, 3)
-        service = _sharded(
+        service = ForecastService(
             tiny_model,
-            forecasting_data,
-            num_shards=2,
-            executor="threads",
+            scaler=forecasting_data.scaler,
             cache_entries=0,
             bulk_queue_depth=0,
         )
@@ -337,11 +332,9 @@ class TestAdmissionControl:
             service.close()
 
     def test_zero_interactive_depth_fast_rejects(self, tiny_model, forecasting_data):
-        service = _sharded(
+        service = ForecastService(
             tiny_model,
-            forecasting_data,
-            num_shards=2,
-            executor="threads",
+            scaler=forecasting_data.scaler,
             cache_entries=0,
             interactive_queue_depth=0,
         )
@@ -377,16 +370,14 @@ class TestAdmissionControl:
         with pytest.raises(ValueError, match="bulk_queue_depth"):
             _sharded(
                 tiny_model, forecasting_data, num_shards=2, mode="replicas",
-                executor="threads", bulk_queue_depth=-1,
+                bulk_queue_depth=-1,
             )
 
     def test_cache_hits_bypass_admission(self, tiny_model, forecasting_data):
         windows = _raw_windows(forecasting_data, 2)
-        service = _sharded(
+        service = ForecastService(
             tiny_model,
-            forecasting_data,
-            num_shards=2,
-            executor="threads",
+            scaler=forecasting_data.scaler,
             cache_entries=64,
         )
         try:

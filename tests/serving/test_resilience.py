@@ -278,8 +278,8 @@ class TestResilientForward:
 
 
 # ----------------------------------------------------------------------
-# Deadlines through the serving tiers (thread executors; the process
-# tier's deadline plumbing is exercised in test_faults.py's chaos soak).
+# Deadlines through both executors (the process tier's per-chunk
+# deadline plumbing is also exercised in test_faults.py's chaos soak).
 # ----------------------------------------------------------------------
 class TestServiceDeadlines:
     def test_generous_deadline_changes_nothing(self, tiny_model, forecasting_data):
@@ -350,7 +350,7 @@ class TestServiceDeadlines:
             tiny_model,
             scaler=forecasting_data.scaler,
             num_shards=2,
-            executor="threads",
+            executor="processes",
             cache_entries=0,
         )
         try:
@@ -364,7 +364,7 @@ class TestServiceDeadlines:
             tiny_model,
             scaler=forecasting_data.scaler,
             num_shards=2,
-            executor="threads",
+            executor="processes",
             cache_entries=0,
         )
         try:
@@ -401,7 +401,7 @@ class TestOverloadContract:
             scaler=forecasting_data.scaler,
             num_shards=2,
             mode="replicas",
-            executor="threads",
+            executor="processes",
             cache_entries=0,
             bulk_queue_depth=0,
         )
@@ -417,7 +417,7 @@ class TestOverloadContract:
 
 
 # ----------------------------------------------------------------------
-# Circuit breakers in the sharded tiers.
+# Circuit breakers on process replicas.
 # ----------------------------------------------------------------------
 def _breaker_config(**kwargs):
     kwargs.setdefault("retry", RetryPolicy(max_attempts=1))
@@ -440,7 +440,7 @@ class TestReplicaReroute:
             scaler=forecasting_data.scaler,
             num_shards=2,
             mode="replicas",
-            executor="threads",
+            executor="processes",
             cache_entries=0,
             resilience=_breaker_config(),
         )
@@ -465,7 +465,7 @@ class TestReplicaReroute:
             tiny_model,
             scaler=forecasting_data.scaler,
             num_shards=2,
-            executor="threads",
+            executor="processes",
             cache_entries=0,
             resilience=_breaker_config(breaker_reset_timeout_s=0.05),
         ) as service:
@@ -482,7 +482,7 @@ class TestReplicaReroute:
             scaler=forecasting_data.scaler,
             num_shards=2,
             mode="replicas",
-            executor="threads",
+            executor="processes",
             cache_entries=0,
             resilience=_breaker_config(),
         )
@@ -660,7 +660,7 @@ class TestHealth:
             scaler=forecasting_data.scaler,
             num_shards=3,
             mode="replicas",
-            executor="threads",
+            executor="processes",
             resilience=_breaker_config(),
         )
         try:

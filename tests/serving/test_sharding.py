@@ -78,15 +78,15 @@ class TestBitParity:
                 sharded.forecast(window, horizon=4), single.forecast(window, horizon=4)
             )
 
-    def test_autograd_runtime_parity(self, tiny_model, forecasting_data):
+    def test_autograd_runtime_parity(self, tiny_model, forecasting_data, single):
+        """Autograd serves one inline worker, bit-identical to the plans."""
         windows = _raw_windows(forecasting_data, 3)
-        reference = ForecastService(
+        with ForecastService(
             tiny_model, scaler=forecasting_data.scaler, runtime="autograd"
-        ).forecast_many(windows)
-        with _sharded(
-            tiny_model, forecasting_data, num_shards=2, runtime="autograd"
-        ) as sharded:
-            assert np.abs(sharded.forecast_many(windows) - reference).max() == 0.0
+        ) as service:
+            produced = service.forecast_many(windows)
+            assert service.executor == "inline"
+        assert np.abs(produced - single.forecast_many(windows)).max() == 0.0
 
     def test_from_checkpoint_round_trip(self, tiny_model, forecasting_data, single, tmp_path):
         path = save_model_checkpoint(
