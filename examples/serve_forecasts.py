@@ -136,10 +136,10 @@ def main() -> None:
         )
 
         # 6. Scale out: the same checkpoint behind two process replicas
-        #    (the default executor for num_shards > 1).  submit() never
-        #    computes — batches fire when a worker queue reaches
-        #    auto_flush_at or when the 10 ms linger flusher drains it — and
-        #    the merged forecasts are bit-identical to the single worker.
+        #    (the default executor for num_shards > 1).  Batches fire when
+        #    a worker queue reaches auto_flush_at (on the submitting
+        #    thread) or when the 10 ms linger flusher drains it, and the
+        #    merged forecasts are bit-identical to the single worker.
         reference = service.forecast_many(raw_windows)
         with ForecastService.from_checkpoint(
             checkpoint,

@@ -42,19 +42,21 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..tensor import Tensor, no_grad
-from .resilience import Deadline, DeadlineExceeded, ResilienceError
+from .resilience import Deadline, DeadlineExceeded, ResilienceError, _raise_at_settle
 
 __all__ = [
     "PendingForecast",
     "AsyncForecast",
     "BatcherStats",
     "MicroBatcher",
+    "flush_all",
     "FlusherStats",
     "BackgroundFlusher",
 ]
@@ -306,63 +308,81 @@ class MicroBatcher:
         exception propagates with the number of requests fulfilled by the
         earlier, successful chunks attached as ``fulfilled_before_error`` —
         partial progress is never silently discarded.  Requests in later
-        chunks stay queued for the next flush.
+        chunks stay queued for the next flush.  This is :func:`flush_all`
+        over one batcher.
         """
-        fulfilled = 0
-        with self._flush_lock:
-            while True:
-                with self._queue_lock:
-                    # Sweep expired entries first so a stale request never
-                    # occupies a slot in the batch about to compute.
-                    expired = [
-                        entry for entry in self._queue
-                        if entry[3] is not None and entry[3].expired
-                    ]
-                    if expired:
-                        self._queue = [
-                            entry for entry in self._queue
-                            if entry[3] is None or not entry[3].expired
-                        ]
-                    chunk = self._queue[: self.max_batch_size]
-                    del self._queue[: len(chunk)]
-                for _, handle, _, entry_deadline in expired:
-                    handle._fail(
-                        DeadlineExceeded(
-                            entry_deadline.budget_ms,
-                            entry_deadline.elapsed_ms(),
-                            "batch-queue",
-                        )
+        return _drain([self])
+
+    def _next_chunk(self) -> list:
+        """Pop the next chunk, failing expired entries typed first."""
+        with self._queue_lock:
+            # Sweep expired entries first so a stale request never
+            # occupies a slot in the batch about to compute.
+            expired = [
+                entry for entry in self._queue
+                if entry[3] is not None and entry[3].expired
+            ]
+            if expired:
+                self._queue = [
+                    entry for entry in self._queue
+                    if entry[3] is None or not entry[3].expired
+                ]
+            chunk = self._queue[: self.max_batch_size]
+            del self._queue[: len(chunk)]
+        if expired:
+            for _, handle, _, entry_deadline in expired:
+                handle._fail(
+                    DeadlineExceeded(
+                        entry_deadline.budget_ms,
+                        entry_deadline.elapsed_ms(),
+                        "batch-queue",
                     )
-                if expired:
-                    with self._stats_lock:
-                        self.stats.expired_requests += len(expired)
-                if not chunk:
-                    return fulfilled
-                try:
-                    windows = np.stack([window for window, _, _, _ in chunk], axis=0)
-                    with no_grad():
-                        outputs = self.forward_fn(Tensor(windows))
-                    predictions = outputs.data if isinstance(outputs, Tensor) else np.asarray(outputs)
-                    if predictions.shape[0] != len(chunk):
-                        raise RuntimeError(
-                            f"forward returned {predictions.shape[0]} predictions for a "
-                            f"batch of {len(chunk)}"
-                        )
-                except BaseException as error:
-                    for _, handle, _, _ in chunk:
-                        handle._fail(error)
-                    with self._stats_lock:
-                        self.stats._record_failure(len(chunk))
-                    try:
-                        error.fulfilled_before_error = fulfilled
-                    except (AttributeError, TypeError):  # exceptions with __slots__
-                        pass
-                    raise
-                for index, (_, handle, _, _) in enumerate(chunk):
-                    handle._fulfil(predictions[index].copy())
-                with self._stats_lock:
-                    self.stats._record_flush(len(chunk))
-                fulfilled += len(chunk)
+                )
+            with self._stats_lock:
+                self.stats.expired_requests += len(expired)
+        return chunk
+
+    def _start(self, chunk: list) -> Callable[[], object]:
+        """Start a chunk's forward; returns the callable that settles it.
+
+        A forward with a ``dispatch`` method (a process replica's) returns
+        at once; any other forward computes here.  A forward that fails to
+        start fails at settle, so every started chunk settles the same way.
+        """
+        try:
+            batch = Tensor(np.stack([window for window, _, _, _ in chunk], axis=0))
+            dispatch = getattr(self.forward_fn, "dispatch", None)
+            if dispatch is not None:
+                return dispatch(batch)
+            outputs = self.forward_fn(batch)
+        except BaseException as error:
+            return _raise_at_settle(error)
+        return lambda: outputs
+
+    def _settle(self, chunk: list, settle: Callable[[], object], fulfilled: int) -> None:
+        """Settle one started chunk: fulfil its handles, or fail them and raise."""
+        try:
+            outputs = settle()
+            predictions = outputs.data if isinstance(outputs, Tensor) else np.asarray(outputs)
+            if predictions.shape[0] != len(chunk):
+                raise RuntimeError(
+                    f"forward returned {predictions.shape[0]} predictions for a "
+                    f"batch of {len(chunk)}"
+                )
+        except BaseException as error:
+            for _, handle, _, _ in chunk:
+                handle._fail(error)
+            with self._stats_lock:
+                self.stats._record_failure(len(chunk))
+            try:
+                error.fulfilled_before_error = fulfilled
+            except (AttributeError, TypeError):  # exceptions with __slots__
+                pass
+            raise
+        for index, (_, handle, _, _) in enumerate(chunk):
+            handle._fulfil(predictions[index].copy())
+        with self._stats_lock:
+            self.stats._record_flush(len(chunk))
 
     def forecast_batch(self, windows: np.ndarray) -> np.ndarray:
         """Convenience path: forecast an already-assembled ``(B, T, N, F)`` batch.
@@ -382,11 +402,63 @@ class MicroBatcher:
         return predictions
 
 
+def flush_all(batchers: Sequence[MicroBatcher]) -> int:
+    """Drain several batchers together; returns the requests fulfilled.
+
+    Each round takes every batcher's next chunk, starts all of their
+    forwards, then settles them in order: process replicas' forwards only
+    dispatch when started, so K replicas compute at once with no parent
+    thread per replica.  Each batcher keeps the :meth:`MicroBatcher.flush`
+    contract: a failed chunk fails its own handles, stops that batcher's
+    drain (its later chunks stay queued) and carries that batcher's
+    ``fulfilled_before_error``.  Every started chunk settles before the
+    first error is re-raised.
+
+    The batchers must be distinct.  Their flush locks are taken in the
+    order given and held until the last chunk settles, so callers pass
+    them in one fixed (replica) order.  One batcher drains through its own
+    :meth:`MicroBatcher.flush`.
+    """
+    if len(batchers) == 1:
+        return batchers[0].flush()
+    return _drain(batchers)
+
+
+def _drain(batchers: Sequence[MicroBatcher]) -> int:
+    fulfilled = [0] * len(batchers)
+    first_error: Optional[BaseException] = None
+    with ExitStack() as held, no_grad():
+        for batcher in batchers:
+            held.enter_context(batcher._flush_lock)
+        active = range(len(batchers))
+        while active:
+            started = []
+            for index in active:
+                chunk = batchers[index]._next_chunk()
+                if chunk:
+                    started.append((index, chunk, batchers[index]._start(chunk)))
+            active = []
+            for index, chunk, settle in started:
+                try:
+                    batchers[index]._settle(chunk, settle, fulfilled[index])
+                except BaseException as error:
+                    if first_error is None:
+                        first_error = error
+                    continue
+                fulfilled[index] += len(chunk)
+                active.append(index)
+    if first_error is not None:
+        raise first_error
+    return sum(fulfilled)
+
+
 @dataclass(frozen=True)
 class FlusherStats:
     """Counters of a background flusher's timed drains."""
 
+    #: Batchers drained because their oldest request outlived the linger.
     timed_flushes: int
+    #: Drains (timed, or the final one at close) in which a chunk failed.
     errors: int
     linger_ms: float
 
@@ -402,13 +474,11 @@ class BackgroundFlusher:
 
     Parameters
     ----------
-    targets:
-        ``(batcher, flush)`` pairs: the batchers to watch and how to drain
-        each.  A service passes each worker's
-        :meth:`~repro.serving.service._ShardWorker.flush_async`, so a
-        process replica's drain runs on its worker thread and a slow
-        replica cannot block the timer; ``flush`` may also be the batcher's
-        own :meth:`~MicroBatcher.flush`, run on the flusher thread.
+    batchers:
+        The batchers to watch, in one fixed order (a service passes its
+        replicas in replica order).  A pass drains every due batcher with
+        one :func:`flush_all`, so process replicas compute at once and the
+        pass ends when the slowest settles.
     linger_ms:
         Maximum milliseconds a request may wait before its batcher is
         drained.
@@ -416,23 +486,23 @@ class BackgroundFlusher:
     Forward errors during a timed drain never kill the thread: the failed
     chunk's handles already carry the error (see
     :meth:`MicroBatcher.flush`), the batcher's stats record the failure,
-    and the flusher counts it in :attr:`stats` and keeps serving.
-    :meth:`close` stops the thread and drains every batcher one final
-    time, so no pending handle is left waiting on a dead timer.
+    and the flusher counts the failed drain in :attr:`stats` and keeps
+    serving.  :meth:`close` stops the thread and drains every batcher one
+    final time, so no pending handle is left waiting on a dead timer.
     """
 
-    def __init__(self, targets, linger_ms: float = 25.0) -> None:
+    def __init__(self, batchers: Sequence[MicroBatcher], linger_ms: float = 25.0) -> None:
         if linger_ms <= 0:
             raise ValueError("linger_ms must be positive")
         self._linger = linger_ms / 1000.0
         self.linger_ms = float(linger_ms)
-        self._targets: List[Tuple[MicroBatcher, Callable[[], object]]] = list(targets)
+        self._batchers: List[MicroBatcher] = list(batchers)
         self._wake = threading.Event()
         self._stop = threading.Event()
         self._stats_lock = threading.Lock()
         self._timed_flushes = 0
         self._errors = 0
-        for batcher, _ in self._targets:
+        for batcher in self._batchers:
             batcher.submit_listener = self._wake.set
         self._thread = threading.Thread(
             target=self._loop, name="repro-linger-flusher", daemon=True
@@ -444,23 +514,22 @@ class BackgroundFlusher:
         """Whether the flusher thread is alive and serving."""
         return self._thread.is_alive()
 
-    def retarget(self, targets) -> None:
+    def retarget(self, batchers: Sequence[MicroBatcher]) -> None:
         """Point the running flusher at a new set of batchers (hot swap).
 
-        The loop reads the target list afresh on every pass, so replacing
+        The loop reads the batcher list afresh on every pass, so replacing
         the reference is safe without stopping the thread.  Old batchers
         stop being watched — the swap path drains them once at retirement,
         and their handles stay lazily flushable — and the new batchers'
         submit listeners are wired so the first enqueue wakes the timer.
         """
-        resolved: List[Tuple[MicroBatcher, Callable[[], object]]] = list(targets)
-        old = self._targets
-        for batcher, _ in resolved:
+        resolved = list(batchers)
+        old = self._batchers
+        for batcher in resolved:
             batcher.submit_listener = self._wake.set
-        self._targets = resolved
-        retargeted = {id(batcher) for batcher, _ in resolved}
-        for batcher, _ in old:
-            if id(batcher) not in retargeted:
+        self._batchers = resolved
+        for batcher in old:
+            if all(batcher is not kept for kept in resolved):
                 batcher.submit_listener = None
         self._wake.set()
 
@@ -477,7 +546,7 @@ class BackgroundFlusher:
     def _next_timeout(self, now: float) -> Optional[float]:
         """Seconds until the earliest linger deadline (None: no pending)."""
         deadline: Optional[float] = None
-        for batcher, _ in self._targets:
+        for batcher in self._batchers:
             oldest = batcher.oldest_pending_at()
             if oldest is None:
                 continue
@@ -489,30 +558,24 @@ class BackgroundFlusher:
         return max(deadline - now, 0.0)
 
     def _drain_due(self, now: float) -> None:
-        # First pass schedules every due drain (a process replica's drain
-        # starts concurrently on its worker thread), second pass waits for
-        # them — without the wait, a still-queued drain would leave
-        # oldest_pending_at() in the past and spin this loop at timeout 0.
-        scheduled = []
-        for batcher, flush in self._targets:
+        # One drain over every due batcher: it returns once all of them
+        # settled, so oldest_pending_at() never reads a drained request.
+        due = []
+        for batcher in self._batchers:
             oldest = batcher.oldest_pending_at()
-            if oldest is None or now - oldest < self._linger:
-                continue
-            try:
-                result = flush()
-            except BaseException:
-                # The handles of the failed chunk already carry the error.
-                result = None
-                with self._stats_lock:
-                    self._errors += 1
-            with self._stats_lock:
-                self._timed_flushes += 1
-            if result is not None and hasattr(result, "wait"):
-                scheduled.append(result)
-        for job in scheduled:
-            if job.wait() is not None:
-                with self._stats_lock:
-                    self._errors += 1
+            if oldest is not None and now - oldest >= self._linger:
+                due.append(batcher)
+        if not due:
+            return
+        failed = False
+        try:
+            flush_all(due)
+        except BaseException:
+            # The handles of the failed chunks already carry the error.
+            failed = True
+        with self._stats_lock:
+            self._timed_flushes += len(due)
+            self._errors += failed
 
     def _loop(self) -> None:
         while not self._stop.is_set():
@@ -528,8 +591,7 @@ class BackgroundFlusher:
         """Stop the flusher; optionally drain every batcher one last time.
 
         Idempotent.  The final drain runs synchronously on the calling
-        thread (the workers behind asynchronous flush targets may be
-        stopping too), so after ``close()`` no handle is pending.
+        thread, so after ``close()`` no handle is pending.
         """
         already_stopped = self._stop.is_set()
         self._stop.set()
@@ -545,13 +607,13 @@ class BackgroundFlusher:
                 pass
         if already_stopped or not drain:
             return
-        for batcher, _ in self._targets:
+        for batcher in self._batchers:
             batcher.submit_listener = None
-            try:
-                batcher.flush()
-            except BaseException:
-                with self._stats_lock:
-                    self._errors += 1
+        try:
+            flush_all(self._batchers)
+        except BaseException:
+            with self._stats_lock:
+                self._errors += 1
 
     def __del__(self) -> None:  # pragma: no cover - GC timing dependent
         # Last-resort stop (no drain: the forward engines behind the

@@ -59,7 +59,7 @@ import weakref
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -865,8 +865,13 @@ class _ProcessShardForward:
 
     def __call__(self, x, precision: Optional[str] = None, lane: str = "bulk",
                  deadline: Optional[Deadline] = None) -> np.ndarray:
+        return self.dispatch(x, precision=precision, lane=lane, deadline=deadline)()
+
+    def dispatch(self, x, precision: Optional[str] = None, lane: str = "bulk",
+                 deadline: Optional[Deadline] = None) -> Callable[[], np.ndarray]:
+        """Queue ``x`` on this shard's worker; returns the callable that settles it."""
         array = x.data if hasattr(x, "data") else np.asarray(x)
-        return self._tier.call(
+        return self._tier.dispatch(
             self._shard, array, lane=lane, precision=precision, pset=self._pset,
             deadline=deadline,
         )
@@ -1124,11 +1129,12 @@ class ProcessShardExecutor:
             fulfilled += job.rows
         return [job.result for job in jobs]
 
-    def call(self, shard: int, array, lane: str = "bulk",
-             precision: Optional[str] = None,
-             pset: Optional[_ProviderSet] = None,
-             deadline: Optional[Deadline] = None) -> np.ndarray:
-        """Forward one ``(B, T, N, F)`` batch through a shard's worker.
+    def dispatch(self, shard: int, array, lane: str = "bulk",
+                 precision: Optional[str] = None,
+                 pset: Optional[_ProviderSet] = None,
+                 deadline: Optional[Deadline] = None) -> Callable[[], np.ndarray]:
+        """Queue one ``(B, T, N, F)`` batch on a shard's worker; returns the
+        callable that waits for it and returns the ``(B, T', N)`` output.
 
         Bit-identical to an in-process plan call: the batch is cast to the
         plan dtype and split into chunks of ``bulk_chunk_rows`` rows, each
@@ -1141,7 +1147,8 @@ class ProcessShardExecutor:
         ``deadline`` rides with every dispatched chunk: a chunk still
         queued when the budget expires fails typed instead of computing
         (a chunk already *on the wire* completes — finished work is never
-        thrown away).
+        thrown away).  Dispatching to several shards before settling any
+        overlaps their round trips on the shards' dispatcher threads.
         """
         if lane not in _LANE_IDS:
             raise ValueError(f"unknown lane {lane!r}; expected one of {LANES}")
@@ -1151,9 +1158,10 @@ class ProcessShardExecutor:
             # Post-close lazy serving: late handle.result() flushes must
             # still answer.  Degrade to the in-parent provider, which is
             # the same arithmetic.
-            return np.asarray(provider(array, precision=precision))
+            result = np.asarray(provider(array, precision=precision))
+            return lambda: result
         if array.shape[0] == 0:
-            return np.empty((0, self._output_length, self._num_nodes))
+            return lambda: np.empty((0, self._output_length, self._num_nodes))
         if deadline is not None:
             deadline.check("process-accept")
         dtype = np.dtype(resolve_precision(precision if precision is not None else provider.precision))
@@ -1161,7 +1169,16 @@ class ProcessShardExecutor:
             array = array.astype(dtype)
         jobs = self._make_jobs(array, lane, dtype, pset=pset, deadline=deadline)
         self._dispatch(shard, jobs, pset=pset)
-        return np.concatenate(self._settle(jobs), axis=0)
+        return lambda: np.concatenate(self._settle(jobs), axis=0)
+
+    def call(self, shard: int, array, lane: str = "bulk",
+             precision: Optional[str] = None,
+             pset: Optional[_ProviderSet] = None,
+             deadline: Optional[Deadline] = None) -> np.ndarray:
+        """Forward one batch through a shard's worker: :meth:`dispatch`, then wait."""
+        return self.dispatch(
+            shard, array, lane=lane, precision=precision, pset=pset, deadline=deadline
+        )()
 
     # ------------------------------------------------------------------
     def proxy(self, shard: int,

@@ -359,6 +359,15 @@ class ResilienceConfig:
         )
 
 
+def _raise_at_settle(error: BaseException) -> Callable[[], Any]:
+    """A settle callable for a forward that failed to start."""
+
+    def settle() -> Any:
+        raise error
+
+    return settle
+
+
 class ResilientForward:
     """Breaker + bounded-retry wrapper around a shard's forward callable.
 
@@ -369,6 +378,12 @@ class ResilientForward:
     outcomes feed the breaker.  Attribute access (``cache_info``,
     ``save_artifacts``, ``compile_for``, ``precision``)
     delegates to the wrapped forward so engine plumbing is unaffected.
+
+    :meth:`dispatch` starts the first attempt and returns the callable that
+    settles it; a call is ``dispatch(...)()``.  The breaker check and the
+    ``forward.call`` fault point run at dispatch.  The dispatched attempt
+    is the retry policy's first, later attempts re-run synchronously at
+    settle, and the breaker records the outcome at settle.
     """
 
     def __init__(
@@ -405,33 +420,51 @@ class ResilientForward:
         if self._on_retry is not None:
             self._on_retry(attempt, error)
 
-    def _attempt(self, args: Tuple[Any, ...], kwargs: Dict[str, Any]) -> Any:
-        # Parent-side injection site: lets the fault harness exercise the
-        # retry/breaker machinery without a process tier underneath.
-        fault_point("forward.call")
-        return self._forward(*args, **kwargs)
+    def _start(self, args: Tuple[Any, ...], kwargs: Dict[str, Any]) -> Callable[[], Any]:
+        """Start one attempt; returns the callable that settles it."""
+        try:
+            # Parent-side injection site: lets the fault harness exercise
+            # the retry/breaker machinery without a process tier underneath.
+            fault_point("forward.call")
+            dispatch = getattr(self._forward, "dispatch", None)
+            if dispatch is not None:
+                return dispatch(*args, **kwargs)
+            result = self._forward(*args, **kwargs)
+        except Exception as error:
+            return _raise_at_settle(error)
+        return lambda: result
 
-    def __call__(self, *args: Any, **kwargs: Any) -> Any:
+    def dispatch(self, *args: Any, **kwargs: Any) -> Callable[[], Any]:
+        """Start a forward; the returned callable settles it (retries included)."""
         breaker = self._breaker
         if breaker is not None:
             breaker.check()
-        try:
-            if self._retry is None:
-                result = self._attempt(args, kwargs)
-            else:
-                result = self._retry.call(
-                    lambda: self._attempt(args, kwargs),
-                    on_retry=self._count_retry,
-                )
-        except Exception as error:
-            # A spent client budget says nothing about shard health — only
-            # genuine compute failures feed the breaker.
-            if breaker is not None and not isinstance(error, DeadlineExceeded):
-                breaker.record_failure()
-            raise
-        if breaker is not None:
-            breaker.record_success()
-        return result
+        started = [self._start(args, kwargs)]
+
+        def attempt() -> Any:
+            settle = started.pop() if started else self._start(args, kwargs)
+            return settle()
+
+        def settle() -> Any:
+            try:
+                if self._retry is None:
+                    result = attempt()
+                else:
+                    result = self._retry.call(attempt, on_retry=self._count_retry)
+            except Exception as error:
+                # A spent client budget says nothing about shard health —
+                # only genuine compute failures feed the breaker.
+                if breaker is not None and not isinstance(error, DeadlineExceeded):
+                    breaker.record_failure()
+                raise
+            if breaker is not None:
+                breaker.record_success()
+            return result
+
+        return settle
+
+    def __call__(self, *args: Any, **kwargs: Any) -> Any:
+        return self.dispatch(*args, **kwargs)()
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self._forward, name)

@@ -21,7 +21,7 @@ cache, and exposes raw-scale queries:
   detector readings as they arrive, forecast from the rolling buffer.
 
 Cache misses are routed round-robin over ``num_shards`` full-model replica
-workers (:class:`_ShardWorker`), each owning its own forward engine and
+workers, each owning its own forward engine and
 :class:`~repro.serving.MicroBatcher`.  Batch rows are independent in every
 model of this library, so sub-batch outputs are **bit-identical** to the
 coalesced batch, whichever executor computes them:
@@ -33,9 +33,11 @@ coalesced batch, whichever executor computes them:
 * ``executor="processes"`` — each worker's plans replayed by a worker
   *process* over shared memory (:mod:`repro.serving.process_tier`), with a
   priority ``interactive`` lane for :meth:`~ForecastService.forecast_latest`
-  (the default for ``num_shards > 1``).  A parent-side thread per worker
-  waits on its process, so ``K`` replicas compute concurrently and a slow
-  one never blocks the linger flusher.
+  (the default for ``num_shards > 1``).  A drain over several replicas
+  (:func:`~repro.serving.batching.flush_all`) dispatches every replica's
+  chunk before it waits for any, so ``K`` replicas compute concurrently
+  with no parent-side thread per replica: each worker's dispatcher thread
+  is the only thread between a caller and its process.
 
 Deadlines, bounded retries, per-replica circuit breakers, per-lane
 admission control (:class:`ServiceOverloaded`), zero-downtime hot swaps,
@@ -73,7 +75,6 @@ minutes); normalisation is an internal concern.
 from __future__ import annotations
 
 import hashlib
-import queue
 import threading
 import time
 from dataclasses import dataclass
@@ -98,6 +99,7 @@ from .batching import (
     FlusherStats,
     MicroBatcher,
     PendingForecast,
+    flush_all,
 )
 from .buffer import RollingWindowBuffer
 from .cache import CacheStats, ForecastCache, StaleForecast
@@ -249,123 +251,6 @@ class _LaneGate:
 
 
 # ----------------------------------------------------------------------
-# Replica workers.
-# ----------------------------------------------------------------------
-class _FlushJob:
-    """A flush scheduled onto a shard worker's thread.
-
-    The job never lets an exception escape into the worker loop: the
-    error is captured for :meth:`wait` (and the failed chunk's request
-    handles already carry it — see :meth:`MicroBatcher.flush`).
-    """
-
-    __slots__ = ("_fn", "_event", "error")
-
-    def __init__(self, fn: Callable[[], object]) -> None:
-        self._fn = fn
-        self._event = threading.Event()
-        self.error: Optional[BaseException] = None
-
-    def __call__(self) -> None:
-        try:
-            self._fn()
-        except BaseException as error:
-            self.error = error
-        finally:
-            self._event.set()
-
-    def wait(self) -> Optional[BaseException]:
-        """Block until the flush settled; returns its error (or ``None``)."""
-        self._event.wait()
-        return self.error
-
-
-class _ShardWorker:
-    """One replica: its current micro-batcher and, optionally, an executor thread.
-
-    A started worker (a process replica's) runs every drain of its queue on
-    its own thread (jobs are enqueued with :meth:`flush_async`), so ``K``
-    round trips to the worker processes overlap and a slow one never
-    blocks the linger flusher.  An *inline* worker (``start=False``) never
-    starts a thread: its drains run on the calling thread, exactly like a
-    closed worker's.
-    """
-
-    def __init__(self, index: int, batcher: MicroBatcher, start: bool = True) -> None:
-        self.index = index
-        # The *current* generation's batcher.  A hot swap rebinds this
-        # reference; retired batchers stay drainable through
-        # flush_async(batcher=...).
-        self.batcher = batcher
-        self._jobs: "queue.SimpleQueue[Optional[_FlushJob]]" = queue.SimpleQueue()
-        self._closed = not start
-        self._thread: Optional[threading.Thread] = None
-        if start:
-            self._thread = threading.Thread(
-                target=self._loop, name=f"repro-shard-{index}", daemon=True
-            )
-            self._thread.start()
-
-    @property
-    def forward(self):
-        """The current generation's (resilience-wrapped) forward engine."""
-        return self.batcher.forward_fn
-
-    def _loop(self) -> None:
-        while True:
-            job = self._jobs.get()
-            if job is None:
-                return
-            job()
-
-    def _drain_jobs_inline(self) -> None:
-        """Run queued jobs on the calling thread (executor stopping/stopped)."""
-        while True:
-            try:
-                job = self._jobs.get_nowait()
-            except queue.Empty:
-                return
-            if job is None:
-                # The executor loop's stop sentinel: a drain racing close()
-                # must never consume it — the loop only exits on the
-                # sentinel, so stealing it would leave the thread blocked
-                # in get() forever and deadlock close() in join().  Hand
-                # it back (behind any later jobs, which the loop then runs
-                # before exiting) and stop draining.
-                self._jobs.put(None)
-                return
-            job()
-
-    def flush_async(self, batcher: Optional[MicroBatcher] = None) -> _FlushJob:
-        """Schedule a queue drain on this worker's thread; returns the job.
-
-        ``batcher`` selects which generation's queue to drain (default:
-        the current one), captured at job-creation time — a swap landing
-        between scheduling and execution never redirects the drain.  On
-        an inline or closed worker the drain runs synchronously on the
-        calling thread — a job must never strand a waiter on a dead
-        executor.
-        """
-        job = _FlushJob((batcher if batcher is not None else self.batcher).flush)
-        if self._closed:
-            job()
-            return job
-        self._jobs.put(job)
-        if self._closed:
-            # close() raced past the put; make sure the job still runs.
-            self._drain_jobs_inline()
-        return job
-
-    def close(self) -> None:
-        """Stop the executor thread (idempotent; no queued job is dropped)."""
-        if not self._closed:
-            self._closed = True
-            self._jobs.put(None)
-            self._thread.join()
-        self._drain_jobs_inline()
-
-
-# ----------------------------------------------------------------------
 # Stats and generations.
 # ----------------------------------------------------------------------
 def _merge_batcher_stats(parts: Sequence[BatcherStats]) -> BatcherStats:
@@ -444,13 +329,13 @@ class SwapReport:
 
 
 class _Engine:
-    """A generation's compute: one micro-batcher per replica worker, plus
-    the process tier's pinned provider set (``None`` off the process tier)
-    and the in-process compiled models (whose lane threads it stops).
+    """A generation's compute: one micro-batcher per replica worker (in
+    replica order), plus the process tier's pinned provider set (``None``
+    off the process tier) and the in-process compiled models (whose lane
+    threads it stops).
 
     A hot swap builds a complete new engine off to the side and publishes
-    it by rebinding every worker's ``batcher`` reference — the workers and
-    their job queues survive the swap untouched.
+    it with its generation.
     """
 
     __slots__ = ("batchers", "pset", "models")
@@ -459,6 +344,13 @@ class _Engine:
         self.batchers = batchers
         self.pset = pset
         self.models = models
+
+    def plan_engines(self) -> List:
+        """The distinct plan engines: the process replicas' one shared
+        provider, or each in-process worker's forward."""
+        if self.pset is not None:
+            return [self.pset.provider]
+        return [batcher.forward_fn for batcher in self.batchers]
 
     def close(self) -> None:
         """Stop the models' lane threads; the models keep serving inline."""
@@ -507,10 +399,11 @@ class ForecastService:
         Largest coalesced forward pass of a worker's flush.
     auto_flush_at:
         When set, a :meth:`submit` that brings a worker's queue to this
-        size triggers its batched forward.  The flush runs on the worker's
-        thread — or, on the inline executor, on the *submitting* thread
-        (deliberate backpressure: a producer cannot enqueue unbounded work
-        without paying for any of it).
+        size triggers its batched forward.  The flush runs on the
+        *submitting* thread, on either executor (deliberate backpressure:
+        a producer cannot enqueue unbounded work without paying for any of
+        it); a forward error is carried by the flushed handles, never
+        raised from :meth:`submit`.
     linger_ms:
         When set, a background flusher drains a queue once its oldest
         request has waited this long — asynchronous traffic below the
@@ -614,8 +507,8 @@ class ForecastService:
         if auto_flush_at is not None and auto_flush_at <= 0:
             raise ValueError("auto_flush_at must be positive when set")
         if linger_ms is not None and linger_ms <= 0:
-            # Validate before any worker thread spawns: a constructor that
-            # raises must not leak executors blocked on their job queues.
+            # Validate before the tier or the flusher starts: a constructor
+            # that raises must not leak background machinery.
             raise ValueError("linger_ms must be positive when set")
         model.eval()
         self.config = config
@@ -676,8 +569,8 @@ class ForecastService:
         self._retired_retries = 0
         self._fleet_retries = 0
         # Resolve (and validate) the executor and the admission gates
-        # before any worker thread or process spawns — a constructor that
-        # raises must not leak background machinery.
+        # before any thread or process starts — a constructor that raises
+        # must not leak background machinery.
         self.executor = self._resolve_executor(executor)
         self._tier: Optional[ProcessShardExecutor] = None
         # Overload rejections snapshot every lane's depth, so a client's
@@ -722,15 +615,11 @@ class ForecastService:
         ]
         engine, _, _ = self._build_engine(model, warm_sizes=())
         self._gen.engine = engine
-        self._workers: List[_ShardWorker] = [
-            _ShardWorker(index, batcher, start=self.executor != "inline")
-            for index, batcher in enumerate(engine.batchers)
-        ]
         self._round_robin = 0
         self._route_lock = threading.Lock()
         self._closed = False
         self.flusher: Optional[BackgroundFlusher] = (
-            BackgroundFlusher(self._flush_targets(), linger_ms=linger_ms)
+            BackgroundFlusher(engine.batchers, linger_ms=linger_ms)
             if linger_ms is not None
             else None
         )
@@ -1034,19 +923,6 @@ class ForecastService:
             ]
         else:
             forwards = [model]
-        reused = compiled = 0
-        if self.runtime == "compiled" and not initial:
-            # By default the streaming batch of 1, or an explicit size
-            # ladder.  With AOT artifacts in the store these are disk binds.
-            sizes = [1] if warm_sizes is None else self._warm_up_sizes(warm_sizes)
-            for forward in forwards:
-                for size in sizes:
-                    forward.compile_for(self._example_batch(size))
-            # Process replicas share one provider: count its plans once.
-            for engine in [pset.provider] if pset is not None else forwards:
-                info = engine.cache_info()
-                reused += info.artifact_loads
-                compiled += info.compiles
         # Every path funnels through a worker batcher's forward_fn (the
         # inline direct path reads the same object), so wrapping here puts
         # the breaker consult, bounded retries and outcome accounting on
@@ -1062,38 +938,42 @@ class ForecastService:
             for index, forward in enumerate(forwards)
         ]
         models = [forward for forward in forwards if isinstance(forward, CompiledModel)]
-        return _Engine(batchers, pset, models), reused, compiled
-
-    def _flush_targets(self) -> List[Tuple[MicroBatcher, Callable]]:
-        """The linger flusher's view: each worker's batcher and its drain."""
-        return [(worker.batcher, worker.flush_async) for worker in self._workers]
+        engine = _Engine(batchers, pset, models)
+        reused = compiled = 0
+        if self.runtime == "compiled" and not initial:
+            # By default the streaming batch of 1, or an explicit size
+            # ladder.  With AOT artifacts in the store these are disk binds.
+            sizes = [1] if warm_sizes is None else self._warm_up_sizes(warm_sizes)
+            for plans in engine.plan_engines():
+                for size in sizes:
+                    plans.compile_for(self._example_batch(size))
+                info = plans.cache_info()
+                reused += info.artifact_loads
+                compiled += info.compiles
+        return engine, reused, compiled
 
     def _publish_generation(self, gen: _Generation) -> None:
-        # Runs under the buffer lock: the generation reference, every
-        # worker's current batcher and the tier's default provider set
-        # move together — a snapshot() reader sees all or none of it.
+        # Runs under the buffer lock: the generation reference (with its
+        # batchers) and the tier's default provider set move together — a
+        # snapshot() reader sees all or none of it.
         self._gen = gen
-        for worker, batcher in zip(self._workers, gen.engine.batchers):
-            worker.batcher = batcher
         if self._tier is not None:
             self._tier.install_generation(gen.engine.pset)
 
     def _retire_generation(self, old: _Generation) -> None:
-        # Drain the retired queues (concurrently, on the worker threads);
-        # requests still queued there complete on the old weights — their
-        # process proxies pin the old provider set.
-        jobs = [
-            worker.flush_async(batcher)
-            for worker, batcher in zip(self._workers, old.engine.batchers)
-        ]
-        for job in jobs:
-            job.wait()  # errors are carried by the affected handles
+        # Drain the retired queues in one drain, so process replicas
+        # compute concurrently; requests still queued there complete on
+        # the old weights — their process proxies pin the old provider set.
+        try:
+            flush_all(old.engine.batchers)
+        except Exception:
+            pass  # the affected handles carry the error
         for index, batcher in enumerate(old.engine.batchers):
             self._retired_shard_stats[index].append(batcher.stats)
             self._retired_retries += getattr(batcher.forward_fn, "retries", 0)
         old.engine.close()
         if self.flusher is not None:
-            self.flusher.retarget(self._flush_targets())
+            self.flusher.retarget(self._gen.engine.batchers)
 
     def _validate_swap_config(self, config) -> None:
         """A swapped checkpoint must describe the same serving geometry."""
@@ -1171,7 +1051,7 @@ class ForecastService:
     def _lane_depth(self, lane: str) -> int:
         """Live queue depth of one lane across batchers and the tier."""
         if lane == "bulk":
-            depth = sum(worker.batcher.pending for worker in self._workers)
+            depth = sum(batcher.pending for batcher in self._gen.engine.batchers)
             if self._tier is not None:
                 depth += self._tier.lane_pending("bulk")
             return depth
@@ -1189,7 +1069,7 @@ class ForecastService:
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def _next_worker(self) -> _ShardWorker:
+    def _next_replica(self) -> int:
         """Round-robin over the replicas, skipping open circuit breakers.
 
         With breakers enabled, a replica whose breaker is open is routed
@@ -1201,21 +1081,21 @@ class ForecastService:
         """
         with self._route_lock:
             soonest: Optional[CircuitOpen] = None
-            for _ in range(len(self._workers)):
-                worker = self._workers[self._round_robin % len(self._workers)]
+            for _ in range(self.num_shards):
+                index = self._round_robin % self.num_shards
                 self._round_robin += 1
-                breaker = self._breakers[worker.index]
+                breaker = self._breakers[index]
                 if breaker is None or breaker.state != "open":
-                    return worker
+                    return index
                 try:
                     breaker.check()
                 except CircuitOpen as error:
                     if soonest is None or error.retry_after < soonest.retry_after:
                         soonest = error
             if soonest is None:  # pragma: no cover - state()/check() race
-                worker = self._workers[self._round_robin % len(self._workers)]
+                index = self._round_robin % self.num_shards
                 self._round_robin += 1
-                return worker
+                return index
             raise soonest
 
     def _route_window(
@@ -1223,8 +1103,9 @@ class ForecastService:
         window: np.ndarray,
         gen: _Generation,
         deadline: Optional[Deadline] = None,
-    ) -> Tuple[PendingForecast, _ShardWorker]:
-        """Submit one normalised window to the next replica.
+    ) -> Tuple[PendingForecast, int]:
+        """Submit one normalised window to the next replica; returns its
+        handle and the replica index.
 
         Requests enqueue on the batchers of the generation captured at
         request entry, so a hot swap mid-request never splits one window
@@ -1232,31 +1113,17 @@ class ForecastService:
         entry; an entry whose budget expires before its flush is failed
         typed at the sweep, never computed.
         """
-        worker = self._next_worker()
-        return gen.engine.batchers[worker.index].submit(window, deadline=deadline), worker
+        index = self._next_replica()
+        return gen.engine.batchers[index].submit(window, deadline=deadline), index
 
-    def _drain(self, workers: Sequence[_ShardWorker], gen: _Generation) -> None:
-        """Flush the given workers' queues concurrently; re-raise the first error.
+    def _drain(self, replicas: Sequence[int], gen: _Generation) -> None:
+        """Flush the given replicas' queues in one drain; re-raise the first error.
 
-        Every job is waited for before raising, so all touched workers are
-        settled (their handles fulfilled or failed) when the caller sees
-        the exception.  Inline, the one queue flushes on the caller's
-        thread directly — no job, no hop.
+        The drain runs on the caller's thread and settles every touched
+        replica (its handles fulfilled or failed) before it raises.  The
+        batchers go in replica order, the one lock order every drain uses.
         """
-        if self.executor == "inline":
-            gen.engine.batchers[0].flush()
-            return
-        jobs = [
-            worker.flush_async(gen.engine.batchers[worker.index])
-            for worker in dict.fromkeys(workers)
-        ]
-        first_error: Optional[BaseException] = None
-        for job in jobs:
-            error = job.wait()
-            if error is not None and first_error is None:
-                first_error = error
-        if first_error is not None:
-            raise first_error
+        flush_all([gen.engine.batchers[index] for index in sorted(set(replicas))])
 
     # ------------------------------------------------------------------
     # Compute
@@ -1285,11 +1152,11 @@ class ForecastService:
             for start in range(0, len(windows), self._max_batch_size):
                 self._check_deadline(deadline, "precision-chunk")
                 batch = np.stack(windows[start : start + self._max_batch_size], axis=0)
-                forward = gen.engine.batchers[self._next_worker().index].forward_fn
+                forward = gen.engine.batchers[self._next_replica()].forward_fn
                 outputs.extend(np.asarray(forward(batch, precision=precision)))
             return outputs
         routed = [self._route_window(window, gen, deadline=deadline) for window in windows]
-        self._drain([worker for _, worker in routed], gen)
+        self._drain([index for _, index in routed], gen)
         return [part.result() for part, _ in routed]
 
     def _predict(
@@ -1583,11 +1450,14 @@ class ForecastService:
             if cached is not None:
                 return AsyncForecast.completed(cached)
         self._admit("bulk", 1)
-        part, worker = self._route_window(normalised, gen, deadline=deadline)
+        part, index = self._route_window(normalised, gen, deadline=deadline)
         if self.auto_flush_at is not None:
-            batcher = gen.engine.batchers[worker.index]
+            batcher = gen.engine.batchers[index]
             if batcher.pending >= self.auto_flush_at:
-                worker.flush_async(batcher)
+                try:
+                    batcher.flush()
+                except Exception:
+                    pass  # the failed chunk's handles carry the error
         return AsyncForecast(part, self._finalize(key, horizon, gen))
 
     def forecast_node(
@@ -1664,19 +1534,21 @@ class ForecastService:
     # Plans
     # ------------------------------------------------------------------
     def save_artifacts(self, path=None) -> List:
-        """Persist every worker's compiled plans as durable artifacts.
+        """Persist the workers' compiled plans as durable artifacts.
 
         ``path`` may be a directory or an
         :class:`~repro.runtime.ArtifactStore`; omitted, the store shared by
         the workers (``artifact_dir=``) is used.  A service restarted
         against the same store binds every worker's plans from disk — zero
-        retraces on the first request.
+        retraces on the first request.  Process replicas share one
+        parent-side provider, so each of its plans is written (and
+        returned) once.
         """
         if self.runtime != "compiled":
             raise ValueError("plan artifacts require the compiled runtime")
         written: List = []
-        for worker in self._workers:
-            written.extend(worker.forward.save_artifacts(path))
+        for plans in self._gen.engine.plan_engines():
+            written.extend(plans.save_artifacts(path))
         return written
 
     def warm_up(self, batch_sizes=None) -> List:
@@ -1684,20 +1556,19 @@ class ForecastService:
 
         A freshly started service pays its trace/fuse/schedule work — or,
         pointed at a saved artifact store (``artifact_dir=``), a few disk
-        binds — here instead of on the first unlucky requests.  Each worker
-        prepares one plan per batch size (by default a doubling ladder up
-        to ``max_batch_size``); process replicas share one parent-side
-        provider, so a size after the first replica's is a cache hit.
-        Returns the :class:`~repro.runtime.PlanStats` of every warmed
-        plan.  No-op under the autograd runtime, which has nothing to
-        compile.
+        binds — here instead of on the first unlucky requests.  One plan
+        is prepared per batch size (by default a doubling ladder up to
+        ``max_batch_size``) on each distinct plan engine: process replicas
+        share one parent-side provider, so they are warmed once.  Returns
+        the :class:`~repro.runtime.PlanStats` of every warmed plan.  No-op
+        under the autograd runtime, which has nothing to compile.
         """
         if self.runtime != "compiled":
             return []
         sizes = self._warm_up_sizes(batch_sizes)
         return [
-            worker.forward.compile_for(self._example_batch(size))
-            for worker in self._workers
+            plans.compile_for(self._example_batch(size))
+            for plans in self._gen.engine.plan_engines()
             for size in sizes
         ]
 
@@ -1710,8 +1581,8 @@ class ForecastService:
         After ``close()`` no handle is left pending (a failing final drain
         is carried by the affected handles, as always), and synchronous
         queries and late ``result()`` calls keep working through lazy
-        flushes on the calling thread — only the timed drains, the worker
-        threads and the worker processes stop.
+        flushes on the calling thread — only the timed drains, the row
+        lanes and the worker processes stop.
         """
         if self._closed:
             return
@@ -1719,13 +1590,10 @@ class ForecastService:
         if self.flusher is not None:
             self.flusher.close(drain=True)
         else:
-            for worker in self._workers:
-                try:
-                    worker.batcher.flush()
-                except BaseException:
-                    pass  # the affected handles carry the error
-        for worker in self._workers:
-            worker.close()
+            try:
+                flush_all(self._gen.engine.batchers)
+            except BaseException:
+                pass  # the affected handles carry the error
         self._gen.engine.close()
         # The tier closes last: the drains above may still dispatch to it.
         if self._tier is not None:
@@ -1743,8 +1611,8 @@ class ForecastService:
     def _shard_stats(self) -> Tuple[BatcherStats, ...]:
         """Lifetime batcher counters per worker (retired generations folded in)."""
         return tuple(
-            _merge_batcher_stats(self._retired_shard_stats[worker.index] + [worker.batcher.stats])
-            for worker in self._workers
+            _merge_batcher_stats(self._retired_shard_stats[index] + [batcher.stats])
+            for index, batcher in enumerate(self._gen.engine.batchers)
         )
 
     def health(self) -> ServiceHealth:
@@ -1777,7 +1645,7 @@ class ForecastService:
             for shard in shards
         )
         retries = self._retired_retries + sum(
-            getattr(worker.forward, "retries", 0) for worker in self._workers
+            getattr(batcher.forward_fn, "retries", 0) for batcher in self._gen.engine.batchers
         )
         expired = sum(stats.expired_requests for stats in self._shard_stats())
         with self._requests_lock:

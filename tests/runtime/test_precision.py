@@ -190,14 +190,15 @@ class TestServingPrecision:
         from repro.serving import ForecastService
 
         model, windows = served
-        reference = ForecastService(model, cache_entries=0).forecast_many(windows)
-        service = ForecastService(model, precision="float32")
-        f32 = service.forecast_many(windows)
-        np.testing.assert_allclose(f32, reference, rtol=F32_RTOL, atol=1e-2)
-        # Per-request float64 SLA path: bit-identical to the all-f64 service.
-        sla = service.forecast_many(windows, precision="float64")
-        assert np.array_equal(sla, reference)
-        assert service.stats().precision == "float32"
+        with ForecastService(model, cache_entries=0) as single:
+            reference = single.forecast_many(windows)
+        with ForecastService(model, precision="float32") as service:
+            f32 = service.forecast_many(windows)
+            np.testing.assert_allclose(f32, reference, rtol=F32_RTOL, atol=1e-2)
+            # Per-request float64 SLA path: bit-identical to the all-f64 service.
+            sla = service.forecast_many(windows, precision="float64")
+            assert np.array_equal(sla, reference)
+            assert service.stats().precision == "float32"
 
     def test_cache_namespaces_stay_disjoint(self, served):
         from repro.serving import ForecastService
@@ -216,7 +217,8 @@ class TestServingPrecision:
         from repro.serving import ForecastService, ShardedForecastService
 
         model, windows = served
-        reference = ForecastService(model, cache_entries=0).forecast_many(windows)
+        with ForecastService(model, cache_entries=0) as single:
+            reference = single.forecast_many(windows)
         for shards in (2, 3):
             with ShardedForecastService(
                 model, num_shards=shards, precision="float32", cache_entries=0
@@ -237,13 +239,14 @@ class TestServingPrecision:
         model, _ = served
         rng = np.random.default_rng(88)
         windows = rng.normal(size=(10, 12, NUM_NODES, 1)) * 10.0 + 50.0
-        reference = ForecastService(model, cache_entries=0).forecast_many(windows)
-        service = ForecastService(model, precision="float32", max_batch_size=4)
-        sla = service.forecast_many(windows, precision="float64")
-        assert np.array_equal(sla, reference)
-        # Every compiled plan served a (bucketed) batch of at most 4.
-        forward = service._workers[0].forward
-        assert all(stats.input_shape[0] <= 4 for stats in forward.plan_stats())
+        with ForecastService(model, cache_entries=0) as single:
+            reference = single.forecast_many(windows)
+        with ForecastService(model, precision="float32", max_batch_size=4) as service:
+            sla = service.forecast_many(windows, precision="float64")
+            assert np.array_equal(sla, reference)
+            # Every compiled plan served a (bucketed) batch of at most 4.
+            forward = service._gen.engine.batchers[0].forward_fn
+            assert all(stats.input_shape[0] <= 4 for stats in forward.plan_stats())
 
     def test_autograd_runtime_rejects_float32(self, served):
         from repro.serving import ForecastService

@@ -39,13 +39,13 @@ class TestSingleWorkerWarmStart:
     def test_restart_serves_with_zero_retraces(self, tiny_model, forecasting_data, window, store):
         cold = ForecastService(tiny_model, scaler=forecasting_data.scaler, artifact_dir=store)
         reference = cold.forecast(window)
-        assert cold._workers[0].forward.cache_info().compiles == 1
+        assert cold._gen.engine.batchers[0].forward_fn.cache_info().compiles == 1
 
         warm = ForecastService(
             tiny_model, scaler=forecasting_data.scaler, artifact_dir=ArtifactStore(store.root)
         )
         produced = warm.forecast(window)
-        info = warm._workers[0].forward.cache_info()
+        info = warm._gen.engine.batchers[0].forward_fn.cache_info()
         assert info.compiles == 0
         assert info.artifact_loads == 1
         assert np.array_equal(produced, reference)
@@ -69,10 +69,10 @@ class TestWarmUp:
         )
         stats = service.warm_up(batch_sizes=(1, 2))
         assert [s.input_shape[0] for s in stats] == [1, 2]
-        assert service._workers[0].forward.cache_info().compiles == 2
+        assert service._gen.engine.batchers[0].forward_fn.cache_info().compiles == 2
         # The first request after warm-up does no plan work at all.
         service.forecast(window)
-        assert service._workers[0].forward.cache_info().compiles == 2
+        assert service._gen.engine.batchers[0].forward_fn.cache_info().compiles == 2
 
     def test_warm_up_binds_from_store_on_restart(
         self, tiny_model, forecasting_data, window, store
@@ -85,7 +85,7 @@ class TestWarmUp:
             tiny_model, scaler=forecasting_data.scaler, artifact_dir=ArtifactStore(store.root)
         )
         warm.warm_up(batch_sizes=(1, 2))
-        info = warm._workers[0].forward.cache_info()
+        info = warm._gen.engine.batchers[0].forward_fn.cache_info()
         assert info.compiles == 0
         assert info.artifact_loads == 2
         assert np.array_equal(warm.forecast(window), reference)
@@ -134,7 +134,7 @@ class TestWarmUp:
             stats = warm.warm_up(batch_sizes=(1, 2))
             info = _fleet_info(warm)
             produced = warm.forecast(window)
-        assert len(stats) == 4  # two sizes per shard
+        assert len(stats) == 2  # two sizes on the one shared provider
         assert (info.compiles, info.artifact_loads) == (0, 2)
         assert np.array_equal(produced, reference)
 
@@ -198,8 +198,8 @@ class TestShardedWarmStart:
             fleet.forecast(window)
             fleet.forecast(window)  # routed to the second replica
             written = fleet.save_artifacts(tmp_path / "export")
-        # One entry per replica; both are the shared provider's one plan.
-        assert len(written) == 2
+        # The replicas share one provider, whose one plan is written once.
+        assert len(written) == 1
 
 
 class TestCheckpointAOT:
@@ -218,7 +218,7 @@ class TestCheckpointAOT:
 
         service = ForecastService.from_checkpoint(checkpoint, artifact_dir=directory)
         produced = service.forecast(window)
-        info = service._workers[0].forward.cache_info()
+        info = service._gen.engine.batchers[0].forward_fn.cache_info()
         assert info.compiles == 0
         assert info.artifact_loads == 1
         baseline = ForecastService.from_checkpoint(checkpoint)
@@ -260,6 +260,6 @@ class TestCheckpointAOT:
             checkpoint, artifact_dir=directory, precision="float32"
         )
         service.forecast(window)
-        info = service._workers[0].forward.cache_info()
+        info = service._gen.engine.batchers[0].forward_fn.cache_info()
         assert info.compiles == 0
         assert info.artifact_loads == 1

@@ -19,6 +19,7 @@ from repro.serving import (
     ForecastService,
     MicroBatcher,
 )
+from repro.serving.batching import flush_all
 from repro.tensor import Tensor
 
 
@@ -40,7 +41,7 @@ def _wait_until(predicate, timeout=5.0):
 class TestLingerFlush:
     def test_sub_threshold_request_is_drained_by_linger(self):
         batcher = MicroBatcher(_echo_forward, auto_flush_at=50)
-        flusher = BackgroundFlusher([(batcher, batcher.flush)], linger_ms=10.0)
+        flusher = BackgroundFlusher([batcher], linger_ms=10.0)
         try:
             handle = batcher.submit(np.full((12, 4, 1), 3.0))
             assert _wait_until(lambda: handle.done)
@@ -62,7 +63,7 @@ class TestLingerFlush:
 
     def test_close_drains_pending_requests(self):
         batcher = MicroBatcher(_echo_forward, auto_flush_at=50)
-        flusher = BackgroundFlusher([(batcher, batcher.flush)], linger_ms=60_000.0)  # never fires
+        flusher = BackgroundFlusher([batcher], linger_ms=60_000.0)  # never fires
         handle = batcher.submit(np.zeros((12, 4, 1)))
         flusher.close(drain=True)
         assert handle.done
@@ -73,7 +74,7 @@ class TestLingerFlush:
             raise RuntimeError("boom")
 
         batcher = MicroBatcher(broken)
-        flusher = BackgroundFlusher([(batcher, batcher.flush)], linger_ms=5.0)
+        flusher = BackgroundFlusher([batcher], linger_ms=5.0)
         try:
             handle = batcher.submit(np.zeros((12, 4, 1)))
             assert _wait_until(lambda: handle.done)
@@ -88,7 +89,7 @@ class TestLingerFlush:
     def test_rejects_non_positive_linger(self):
         batcher = MicroBatcher(_echo_forward)
         with pytest.raises(ValueError):
-            BackgroundFlusher([(batcher, batcher.flush)], linger_ms=0.0)
+            BackgroundFlusher([batcher], linger_ms=0.0)
 
 
 class TestServiceSubmit:
@@ -120,12 +121,12 @@ class TestServiceSubmit:
     def test_auto_flush_threshold_fires_the_batch(self, tiny_model, forecasting_data):
         signal = forecasting_data.dataset.signal
         windows = [signal[i : i + 12] for i in range(3)]
-        service = ForecastService(
+        with ForecastService(
             tiny_model, scaler=forecasting_data.scaler, auto_flush_at=3, cache_entries=0
-        )
-        handles = [service.submit(window) for window in windows]
-        assert all(handle.done for handle in handles)
-        assert service.stats().batcher.flushes == 1
+        ) as service:
+            handles = [service.submit(window) for window in windows]
+            assert all(handle.done for handle in handles)
+            assert service.stats().batcher.flushes == 1
 
     def test_completed_handle(self):
         value = np.arange(4.0)
@@ -161,7 +162,7 @@ class TestConcurrentStress:
             return data[:, :, :, 0]
 
         batcher = MicroBatcher(counting_forward, max_batch_size=16, auto_flush_at=7)
-        flusher = BackgroundFlusher([(batcher, batcher.flush)], linger_ms=2.0)
+        flusher = BackgroundFlusher([batcher], linger_ms=2.0)
         results = [[None] * self.PER_THREAD for _ in range(self.THREADS)]
         errors = []
         stop_explicit = threading.Event()
@@ -215,3 +216,74 @@ class TestConcurrentStress:
                 assert result is not None
                 assert result[0, 0] == thread_index
                 assert result[0, 1] == i
+
+    def test_racing_drains_over_two_dispatching_batchers(self):
+        """flush_all over forwards that compute at settle (as process
+        replicas do), racing linger drains and lazy result() calls, must
+        settle every handle exactly once."""
+
+        class Dispatching:
+            def __init__(self):
+                self.rows = 0
+                self.lock = threading.Lock()
+
+            def dispatch(self, batch):
+                data = batch.data
+
+                def settle():
+                    time.sleep(0.0002)
+                    with self.lock:
+                        self.rows += data.shape[0]
+                    return data[:, :, :, 0]
+
+                return settle
+
+            def __call__(self, batch):
+                return self.dispatch(batch)()
+
+        forwards = [Dispatching(), Dispatching()]
+        batchers = [MicroBatcher(forward, max_batch_size=8) for forward in forwards]
+        flusher = BackgroundFlusher(batchers, linger_ms=1.0)
+        results = [[None] * self.PER_THREAD for _ in range(self.THREADS)]
+        errors = []
+        stop_explicit = threading.Event()
+
+        def submitter(thread_index):
+            try:
+                handles = []
+                for i in range(self.PER_THREAD):
+                    window = np.zeros((4, 3, 1))
+                    window[0, 0, 0] = thread_index
+                    window[0, 1, 0] = i
+                    handles.append((i, batchers[i % 2].submit(window)))
+                for i, handle in handles:
+                    results[thread_index][i] = handle.result()
+            except BaseException as error:  # pragma: no cover - fails the test
+                errors.append(error)
+
+        def explicit_drains():
+            while not stop_explicit.is_set():
+                flush_all(batchers)
+                time.sleep(0.0005)
+
+        threads = [
+            threading.Thread(target=submitter, args=(index,)) for index in range(self.THREADS)
+        ]
+        chaos = threading.Thread(target=explicit_drains)
+        chaos.start()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        stop_explicit.set()
+        chaos.join()
+        flusher.close()
+
+        assert not errors
+        total = self.THREADS * self.PER_THREAD
+        assert sum(forward.rows for forward in forwards) == total
+        assert sum(batcher.stats.coalesced for batcher in batchers) == total
+        for thread_index in range(self.THREADS):
+            for i in range(self.PER_THREAD):
+                assert results[thread_index][i][0, 0] == thread_index
+                assert results[thread_index][i][0, 1] == i

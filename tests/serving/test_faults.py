@@ -260,11 +260,11 @@ class TestChaosSoak:
         assert other[1] != report or other[0] != outcomes
 
     def test_sharded_storm_loses_no_request(self, tiny_model, forecasting_data):
-        clean = ForecastService(
+        with ForecastService(
             tiny_model, scaler=forecasting_data.scaler, cache_entries=0
-        )
-        windows = _raw_windows(forecasting_data, 12)
-        reference = clean.forecast_many(windows)
+        ) as clean:
+            windows = _raw_windows(forecasting_data, 12)
+            reference = clean.forecast_many(windows)
         service = ShardedForecastService(
             tiny_model,
             scaler=forecasting_data.scaler,
@@ -359,11 +359,11 @@ class TestProcessTierChaos:
             seed,
             [FaultSpec("worker.dispatch", probability=0.6, max_fires=4)],
         )
-        clean = ForecastService(
+        with ForecastService(
             tiny_model, scaler=forecasting_data.scaler, cache_entries=0
-        )
-        windows = _raw_windows(forecasting_data, 8)
-        reference = clean.forecast_many(windows)
+        ) as clean:
+            windows = _raw_windows(forecasting_data, 8)
+            reference = clean.forecast_many(windows)
         service = ShardedForecastService(
             tiny_model,
             scaler=forecasting_data.scaler,

@@ -49,7 +49,10 @@ def _sharded(tiny_model, forecasting_data, **kwargs):
 
 @pytest.fixture()
 def single(tiny_model, forecasting_data):
-    return ForecastService(tiny_model, scaler=forecasting_data.scaler, cache_entries=64)
+    with ForecastService(
+        tiny_model, scaler=forecasting_data.scaler, cache_entries=64
+    ) as service:
+        yield service
 
 
 def _executor(tiny_model, forecasting_data, **kwargs):

@@ -430,11 +430,11 @@ class TestReplicaReroute:
     def test_open_breaker_reroutes_to_the_healthy_replica(
         self, tiny_model, forecasting_data
     ):
-        baseline = ForecastService(
+        with ForecastService(
             tiny_model, scaler=forecasting_data.scaler, cache_entries=0
-        )
-        windows = _raw_windows(forecasting_data, 3)
-        reference = baseline.forecast_many(windows)
+        ) as baseline:
+            windows = _raw_windows(forecasting_data, 3)
+            reference = baseline.forecast_many(windows)
         service = ShardedForecastService(
             tiny_model,
             scaler=forecasting_data.scaler,

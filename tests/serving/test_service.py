@@ -13,7 +13,10 @@ from repro.training import load_model_checkpoint, save_model_checkpoint
 
 @pytest.fixture()
 def service(tiny_model, forecasting_data):
-    return ForecastService(tiny_model, scaler=forecasting_data.scaler, cache_entries=64)
+    with ForecastService(
+        tiny_model, scaler=forecasting_data.scaler, cache_entries=64
+    ) as service:
+        yield service
 
 
 def _raw_window(forecasting_data, index=0):

@@ -11,7 +11,10 @@ from repro.training import save_model_checkpoint
 
 @pytest.fixture()
 def single(tiny_model, forecasting_data):
-    return ForecastService(tiny_model, scaler=forecasting_data.scaler, cache_entries=64)
+    with ForecastService(
+        tiny_model, scaler=forecasting_data.scaler, cache_entries=64
+    ) as service:
+        yield service
 
 
 def _raw_windows(forecasting_data, count, start=0):
@@ -41,19 +44,26 @@ class TestPartitioning:
         with ShardedForecastService(tiny_model) as service:
             assert service.num_shards == 2
 
-    def test_bad_linger_rejected_before_workers_spawn(self, tiny_model):
-        """A constructor that raises must not leak executor threads."""
+    def test_bad_linger_rejected_before_workers_spawn(
+        self, tiny_model, forecasting_data
+    ):
+        """A constructor that raises starts nothing, and a serving process
+        fleet runs no parent thread per replica."""
         import threading
 
-        before = {thread.name for thread in threading.enumerate()}
         with pytest.raises(ValueError, match="linger_ms"):
             ShardedForecastService(tiny_model, num_shards=4, linger_ms=0.0)
-        leaked = {
-            thread.name
-            for thread in threading.enumerate()
-            if thread.name.startswith("repro-shard") and thread.name not in before
-        }
-        assert not leaked
+        before = {thread.ident for thread in threading.enumerate()}
+        with _sharded(tiny_model, forecasting_data, num_shards=2, cache_entries=0) as sharded:
+            sharded.forecast_many(_raw_windows(forecasting_data, 4))
+            started = [
+                thread.name
+                for thread in threading.enumerate()
+                if thread.ident not in before and thread.name.startswith("repro-")
+            ]
+        # No repro-shard-* worker threads: only each replica's own
+        # dispatcher, one per worker process.
+        assert sorted(started) == ["repro-process-shard-0", "repro-process-shard-1"]
 
 
 class TestBitParity:
@@ -193,8 +203,8 @@ class TestLifecycleAndErrors:
         def broken(batch):
             raise RuntimeError("shard exploded")
 
-        for worker in sharded._workers:
-            worker.batcher.forward_fn = broken
+        for batcher in sharded._gen.engine.batchers:
+            batcher.forward_fn = broken
         handle = sharded.submit(window)  # queued on one replica
         with pytest.raises(RuntimeError, match="shard exploded"):
             sharded.forecast(window)  # computed on the other
@@ -204,27 +214,6 @@ class TestLifecycleAndErrors:
         stats = sharded.stats()
         assert stats.batcher.failed_flushes >= 2  # both replicas recorded it
 
-    def test_inline_drain_never_steals_the_stop_sentinel(self):
-        """Regression: a flush_async() racing close() drains the job queue
-        inline; consuming the executor's None stop sentinel there would
-        leave the worker thread blocked in get() forever and deadlock
-        close() in join()."""
-        from repro.serving import MicroBatcher
-        from repro.serving.service import _ShardWorker
-
-        worker = _ShardWorker(0, MicroBatcher(lambda batch: batch, max_batch_size=8))
-        # Reproduce the race deterministically: close() has published the
-        # stop flag and queued the sentinel, but the executor has not
-        # consumed it yet when a concurrent flush_async() drains inline.
-        worker._closed = True
-        worker._jobs.put(None)
-        job = worker.flush_async()
-        assert job.wait() is None
-        # The sentinel must still reach the executor loop, which then exits.
-        worker._thread.join(timeout=5.0)
-        assert not worker._thread.is_alive()
-        worker.close()
-
     def test_stats_shape(self, tiny_model, forecasting_data):
         with _sharded(
             tiny_model, forecasting_data, num_shards=3, linger_ms=50.0
@@ -233,3 +222,64 @@ class TestLifecycleAndErrors:
             assert stats.num_shards == 3
             assert len(stats.shards) == 3
             assert stats.flusher is not None and stats.flusher.linger_ms == 50.0
+
+
+class TestOneDrain:
+    """A drain over K process replicas dispatches every replica's chunk
+    before it settles any, on the caller's thread."""
+
+    @staticmethod
+    def _record_order(monkeypatch):
+        from repro.serving import ProcessShardExecutor
+
+        events = []
+        dispatch = ProcessShardExecutor.dispatch
+
+        def recorded_dispatch(self, shard, *args, **kwargs):
+            settle = dispatch(self, shard, *args, **kwargs)
+            events.append(("dispatch", shard))
+
+            def recorded_settle():
+                events.append(("settle", shard))
+                return settle()
+
+            return recorded_settle
+
+        monkeypatch.setattr(ProcessShardExecutor, "dispatch", recorded_dispatch)
+        return events
+
+    @staticmethod
+    def _assert_overlapped(events):
+        assert [kind for kind, _ in events] == ["dispatch", "dispatch", "settle", "settle"]
+        assert sorted(shard for _, shard in events[:2]) == [0, 1]
+
+    def test_forecast_many_dispatches_both_replicas_before_settling(
+        self, tiny_model, forecasting_data, single, monkeypatch
+    ):
+        windows = _raw_windows(forecasting_data, 4)
+        with _sharded(tiny_model, forecasting_data, num_shards=2, cache_entries=0) as sharded:
+            sharded.forecast_many(windows)  # spawn both workers first
+            events = self._record_order(monkeypatch)
+            produced = sharded.forecast_many(windows)
+        self._assert_overlapped(events)
+        assert np.abs(produced - single.forecast_many(windows)).max() == 0.0
+
+    def test_hot_swap_retirement_drain_dispatches_both_replicas_first(
+        self, tiny_model, forecasting_data, single, monkeypatch, tmp_path
+    ):
+        path = save_model_checkpoint(
+            tiny_model,
+            tmp_path / "next.npz",
+            adjacency=forecasting_data.adjacency,
+            scaler=forecasting_data.scaler,
+        )
+        windows = _raw_windows(forecasting_data, 2)
+        with _sharded(tiny_model, forecasting_data, num_shards=2, cache_entries=0) as sharded:
+            sharded.forecast_many(windows)  # spawn both workers first
+            handles = [sharded.submit(window) for window in windows]  # one per replica
+            events = self._record_order(monkeypatch)
+            sharded.swap_checkpoint(path)
+            assert all(handle.done for handle in handles)
+            produced = np.stack([handle.result() for handle in handles])
+        self._assert_overlapped(events)
+        assert np.abs(produced - single.forecast_many(windows)).max() == 0.0
