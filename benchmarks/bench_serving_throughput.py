@@ -23,7 +23,8 @@ workers) so the perf trajectory is queryable across PRs.
 
 This harness measures requests/second for concurrency levels {1, 8, 32,
 128} on a compact DyHSL in three configurations (autograd per-request,
-autograd micro-batched, compiled micro-batched) and asserts two contracts:
+autograd micro-batched, compiled micro-batched), timed in interleaved
+rounds, and asserts two contracts on the median per-round speedups:
 
 * micro-batching alone is at least 4x faster than per-request forwards at
   128 concurrent requests (the PR-1 contract);
@@ -81,6 +82,9 @@ from perfbench.measure import provenance  # noqa: E402  (commit, cores, BLAS, da
 
 #: Concurrency levels (pending requests coalesced into one flush).
 BATCH_SIZES = (1, 8, 32, 128)
+
+#: Interleaved rounds per concurrency level in the throughput contract.
+THROUGHPUT_ROUNDS = 7
 
 #: Served model: compact enough that per-call dispatch overhead — the cost
 #: micro-batching amortises — dominates over raw matmul flops, which is the
@@ -173,37 +177,36 @@ def test_serving_throughput():
     for concurrency in BATCH_SIZES:
         batch = windows[:concurrency]
 
-        started = time.perf_counter()
-        with no_grad():
-            unbatched = np.stack(
-                [model(Tensor(window[None])).data[0] for window in batch], axis=0
-            )
-        per_request_seconds = time.perf_counter() - started
+        def per_request() -> np.ndarray:
+            with no_grad():
+                return np.stack(
+                    [model(Tensor(window[None])).data[0] for window in batch], axis=0
+                )
 
-        batcher = MicroBatcher(model, max_batch_size=max(BATCH_SIZES))
-        started = time.perf_counter()
-        pending = [batcher.submit(window) for window in batch]
-        batcher.flush()
-        batched = np.stack([handle.result() for handle in pending], axis=0)
-        batched_seconds = time.perf_counter() - started
-
-        runtime_batcher = MicroBatcher(compiled, max_batch_size=max(BATCH_SIZES))
-        started = time.perf_counter()
-        pending = [runtime_batcher.submit(window) for window in batch]
-        runtime_batcher.flush()
-        runtime_batched = np.stack([handle.result() for handle in pending], axis=0)
-        runtime_seconds = time.perf_counter() - started
+        def coalesced(forward) -> np.ndarray:
+            batcher = MicroBatcher(forward, max_batch_size=max(BATCH_SIZES))
+            pending = [batcher.submit(window) for window in batch]
+            batcher.flush()
+            assert batcher.stats.flushes == 1 and batcher.stats.largest_batch == concurrency
+            return np.stack([handle.result() for handle in pending], axis=0)
 
         # Contract: neither coalescing nor compilation may change the
         # numbers being served.
-        batched_diff = float(np.abs(batched - unbatched).max())
-        runtime_diff = float(np.abs(runtime_batched - unbatched).max())
+        unbatched = per_request()
+        batched_diff = float(np.abs(coalesced(model) - unbatched).max())
+        runtime_diff = float(np.abs(coalesced(compiled) - unbatched).max())
         assert batched_diff <= 1e-10, f"batched forecasts diverge: {batched_diff}"
         assert runtime_diff <= 1e-10, f"compiled forecasts diverge: {runtime_diff}"
-        assert batcher.stats.flushes == 1 and batcher.stats.largest_batch == concurrency
 
-        batched_speedups[concurrency] = per_request_seconds / batched_seconds
-        runtime_speedups[concurrency] = batched_seconds / runtime_seconds
+        # Gains are medians of per-round speedups; throughputs are bests.
+        per_round = _interleaved_rounds(
+            [per_request, lambda: coalesced(model), lambda: coalesced(compiled)],
+            THROUGHPUT_ROUNDS,
+        )
+        per_request_rounds, batched_rounds, runtime_rounds = per_round.T
+        batched_speedups[concurrency] = float(np.median(per_request_rounds / batched_rounds))
+        runtime_speedups[concurrency] = float(np.median(batched_rounds / runtime_rounds))
+        per_request_seconds, batched_seconds, runtime_seconds = per_round.min(axis=0)
         rows.append(
             {
                 "concurrency": concurrency,

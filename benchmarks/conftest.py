@@ -103,30 +103,37 @@ def trained_dyhsl(pems08_data) -> Trainer:
     return trainer
 
 
-#: Reproduced tables are also appended here so they survive pytest's output
-#: capturing (the file is overwritten at the start of every benchmark session).
+#: Reproduced tables are also written here so they survive pytest's output
+#: capturing.  Each table is one block under its ``=== title ===`` header;
+#: a re-run replaces its own block and keeps every other table, so running
+#: one benchmark file never erases the others' results.
 RESULTS_PATH = os.path.join(os.path.dirname(__file__), "results.txt")
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _reset_results_file():
-    with open(RESULTS_PATH, "w", encoding="utf-8") as handle:
-        handle.write("Reproduced tables and figures (see EXPERIMENTS.md for the interpretation)\n")
-    yield
+_RESULTS_HEADER = "Reproduced tables and figures (see EXPERIMENTS.md for the interpretation)"
+_BLOCK_START = "\n\n=== "
 
 
 def print_table(title: str, rows, columns) -> None:
-    """Print one reproduced table and append it to ``benchmarks/results.txt``."""
-    lines = [f"\n=== {title} ==="]
+    """Print one reproduced table and write it into ``benchmarks/results.txt``,
+    replacing only the block under the same title."""
     header = " | ".join(f"{column:>14}" for column in columns)
-    lines.append(header)
-    lines.append("-" * len(header))
-    for row in rows:
-        lines.append(" | ".join(f"{str(row.get(column, '')):>14}" for column in columns))
-    text = "\n".join(lines)
-    print(text)
-    with open(RESULTS_PATH, "a", encoding="utf-8") as handle:
-        handle.write(text + "\n")
+    block = "\n".join(
+        [f"{title} ===", header, "-" * len(header)]
+        + [" | ".join(f"{str(row.get(column, '')):>14}" for column in columns) for row in rows]
+    )
+    print(f"\n=== {block}")
+    try:
+        with open(RESULTS_PATH, "r", encoding="utf-8") as handle:
+            blocks = handle.read().rstrip("\n").split(_BLOCK_START)
+    except FileNotFoundError:
+        blocks = [_RESULTS_HEADER]
+    for index in range(1, len(blocks)):
+        if blocks[index].split("\n", 1)[0] == f"{title} ===":
+            blocks[index] = block
+            break
+    else:
+        blocks.append(block)
+    with open(RESULTS_PATH, "w", encoding="utf-8") as handle:
+        handle.write(_BLOCK_START.join(blocks) + "\n")
 
 
 #: Machine-readable counterpart of the runtime/serving tables: each

@@ -8,8 +8,8 @@ model; this example shows the production path that follows (see
    plus model config, adjacency and the fitted scaler in one ``.npz``;
 2. bring up a :class:`repro.serving.ForecastService` from that file alone;
 3. answer a burst of concurrent queries through the micro-batching queue —
-   forwards run on the compiled graph-free runtime (``repro.runtime``) by
-   default — with repeated windows served from the LRU forecast cache;
+   forwards run on the compiled graph-free runtime (``repro.runtime``) —
+   with repeated windows served from the LRU forecast cache;
 4. stream live detector readings into the rolling window buffer and emit a
    forecast after every new five-minute step;
 5. restart: persist the rolling buffer next to the checkpoint and bring up
@@ -118,7 +118,7 @@ def main() -> None:
                     )
         stats = service.stats()
         print(
-            f"\nserved {stats.requests} requests total on the {stats.runtime} runtime  "
+            f"\nserved {stats.requests} requests total on {stats.precision} compiled plans  "
             f"(cache: {stats.cache.hits} hits / {stats.cache.misses} misses, "
             f"{stats.batcher.flushes} batched flushes)"
         )

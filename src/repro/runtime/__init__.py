@@ -12,9 +12,10 @@ workspace buffers.
 
 * :func:`compile_module` / :class:`CompiledModel` — compile once per input
   shape, replay on raw arrays;
-* :func:`resolve_runtime_mode` — the serving layer's escape hatch: the
-  ``REPRO_RUNTIME`` environment variable (or an explicit argument) selects
-  ``"compiled"`` (default) or ``"autograd"`` forwards;
+* :func:`resolve_runtime_mode` — the trainer's escape hatch: the
+  ``REPRO_RUNTIME`` environment variable (or ``Trainer.predict``'s
+  ``runtime=`` argument) selects ``"compiled"`` (default) or
+  ``"autograd"`` forwards for training and ``Trainer.predict``;
 * :class:`CompileError` — raised when a forward pass cannot be traced
   (training mode, value-dependent control flow, ops without kernel specs).
 
@@ -111,7 +112,7 @@ __all__ = [
     "weights_fingerprint",
 ]
 
-#: Environment variable selecting the serving execution mode.
+#: Environment variable selecting the trainer's execution mode.
 RUNTIME_ENV_VAR = "REPRO_RUNTIME"
 
 #: Supported execution modes: compiled kernel plans vs. autograd forwards.

@@ -6,9 +6,9 @@ the ROADMAP's "serve heavy traffic" north star:
 
 * :class:`ForecastService` — the one serving front end: loads a
   self-describing checkpoint and answers raw-scale forecast queries
-  through the compiled graph-free runtime (:mod:`repro.runtime`) by
-  default, with ``runtime="autograd"`` / ``REPRO_RUNTIME=autograd`` as the
-  escape hatch.  One worker runs ``"inline"`` on the caller's thread;
+  through compiled plans of the graph-free runtime (:mod:`repro.runtime`),
+  bit-identical to autograd in float64.  One worker runs ``"inline"`` on
+  the caller's thread;
   ``num_shards=K`` full-model replicas run on the ``"processes"``
   executor, bit-identically, with per-lane :class:`ServiceOverloaded`
   admission control and one :class:`ServiceStats` surface;

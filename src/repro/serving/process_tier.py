@@ -556,7 +556,6 @@ class _ProcessWorker:
         self.hung_detections = 0
         self._respawn_times: "deque[float]" = deque()
         self._seq = 0
-        self._corrupt_next_request = False  # legacy fault-injection hook (tests)
         self.shm = shared_memory.SharedMemory(
             create=True, size=layout.total_nbytes
         )
@@ -693,9 +692,6 @@ class _ProcessWorker:
         )
         base = self.layout.request_offset(slot)
         self.shm.buf[base : base + _HEADER.size] = header
-        if self._corrupt_next_request:
-            self._corrupt_next_request = False
-            self.shm.buf[base] = (self.shm.buf[base] + 1) % 256
         try:
             self.conn.send(("req", seq, slot, job.key))
         except (BrokenPipeError, OSError) as error:
@@ -1199,16 +1195,13 @@ class ProcessShardExecutor:
                 total += worker.queue.pending_rows(lane)
         return total
 
-    def least_busy_shard(self) -> int:
-        """The shard with the least queued work (unspawned shards count 0)."""
-        best, best_load = 0, None
-        for shard, worker in enumerate(self._workers):
-            load = 0
-            if worker is not None:
-                load = sum(worker.queue.pending_rows(lane) for lane in LANES)
-            if best_load is None or load < best_load:
-                best, best_load = shard, load
-        return best
+    def shard_loads(self) -> List[int]:
+        """Rows queued or in flight on each shard, every lane (unspawned
+        shards count 0)."""
+        return [
+            0 if worker is None else sum(worker.queue.pending_rows(lane) for lane in LANES)
+            for worker in self._workers
+        ]
 
     def worker_pids(self) -> List[Optional[int]]:
         """Pids of the spawned workers (``None`` for unspawned shards)."""

@@ -383,7 +383,9 @@ class ResilientForward:
     settles it; a call is ``dispatch(...)()``.  The breaker check and the
     ``forward.call`` fault point run at dispatch.  The dispatched attempt
     is the retry policy's first, later attempts re-run synchronously at
-    settle, and the breaker records the outcome at settle.
+    settle, and the breaker records the outcome at settle.  A call's
+    ``deadline=`` keyword (the interactive lane's) also bounds the retry
+    loop: no retry starts, or sleeps, past the budget.
     """
 
     def __init__(
@@ -392,12 +394,10 @@ class ResilientForward:
         *,
         retry: Optional[RetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
-        on_retry: Optional[Callable[[int, BaseException], None]] = None,
     ) -> None:
         self._forward = forward
         self._retry = retry
         self._breaker = breaker
-        self._on_retry = on_retry
         self._retry_lock = threading.Lock()
         self._retries = 0
 
@@ -417,8 +417,6 @@ class ResilientForward:
     def _count_retry(self, attempt: int, error: BaseException) -> None:
         with self._retry_lock:
             self._retries += 1
-        if self._on_retry is not None:
-            self._on_retry(attempt, error)
 
     def _start(self, args: Tuple[Any, ...], kwargs: Dict[str, Any]) -> Callable[[], Any]:
         """Start one attempt; returns the callable that settles it."""
@@ -450,7 +448,9 @@ class ResilientForward:
                 if self._retry is None:
                     result = attempt()
                 else:
-                    result = self._retry.call(attempt, on_retry=self._count_retry)
+                    result = self._retry.call(
+                        attempt, deadline=kwargs.get("deadline"), on_retry=self._count_retry
+                    )
             except Exception as error:
                 # A spent client budget says nothing about shard health —
                 # only genuine compute failures feed the breaker.

@@ -27,8 +27,8 @@ model of this library, so sub-batch outputs are **bit-identical** to the
 coalesced batch, whichever executor computes them:
 
 * ``executor="inline"`` — one worker that computes on the caller's thread
-  (the default for ``num_shards=1``, and the only executor of the autograd
-  runtime): single-window queries are a direct plan call,
+  (the default for ``num_shards=1``): single-window queries are a direct
+  plan call,
   ``forecast_many`` a batcher submit plus flush, no thread hop;
 * ``executor="processes"`` — each worker's plans replayed by a worker
   *process* over shared memory (:mod:`repro.serving.process_tier`), with a
@@ -51,15 +51,15 @@ chunk per core (at most :data:`MAX_PLAN_LANES`), computed at once (see
 :class:`~repro.runtime.CompiledModel`), with OpenBLAS at one thread while
 the lanes run.  Process workers keep one lane.
 
-Forwards run through the **graph-free compiled runtime**
-(:mod:`repro.runtime`) by default: the model's forward pass is compiled
-once per batch shape into a flat kernel plan replayed on raw arrays with
-reused workspace buffers.  Ragged batch sizes run as power-of-two plan
-pieces inside the runtime, with no padding row, so the plan cache stays
-O(log max_batch) under bursty traffic (``REPRO_RUNTIME_BUCKETS`` caps or
-disables this).  The escape hatch back to autograd forwards is the
-``runtime="autograd"`` argument or ``REPRO_RUNTIME=autograd`` in the
-environment (see ``docs/runtime.md``).
+Every forward runs through the **graph-free compiled runtime**
+(:mod:`repro.runtime`): the model's forward pass is compiled once per
+batch shape into a flat kernel plan replayed on raw arrays with reused
+workspace buffers, bit-identical to the autograd forward in float64.
+Ragged batch sizes run as power-of-two plan pieces inside the runtime,
+with no padding row, so the plan cache stays O(log max_batch) under
+bursty traffic (``REPRO_RUNTIME_BUCKETS`` caps or disables this).  Each
+replica has one forward, a :class:`ResilientForward` over its compiled
+engine, and every cache miss computes through it.
 
 Warm start: :meth:`~ForecastService.save_buffer_state` persists the rolling
 buffer next to a checkpoint and
@@ -79,19 +79,12 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..nn import Module
-from ..runtime import (
-    ArtifactStore,
-    CompiledModel,
-    blas,
-    resolve_precision,
-    resolve_runtime_mode,
-)
-from ..tensor import Tensor, no_grad
+from ..runtime import ArtifactStore, CompiledModel, blas, resolve_precision
 from .batching import (
     AsyncForecast,
     BackgroundFlusher,
@@ -279,7 +272,6 @@ class ServiceStats:
     #: ``"inline"`` or ``"processes"``.
     executor: str = "inline"
     num_shards: int = 1
-    runtime: str = "compiled"
     flusher: Optional[FlusherStats] = None
     #: Default execution precision policy of the forward engines.
     precision: str = "float64"
@@ -299,7 +291,7 @@ class ServiceStats:
     #: or a process worker not spawned yet).
     blas_threads: Tuple[Optional[int], ...] = ()
     #: Row lanes the inline worker splits a batch across (1 for process
-    #: workers and under the autograd runtime).
+    #: workers).
     plan_lanes: int = 1
 
     @property
@@ -410,10 +402,6 @@ class ForecastService:
         ``auto_flush_at`` threshold no longer waits for the next submit.
         Stop it with :meth:`close` (or use the service as a context
         manager).
-    runtime:
-        ``"compiled"`` (graph-free kernel plans, the default) or
-        ``"autograd"`` (plain ``no_grad`` forwards).  ``None`` consults the
-        ``REPRO_RUNTIME`` environment variable.
     precision:
         Execution-precision policy of the compiled plans: ``"float64"``
         (bit-identical to autograd, the default) or ``"float32"`` (~2x
@@ -442,7 +430,7 @@ class ForecastService:
         ``"inline"`` (one worker computing on the caller's thread) or
         ``"processes"`` (each worker's plans replayed by a worker *process*
         over shared memory, escaping the interpreter lock — see
-        :mod:`repro.serving.process_tier`; requires the compiled runtime).
+        :mod:`repro.serving.process_tier`).
         ``None`` means inline for one worker and processes for more.
     start_method:
         Worker start method for the process tier (``"fork"`` is the fast
@@ -485,7 +473,6 @@ class ForecastService:
         max_batch_size: int = 128,
         auto_flush_at: Optional[int] = None,
         linger_ms: Optional[float] = None,
-        runtime: Optional[str] = None,
         precision: Optional[str] = None,
         artifact_dir: Optional[Union[str, Path, ArtifactStore]] = None,
         quality: Union[None, bool, QualityConfig, SensorHealthMonitor] = None,
@@ -527,21 +514,14 @@ class ForecastService:
         self._gen = _Generation(model, scaler, model_version or _weights_fingerprint(model))
         self._swap_lock = threading.Lock()
         self._swaps = 0
-        self.runtime = resolve_runtime_mode(runtime)
         self.precision = resolve_precision(precision).name
         # One store instance for the whole deployment, shared by every
-        # worker.  (Ignored under the autograd runtime, which compiles
-        # nothing.)
+        # worker.
         self.artifact_store: Optional[ArtifactStore] = (
             artifact_dir
             if artifact_dir is None or isinstance(artifact_dir, ArtifactStore)
             else ArtifactStore(artifact_dir)
         )
-        if self.runtime != "compiled" and self.precision != "float64":
-            raise ValueError(
-                "reduced-precision serving requires the compiled runtime; "
-                f"runtime={self.runtime!r} executes float64 autograd forwards"
-            )
         self.cache: Optional[ForecastCache] = (
             ForecastCache(max_entries=cache_entries) if cache_entries > 0 else None
         )
@@ -567,7 +547,6 @@ class ForecastService:
             self.resilience.make_breaker(shard) for shard in range(num_shards)
         ]
         self._retired_retries = 0
-        self._fleet_retries = 0
         # Resolve (and validate) the executor and the admission gates
         # before any thread or process starts — a constructor that raises
         # must not leak background machinery.
@@ -587,11 +566,7 @@ class ForecastService:
         }
         # The inline worker spends the cores on row lanes; process
         # replicas spread batches across the cores themselves.
-        self._lanes = (
-            min(blas.cores(), MAX_PLAN_LANES)
-            if self.runtime == "compiled" and self.executor == "inline"
-            else 1
-        )
+        self._lanes = min(blas.cores(), MAX_PLAN_LANES) if self.executor == "inline" else 1
         if self.executor == "processes":
             # Workers, segments and dispatchers spawn lazily on the first
             # dispatched batch; constructing the service starts nothing.
@@ -626,7 +601,7 @@ class ForecastService:
 
     def _resolve_executor(self, executor: Optional[str]) -> str:
         """Inline for one worker, processes for more; an explicit executor
-        must fit the worker count and the runtime."""
+        must fit the worker count."""
         if executor is None:
             executor = "inline" if self.num_shards == 1 else "processes"
         executor = executor.lower()
@@ -639,12 +614,6 @@ class ForecastService:
                 "executor='inline' computes on the caller's thread and serves "
                 f"exactly one worker; num_shards={self.num_shards} needs "
                 "executor='processes'"
-            )
-        if executor == "processes" and self.runtime != "compiled":
-            raise ValueError(
-                f"runtime={self.runtime!r} serves one inline worker: worker "
-                "processes replay compiled plans and never trace; use "
-                "num_shards=1 or the compiled runtime"
             )
         return executor
 
@@ -781,20 +750,12 @@ class ForecastService:
         """Normalise a per-request override; ``None`` means the default path.
 
         Overrides that merely restate the service default collapse to the
-        default path (micro-batched, default cache namespace).  A genuine
-        override requires the compiled runtime — autograd forwards are
-        float64 by construction.
+        default path (micro-batched, default cache namespace).
         """
         if precision is None:
             return None
         name = resolve_precision(precision).name
-        if name == self.precision:
-            return None
-        if self.runtime != "compiled":
-            raise ValueError(
-                "per-request precision overrides require the compiled runtime"
-            )
-        return name
+        return None if name == self.precision else name
 
     def _key_version(
         self, precision: Optional[str] = None, gen: Optional[_Generation] = None
@@ -912,7 +873,7 @@ class ForecastService:
             forwards: List[Callable] = [
                 self._tier.proxy(index, pset=pset) for index in range(self.num_shards)
             ]
-        elif self.runtime == "compiled":
+        else:
             forwards = [
                 CompiledModel(
                     model,
@@ -921,8 +882,6 @@ class ForecastService:
                     lanes=self._lanes,
                 )
             ]
-        else:
-            forwards = [model]
         # Every path funnels through a worker batcher's forward_fn (the
         # inline direct path reads the same object), so wrapping here puts
         # the breaker consult, bounded retries and outcome accounting on
@@ -940,7 +899,7 @@ class ForecastService:
         models = [forward for forward in forwards if isinstance(forward, CompiledModel)]
         engine = _Engine(batchers, pset, models)
         reused = compiled = 0
-        if self.runtime == "compiled" and not initial:
+        if not initial:
             # By default the streaming batch of 1, or an explicit size
             # ladder.  With AOT artifacts in the store these are disk binds.
             sizes = [1] if warm_sizes is None else self._warm_up_sizes(warm_sizes)
@@ -1020,7 +979,7 @@ class ForecastService:
             version = _weights_fingerprint(loaded.model)
         with self._swap_lock:
             adopted = 0
-            if self.runtime == "compiled" and self.artifact_store is not None:
+            if self.artifact_store is not None:
                 sidecar = artifact_dir_for(path)
                 if sidecar.is_dir():
                     adopted = len(self.artifact_store.adopt(sidecar))
@@ -1069,8 +1028,8 @@ class ForecastService:
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def _next_replica(self) -> int:
-        """Round-robin over the replicas, skipping open circuit breakers.
+    def _first_routable(self, order: Iterable[int]) -> int:
+        """The first replica in ``order`` whose circuit breaker is not open.
 
         With breakers enabled, a replica whose breaker is open is routed
         *around* — the query lands on a healthy replica instead of failing
@@ -1079,24 +1038,33 @@ class ForecastService:
         :class:`CircuitOpen`.  Routing only reads breaker state: a
         half-open replica's single probe is claimed by the forward itself.
         """
-        with self._route_lock:
-            soonest: Optional[CircuitOpen] = None
-            for _ in range(self.num_shards):
-                index = self._round_robin % self.num_shards
-                self._round_robin += 1
-                breaker = self._breakers[index]
-                if breaker is None or breaker.state != "open":
-                    return index
-                try:
-                    breaker.check()
-                except CircuitOpen as error:
-                    if soonest is None or error.retry_after < soonest.retry_after:
-                        soonest = error
-            if soonest is None:  # pragma: no cover - state()/check() race
-                index = self._round_robin % self.num_shards
-                self._round_robin += 1
+        soonest = None
+        for index in order:
+            breaker = self._breakers[index]
+            if breaker is None:
                 return index
-            raise soonest
+            snapshot = breaker.snapshot()
+            if snapshot.state != "open":
+                return index
+            if soonest is None or snapshot.retry_after < soonest.retry_after:
+                soonest = snapshot
+        raise CircuitOpen(soonest.shard, soonest.consecutive_failures, soonest.retry_after)
+
+    def _next_replica(self) -> int:
+        """Round-robin over the replicas, skipping open circuit breakers."""
+        with self._route_lock:
+            start = self._round_robin
+            index = self._first_routable(
+                (start + step) % self.num_shards for step in range(self.num_shards)
+            )
+            self._round_robin = index + 1
+            return index
+
+    def _least_busy_replica(self) -> int:
+        """The process replica with the least queued work, skipping open
+        circuit breakers (ties go to the lower index)."""
+        loads = self._tier.shard_loads()
+        return self._first_routable(sorted(range(self.num_shards), key=loads.__getitem__))
 
     def _route_window(
         self,
@@ -1173,65 +1141,18 @@ class ForecastService:
         queue, no hop; the compiled runtime takes the raw array (its entry
         cast owns the dtype handling, so a float32 streaming window is
         served zero-copy).  On the process tier the streaming lane
-        dispatches to the least-busy worker ahead of queued bulk chunks.
-        Everything else is a one-window :meth:`_compute_misses`.
+        dispatches to the least-busy replica's forward (its breaker, retry
+        and fault point included) ahead of queued bulk chunks; a retry
+        re-dispatches to the same replica.  Everything else is a one-window
+        :meth:`_compute_misses`.
         """
         if self.executor == "inline":
             self._check_deadline(deadline, "predict")
-            forward = gen.engine.batchers[0].forward_fn
-            with no_grad():
-                if self.runtime == "compiled":
-                    outputs = (
-                        forward(window[None], precision=precision)
-                        if precision is not None
-                        else forward(window[None])
-                    )
-                else:
-                    outputs = forward(Tensor(np.asarray(window, dtype=float)[None]))
-            return (outputs.data if isinstance(outputs, Tensor) else np.asarray(outputs))[0]
-        if lane == "interactive" and self._tier is not None:
-            return self._call_replica_interactive(window[None], gen.engine.pset, deadline)[0]
+            return gen.engine.batchers[0].forward_fn(window[None], precision=precision)[0]
+        if lane == "interactive":
+            forward = gen.engine.batchers[self._least_busy_replica()].forward_fn
+            return forward(window[None], lane="interactive", deadline=deadline)[0]
         return self._compute_misses([window], precision=precision, gen=gen, deadline=deadline)[0]
-
-    def _count_retry_fleet(self, attempt: int, error: Optional[BaseException]) -> None:
-        """Retry counter of the interactive tier path (the batcher paths
-        count inside their ResilientForward wrappers)."""
-        with self._requests_lock:
-            self._fleet_retries += 1
-
-    def _call_replica_interactive(
-        self, batch: np.ndarray, pset, deadline: Optional[Deadline]
-    ) -> np.ndarray:
-        """Process-tier streaming call: least-busy shard, rerouted around
-        open breakers, retried under the policy, outcome-fed breakers."""
-
-        def attempt() -> np.ndarray:
-            shard = self._tier.least_busy_shard()
-            breaker = self._breakers[shard]
-            if breaker is not None and not breaker.allow():
-                for candidate in range(self.num_shards):
-                    other = self._breakers[candidate]
-                    if other is None or other.allow():
-                        shard, breaker = candidate, other
-                        break
-                else:
-                    breaker.check()  # every replica refusing: raise typed
-            try:
-                result = self._tier.call(
-                    shard, batch, lane="interactive", pset=pset, deadline=deadline
-                )
-            except Exception as error:
-                if breaker is not None and not isinstance(error, DeadlineExceeded):
-                    breaker.record_failure()
-                raise
-            if breaker is not None:
-                breaker.record_success()
-            return result
-
-        retry = self.resilience.retry
-        if retry is None:
-            return attempt()
-        return retry.call(attempt, deadline=deadline, on_retry=self._count_retry_fleet)
 
     def _serve_one(
         self,
@@ -1544,8 +1465,6 @@ class ForecastService:
         parent-side provider, so each of its plans is written (and
         returned) once.
         """
-        if self.runtime != "compiled":
-            raise ValueError("plan artifacts require the compiled runtime")
         written: List = []
         for plans in self._gen.engine.plan_engines():
             written.extend(plans.save_artifacts(path))
@@ -1560,11 +1479,8 @@ class ForecastService:
         is prepared per batch size (by default a doubling ladder up to
         ``max_batch_size``) on each distinct plan engine: process replicas
         share one parent-side provider, so they are warmed once.  Returns
-        the :class:`~repro.runtime.PlanStats` of every warmed plan.  No-op
-        under the autograd runtime, which has nothing to compile.
+        the :class:`~repro.runtime.PlanStats` of every warmed plan.
         """
-        if self.runtime != "compiled":
-            return []
         sizes = self._warm_up_sizes(batch_sizes)
         return [
             plans.compile_for(self._example_batch(size))
@@ -1650,7 +1566,6 @@ class ForecastService:
         expired = sum(stats.expired_requests for stats in self._shard_stats())
         with self._requests_lock:
             expired += self._expired_direct
-            retries += self._fleet_retries
             stale_served = self._stale_served
         return ServiceHealth(
             healthy=healthy,
@@ -1679,7 +1594,6 @@ class ForecastService:
             shards=self._shard_stats(),
             executor=self.executor,
             num_shards=self.num_shards,
-            runtime=self.runtime,
             flusher=self.flusher.stats() if self.flusher is not None else None,
             precision=self.precision,
             lanes=tuple(gate.stats() for gate in self._gates.values()),

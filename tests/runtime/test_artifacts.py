@@ -21,6 +21,7 @@ from repro.runtime import (
     weights_fingerprint,
 )
 from repro.runtime.artifacts import _decode, _encode
+from repro.tensor import is_grad_enabled
 from repro.tensor import seed as seed_everything
 
 NUM_NODES = 9
@@ -246,6 +247,19 @@ class TestValidationAndFallback:
         assert info.artifact_rejects == 1
         assert info.compiles == 1
         assert np.array_equal(produced, reference)
+
+    def test_parity_spot_check_builds_no_graph(self, model, windows, store):
+        """The check's autograd forward runs under ``no_grad`` even when
+        the caller has gradients enabled (a serving thread's default)."""
+        CompiledModel(model, artifact_dir=store)(windows[:1])
+        modes = []
+        forward = model.forward
+        model.forward = lambda x: modes.append(is_grad_enabled()) or forward(x)
+        assert is_grad_enabled()
+        warm = CompiledModel(model, artifact_dir=_fresh_store(store))
+        warm(windows[:1])
+        assert warm.cache_info().artifact_loads == 1
+        assert modes == [False]
 
     def test_missing_artifact_is_a_miss_not_a_reject(self, model, windows, store):
         compiled = CompiledModel(model, artifact_dir=store)

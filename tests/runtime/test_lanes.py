@@ -256,18 +256,15 @@ class TestServiceLanes:
         assert _lane_threads() == 0
         assert threading.active_count() == baseline
 
+    # The ids keep the names these cases had while the table also varied
+    # the (since removed) serving runtime.
     @pytest.mark.parametrize(
-        "executor, num_shards, runtime, lanes",
-        [
-            ("inline", 1, None, 2),
-            ("processes", 2, None, 1),
-            ("inline", 1, "autograd", 1),
-        ],
+        "executor, num_shards, lanes",
+        [("inline", 1, 2), ("processes", 2, 1)],
+        ids=["inline-1-None-2", "processes-2-None-1"],
     )
-    def test_stats_report_the_lanes(self, wide_dyhsl, executor, num_shards, runtime, lanes):
-        with ForecastService(
-            wide_dyhsl, executor=executor, num_shards=num_shards, runtime=runtime
-        ) as service:
+    def test_stats_report_the_lanes(self, wide_dyhsl, executor, num_shards, lanes):
+        with ForecastService(wide_dyhsl, executor=executor, num_shards=num_shards) as service:
             assert service.stats().plan_lanes == lanes
 
     @pytest.mark.parametrize("cores, lanes", [(1, 1), (4, 2)])

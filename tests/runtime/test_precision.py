@@ -248,18 +248,6 @@ class TestServingPrecision:
             forward = service._gen.engine.batchers[0].forward_fn
             assert all(stats.input_shape[0] <= 4 for stats in forward.plan_stats())
 
-    def test_autograd_runtime_rejects_float32(self, served):
-        from repro.serving import ForecastService
-
-        model, windows = served
-        with pytest.raises(ValueError, match="compiled runtime"):
-            ForecastService(model, runtime="autograd", precision="float32")
-        service = ForecastService(model, runtime="autograd")
-        with pytest.raises(ValueError, match="compiled runtime"):
-            service.forecast_many(windows, precision="float32")
-        # A redundant float64 override on an autograd service is a no-op.
-        assert service.forecast_many(windows, precision="float64").shape[0] == 4
-
     def test_streaming_buffer_follows_the_policy(self, served):
         from repro.serving import ForecastService
 

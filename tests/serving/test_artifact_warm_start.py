@@ -50,11 +50,6 @@ class TestSingleWorkerWarmStart:
         assert info.artifact_loads == 1
         assert np.array_equal(produced, reference)
 
-    def test_save_artifacts_requires_compiled_runtime(self, tiny_model, forecasting_data):
-        service = ForecastService(tiny_model, scaler=forecasting_data.scaler, runtime="autograd")
-        with pytest.raises(ValueError, match="compiled runtime"):
-            service.save_artifacts("anywhere")
-
 
 class TestWarmUp:
     @pytest.fixture(autouse=True)
@@ -101,12 +96,6 @@ class TestWarmUp:
         # batcher cap, 6) as 2 + 1 | 2 + 1; each size's stats are its
         # largest piece's.  Two rows stay on one lane.
         assert [s.input_shape[0] for s in stats] == [1, 2, 2, 2]
-
-    def test_autograd_warm_up_is_a_noop(self, tiny_model, forecasting_data):
-        service = ForecastService(
-            tiny_model, scaler=forecasting_data.scaler, runtime="autograd"
-        )
-        assert service.warm_up() == []
 
     def test_rejects_nonpositive_sizes(self, tiny_model, forecasting_data):
         service = ForecastService(tiny_model, scaler=forecasting_data.scaler)

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.runtime import (
-    RUNTIME_ENV_VAR,
     ArtifactStore,
     bind_plan,
     compile_plan,
@@ -30,6 +29,7 @@ from repro.serving import (
     ProcessShardExecutor,
     ServiceOverloaded,
     ShardedForecastService,
+    process_tier,
     resolve_start_method,
 )
 
@@ -72,21 +72,6 @@ class TestResolvers:
         for executor in ("fibers", "threads"):
             with pytest.raises(ValueError, match="unknown executor"):
                 ForecastService(tiny_model, num_shards=2, executor=executor)
-
-    def test_explicit_processes_requires_compiled_runtime(self, tiny_model):
-        with pytest.raises(ValueError, match="compiled runtime"):
-            ForecastService(tiny_model, executor="processes", runtime="autograd")
-
-    @pytest.mark.parametrize("by_env", [False, True], ids=["argument", "env"])
-    def test_autograd_serves_one_inline_worker(self, tiny_model, monkeypatch, by_env):
-        # No silent fallback: autograd with several workers is a typed error.
-        if by_env:
-            monkeypatch.setenv(RUNTIME_ENV_VAR, "autograd")
-        runtime = None if by_env else "autograd"
-        with pytest.raises(ValueError, match="autograd.*serves one inline worker"):
-            ForecastService(tiny_model, num_shards=2, runtime=runtime)
-        with ForecastService(tiny_model, runtime=runtime) as service:
-            assert (service.runtime, service.executor) == ("autograd", "inline")
 
     def test_start_method_prefers_fork(self, monkeypatch):
         monkeypatch.delenv(START_METHOD_ENV_VAR, raising=False)
@@ -551,13 +536,23 @@ class TestFaultInjection:
         finally:
             service.close()
 
-    def test_corrupt_header_rejected_not_crashed(self, tiny_model, forecasting_data):
+    def test_corrupt_header_rejected_not_crashed(
+        self, tiny_model, forecasting_data, monkeypatch
+    ):
         windows = _raw_windows(forecasting_data, 2)
         batch = forecasting_data.scaler.transform(windows)
         with _executor(tiny_model, forecasting_data) as executor:
             reference = executor.call(0, batch)
-            worker = executor._workers[0]
-            worker._corrupt_next_request = True
+            # The worker is already running, so only the parent's next
+            # request header is packed with its magic off by one.
+            pack = process_tier._pack_header
+
+            def corrupt_once(*fields):
+                process_tier._pack_header = pack
+                magic, *rest = process_tier._HEADER.unpack(pack(*fields))
+                return process_tier._HEADER.pack(magic + 1, *rest)
+
+            monkeypatch.setattr(process_tier, "_pack_header", corrupt_once)
             with pytest.raises(RuntimeError, match="rejected"):
                 executor.call(0, batch)
             # The worker survived the garbage frame: same process, no

@@ -38,6 +38,7 @@ from repro.serving import (
     ShardedForecastService,
     StaleForecast,
     TransientError,
+    fault_report,
     inject,
     is_retryable,
 )
@@ -266,6 +267,23 @@ class TestResilientForward:
             wrapped(0)
         assert breaker.state == "closed"
 
+    def test_call_deadline_bounds_the_retries(self):
+        """A call's ``deadline=`` reaches the retry loop: no retry whose
+        backoff would outlive the budget is attempted."""
+        calls = {"n": 0}
+
+        def always_fails(x, deadline=None):
+            calls["n"] += 1
+            raise TransientError("flaky")
+
+        wrapped = ResilientForward(
+            always_fails, retry=RetryPolicy(max_attempts=5, base_delay_ms=500.0, jitter=0.0)
+        )
+        with pytest.raises(TransientError):
+            wrapped(0, deadline=Deadline(5.0))
+        assert calls["n"] == 1
+        assert wrapped.retries == 0
+
     def test_attribute_access_delegates(self):
         class Engine:
             precision = "float64"
@@ -426,76 +444,118 @@ def _breaker_config(**kwargs):
     return ResilienceConfig(**kwargs)
 
 
+#: The two ways a miss reaches a replica: ``forecast_many`` routes
+#: round-robin through the batchers, ``forecast_latest`` dispatches on the
+#: interactive lane to the least-busy replica.  Each reroute test runs
+#: both, on a fresh service per method.
+_MISS_METHODS = ("forecast_many", "forecast_latest")
+
+
+def _miss(forecasting_data, method):
+    """A query that misses the cache through ``method``: returns ``ask``,
+    which serves it on a given service."""
+    windows = _raw_windows(forecasting_data, 3)
+
+    def ask(service):
+        if method == "forecast_many":
+            return service.forecast_many(windows)
+        for step in windows[0]:
+            service.ingest(step)
+        return service.forecast_latest()
+
+    return ask
+
+
+def _replicas(tiny_model, forecasting_data, **kwargs):
+    kwargs.setdefault("resilience", _breaker_config())
+    return ForecastService(
+        tiny_model,
+        scaler=forecasting_data.scaler,
+        num_shards=2,
+        executor="processes",
+        cache_entries=0,
+        **kwargs,
+    )
+
+
+def _inline_reference(tiny_model, forecasting_data, ask):
+    with ForecastService(
+        tiny_model, scaler=forecasting_data.scaler, cache_entries=0
+    ) as baseline:
+        return ask(baseline)
+
+
 class TestReplicaReroute:
     def test_open_breaker_reroutes_to_the_healthy_replica(
         self, tiny_model, forecasting_data
     ):
-        with ForecastService(
-            tiny_model, scaler=forecasting_data.scaler, cache_entries=0
-        ) as baseline:
-            windows = _raw_windows(forecasting_data, 3)
-            reference = baseline.forecast_many(windows)
-        service = ShardedForecastService(
-            tiny_model,
-            scaler=forecasting_data.scaler,
-            num_shards=2,
-            mode="replicas",
-            executor="processes",
-            cache_entries=0,
-            resilience=_breaker_config(),
-        )
-        try:
-            service._breakers[0].record_failure()  # shard 0 is broken
-            rerouted = service.forecast_many(windows)
-            np.testing.assert_array_equal(rerouted, reference)
-            assert service.health().open_breakers == [0]
-        finally:
-            service.close()
+        for method in _MISS_METHODS:
+            ask = _miss(forecasting_data, method)
+            reference = _inline_reference(tiny_model, forecasting_data, ask)
+            with _replicas(tiny_model, forecasting_data) as service:
+                service._breakers[0].record_failure()  # shard 0 is broken
+                np.testing.assert_array_equal(ask(service), reference, err_msg=method)
+                assert service.health().open_breakers == [0], method
 
     def test_half_open_replica_recovers_through_its_probe(
         self, tiny_model, forecasting_data
     ):
         """Routing only reads breaker state: the half-open probe is left for
         the replica's forward to claim, so one success closes the breaker."""
-        windows = _raw_windows(forecasting_data, 2)
-        reference = ForecastService(
-            tiny_model, scaler=forecasting_data.scaler, cache_entries=0
-        ).forecast_many(windows)
-        with ForecastService(
-            tiny_model,
-            scaler=forecasting_data.scaler,
-            num_shards=2,
-            executor="processes",
-            cache_entries=0,
-            resilience=_breaker_config(breaker_reset_timeout_s=0.05),
-        ) as service:
-            service._breakers[0].record_failure()
-            time.sleep(0.1)  # shard 0 is half-open now
-            assert service._breakers[0].state == "half_open"
-            np.testing.assert_array_equal(service.forecast_many(windows), reference)
-            assert service._breakers[0].state == "closed"
-            assert service.health().healthy
+        for method in _MISS_METHODS:
+            ask = _miss(forecasting_data, method)
+            reference = _inline_reference(tiny_model, forecasting_data, ask)
+            with _replicas(
+                tiny_model,
+                forecasting_data,
+                resilience=_breaker_config(breaker_reset_timeout_s=0.05),
+            ) as service:
+                service._breakers[0].record_failure()
+                time.sleep(0.1)  # shard 0 is half-open now
+                assert service._breakers[0].state == "half_open", method
+                np.testing.assert_array_equal(ask(service), reference, err_msg=method)
+                assert service._breakers[0].state == "closed", method
+                assert service.health().healthy, method
 
     def test_every_replica_open_raises_circuit_open(self, tiny_model, forecasting_data):
-        service = ShardedForecastService(
+        for method in _MISS_METHODS:
+            ask = _miss(forecasting_data, method)
+            with _replicas(tiny_model, forecasting_data) as service:
+                for breaker in service._breakers:
+                    breaker.record_failure()
+                with pytest.raises(CircuitOpen):
+                    ask(service)
+                health = service.health()
+                assert not health.healthy, method
+                assert health.open_breakers == [0, 1], method
+
+
+class TestInteractiveLaneResilience:
+    def test_interactive_miss_retries_through_the_replica_forward(
+        self, tiny_model, forecasting_data
+    ):
+        """A ``forecast_latest`` miss on process replicas visits the
+        ``forward.call`` fault point and is retried by the replica's
+        forward, like every bulk chunk."""
+        ask = _miss(forecasting_data, "forecast_latest")
+        reference = _inline_reference(tiny_model, forecasting_data, ask)
+        with _replicas(
             tiny_model,
-            scaler=forecasting_data.scaler,
-            num_shards=2,
-            mode="replicas",
-            executor="processes",
-            cache_entries=0,
-            resilience=_breaker_config(),
-        )
-        try:
-            for breaker in service._breakers:
-                breaker.record_failure()
-            with pytest.raises(CircuitOpen):
-                service.forecast_many(_raw_windows(forecasting_data, 2))
-            health = service.health()
-            assert not health.healthy
-            assert health.open_breakers == [0, 1]
-        finally:
-            service.close()
+            forecasting_data,
+            resilience=ResilienceConfig(
+                retry=RetryPolicy(max_attempts=2, base_delay_ms=0.0)
+            ),
+        ) as service:
+            plan = FaultPlan.build(
+                0, [FaultSpec("forward.call", action="raise", max_fires=1)]
+            )
+            with inject(plan):
+                served = ask(service)
+                report = fault_report()["forward.call"]
+            np.testing.assert_array_equal(served, reference)
+            assert report["visits"] >= 1
+            assert report["fires"] == 1
+            assert service.health().retries == 1
 
 
 # ----------------------------------------------------------------------

@@ -88,16 +88,6 @@ class TestBitParity:
                 sharded.forecast(window, horizon=4), single.forecast(window, horizon=4)
             )
 
-    def test_autograd_runtime_parity(self, tiny_model, forecasting_data, single):
-        """Autograd serves one inline worker, bit-identical to the plans."""
-        windows = _raw_windows(forecasting_data, 3)
-        with ForecastService(
-            tiny_model, scaler=forecasting_data.scaler, runtime="autograd"
-        ) as service:
-            produced = service.forecast_many(windows)
-            assert service.executor == "inline"
-        assert np.abs(produced - single.forecast_many(windows)).max() == 0.0
-
     def test_from_checkpoint_round_trip(self, tiny_model, forecasting_data, single, tmp_path):
         path = save_model_checkpoint(
             tiny_model,

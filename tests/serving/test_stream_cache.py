@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.runtime import CompiledModel
 from repro.serving import ForecastService, RollingWindowBuffer
 
 
@@ -122,32 +123,13 @@ class TestForecastLatestFastPath:
 
 
 class TestRuntimeEscapeHatch:
-    def test_compiled_is_the_default(self, service):
-        assert service.runtime == "compiled"
-        assert service.stats().runtime == "compiled"
-
-    def test_autograd_mode_matches_compiled(self, tiny_model, forecasting_data, raw_steps):
-        compiled = ForecastService(
-            tiny_model, scaler=forecasting_data.scaler, cache_entries=0, runtime="compiled"
-        )
-        autograd = ForecastService(
-            tiny_model, scaler=forecasting_data.scaler, cache_entries=0, runtime="autograd"
-        )
-        window = raw_steps[:12]
-        assert np.abs(compiled.forecast(window) - autograd.forecast(window)).max() <= 1e-10
-        batch = np.stack([window, window * 1.1], axis=0)
-        assert (
-            np.abs(compiled.forecast_many(batch) - autograd.forecast_many(batch)).max() <= 1e-10
-        )
-
     def test_environment_variable_selects_mode(self, tiny_model, forecasting_data, monkeypatch):
+        """``REPRO_RUNTIME`` selects the trainer's runtime only: a service
+        always serves compiled plans and has no runtime argument."""
         monkeypatch.setenv("REPRO_RUNTIME", "autograd")
-        service = ForecastService(tiny_model, scaler=forecasting_data.scaler)
-        assert service.runtime == "autograd"
-        # The resilience wrapper fronts every forward; the engine underneath
-        # must be the plain autograd module.
-        assert service._gen.engine.batchers[0].forward_fn.wrapped is tiny_model
-
-    def test_invalid_mode_is_rejected(self, tiny_model, forecasting_data):
-        with pytest.raises(ValueError):
-            ForecastService(tiny_model, scaler=forecasting_data.scaler, runtime="turbo")
+        with ForecastService(tiny_model, scaler=forecasting_data.scaler) as service:
+            # The resilience wrapper fronts every forward; the engine
+            # underneath is a compiled model.
+            assert isinstance(service._gen.engine.batchers[0].forward_fn.wrapped, CompiledModel)
+        with pytest.raises(TypeError):
+            ForecastService(tiny_model, scaler=forecasting_data.scaler, runtime="autograd")
