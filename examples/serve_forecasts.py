@@ -18,8 +18,8 @@ model; this example shows the production path that follows (see
 6. scale out: bring up the same :class:`repro.serving.ForecastService`
    with ``num_shards=2`` from the same checkpoint — two replica workers,
    each a worker process, with asynchronous ``submit()`` ingestion
-   (size-threshold plus linger-based background flushing) — and verify
-   its forecasts are bit-identical to the single-worker service.
+   (linger-based background flushing) — and assert its forecasts are
+   bit-identical to the single-worker service.
 
 Run it with::
 
@@ -137,28 +137,28 @@ def main() -> None:
 
         # 6. Scale out: the same checkpoint behind two process replicas
         #    (the default executor for num_shards > 1).  Batches fire when
-        #    a worker queue reaches auto_flush_at (on the submitting
-        #    thread) or when the 10 ms linger flusher drains it, and the
-        #    merged forecasts are bit-identical to the single worker.
+        #    the 10 ms linger flusher drains a worker queue (or lazily in
+        #    result()), and the merged forecasts are bit-identical to the
+        #    single worker.
         reference = service.forecast_many(raw_windows)
         with ForecastService.from_checkpoint(
             checkpoint,
             num_shards=2,
             cache_entries=256,
-            auto_flush_at=8,
             linger_ms=10.0,
         ) as sharded:
             handles = [sharded.submit(window) for window in raw_windows]
             forecasts = np.stack([handle.result() for handle in handles])
             stats = sharded.stats()
             per_shard = [shard.requests for shard in stats.shards]
+            diff = float(np.abs(forecasts - reference).max())
             print(
                 f"\nsharded service ({stats.num_shards} workers on {stats.executor}): "
                 f"{len(handles)} async requests routed {per_shard}, "
                 f"{stats.flusher.timed_flushes} linger flushes, "
-                f"max |diff| vs single worker = "
-                f"{float(np.abs(forecasts - reference).max()):.1e}"
+                f"max |diff| vs single worker = {diff:.1e}"
             )
+            assert diff == 0.0, f"sharded forecasts diverge from the single worker: {diff}"
 
 
 if __name__ == "__main__":

@@ -155,10 +155,10 @@ def lane_pieces(batch: int, cap: Optional[int], lanes: int) -> List[List[int]]:
 def bucket_batch_size(batch: int, cap: Optional[int]) -> int:
     """The next power-of-two bucket of ``batch`` under cap ``cap``.
 
-    Serving does not pad (see :func:`batch_pieces`); the compiled training
-    forward with bucketing on does, and reference replays may, since a
-    row's output does not depend on its batch.  Batches above the cap —
-    and any batch when bucketing is disabled — keep their exact size.
+    Serving does not pad (see :func:`batch_pieces`); reference replays may
+    (:func:`pad_batch_to_bucket`), since a row's output does not depend on
+    its batch.  Batches above the cap — and any batch when bucketing is
+    disabled — keep their exact size.
     """
     if cap is None or batch <= 1 or batch > cap:
         return batch
@@ -549,7 +549,7 @@ class CompiledModel:
     folding bakes derived values (embedding lookups, learned adjacencies)
     into the plan — after mutating parameters call :meth:`recompile`.
 
-    The plan cache is a small LRU over input shapes (``max_plans``): a
+    The plan cache is a small LRU over input shapes (:attr:`MAX_PLANS`): a
     micro-batcher produces coalesced batches of many different sizes under
     bursty traffic, and each plan owns workspace proportional to its batch,
     so an unbounded cache would grow memory for the life of the service.
@@ -598,18 +598,18 @@ class CompiledModel:
     >>> assert np.allclose(forecast, model(Tensor(window[None])).data)
     """
 
+    #: Plans the LRU keeps; a process worker's bind cache keeps as many.
+    MAX_PLANS = 16
+
     def __init__(
         self,
         module,
-        max_plans: int = 16,
         fuse: bool = True,
         bucket_batches: Union[None, bool, int] = None,
         precision: Union[None, str, np.dtype] = None,
         artifact_dir=None,
         lanes: int = 1,
     ) -> None:
-        if max_plans <= 0:
-            raise ValueError("max_plans must be positive")
         if lanes <= 0:
             raise ValueError("lanes must be positive")
         module.eval()
@@ -617,7 +617,6 @@ class CompiledModel:
         self._fuse = fuse
         self._bucket_cap = resolve_bucket_cap(bucket_batches)
         self._dtype = resolve_precision(precision)
-        self._max_plans = max_plans
         self._plans: "OrderedDict[Tuple, Plan]" = OrderedDict()
         # Per-trailing-shape output shapes learned from the first empty-batch
         # probe, so repeated B == 0 calls answer without running the model.
@@ -830,24 +829,25 @@ class CompiledModel:
                 self._plans.move_to_end(key)
                 return plan
         plan = self._load_artifact(array) if self._artifacts is not None else None
-        if plan is None:
-            plan = self._compile(array)
-            with self._lock:
-                self._compiles += 1
-            if self._artifacts is not None:
-                self._publish(plan)
+        return self._insert(key, plan if plan is not None else self._compile(array))
+
+    def _insert(self, key: Tuple, plan: Plan) -> Plan:
+        """Cache ``plan`` under ``key`` unless a racing insert won; returns
+        the cached plan, evicting the least recently used past :attr:`MAX_PLANS`."""
         with self._lock:
             existing = self._plans.get(key)
             if existing is not None:
                 self._plans.move_to_end(key)
                 return existing
             self._plans[key] = plan
-            while len(self._plans) > self._max_plans:
+            while len(self._plans) > self.MAX_PLANS:
                 self._plans.popitem(last=False)
             return plan
 
     # ------------------------------------------------------------------
     def _compile(self, array: np.ndarray) -> Plan:
+        """Trace a fresh plan for ``array``, count it, and write it through
+        to the artifact store."""
         from .compiler import compile_plan
 
         plan = compile_plan(
@@ -868,6 +868,10 @@ class CompiledModel:
                 self._verifies += 1
             if not report.ok:
                 raise VerifyError(report)
+        with self._lock:
+            self._compiles += 1
+        if self._artifacts is not None:
+            self._publish(plan)
         return plan
 
     # ------------------------------------------------------------------
@@ -947,15 +951,7 @@ class CompiledModel:
         if self._artifacts is not None:
             self._artifacts.forget(self._trace_key(array.shape, array.dtype))
         fresh = self._compile(array)
-        with self._lock:
-            self._compiles += 1
-        if self._artifacts is not None:
-            self._publish(fresh)
-        with self._lock:
-            if key not in self._plans:
-                self._plans[key] = fresh
-                while len(self._plans) > self._max_plans:
-                    self._plans.popitem(last=False)
+        self._insert(key, fresh)
         return fresh.call(array)
 
     def _load_artifact(self, array: np.ndarray) -> Optional[Plan]:

@@ -19,9 +19,11 @@ the ROADMAP's "serve heavy traffic" north star:
   preallocated shared memory (escaping the interpreter lock), with
   priority lanes (see :mod:`repro.serving.process_tier`);
 * :class:`MicroBatcher` — coalesces concurrent single-window requests into
-  one ``(B, T, N, F)`` forward pass;
+  one ``(B, T, N, F)`` forward pass; its :class:`PendingForecast` handles
+  are what :meth:`ForecastService.submit` returns;
 * :class:`BackgroundFlusher` — drains micro-batchers on a time-based
-  linger so asynchronous trickle traffic never waits for a size threshold;
+  linger so asynchronous trickle traffic never waits for a caller to block
+  in ``result()``;
 * :class:`RollingWindowBuffer` — ingests streaming detector readings,
   materialises normalised model windows incrementally, versions its content
   for O(1) cache keys, and persists/restores its state for warm-started
@@ -57,7 +59,6 @@ runtime measurements.
 """
 
 from .batching import (
-    AsyncForecast,
     BackgroundFlusher,
     BatcherStats,
     FlusherStats,
@@ -145,7 +146,6 @@ __all__ = [
     "resolve_start_method",
     "MicroBatcher",
     "PendingForecast",
-    "AsyncForecast",
     "BackgroundFlusher",
     "BatcherStats",
     "FlusherStats",

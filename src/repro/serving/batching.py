@@ -25,17 +25,12 @@ Usage::
 ``PendingForecast.result()`` flushes lazily when needed, so callers that
 do not control the flush cadence still always get an answer.
 
-Two pieces turn this synchronous queue into an asynchronous ingestion
-loop (see ``docs/serving_quickstart.md``):
-
-* :class:`BackgroundFlusher` — a daemon thread that drains batchers on a
-  time-based linger: a request that has waited ``linger_ms`` is flushed
-  even when the ``auto_flush_at`` threshold was never reached, so trickle
-  traffic stops waiting for the next submit (or for its caller to block
-  in ``result()``);
-* :class:`AsyncForecast` — a handle finishing one
-  :class:`PendingForecast` with a finalisation hook (denormalisation,
-  cache insertion).
+:class:`BackgroundFlusher` turns this synchronous queue into an
+asynchronous ingestion loop (see ``docs/serving_quickstart.md``): a daemon
+thread that drains batchers on a time-based linger, so a request that has
+waited ``linger_ms`` is flushed without waiting for its caller to block in
+``result()``.  A handle may carry a ``finalize`` hook (a service's
+denormalise -> horizon -> cache step), applied once by ``result()``.
 """
 
 from __future__ import annotations
@@ -53,7 +48,6 @@ from .resilience import Deadline, DeadlineExceeded, ResilienceError, _raise_at_s
 
 __all__ = [
     "PendingForecast",
-    "AsyncForecast",
     "BatcherStats",
     "MicroBatcher",
     "flush_all",
@@ -70,27 +64,36 @@ class PendingForecast:
     deadlocks on its own request.  If the model raised during the batched
     forward, :meth:`result` re-raises that error for every request of the
     failed batch instead of silently dropping them.
+
+    ``finalize`` maps the settled array to the caller-facing forecast
+    (denormalisation, horizon truncation, cache insertion); :meth:`result`
+    applies it once, after a successful settle.
     """
 
-    def __init__(self, batcher: "MicroBatcher") -> None:
+    def __init__(
+        self,
+        batcher: Optional["MicroBatcher"],
+        finalize: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    ) -> None:
         self._batcher = batcher
+        self._finalize = finalize
+        # Racing result() calls on one handle must not finalize twice.
+        self._finalize_lock = threading.Lock() if finalize is not None else None
         self._value: Optional[np.ndarray] = None
         self._error: Optional[BaseException] = None
         self._done = False
+
+    @classmethod
+    def completed(cls, value: np.ndarray) -> "PendingForecast":
+        """A handle that is already settled (e.g. answered from the cache)."""
+        handle = cls(None)
+        handle._fulfil(value)
+        return handle
 
     @property
     def done(self) -> bool:
         """Whether the forecast has been computed (or failed)."""
         return self._done
-
-    @property
-    def error(self) -> Optional[BaseException]:
-        """The failure behind this handle, if it failed (``None`` otherwise).
-
-        Lets degraded-mode callers (stale-serve fallbacks) inspect the
-        underlying cause without triggering the re-raise in :meth:`result`.
-        """
-        return self._error
 
     def _fulfil(self, value: np.ndarray) -> None:
         self._value = value
@@ -113,51 +116,11 @@ class PendingForecast:
                 # unwrapped so except clauses can match on the type.
                 raise self._error
             raise RuntimeError("batched forward failed for this request") from self._error
-        return self._value
-
-
-class AsyncForecast:
-    """One queued forecast plus a finalisation hook.
-
-    ``part`` is the :class:`PendingForecast` of the window on its worker's
-    queue; ``finalize`` maps its settled array to the caller-facing
-    forecast (denormalisation, horizon truncation, cache insertion).
-    :meth:`result` drives the same lazy-flush semantics as
-    :class:`PendingForecast`, so a handle is always answerable even when no
-    background flusher is running.
-    """
-
-    def __init__(
-        self,
-        part: Optional[PendingForecast],
-        finalize: Callable[[np.ndarray], np.ndarray],
-    ) -> None:
-        self._part = part
-        self._finalize = finalize
-        self._value: Optional[np.ndarray] = None
-        self._settled = False
-
-    @classmethod
-    def completed(cls, value: np.ndarray) -> "AsyncForecast":
-        """A handle that is already settled (e.g. answered from the cache)."""
-        handle = cls(None, lambda output: value)
-        handle._value = value
-        handle._settled = True
-        return handle
-
-    @property
-    def done(self) -> bool:
-        """Whether the forecast has been computed (or failed)."""
-        return self._settled or self._part.done
-
-    def result(self) -> np.ndarray:
-        """The raw-scale forecast; triggers a lazy flush if still pending.
-
-        Re-raises the underlying forward error if the forward failed.
-        """
-        if not self._settled:
-            self._value = self._finalize(self._part.result())
-            self._settled = True
+        if self._finalize is not None:
+            with self._finalize_lock:
+                if self._finalize is not None:
+                    self._value = self._finalize(self._value)
+                    self._finalize = None
         return self._value
 
 
@@ -211,9 +174,6 @@ class MicroBatcher:
     max_batch_size:
         Upper bound on the coalesced batch; larger queues are drained in
         several chunks (bounds peak memory).
-    auto_flush_at:
-        When set, :meth:`submit` triggers a flush as soon as this many
-        requests are pending — callers then never have to flush manually.
 
     All entry points are thread-safe; the forward pass itself runs outside
     the queue lock so new requests can keep arriving while a batch computes.
@@ -227,15 +187,11 @@ class MicroBatcher:
         self,
         forward_fn: Callable[[Tensor], object],
         max_batch_size: int = 128,
-        auto_flush_at: Optional[int] = None,
     ) -> None:
         if max_batch_size <= 0:
             raise ValueError("max_batch_size must be positive")
-        if auto_flush_at is not None and auto_flush_at <= 0:
-            raise ValueError("auto_flush_at must be positive when set")
         self.forward_fn = forward_fn
         self.max_batch_size = max_batch_size
-        self.auto_flush_at = auto_flush_at
         self.submit_listener: Optional[Callable[[], None]] = None
         self._queue: List[Tuple[np.ndarray, PendingForecast, float, Optional[Deadline]]] = []
         self._queue_lock = threading.Lock()
@@ -259,24 +215,20 @@ class MicroBatcher:
         with self._queue_lock:
             return self._queue[0][2] if self._queue else None
 
-    def oldest_pending_age(self) -> Optional[float]:
-        """Seconds the oldest queued request has waited (``None`` if empty)."""
-        oldest = self.oldest_pending_at()
-        return None if oldest is None else max(0.0, time.monotonic() - oldest)
-
-    def submit(self, window: np.ndarray,
-               deadline: Optional[Deadline] = None) -> PendingForecast:
+    def submit(self, window: np.ndarray, deadline: Optional[Deadline] = None,
+               finalize: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> PendingForecast:
         """Enqueue one observation window ``(T, N, F)`` for forecasting.
 
         ``deadline`` rides with the queue entry: if the budget expires
         before the entry reaches a forward pass, the next flush fails its
         handle with a typed :class:`~repro.serving.DeadlineExceeded`
         instead of spending compute on an answer nobody is waiting for.
+        ``finalize`` is stored on the handle (see :class:`PendingForecast`).
         """
         window = np.asarray(window, dtype=float)
         if window.ndim != 3:
             raise ValueError(f"window must have shape (T, N, F); got {window.shape}")
-        handle = PendingForecast(self)
+        handle = PendingForecast(self, finalize)
         with self._queue_lock:
             if self._queue and self._queue[0][0].shape != window.shape:
                 raise ValueError(
@@ -285,7 +237,6 @@ class MicroBatcher:
                 )
             was_empty = not self._queue
             self._queue.append((window, handle, time.monotonic(), deadline))
-            should_flush = self.auto_flush_at is not None and len(self._queue) >= self.auto_flush_at
         with self._stats_lock:
             self.stats.requests += 1
         # Only the first request of a batch establishes a new earliest
@@ -294,8 +245,6 @@ class MicroBatcher:
         listener = self.submit_listener
         if was_empty and listener is not None:
             listener()
-        if should_flush:
-            self.flush()
         return handle
 
     def flush(self) -> int:
@@ -384,23 +333,6 @@ class MicroBatcher:
         with self._stats_lock:
             self.stats._record_flush(len(chunk))
 
-    def forecast_batch(self, windows: np.ndarray) -> np.ndarray:
-        """Convenience path: forecast an already-assembled ``(B, T, N, F)`` batch.
-
-        Bypasses the queue but shares the batching statistics, so benchmark
-        comparisons see both paths.
-        """
-        windows = np.asarray(windows, dtype=float)
-        if windows.ndim != 4:
-            raise ValueError(f"batch must have shape (B, T, N, F); got {windows.shape}")
-        with no_grad():
-            outputs = self.forward_fn(Tensor(windows))
-        predictions = outputs.data if isinstance(outputs, Tensor) else np.asarray(outputs)
-        with self._stats_lock:
-            self.stats.requests += windows.shape[0]
-            self.stats._record_flush(windows.shape[0])
-        return predictions
-
 
 def flush_all(batchers: Sequence[MicroBatcher]) -> int:
     """Drain several batchers together; returns the requests fulfilled.
@@ -466,11 +398,9 @@ class FlusherStats:
 class BackgroundFlusher:
     """Daemon thread draining micro-batchers on a time-based linger.
 
-    ``auto_flush_at`` bounds how *many* requests wait; the linger bounds
-    how *long* they wait.  Without it, traffic that never reaches the
-    threshold sits in the queue until the next submit happens to cross it
-    or a caller blocks in ``result()`` — with it, any request is flushed
-    at most ``linger_ms`` after enqueue.
+    The linger bounds how *long* a request waits: without it a queued
+    request sits until a caller blocks in ``result()`` or flushes — with
+    it, any request is flushed at most ``linger_ms`` after enqueue.
 
     Parameters
     ----------

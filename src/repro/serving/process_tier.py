@@ -132,11 +132,6 @@ class ProcessTierStats:
     segment_nbytes: int
     escalations: int = 0
     hung_detections: int = 0
-    #: Cores this process may run on (``os.sched_getaffinity``).
-    cores: int = 1
-    #: Live OpenBLAS threads each worker read back after sizing its pool;
-    #: ``None`` for an unspawned worker or where no OpenBLAS was found.
-    blas_threads: Tuple[Optional[int], ...] = ()
 
 
 # ----------------------------------------------------------------------
@@ -297,12 +292,12 @@ def _worker_get_plan(plans, stores, key, arena, layout):
     workspace = arena if plan_workspace_nbytes(spec.storage_sizes) <= layout.arena_nbytes else None
     plan = bind_plan(spec, values, workspace=workspace)
     plans[key] = plan
-    while len(plans) > 16:
+    while len(plans) > CompiledModel.MAX_PLANS:
         plans.popitem(last=False)
     return plan
 
 
-def _worker_serve_one(conn, shm, seg_addr, plans, stores, arena, layout, message, request_delay) -> None:
+def _worker_serve_one(conn, shm, seg_addr, plans, stores, arena, layout, message) -> None:
     tag, seq, slot, key = message
     base = layout.request_offset(slot)
     try:
@@ -327,8 +322,6 @@ def _worker_serve_one(conn, shm, seg_addr, plans, stores, arena, layout, message
         if offset + nbytes > layout.total_nbytes:
             raise ValueError(f"payload [{offset}, {offset + nbytes}) overruns the segment")
         window = np.frombuffer(shm.buf, dtype=dtype, count=int(np.prod(shape)), offset=offset).reshape(shape)
-        if request_delay:
-            time.sleep(request_delay)  # legacy fault-injection hook (tests only)
         fault_point("worker.dispatch", window)
         plan = _worker_get_plan(plans, stores, key, arena, layout)
         if plan.spec.dtype != dtype.name or tuple(plan.spec.stats.input_shape) != shape:
@@ -371,7 +364,7 @@ def _worker_serve_one(conn, shm, seg_addr, plans, stores, arena, layout, message
 
 
 def _worker_main(conn, shm_name, layout, store_roots, blas_threads,
-                 request_delay=0.0, fault_plan=None) -> None:
+                 fault_plan=None) -> None:
     """Entry point of one shard's worker process: bind, replay, publish.
 
     The worker first caps its OpenBLAS pool at its share of the cores
@@ -444,9 +437,7 @@ def _worker_main(conn, shm_name, layout, store_roots, blas_threads,
                 continue
             beat += 1
             _write_heartbeat(shm, beat, live_threads)
-            _worker_serve_one(
-                conn, shm, seg_addr, plans, stores, arena, layout, message, request_delay
-            )
+            _worker_serve_one(conn, shm, seg_addr, plans, stores, arena, layout, message)
     finally:
         # Drop every view into the mapping before closing it; a dangling
         # buffer export would raise BufferError from shm.close().  The OS
@@ -537,7 +528,7 @@ class _ProcessWorker:
     """One shard's worker process, its segment, and its dispatcher thread."""
 
     def __init__(self, shard: int, ctx, start_method: str, layout: _SegmentLayout,
-                 store_roots: Sequence[str], blas_threads: int, request_delay: float,
+                 store_roots: Sequence[str], blas_threads: int,
                  watchdog: Optional[WatchdogConfig] = None,
                  fault_plan: Optional[FaultPlan] = None) -> None:
         from multiprocessing import shared_memory
@@ -548,7 +539,6 @@ class _ProcessWorker:
         self.layout = layout
         self._store_roots = list(store_roots)
         self._blas_threads = blas_threads
-        self._request_delay = request_delay
         self._watchdog = watchdog if watchdog is not None else WatchdogConfig()
         self._fault_plan = fault_plan
         self.respawns = 0
@@ -578,7 +568,7 @@ class _ProcessWorker:
         self.process = self._ctx.Process(
             target=_worker_main,
             args=(child_conn, self.shm.name, self.layout, self._store_roots,
-                  self._blas_threads, self._request_delay, self._fault_plan),
+                  self._blas_threads, self._fault_plan),
             name=f"repro-plan-worker-{self.shard}",
             daemon=True,
         )
@@ -940,7 +930,6 @@ class ProcessShardExecutor:
         bulk_chunk_rows: int = 32,
         watchdog: Optional[WatchdogConfig] = None,
         fault_plan: Optional[FaultPlan] = None,
-        _request_delay: float = 0.0,
     ) -> None:
         import multiprocessing as mp
 
@@ -957,7 +946,6 @@ class ProcessShardExecutor:
         self._chunk_rows = int(bulk_chunk_rows)
         self._watchdog = watchdog if watchdog is not None else WatchdogConfig()
         self._fault_plan = fault_plan
-        self._request_delay = float(_request_delay)
         self._spill_root = tempfile.mkdtemp(prefix="repro-plan-spill-")
         self._spill = ArtifactStore(self._spill_root)
         self._precision = precision
@@ -1078,7 +1066,6 @@ class ProcessShardExecutor:
                     self._layout_for(key, pset=pset),
                     self._store_roots,
                     self.blas_budget,
-                    self._request_delay,
                     watchdog=self._watchdog,
                     fault_plan=self._fault_plan,
                 )
@@ -1270,8 +1257,6 @@ class ProcessShardExecutor:
                     for worker in self._workers
                     if worker is not None
                 ),
-                cores=blas.cores(),
-                blas_threads=self.worker_blas_threads(),
             )
 
     def worker_blas_threads(self) -> Tuple[Optional[int], ...]:

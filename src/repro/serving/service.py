@@ -11,11 +11,10 @@ cache, and exposes raw-scale queries:
 * :meth:`~ForecastService.forecast_many` — a batch of windows, answered
   with cache lookups plus coalesced forwards for the misses;
 * :meth:`~ForecastService.submit` — the asynchronous path: enqueue a
-  window, keep going, collect the :class:`~repro.serving.AsyncForecast`
-  handle later.  With ``auto_flush_at`` set, batches fire on a size
-  threshold; with ``linger_ms`` set, a background flusher guarantees no
-  request waits longer than the linger even when the threshold is never
-  reached;
+  window, keep going, collect the :class:`~repro.serving.PendingForecast`
+  handle later.  With ``linger_ms`` set, a background flusher guarantees
+  no request waits longer than the linger; ``result()`` flushes lazily
+  either way;
 * :meth:`~ForecastService.ingest` /
   :meth:`~ForecastService.forecast_latest` — streaming operation: push
   detector readings as they arrive, forecast from the rolling buffer.
@@ -86,7 +85,6 @@ import numpy as np
 from ..nn import Module
 from ..runtime import ArtifactStore, CompiledModel, blas, resolve_precision
 from .batching import (
-    AsyncForecast,
     BackgroundFlusher,
     BatcherStats,
     FlusherStats,
@@ -285,8 +283,6 @@ class ServiceStats:
     swaps: int = 0
     #: Cores this process may run on (``os.sched_getaffinity``).
     cores: int = 1
-    #: Replica workers computing forecasts (``num_shards``).
-    workers: int = 1
     #: Live OpenBLAS threads of each worker (``None``: no OpenBLAS found,
     #: or a process worker not spawned yet).
     blas_threads: Tuple[Optional[int], ...] = ()
@@ -389,19 +385,11 @@ class ForecastService:
         buffer front all workers.
     max_batch_size:
         Largest coalesced forward pass of a worker's flush.
-    auto_flush_at:
-        When set, a :meth:`submit` that brings a worker's queue to this
-        size triggers its batched forward.  The flush runs on the
-        *submitting* thread, on either executor (deliberate backpressure:
-        a producer cannot enqueue unbounded work without paying for any of
-        it); a forward error is carried by the flushed handles, never
-        raised from :meth:`submit`.
     linger_ms:
         When set, a background flusher drains a queue once its oldest
-        request has waited this long — asynchronous traffic below the
-        ``auto_flush_at`` threshold no longer waits for the next submit.
-        Stop it with :meth:`close` (or use the service as a context
-        manager).
+        request has waited this long, so :meth:`submit` traffic does not
+        wait for a caller to block in ``result()``.  Stop it with
+        :meth:`close` (or use the service as a context manager).
     precision:
         Execution-precision policy of the compiled plans: ``"float64"``
         (bit-identical to autograd, the default) or ``"float32"`` (~2x
@@ -471,7 +459,6 @@ class ForecastService:
         model_version: Optional[str] = None,
         cache_entries: int = 1024,
         max_batch_size: int = 128,
-        auto_flush_at: Optional[int] = None,
         linger_ms: Optional[float] = None,
         precision: Optional[str] = None,
         artifact_dir: Optional[Union[str, Path, ArtifactStore]] = None,
@@ -491,8 +478,6 @@ class ForecastService:
             raise ValueError("model must expose a config attribute")
         if num_shards <= 0:
             raise ValueError("num_shards must be positive")
-        if auto_flush_at is not None and auto_flush_at <= 0:
-            raise ValueError("auto_flush_at must be positive when set")
         if linger_ms is not None and linger_ms <= 0:
             # Validate before the tier or the flusher starts: a constructor
             # that raises must not leak background machinery.
@@ -500,7 +485,6 @@ class ForecastService:
         model.eval()
         self.config = config
         self.num_shards = num_shards
-        self.auto_flush_at = auto_flush_at
         self._max_batch_size = max_batch_size
         # Failure policy for every serving path: deadlines, bounded retries,
         # optional circuit breakers, stale-serve.  The default config retries
@@ -1071,6 +1055,7 @@ class ForecastService:
         window: np.ndarray,
         gen: _Generation,
         deadline: Optional[Deadline] = None,
+        finalize: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ) -> Tuple[PendingForecast, int]:
         """Submit one normalised window to the next replica; returns its
         handle and the replica index.
@@ -1079,10 +1064,12 @@ class ForecastService:
         request entry, so a hot swap mid-request never splits one window
         across two weight versions.  ``deadline`` rides with each queue
         entry; an entry whose budget expires before its flush is failed
-        typed at the sweep, never computed.
+        typed at the sweep, never computed.  ``finalize`` rides on the
+        handle (see :class:`PendingForecast`).
         """
         index = self._next_replica()
-        return gen.engine.batchers[index].submit(window, deadline=deadline), index
+        batcher = gen.engine.batchers[index]
+        return batcher.submit(window, deadline=deadline, finalize=finalize), index
 
     def _drain(self, replicas: Sequence[int], gen: _Generation) -> None:
         """Flush the given replicas' queues in one drain; re-raise the first error.
@@ -1164,7 +1151,7 @@ class ForecastService:
         precision: Optional[str] = None,
         lane: str = "bulk",
     ) -> np.ndarray:
-        """Compute one cache miss, then denormalise -> horizon -> cache.
+        """Compute one cache miss, then :meth:`_finish` it.
 
         A typed resilience failure serves a marked-stale entry for ``key``
         instead when stale-serve is on and one exists.
@@ -1176,21 +1163,20 @@ class ForecastService:
             if stale is not None:
                 return stale
             raise
+        return self._finish(output, key, horizon, gen)
+
+    def _finish(self, output: np.ndarray, key, horizon: int, gen: _Generation) -> np.ndarray:
+        """Finish one computed miss: denormalise, cut to ``horizon``, cache.
+
+        Every computed miss ends here.  ``output`` is a fresh array nothing
+        else holds (the engines return fresh outputs and the cache stores
+        its own copy), so the forecast is returned without another copy.
+        ``key`` is ``None`` for an uncached request.
+        """
         forecast = self._denormalise(output, gen=gen)[:horizon]
-        if key is not None:
+        if key is not None and self.cache is not None:
             self.cache.put(key, forecast)
-        return forecast.copy()
-
-    def _finalize(self, key, horizon: int, gen: _Generation):
-        """Build the denormalise -> cache hook for one submitted window."""
-
-        def finalize(output: np.ndarray) -> np.ndarray:
-            forecast = self._denormalise(output, gen=gen)[:horizon]
-            if self.cache is not None and key is not None:
-                self.cache.put(key, forecast)
-            return forecast.copy()
-
-        return finalize
+        return forecast
 
     def _serve_normalised_batch(
         self,
@@ -1244,19 +1230,16 @@ class ForecastService:
                     raise
                 self._count_stale(len(groups))
                 served_stale = True
-                outputs = None
-                for (key, group), entry in zip(groups, stale):
-                    results[group[0]] = entry
-                    for index in group[1:]:
-                        results[index] = entry.copy()
-            if outputs is not None:
-                for (key, group), output in zip(groups, outputs):
-                    forecast = self._denormalise(output, gen=gen)[:horizon]
-                    if self.cache is not None:
-                        self.cache.put(key, forecast)
-                    results[group[0]] = forecast
-                    for index in group[1:]:
-                        results[index] = forecast.copy()
+                finished = stale
+            else:
+                finished = [
+                    self._finish(output, key, horizon, gen)
+                    for (key, _), output in zip(groups, outputs)
+                ]
+            # Duplicates share one array: the stack below copies each row.
+            for (_, group), forecast in zip(groups, finished):
+                for index in group:
+                    results[index] = forecast
         stacked = np.stack(results, axis=0)
         return StaleForecast(stacked) if served_stale else stacked
 
@@ -1348,16 +1331,18 @@ class ForecastService:
         return self._serve_normalised_batch(normalised, horizon, precision, gen, deadline)
 
     def submit(self, window: np.ndarray, horizon: Optional[int] = None,
-               deadline_ms: Optional[float] = None) -> AsyncForecast:
+               deadline_ms: Optional[float] = None) -> PendingForecast:
         """Enqueue one raw window; returns a handle to collect later.
 
-        The batched forward runs when ``auto_flush_at`` requests are
-        pending on the window's worker, when the ``linger_ms`` background
-        flusher fires, or lazily on :meth:`AsyncForecast.result` —
-        whichever happens first.  Cache hits return an already-settled
-        handle.  ``deadline_ms`` rides with the queued entry: if it expires
-        before a flush reaches the entry, the handle fails typed with
+        The batched forward runs when the ``linger_ms`` background flusher
+        fires or lazily on :meth:`PendingForecast.result`, whichever
+        happens first; ``result()`` then finishes the miss like a
+        synchronous one.  Cache hits return an already-settled handle.
+        ``deadline_ms`` rides with the queued entry: if it expires before a
+        flush reaches the entry, the handle fails typed with
         :class:`~repro.serving.DeadlineExceeded` instead of computing.
+        Backpressure is ``bulk_queue_depth``: a submit past it raises
+        :class:`ServiceOverloaded`.
         """
         horizon = self._check_horizon(horizon)
         deadline = self._entry_deadline(deadline_ms)
@@ -1369,17 +1354,13 @@ class ForecastService:
             key = ForecastCache.make_key(self._key_version(gen=gen), normalised, horizon)
             cached = self.cache.get(key)
             if cached is not None:
-                return AsyncForecast.completed(cached)
+                return PendingForecast.completed(cached)
         self._admit("bulk", 1)
-        part, index = self._route_window(normalised, gen, deadline=deadline)
-        if self.auto_flush_at is not None:
-            batcher = gen.engine.batchers[index]
-            if batcher.pending >= self.auto_flush_at:
-                try:
-                    batcher.flush()
-                except Exception:
-                    pass  # the failed chunk's handles carry the error
-        return AsyncForecast(part, self._finalize(key, horizon, gen))
+        handle, _ = self._route_window(
+            normalised, gen, deadline=deadline,
+            finalize=lambda output: self._finish(output, key, horizon, gen),
+        )
+        return handle
 
     def forecast_node(
         self,
@@ -1601,7 +1582,6 @@ class ForecastService:
             quality=self.buffer.quality_stats(),
             swaps=self._swaps,
             cores=blas.cores(),
-            workers=self.num_shards,
             blas_threads=blas_threads,
             plan_lanes=self._lanes,
         )

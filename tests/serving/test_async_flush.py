@@ -1,12 +1,13 @@
 """Async ingestion: linger-based background flushing and the submit() path.
 
-Includes the concurrency stress test of ISSUE 4: auto-flush, linger flush
-and explicit ``flush()`` racing across threads must neither lose nor
-double-fulfil a single request.
+Includes the concurrency stress test: lazy ``result()`` flushes, linger
+flushes and explicit ``flush()`` racing across threads must neither lose
+nor double-fulfil a single request.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -14,10 +15,10 @@ import numpy as np
 import pytest
 
 from repro.serving import (
-    AsyncForecast,
     BackgroundFlusher,
     ForecastService,
     MicroBatcher,
+    PendingForecast,
 )
 from repro.serving.batching import flush_all
 from repro.tensor import Tensor
@@ -40,7 +41,7 @@ def _wait_until(predicate, timeout=5.0):
 
 class TestLingerFlush:
     def test_sub_threshold_request_is_drained_by_linger(self):
-        batcher = MicroBatcher(_echo_forward, auto_flush_at=50)
+        batcher = MicroBatcher(_echo_forward)
         flusher = BackgroundFlusher([batcher], linger_ms=10.0)
         try:
             handle = batcher.submit(np.full((12, 4, 1), 3.0))
@@ -54,15 +55,14 @@ class TestLingerFlush:
     def test_request_age_is_tracked(self):
         batcher = MicroBatcher(_echo_forward)
         assert batcher.oldest_pending_at() is None
-        assert batcher.oldest_pending_age() is None
+        before = time.monotonic()
         batcher.submit(np.zeros((12, 4, 1)))
-        age = batcher.oldest_pending_age()
-        assert age is not None and age >= 0.0
+        assert before <= batcher.oldest_pending_at() <= time.monotonic()
         batcher.flush()
-        assert batcher.oldest_pending_age() is None
+        assert batcher.oldest_pending_at() is None
 
     def test_close_drains_pending_requests(self):
-        batcher = MicroBatcher(_echo_forward, auto_flush_at=50)
+        batcher = MicroBatcher(_echo_forward)
         flusher = BackgroundFlusher([batcher], linger_ms=60_000.0)  # never fires
         handle = batcher.submit(np.zeros((12, 4, 1)))
         flusher.close(drain=True)
@@ -118,21 +118,26 @@ class TestServiceSubmit:
         assert not handle.done
         assert np.array_equal(handle.result(), service.forecast(window))
 
-    def test_auto_flush_threshold_fires_the_batch(self, tiny_model, forecasting_data):
+    def test_no_size_trigger_and_one_handle_type(self, tiny_model, forecasting_data):
+        """Linger and lazy ``result()`` are the only flush triggers, and the
+        one handle type covers queued misses and cache hits alike."""
+        with pytest.raises(TypeError):
+            ForecastService(tiny_model, auto_flush_at=8)
+        with pytest.raises(TypeError):
+            MicroBatcher(_echo_forward, auto_flush_at=8)
         signal = forecasting_data.dataset.signal
         windows = [signal[i : i + 12] for i in range(3)]
-        with ForecastService(
-            tiny_model, scaler=forecasting_data.scaler, auto_flush_at=3, cache_entries=0
-        ) as service:
+        with ForecastService(tiny_model, scaler=forecasting_data.scaler) as service:
             handles = [service.submit(window) for window in windows]
-            assert all(handle.done for handle in handles)
+            assert all(isinstance(handle, PendingForecast) for handle in handles)
+            assert not any(handle.done for handle in handles)  # nothing flushed yet
+            first = handles[0].result()
+            assert all(handle.done for handle in handles)  # one lazy flush
             assert service.stats().batcher.flushes == 1
-
-    def test_completed_handle(self):
-        value = np.arange(4.0)
-        handle = AsyncForecast.completed(value)
-        assert handle.done
-        assert np.array_equal(handle.result(), value)
+            assert handles[0].result() is first  # finalized once
+            hit = service.submit(windows[0])
+            assert isinstance(hit, PendingForecast) and hit.done
+            assert np.array_equal(hit.result(), first)
 
     def test_close_without_flusher_drains_pending(self, tiny_model, forecasting_data):
         """The documented shutdown contract — no handle left pending after
@@ -152,6 +157,8 @@ class TestConcurrentStress:
     PER_THREAD = 40
 
     def test_racing_auto_linger_and_explicit_flushes(self):
+        """Each submitter flushes lazily on its own thread (``result()`` on
+        every 7th handle) while the linger and an explicit flusher race."""
         forwarded_rows = {"count": 0}
         forward_lock = threading.Lock()
 
@@ -161,7 +168,7 @@ class TestConcurrentStress:
                 forwarded_rows["count"] += data.shape[0]
             return data[:, :, :, 0]
 
-        batcher = MicroBatcher(counting_forward, max_batch_size=16, auto_flush_at=7)
+        batcher = MicroBatcher(counting_forward, max_batch_size=16)
         flusher = BackgroundFlusher([batcher], linger_ms=2.0)
         results = [[None] * self.PER_THREAD for _ in range(self.THREADS)]
         errors = []
@@ -175,6 +182,8 @@ class TestConcurrentStress:
                     window[0, 0, 0] = thread_index
                     window[0, 1, 0] = i
                     handles.append((i, batcher.submit(window)))
+                    if i % 7 == 6:
+                        results[thread_index][i] = handles[-1][1].result()
                     if i % 9 == 0:
                         time.sleep(0.001)  # let the linger flusher race in
                 for i, handle in handles:
@@ -216,6 +225,53 @@ class TestConcurrentStress:
                 assert result is not None
                 assert result[0, 0] == thread_index
                 assert result[0, 1] == i
+
+    def test_racing_results_finalize_each_handle_once(self):
+        """Threads racing ``result()`` on the same handles (each a lazy
+        flush) run every handle's finalize hook exactly once and all read
+        the finalized value."""
+        calls = {"count": 0}
+        calls_lock = threading.Lock()
+
+        def finalize(output):
+            with calls_lock:
+                calls["count"] += 1
+            time.sleep(0.001)  # widen the window a second finalize would hit
+            return output + 1000.0
+
+        batcher = MicroBatcher(_echo_forward, max_batch_size=8)
+        handles = []
+        for i in range(self.PER_THREAD):
+            window = np.zeros((4, 3, 1))
+            window[0, 0, 0] = i
+            handles.append(batcher.submit(window, finalize=finalize))
+        results = [[None] * self.PER_THREAD for _ in range(self.THREADS)]
+        errors = []
+
+        def reader(thread_index):
+            try:
+                for i, handle in enumerate(handles):
+                    results[thread_index][i] = handle.result()
+            except BaseException as error:  # pragma: no cover - fails the test
+                errors.append(error)
+
+        threads = [threading.Thread(target=reader, args=(index,)) for index in range(self.THREADS)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert calls["count"] == self.PER_THREAD
+        assert batcher.stats.coalesced == self.PER_THREAD
+        for thread_results in results:
+            for i, result in enumerate(thread_results):
+                assert result[0, 0] == 1000.0 + i
 
     def test_racing_drains_over_two_dispatching_batchers(self):
         """flush_all over forwards that compute at settle (as process

@@ -27,16 +27,6 @@ class TestCoalescingIdentity:
             )
         assert np.abs(batched - unbatched).max() <= 1e-10
 
-    def test_forecast_batch_matches_queue_path(self, tiny_model, forecasting_data):
-        windows = _windows(forecasting_data, 5)
-        queued = MicroBatcher(tiny_model)
-        pending = [queued.submit(window) for window in windows]
-        queued.flush()
-        via_queue = np.stack([handle.result() for handle in pending], axis=0)
-
-        direct = MicroBatcher(tiny_model).forecast_batch(windows)
-        np.testing.assert_array_equal(via_queue, direct)
-
 
 class TestQueueMechanics:
     def test_result_triggers_lazy_flush(self, tiny_model, forecasting_data):
@@ -58,15 +48,6 @@ class TestQueueMechanics:
         assert batcher.stats.coalesced == 10
         assert batcher.stats.largest_batch == 4
         assert all(handle.done for handle in pending)
-
-    def test_auto_flush_threshold(self, tiny_model, forecasting_data):
-        windows = _windows(forecasting_data, 4)
-        batcher = MicroBatcher(tiny_model, auto_flush_at=3)
-        first_two = [batcher.submit(window) for window in windows[:2]]
-        assert batcher.pending == 2 and not first_two[0].done
-        batcher.submit(windows[2])  # third request crosses the threshold
-        assert batcher.pending == 0
-        assert all(handle.done for handle in first_two)
 
     def test_flush_on_empty_queue_is_noop(self, tiny_model):
         batcher = MicroBatcher(tiny_model)
@@ -168,5 +149,3 @@ class TestValidation:
     def test_rejects_bad_configuration(self, tiny_model):
         with pytest.raises(ValueError):
             MicroBatcher(tiny_model, max_batch_size=0)
-        with pytest.raises(ValueError):
-            MicroBatcher(tiny_model, auto_flush_at=0)

@@ -200,9 +200,8 @@ class TestCpuBudget:
             stats = service.stats()
         assert np.abs(produced - expected).max() == 0.0
         assert stats.blas_threads == (budget, budget)
-        assert stats.process_tier.blas_threads == (budget, budget)
-        assert (stats.cores, stats.workers) == (blas.cores(), 2)
-        assert stats.process_tier.cores == blas.cores()
+        assert (stats.cores, stats.num_shards) == (blas.cores(), 2)
+        assert stats.process_tier.workers == 2
         assert blas.threads() == before
 
     def test_inline_leaves_blas_alone(self, tiny_model, forecasting_data):

@@ -25,6 +25,8 @@ from repro.runtime import (
 )
 from repro.serving import (
     START_METHOD_ENV_VAR,
+    FaultPlan,
+    FaultSpec,
     ForecastService,
     ProcessShardExecutor,
     ServiceOverloaded,
@@ -65,6 +67,11 @@ def _executor(tiny_model, forecasting_data, **kwargs):
         num_nodes=config.num_nodes,
         **kwargs,
     )
+
+
+def _dispatch_delay(delay_ms):
+    """A plan that slows every request a worker serves by ``delay_ms``."""
+    return FaultPlan.build(0, [FaultSpec("worker.dispatch", "delay", delay_ms=delay_ms)])
 
 
 class TestResolvers:
@@ -265,7 +272,7 @@ class TestPriorityLanes:
             tiny_model,
             forecasting_data,
             bulk_chunk_rows=1,
-            _request_delay=0.05,
+            fault_plan=_dispatch_delay(50.0),
         ) as executor:
             # Warm up: compile + spawn outside the timed region.
             executor.call(0, batch[:1], lane="interactive")
@@ -388,7 +395,7 @@ class TestFaultInjection:
             tiny_model,
             forecasting_data,
             bulk_chunk_rows=1,
-            _request_delay=0.2,
+            fault_plan=_dispatch_delay(200.0),
         ) as executor:
             reference = executor.call(0, batch)  # warm: compile + spawn
             (pid,) = executor.worker_pids()
@@ -448,8 +455,6 @@ class TestFaultInjection:
         error says "wedged (hang watchdog)", not "died".
         """
         from repro.serving import (
-            FaultPlan,
-            FaultSpec,
             ResilienceConfig,
             RetryPolicy,
             WatchdogConfig,

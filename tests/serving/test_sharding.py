@@ -35,8 +35,6 @@ class TestPartitioning:
             ShardedForecastService(tiny_model, mode="sideways")
         with pytest.raises(ValueError):
             ShardedForecastService(tiny_model, num_shards=0)
-        with pytest.raises(ValueError):
-            ShardedForecastService(tiny_model, auto_flush_at=0)
 
     def test_nodes_mode_was_removed(self, tiny_model):
         with pytest.raises(ValueError, match="node sharding was removed"):
