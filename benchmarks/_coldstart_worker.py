@@ -91,7 +91,8 @@ def main() -> None:
             fleet.forecast(window)
             second_ms = (time.perf_counter() - started) * 1e3
             # The replicas share one parent-side provider: count it once.
-            info = fleet._tier.provider().cache_info()
+            (plans,) = fleet._gen.plans
+            info = plans.cache_info()
         compiles, loads = info.compiles, info.artifact_loads
     else:  # pragma: no cover - driver passes a known mode
         raise SystemExit(f"unknown mode {mode!r}")

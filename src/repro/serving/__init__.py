@@ -33,14 +33,16 @@ the ROADMAP's "serve heavy traffic" north star:
   spike, out-of-range detection) with pluggable imputation, so broken
   detectors degrade forecasts predictably instead of poisoning the ring
   (see :mod:`repro.serving.quality`);
-
-The service also supports **zero-downtime hot checkpoint swaps**
-(:meth:`ForecastService.swap_checkpoint`): a new generation of weights,
-scaler and warmed engines is built off to the side and published
-atomically, with in-flight requests completing on the old version.
 * :class:`ForecastCache` — LRU cache keyed by
   ``(model version, window hash or buffer token, horizon)`` with hit/miss
   accounting.
+
+The service also supports **zero-downtime hot checkpoint swaps**
+(:meth:`ForecastService.swap_checkpoint`).  The service owns each weights
+generation: its weights, scaler, micro-batchers and warmed plan engines
+are built off to the side and published atomically, with in-flight
+requests completing on the old version.  The process tier holds no
+generation; each replica forward pins the one it was built for.
 
 A **resilience layer** (:mod:`repro.serving.resilience`) runs through both
 executors: per-request deadlines (``deadline_ms=`` on every query,

@@ -8,6 +8,13 @@ compiled plans, and the service's batcher/worker split stays exactly as it
 was — the executor slots in as the per-shard ``forward_fn``
 (``ForecastService(num_shards=K)``, or ``executor="processes"``).
 
+The tier holds no weights generation.  The service owns each one:
+:meth:`ProcessShardExecutor.generation` builds a generation's parent-side
+provider set, every replica forward (:meth:`~ProcessShardExecutor.proxy`)
+pins one set, and every dispatch names the set it runs on.  A hot swap
+builds new forwards over a new set, while work queued on the old forwards
+settles on the old plans.
+
 Three design rules keep the hot path cheap and the answers bit-identical:
 
 **Never trace in the child.**  Workers only ever *bind* plans from a
@@ -809,11 +816,10 @@ class _ProviderSet:
     A single :class:`CompiledModel` provider serves all K replicas, so each
     (shape, dtype) is compiled or loaded and spot-checked once per
     generation, not once per shard; shards racing on a new shape wait for
-    the first one under that shape's lock.  A hot checkpoint swap builds a
-    fresh set (a new provider over the new weights, empty artifact-key
-    memo) and installs it atomically; proxies pin the set they were built
-    against, so a batcher flushing late still replays its own generation's
-    plans.
+    the first one under that shape's lock.  The service builds one set per
+    generation (:meth:`ProcessShardExecutor.generation`) and every dispatch
+    names the set it runs on, so a batcher flushing late still replays its
+    own generation's plans.
     """
 
     __slots__ = ("provider", "keys", "_key_locks")
@@ -832,22 +838,17 @@ class _ProcessShardForward:
     """The per-shard ``forward_fn`` handed to a shard's micro-batcher.
 
     Call-compatible with the :class:`~repro.runtime.CompiledModel` it
-    replaces (arrays or Tensors in, ``(B, T', N)`` float64 arrays out;
-    per-request ``precision=`` honoured) and delegating the plan-cache
-    management surface (``cache_info`` / ``save_artifacts`` /
-    ``compile_for``) to the generation's parent-side provider — warm-up,
-    AOT export and the warm-start counter contracts are executor-agnostic.
-
-    The forward pins the provider set it was built against: after a hot
-    swap, in-flight work queued on an old generation's batcher settles
-    with that generation's plans, never the new one's.
+    replaces: arrays or Tensors in, ``(B, T', N)`` float64 arrays out,
+    per-request ``precision=`` honoured.  The forward pins the provider set
+    it was built against: after a hot swap, in-flight work queued on an old
+    generation's batcher settles with that generation's plans, never the
+    new one's.
     """
 
-    def __init__(self, tier: "ProcessShardExecutor", shard: int,
-                 pset: Optional[_ProviderSet] = None) -> None:
+    def __init__(self, tier: "ProcessShardExecutor", shard: int, pset: _ProviderSet) -> None:
         self._tier = tier
         self._shard = shard
-        self._pset = pset if pset is not None else tier.current_generation()
+        self._pset = pset
 
     def __call__(self, x, precision: Optional[str] = None, lane: str = "bulk",
                  deadline: Optional[Deadline] = None) -> np.ndarray:
@@ -862,31 +863,18 @@ class _ProcessShardForward:
             deadline=deadline,
         )
 
-    # Plan-cache surface, delegated to the parent-side provider.
-    def cache_info(self):
-        return self._pset.provider.cache_info()
-
-    def save_artifacts(self, path=None):
-        return self._pset.provider.save_artifacts(path)
-
-    def compile_for(self, example, precision=None):
-        return self._pset.provider.compile_for(example, precision=precision)
-
-    @property
-    def precision(self) -> str:
-        return self._pset.provider.precision
-
 
 class ProcessShardExecutor:
     """Replay each serving shard's compiled plans in its own worker process.
 
+    Each weights generation is a provider set from :meth:`generation`: one
+    :class:`~repro.runtime.CompiledModel` *provider* that compiles and
+    parity-spot-checks the model in the parent for every shard.  Workers
+    bind the resulting artifacts — they never trace.  The tier holds no
+    generation of its own: every dispatch names the set it runs on.
+
     Parameters
     ----------
-    model:
-        The served module; compiled (and parity-spot-checked) only in the
-        parent, by one :class:`~repro.runtime.CompiledModel` *provider*
-        shared by every shard.  Workers bind the resulting artifacts — they
-        never trace.
     window_shape / output_length / num_nodes:
         Geometry of the served model (request and response slot sizing).
     precision / artifact_store:
@@ -918,7 +906,6 @@ class ProcessShardExecutor:
 
     def __init__(
         self,
-        model,
         *,
         num_shards: int,
         window_shape: Tuple[int, int, int],
@@ -950,7 +937,6 @@ class ProcessShardExecutor:
         self._spill = ArtifactStore(self._spill_root)
         self._precision = precision
         self._provider_store = artifact_store if artifact_store is not None else self._spill
-        self._pset = self._build_pset(model)
         self._store_roots: List[str] = []
         if artifact_store is not None:
             self._store_roots.append(str(artifact_store.root))
@@ -965,42 +951,20 @@ class ProcessShardExecutor:
         _LIVE.add(self)
 
     # ------------------------------------------------------------------
-    def _build_pset(self, model) -> _ProviderSet:
-        """One provider (compile/validate engine) for every shard over ``model``."""
+    def generation(self, model) -> _ProviderSet:
+        """A provider set over ``model``: one generation's compile/validate
+        engine, for every shard that dispatches against it."""
         return _ProviderSet(
             CompiledModel(model, precision=self._precision, artifact_dir=self._provider_store)
         )
 
-    def current_generation(self) -> _ProviderSet:
-        """The provider set new proxies pin by default."""
-        return self._pset
-
-    def prepare_generation(self, model) -> _ProviderSet:
-        """Build (but do not install) a provider set for new weights.
-
-        The returned set is safe to warm up — compiling and spot-checking
-        plans against the deployment store — while the current generation
-        keeps serving; :meth:`install_generation` publishes it.
-        """
-        return self._build_pset(model)
-
-    def install_generation(self, pset: _ProviderSet) -> None:
-        """Make ``pset`` the generation that new proxies pin."""
-        self._pset = pset
-
-    def provider(self, pset: Optional[_ProviderSet] = None) -> CompiledModel:
-        """The parent-side compile/validate engine every shard shares."""
-        return (pset if pset is not None else self._pset).provider
-
-    def _ensure_key(self, shape: Tuple[int, ...], dtype: np.dtype,
-                    pset: Optional[_ProviderSet] = None) -> str:
+    def _ensure_key(self, shape: Tuple[int, ...], dtype: np.dtype, pset: _ProviderSet) -> str:
         """Compile+spot-check in the parent; make the artifact disk-loadable.
 
         Once per (shape, dtype) and generation: a shard that finds another
         shard validating the same shape waits for it instead of loading and
         checking the plan a second time.
         """
-        pset = pset if pset is not None else self._pset
         memo_key = (shape, dtype.name)
         key = pset.keys.get(memo_key)
         if key is not None:
@@ -1025,11 +989,10 @@ class ProcessShardExecutor:
             pset.keys[memo_key] = key
         return key
 
-    def _layout_for(self, key: str, pset: Optional[_ProviderSet] = None) -> _SegmentLayout:
+    def _layout_for(self, key: str, pset: _ProviderSet) -> _SegmentLayout:
         """Size one shard's segment from its first plan's buffer layout."""
-        provider = self.provider(pset)
         spec = None
-        for store in (provider.artifact_store, self._spill):
+        for store in (pset.provider.artifact_store, self._spill):
             # peek, not load: sizing the segment must not distort the
             # store's warm-start load/memo-hit accounting.
             cached = store.peek(key)
@@ -1044,15 +1007,15 @@ class ProcessShardExecutor:
             workspace = plan_workspace_nbytes(spec.storage_sizes)
             # Workspace grows ~linearly in the batch; one extra multiple
             # absorbs the nonlinear parts.  A plan that still does not fit
-            # binds on the worker's heap instead — slower, never wrong.
+            # binds on the worker's heap instead: slower and larger
+            # (docs/serving_quickstart.md §11), never wrong.
             scale = -(-rows // first_rows) + 1
             arena = workspace * scale
         else:  # pragma: no cover - defensive: key was just ensured
             arena = 64 * 1024 * 1024
         return _SegmentLayout.build(request_cap, response_cap, arena)
 
-    def _ensure_worker(self, shard: int, key: str,
-                       pset: Optional[_ProviderSet] = None) -> _ProcessWorker:
+    def _ensure_worker(self, shard: int, key: str, pset: _ProviderSet) -> _ProcessWorker:
         worker = self._workers[shard]
         if worker is not None:
             return worker
@@ -1063,7 +1026,7 @@ class ProcessShardExecutor:
                     shard,
                     self._ctx,
                     self.start_method,
-                    self._layout_for(key, pset=pset),
+                    self._layout_for(key, pset),
                     self._store_roots,
                     self.blas_budget,
                     watchdog=self._watchdog,
@@ -1073,23 +1036,20 @@ class ProcessShardExecutor:
         return worker
 
     # ------------------------------------------------------------------
-    def _make_jobs(self, array: np.ndarray, lane: str,
-                   dtype: np.dtype, pset: Optional[_ProviderSet] = None,
+    def _make_jobs(self, array: np.ndarray, lane: str, dtype: np.dtype, pset: _ProviderSet,
                    deadline: Optional[Deadline] = None) -> List[_Job]:
-        provider = self.provider(pset)
         jobs: List[_Job] = []
         for start in range(0, array.shape[0], self._chunk_rows):
             chunk = array[start : start + self._chunk_rows]
-            for rows in batch_pieces(chunk.shape[0], provider.bucket_cap):
+            for rows in batch_pieces(chunk.shape[0], pset.provider.bucket_cap):
                 piece = np.ascontiguousarray(chunk[:rows])
                 chunk = chunk[rows:]
-                key = self._ensure_key(piece.shape, dtype, pset=pset)
+                key = self._ensure_key(piece.shape, dtype, pset)
                 jobs.append(_Job(piece, lane, key, deadline=deadline))
         return jobs
 
-    def _dispatch(self, shard: int, jobs: List[_Job],
-                  pset: Optional[_ProviderSet] = None) -> None:
-        worker = self._ensure_worker(shard, jobs[0].key, pset=pset)
+    def _dispatch(self, shard: int, jobs: List[_Job], pset: _ProviderSet) -> None:
+        worker = self._ensure_worker(shard, jobs[0].key, pset)
         for job in jobs:
             worker.queue.put(job)
         with self._stats_lock:
@@ -1113,8 +1073,7 @@ class ProcessShardExecutor:
         return [job.result for job in jobs]
 
     def dispatch(self, shard: int, array, lane: str = "bulk",
-                 precision: Optional[str] = None,
-                 pset: Optional[_ProviderSet] = None,
+                 precision: Optional[str] = None, *, pset: _ProviderSet,
                  deadline: Optional[Deadline] = None) -> Callable[[], np.ndarray]:
         """Queue one ``(B, T, N, F)`` batch on a shard's worker; returns the
         callable that waits for it and returns the ``(B, T', N)`` output.
@@ -1125,7 +1084,7 @@ class ProcessShardExecutor:
         :meth:`~repro.runtime.CompiledModel.__call__` would run (see
         :func:`~repro.runtime.batch_pieces`); the worker replays every
         piece and the outputs are exit-cast back to float64.
-        ``pset`` selects the weights generation (default: current) — plans
+        ``pset`` is the weights generation (from :meth:`generation`) — plans
         are compiled, keyed and replayed against that generation only.
         ``deadline`` rides with every dispatched chunk: a chunk still
         queued when the budget expires fails typed instead of computing
@@ -1135,7 +1094,7 @@ class ProcessShardExecutor:
         """
         if lane not in _LANE_IDS:
             raise ValueError(f"unknown lane {lane!r}; expected one of {LANES}")
-        provider = self.provider(pset)
+        provider = pset.provider
         array = np.asarray(array)
         if self._closed:
             # Post-close lazy serving: late handle.result() flushes must
@@ -1150,13 +1109,12 @@ class ProcessShardExecutor:
         dtype = np.dtype(resolve_precision(precision if precision is not None else provider.precision))
         if array.dtype != dtype:
             array = array.astype(dtype)
-        jobs = self._make_jobs(array, lane, dtype, pset=pset, deadline=deadline)
-        self._dispatch(shard, jobs, pset=pset)
+        jobs = self._make_jobs(array, lane, dtype, pset, deadline=deadline)
+        self._dispatch(shard, jobs, pset)
         return lambda: np.concatenate(self._settle(jobs), axis=0)
 
     def call(self, shard: int, array, lane: str = "bulk",
-             precision: Optional[str] = None,
-             pset: Optional[_ProviderSet] = None,
+             precision: Optional[str] = None, *, pset: _ProviderSet,
              deadline: Optional[Deadline] = None) -> np.ndarray:
         """Forward one batch through a shard's worker: :meth:`dispatch`, then wait."""
         return self.dispatch(
@@ -1164,15 +1122,14 @@ class ProcessShardExecutor:
         )()
 
     # ------------------------------------------------------------------
-    def proxy(self, shard: int,
-              pset: Optional[_ProviderSet] = None) -> _ProcessShardForward:
+    def proxy(self, shard: int, pset: _ProviderSet) -> _ProcessShardForward:
         """The drop-in ``forward_fn`` for one shard's micro-batcher.
 
-        The proxy pins ``pset`` (default: the current generation) for its
-        lifetime — a hot swap builds new proxies rather than mutating old
-        ones, so in-flight flushes settle on the generation they entered.
+        The proxy pins ``pset`` for its lifetime — a hot swap builds new
+        proxies rather than mutating old ones, so in-flight flushes settle
+        on the generation they entered.
         """
-        return _ProcessShardForward(self, shard, pset=pset)
+        return _ProcessShardForward(self, shard, pset)
 
     def lane_pending(self, lane: str) -> int:
         """Rows queued or in flight on one lane across all spawned workers."""
@@ -1195,18 +1152,6 @@ class ProcessShardExecutor:
         return [
             worker.process.pid if worker is not None else None for worker in self._workers
         ]
-
-    def set_fault_plan(self, plan: Optional[FaultPlan]) -> None:
-        """Ship ``plan`` to workers spawned (or respawned) from now on.
-
-        Worker-side fault points only; install the plan in the parent via
-        :func:`~repro.serving.install_fault_plan` to drive parent-side
-        sites too.  Already-running workers keep their current plan.
-        """
-        self._fault_plan = plan
-        for worker in self._workers:
-            if worker is not None:
-                worker._fault_plan = plan
 
     def worker_health(self) -> List[Dict[str, object]]:
         """Per-shard liveness snapshot (watchdog view) for ``health()``."""

@@ -320,14 +320,14 @@ class WatchdogConfig:
     ``hang_timeout_s`` must exceed the worst-case healthy single-chunk
     compute time; a dispatch that outlives it *and* whose worker heartbeat
     has gone stale is declared wedged and escalated
-    (join → terminate → kill → respawn).  Respawns back off exponentially
+    (join → terminate → kill → respawn).  A worker beacons from its serve
+    loop, at least every 50 ms while idle.  Respawns back off exponentially
     (``respawn_backoff_base_s`` doubling up to ``respawn_backoff_cap_s``)
     and more than ``storm_threshold`` respawns inside ``storm_window_s``
     pins the backoff at the cap (respawn-storm protection).
     """
 
     hang_timeout_s: float = 30.0
-    heartbeat_interval_s: float = 0.1
     respawn_backoff_base_s: float = 0.05
     respawn_backoff_cap_s: float = 2.0
     storm_window_s: float = 30.0
@@ -375,9 +375,7 @@ class ResilientForward:
     MicroBatcher, so wrapping here gives one enforcement point: the breaker
     is consulted before compute, retryable failures (worker death, injected
     transients) are re-dispatched under the retry policy's backoff, and
-    outcomes feed the breaker.  Attribute access (``cache_info``,
-    ``save_artifacts``, ``compile_for``, ``precision``)
-    delegates to the wrapped forward so engine plumbing is unaffected.
+    outcomes feed the breaker.
 
     :meth:`dispatch` starts the first attempt and returns the callable that
     settles it; a call is ``dispatch(...)()``.  The breaker check and the
@@ -465,9 +463,6 @@ class ResilientForward:
 
     def __call__(self, *args: Any, **kwargs: Any) -> Any:
         return self.dispatch(*args, **kwargs)()
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._forward, name)
 
 
 @dataclass(frozen=True)

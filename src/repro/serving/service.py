@@ -42,6 +42,15 @@ Deadlines, bounded retries, per-replica circuit breakers, per-lane
 admission control (:class:`ServiceOverloaded`), zero-downtime hot swaps,
 ``health()`` and ``stats()`` are written once, here, for both executors.
 
+The service owns each weights generation in one object: the model, the
+scaler, the version, one micro-batcher per replica and the plan engines
+(the inline worker's compiled model, or the one provider that the process
+replicas share).  The constructor and
+:meth:`~ForecastService.swap_checkpoint` build it the same way; a swap
+warms the new one off to the side and publishes it with one reference
+assignment.  Every request captures one generation at entry and finishes
+on it.
+
 The executors own the CPU budget (:mod:`repro.runtime.blas`).  K process
 workers run OpenBLAS at ``max(1, cores // K)`` threads each, so the
 replicas share the cores instead of oversubscribing them.  The inline
@@ -316,38 +325,14 @@ class SwapReport:
     swap_ms: float
 
 
-class _Engine:
-    """A generation's compute: one micro-batcher per replica worker (in
-    replica order), plus the process tier's pinned provider set (``None``
-    off the process tier) and the in-process compiled models (whose lane
-    threads it stops).
-
-    A hot swap builds a complete new engine off to the side and publishes
-    it with its generation.
-    """
-
-    __slots__ = ("batchers", "pset", "models")
-
-    def __init__(self, batchers: List[MicroBatcher], pset=None, models=()) -> None:
-        self.batchers = batchers
-        self.pset = pset
-        self.models = models
-
-    def plan_engines(self) -> List:
-        """The distinct plan engines: the process replicas' one shared
-        provider, or each in-process worker's forward."""
-        if self.pset is not None:
-            return [self.pset.provider]
-        return [batcher.forward_fn for batcher in self.batchers]
-
-    def close(self) -> None:
-        """Stop the models' lane threads; the models keep serving inline."""
-        for model in self.models:
-            model.close()
-
-
 class _Generation:
-    """One immutable serving generation: weights, scaler, version, engine.
+    """One immutable serving generation: weights, scaler, version, compute.
+
+    ``batchers`` holds one micro-batcher per replica worker, in replica
+    order.  ``plans`` lists the distinct plan engines: the inline worker's
+    :class:`~repro.runtime.CompiledModel`, or the one provider that the
+    process replicas share (their forwards pin it, so work queued on a
+    retired generation still replays that generation's plans).
 
     The swap path builds a complete new generation off to the side (plans
     warmed, batchers constructed) and publishes it with a single reference
@@ -356,13 +341,19 @@ class _Generation:
     torn old-model/new-scaler mix.
     """
 
-    __slots__ = ("model", "scaler", "model_version", "engine")
+    __slots__ = ("model", "scaler", "model_version", "batchers", "plans")
 
-    def __init__(self, model, scaler, model_version, engine=None) -> None:
+    def __init__(self, model, scaler, model_version, batchers, plans) -> None:
         self.model = model
         self.scaler = scaler
         self.model_version = model_version
-        self.engine = engine
+        self.batchers = batchers
+        self.plans = plans
+
+    def close(self) -> None:
+        """Stop the plan engines' lane threads; they keep serving inline."""
+        for plans in self.plans:
+            plans.close()
 
 
 class ForecastService:
@@ -495,7 +486,6 @@ class ForecastService:
         # Expiries on direct (non-queued) paths; the batch queues' sweeps
         # count their own in BatcherStats.expired_requests.
         self._expired_direct = 0
-        self._gen = _Generation(model, scaler, model_version or _weights_fingerprint(model))
         self._swap_lock = threading.Lock()
         self._swaps = 0
         self.precision = resolve_precision(precision).name
@@ -555,7 +545,6 @@ class ForecastService:
             # Workers, segments and dispatchers spawn lazily on the first
             # dispatched batch; constructing the service starts nothing.
             self._tier = ProcessShardExecutor(
-                model,
                 num_shards=num_shards,
                 window_shape=(config.input_length, config.num_nodes, config.input_dim),
                 output_length=config.output_length,
@@ -572,13 +561,21 @@ class ForecastService:
         self._retired_shard_stats: List[List[BatcherStats]] = [
             [] for _ in range(num_shards)
         ]
-        engine, _, _ = self._build_engine(model, warm_sizes=())
-        self._gen.engine = engine
+        try:
+            self._gen = self._build_generation(
+                model, scaler, model_version or _weights_fingerprint(model)
+            )
+        except BaseException:
+            # A bad REPRO_RUNTIME_BUCKETS raises here, after the tier took
+            # its BLAS limit and spill directory: give both back.
+            if self._tier is not None:
+                self._tier.close()
+            raise
         self._round_robin = 0
         self._route_lock = threading.Lock()
         self._closed = False
         self.flusher: Optional[BackgroundFlusher] = (
-            BackgroundFlusher(engine.batchers, linger_ms=linger_ms)
+            BackgroundFlusher(self._gen.batchers, linger_ms=linger_ms)
             if linger_ms is not None
             else None
         )
@@ -834,43 +831,31 @@ class ForecastService:
     # ------------------------------------------------------------------
     # Generation machinery (hot checkpoint swap).
     # ------------------------------------------------------------------
-    def _build_engine(self, model: Module, warm_sizes=None) -> Tuple[_Engine, int, int]:
-        """Build (engine, plans_reused, plans_compiled) for a generation.
+    def _build_generation(self, model: Module, scaler, version: str) -> _Generation:
+        """Build a generation's batchers and plan engines over ``model``.
 
-        ``warm_sizes=()`` marks the constructor's initial build (no plan
-        warming, and the process tier's already-installed provider set is
-        reused); any other value is a swap build — the new engines are
-        fully warmed *before* publication, so the first request on the new
-        generation never pays a trace.
+        The constructor and :meth:`swap_checkpoint` both build through
+        here.  Process replicas pin one provider set of the tier, so the
+        fleet compiles each trace once per generation.
         """
-        initial = warm_sizes == ()
-        pset = None
         if self._tier is not None:
-            pset = (
-                self._tier.current_generation()
-                if initial
-                else self._tier.prepare_generation(model)
-            )
-        if self._tier is not None:
-            # Process replicas share the generation's one parent-side
-            # provider, so the fleet compiles each trace once.
+            pset = self._tier.generation(model)
+            plans = pset.provider
             forwards: List[Callable] = [
-                self._tier.proxy(index, pset=pset) for index in range(self.num_shards)
+                self._tier.proxy(index, pset) for index in range(self.num_shards)
             ]
         else:
-            forwards = [
-                CompiledModel(
-                    model,
-                    precision=self.precision,
-                    artifact_dir=self.artifact_store,
-                    lanes=self._lanes,
-                )
-            ]
+            plans = CompiledModel(
+                model,
+                precision=self.precision,
+                artifact_dir=self.artifact_store,
+                lanes=self._lanes,
+            )
+            forwards = [plans]
         # Every path funnels through a worker batcher's forward_fn (the
         # inline direct path reads the same object), so wrapping here puts
         # the breaker consult, bounded retries and outcome accounting on
-        # one choke point per worker (engine plumbing — compile_for /
-        # cache_info / save_artifacts — delegates through).
+        # one choke point per worker.
         batchers = [
             MicroBatcher(
                 ResilientForward(
@@ -880,43 +865,30 @@ class ForecastService:
             )
             for index, forward in enumerate(forwards)
         ]
-        models = [forward for forward in forwards if isinstance(forward, CompiledModel)]
-        engine = _Engine(batchers, pset, models)
-        reused = compiled = 0
-        if not initial:
-            # By default the streaming batch of 1, or an explicit size
-            # ladder.  With AOT artifacts in the store these are disk binds.
-            sizes = [1] if warm_sizes is None else self._warm_up_sizes(warm_sizes)
-            for plans in engine.plan_engines():
-                for size in sizes:
-                    plans.compile_for(self._example_batch(size))
-                info = plans.cache_info()
-                reused += info.artifact_loads
-                compiled += info.compiles
-        return engine, reused, compiled
+        return _Generation(model, scaler, version, batchers, [plans])
 
-    def _publish_generation(self, gen: _Generation) -> None:
-        # Runs under the buffer lock: the generation reference (with its
-        # batchers) and the tier's default provider set move together — a
-        # snapshot() reader sees all or none of it.
-        self._gen = gen
-        if self._tier is not None:
-            self._tier.install_generation(gen.engine.pset)
+    def _warm(self, gen: _Generation, sizes: Sequence[int]) -> List:
+        """Prepare one plan per batch size on each of ``gen``'s plan engines."""
+        return [
+            plans.compile_for(self._example_batch(size))
+            for plans in gen.plans
+            for size in sizes
+        ]
 
     def _retire_generation(self, old: _Generation) -> None:
         # Drain the retired queues in one drain, so process replicas
         # compute concurrently; requests still queued there complete on
         # the old weights — their process proxies pin the old provider set.
         try:
-            flush_all(old.engine.batchers)
+            flush_all(old.batchers)
         except Exception:
             pass  # the affected handles carry the error
-        for index, batcher in enumerate(old.engine.batchers):
+        for index, batcher in enumerate(old.batchers):
             self._retired_shard_stats[index].append(batcher.stats)
-            self._retired_retries += getattr(batcher.forward_fn, "retries", 0)
-        old.engine.close()
+            self._retired_retries += batcher.forward_fn.retries
+        old.close()
         if self.flusher is not None:
-            self.flusher.retarget(self._gen.engine.batchers)
+            self.flusher.retarget(self._gen.batchers)
 
     def _validate_swap_config(self, config) -> None:
         """A swapped checkpoint must describe the same serving geometry."""
@@ -968,13 +940,17 @@ class ForecastService:
                 if sidecar.is_dir():
                     adopted = len(self.artifact_store.adopt(sidecar))
             old = self._gen
-            engine, reused, compiled = self._build_engine(loaded.model, warm_sizes)
-            new = _Generation(loaded.model, loaded.scaler, version, engine)
+            new = self._build_generation(loaded.model, loaded.scaler, version)
+            # The new plans are warmed *before* publication, so the first
+            # request on the new generation never pays a trace.  With AOT
+            # artifacts in the store these are disk binds.
+            self._warm(new, [1] if warm_sizes is None else self._warm_up_sizes(warm_sizes))
+            infos = [plans.cache_info() for plans in new.plans]
             # rescale() runs the publication callback under the buffer lock:
             # ring re-normalisation (when the scaler changed) and generation
             # publication are one atomic event for snapshot() readers.
             rescaled = self.buffer.rescale(
-                loaded.scaler, commit=lambda: self._publish_generation(new)
+                loaded.scaler, commit=lambda: setattr(self, "_gen", new)
             )
             self._retire_generation(old)
             self._swaps += 1
@@ -983,8 +959,8 @@ class ForecastService:
             new_version=version,
             scaler_changed=rescaled,
             artifacts_adopted=adopted,
-            plans_reused=reused,
-            plans_compiled=compiled,
+            plans_reused=sum(info.artifact_loads for info in infos),
+            plans_compiled=sum(info.compiles for info in infos),
             swap_ms=(time.perf_counter() - started) * 1e3,
         )
 
@@ -994,7 +970,7 @@ class ForecastService:
     def _lane_depth(self, lane: str) -> int:
         """Live queue depth of one lane across batchers and the tier."""
         if lane == "bulk":
-            depth = sum(batcher.pending for batcher in self._gen.engine.batchers)
+            depth = sum(batcher.pending for batcher in self._gen.batchers)
             if self._tier is not None:
                 depth += self._tier.lane_pending("bulk")
             return depth
@@ -1068,7 +1044,7 @@ class ForecastService:
         handle (see :class:`PendingForecast`).
         """
         index = self._next_replica()
-        batcher = gen.engine.batchers[index]
+        batcher = gen.batchers[index]
         return batcher.submit(window, deadline=deadline, finalize=finalize), index
 
     def _drain(self, replicas: Sequence[int], gen: _Generation) -> None:
@@ -1078,7 +1054,7 @@ class ForecastService:
         replica (its handles fulfilled or failed) before it raises.  The
         batchers go in replica order, the one lock order every drain uses.
         """
-        flush_all([gen.engine.batchers[index] for index in sorted(set(replicas))])
+        flush_all([gen.batchers[index] for index in sorted(set(replicas))])
 
     # ------------------------------------------------------------------
     # Compute
@@ -1107,7 +1083,7 @@ class ForecastService:
             for start in range(0, len(windows), self._max_batch_size):
                 self._check_deadline(deadline, "precision-chunk")
                 batch = np.stack(windows[start : start + self._max_batch_size], axis=0)
-                forward = gen.engine.batchers[self._next_replica()].forward_fn
+                forward = gen.batchers[self._next_replica()].forward_fn
                 outputs.extend(np.asarray(forward(batch, precision=precision)))
             return outputs
         routed = [self._route_window(window, gen, deadline=deadline) for window in windows]
@@ -1135,9 +1111,9 @@ class ForecastService:
         """
         if self.executor == "inline":
             self._check_deadline(deadline, "predict")
-            return gen.engine.batchers[0].forward_fn(window[None], precision=precision)[0]
+            return gen.batchers[0].forward_fn(window[None], precision=precision)[0]
         if lane == "interactive":
-            forward = gen.engine.batchers[self._least_busy_replica()].forward_fn
+            forward = gen.batchers[self._least_busy_replica()].forward_fn
             return forward(window[None], lane="interactive", deadline=deadline)[0]
         return self._compute_misses([window], precision=precision, gen=gen, deadline=deadline)[0]
 
@@ -1447,7 +1423,7 @@ class ForecastService:
         returned) once.
         """
         written: List = []
-        for plans in self._gen.engine.plan_engines():
+        for plans in self._gen.plans:
             written.extend(plans.save_artifacts(path))
         return written
 
@@ -1462,12 +1438,7 @@ class ForecastService:
         share one parent-side provider, so they are warmed once.  Returns
         the :class:`~repro.runtime.PlanStats` of every warmed plan.
         """
-        sizes = self._warm_up_sizes(batch_sizes)
-        return [
-            plans.compile_for(self._example_batch(size))
-            for plans in self._gen.engine.plan_engines()
-            for size in sizes
-        ]
+        return self._warm(self._gen, self._warm_up_sizes(batch_sizes))
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -1488,10 +1459,10 @@ class ForecastService:
             self.flusher.close(drain=True)
         else:
             try:
-                flush_all(self._gen.engine.batchers)
+                flush_all(self._gen.batchers)
             except BaseException:
                 pass  # the affected handles carry the error
-        self._gen.engine.close()
+        self._gen.close()
         # The tier closes last: the drains above may still dispatch to it.
         if self._tier is not None:
             self._tier.close()
@@ -1509,7 +1480,7 @@ class ForecastService:
         """Lifetime batcher counters per worker (retired generations folded in)."""
         return tuple(
             _merge_batcher_stats(self._retired_shard_stats[index] + [batcher.stats])
-            for index, batcher in enumerate(self._gen.engine.batchers)
+            for index, batcher in enumerate(self._gen.batchers)
         )
 
     def health(self) -> ServiceHealth:
@@ -1542,7 +1513,7 @@ class ForecastService:
             for shard in shards
         )
         retries = self._retired_retries + sum(
-            getattr(batcher.forward_fn, "retries", 0) for batcher in self._gen.engine.batchers
+            batcher.forward_fn.retries for batcher in self._gen.batchers
         )
         expired = sum(stats.expired_requests for stats in self._shard_stats())
         with self._requests_lock:

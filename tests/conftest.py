@@ -87,3 +87,15 @@ def tiny_batch(forecasting_data):
     inputs = forecasting_data.train.inputs[:4]
     targets = forecasting_data.train.targets[:4]
     return inputs, targets
+
+
+@pytest.fixture()
+def plan_engine():
+    """The plan engine of a service's live generation: the inline worker's
+    compiled model, or the one provider its process replicas share."""
+
+    def engine(service):
+        (plans,) = service._gen.plans
+        return plans
+
+    return engine

@@ -231,7 +231,7 @@ class TestServingPrecision:
                 node = service.forecast_node(windows[0], node=4, precision="float64")
                 assert np.array_equal(node, reference[0][:, 4])
 
-    def test_override_path_respects_max_batch_size(self, served):
+    def test_override_path_respects_max_batch_size(self, served, plan_engine):
         """Per-request overrides bypass the batch queue but must keep its
         peak-batch bound: misses are chunked to max_batch_size."""
         from repro.serving import ForecastService
@@ -245,8 +245,8 @@ class TestServingPrecision:
             sla = service.forecast_many(windows, precision="float64")
             assert np.array_equal(sla, reference)
             # Every compiled plan served a (bucketed) batch of at most 4.
-            forward = service._gen.engine.batchers[0].forward_fn
-            assert all(stats.input_shape[0] <= 4 for stats in forward.plan_stats())
+            plans = plan_engine(service)
+            assert all(stats.input_shape[0] <= 4 for stats in plans.plan_stats())
 
     def test_streaming_buffer_follows_the_policy(self, served):
         from repro.serving import ForecastService

@@ -29,23 +29,19 @@ def store(tmp_path):
     return ArtifactStore(tmp_path / "plans")
 
 
-def _fleet_info(service: ShardedForecastService):
-    """Counters of the one parent-side plan provider every process replica
-    shares."""
-    return service._tier.provider().cache_info()
-
-
 class TestSingleWorkerWarmStart:
-    def test_restart_serves_with_zero_retraces(self, tiny_model, forecasting_data, window, store):
+    def test_restart_serves_with_zero_retraces(
+        self, tiny_model, forecasting_data, window, store, plan_engine
+    ):
         cold = ForecastService(tiny_model, scaler=forecasting_data.scaler, artifact_dir=store)
         reference = cold.forecast(window)
-        assert cold._gen.engine.batchers[0].forward_fn.cache_info().compiles == 1
+        assert plan_engine(cold).cache_info().compiles == 1
 
         warm = ForecastService(
             tiny_model, scaler=forecasting_data.scaler, artifact_dir=ArtifactStore(store.root)
         )
         produced = warm.forecast(window)
-        info = warm._gen.engine.batchers[0].forward_fn.cache_info()
+        info = plan_engine(warm).cache_info()
         assert info.compiles == 0
         assert info.artifact_loads == 1
         assert np.array_equal(produced, reference)
@@ -58,19 +54,21 @@ class TestWarmUp:
         # and the ladder's piece shapes follow; pin the core count.
         monkeypatch.setattr(blas, "cores", lambda: 2)
 
-    def test_warm_up_prepares_the_ladder(self, tiny_model, forecasting_data, window, store):
+    def test_warm_up_prepares_the_ladder(
+        self, tiny_model, forecasting_data, window, store, plan_engine
+    ):
         service = ForecastService(
             tiny_model, scaler=forecasting_data.scaler, artifact_dir=store
         )
         stats = service.warm_up(batch_sizes=(1, 2))
         assert [s.input_shape[0] for s in stats] == [1, 2]
-        assert service._gen.engine.batchers[0].forward_fn.cache_info().compiles == 2
+        assert plan_engine(service).cache_info().compiles == 2
         # The first request after warm-up does no plan work at all.
         service.forecast(window)
-        assert service._gen.engine.batchers[0].forward_fn.cache_info().compiles == 2
+        assert plan_engine(service).cache_info().compiles == 2
 
     def test_warm_up_binds_from_store_on_restart(
-        self, tiny_model, forecasting_data, window, store
+        self, tiny_model, forecasting_data, window, store, plan_engine
     ):
         cold = ForecastService(tiny_model, scaler=forecasting_data.scaler, artifact_dir=store)
         cold.warm_up(batch_sizes=(1, 2))
@@ -80,7 +78,7 @@ class TestWarmUp:
             tiny_model, scaler=forecasting_data.scaler, artifact_dir=ArtifactStore(store.root)
         )
         warm.warm_up(batch_sizes=(1, 2))
-        info = warm._gen.engine.batchers[0].forward_fn.cache_info()
+        info = plan_engine(warm).cache_info()
         assert info.compiles == 0
         assert info.artifact_loads == 2
         assert np.array_equal(warm.forecast(window), reference)
@@ -103,7 +101,7 @@ class TestWarmUp:
             service.warm_up(batch_sizes=(0, 2))
 
     def test_sharded_warm_up_binds_every_shard(
-        self, tiny_model, forecasting_data, window, store
+        self, tiny_model, forecasting_data, window, store, plan_engine
     ):
         with ShardedForecastService(
             tiny_model,
@@ -121,7 +119,7 @@ class TestWarmUp:
             artifact_dir=ArtifactStore(store.root),
         ) as warm:
             stats = warm.warm_up(batch_sizes=(1, 2))
-            info = _fleet_info(warm)
+            info = plan_engine(warm).cache_info()
             produced = warm.forecast(window)
         assert len(stats) == 2  # two sizes on the one shared provider
         assert (info.compiles, info.artifact_loads) == (0, 2)
@@ -130,7 +128,7 @@ class TestWarmUp:
 
 class TestShardedWarmStart:
     def test_replica_fleet_compiles_each_trace_once(
-        self, tiny_model, forecasting_data, window, store
+        self, tiny_model, forecasting_data, window, store, plan_engine
     ):
         with ShardedForecastService(
             tiny_model,
@@ -143,14 +141,14 @@ class TestShardedWarmStart:
             # Three identical queries round-robin across all three replicas.
             for _ in range(3):
                 fleet.forecast(window)
-            info = _fleet_info(fleet)
+            info = plan_engine(fleet).cache_info()
         # The shared provider traces once; the workers bind its artifact
         # from disk, so the parent's memo is never consulted again.
         assert (info.compiles, info.artifact_loads) == (1, 0)
         assert store.stats().memo_hits == 0
 
     def test_fleet_restarts_with_zero_retraces(
-        self, tiny_model, forecasting_data, window, store
+        self, tiny_model, forecasting_data, window, store, plan_engine
     ):
         def serve_both(fleet):
             # cache_entries=0: the second query is computed by the other replica.
@@ -164,7 +162,7 @@ class TestShardedWarmStart:
             artifact_dir=store,
         ) as cold:
             reference = serve_both(cold)[0]
-            assert _fleet_info(cold).compiles == 1
+            assert plan_engine(cold).cache_info().compiles == 1
 
         with ShardedForecastService(
             tiny_model,
@@ -174,7 +172,7 @@ class TestShardedWarmStart:
             artifact_dir=ArtifactStore(store.root),
         ) as warm:
             produced = serve_both(warm)
-            info = _fleet_info(warm)
+            info = plan_engine(warm).cache_info()
         assert (info.compiles, info.artifact_loads) == (0, 1)
         assert all(np.array_equal(forecast, reference) for forecast in produced)
 
@@ -193,7 +191,7 @@ class TestShardedWarmStart:
 
 class TestCheckpointAOT:
     def test_compile_at_train_time_then_serve(
-        self, tiny_model, forecasting_data, window, tmp_path
+        self, tiny_model, forecasting_data, window, tmp_path, plan_engine
     ):
         checkpoint = save_model_checkpoint(
             tiny_model,
@@ -207,14 +205,14 @@ class TestCheckpointAOT:
 
         service = ForecastService.from_checkpoint(checkpoint, artifact_dir=directory)
         produced = service.forecast(window)
-        info = service._gen.engine.batchers[0].forward_fn.cache_info()
+        info = plan_engine(service).cache_info()
         assert info.compiles == 0
         assert info.artifact_loads == 1
         baseline = ForecastService.from_checkpoint(checkpoint)
         assert np.array_equal(produced, baseline.forecast(window))
 
     def test_aot_covers_replica_fleets(
-        self, tiny_model, forecasting_data, window, tmp_path
+        self, tiny_model, forecasting_data, window, tmp_path, plan_engine
     ):
         """Replicas serve the full-output plans, so the single-worker AOT
         export warm-starts a whole fleet."""
@@ -230,12 +228,14 @@ class TestCheckpointAOT:
         ) as fleet:
             produced = fleet.forecast(window)
             fleet.forecast(window)
-            info = _fleet_info(fleet)
+            info = plan_engine(fleet).cache_info()
         assert (info.compiles, info.artifact_loads) == (0, 1)
         baseline = ForecastService.from_checkpoint(checkpoint)
         assert np.array_equal(produced, baseline.forecast(window))
 
-    def test_aot_covers_both_precisions(self, tiny_model, forecasting_data, window, tmp_path):
+    def test_aot_covers_both_precisions(
+        self, tiny_model, forecasting_data, window, tmp_path, plan_engine
+    ):
         checkpoint = save_model_checkpoint(
             tiny_model,
             tmp_path / "dyhsl",
@@ -249,6 +249,6 @@ class TestCheckpointAOT:
             checkpoint, artifact_dir=directory, precision="float32"
         )
         service.forecast(window)
-        info = service._gen.engine.batchers[0].forward_fn.cache_info()
+        info = plan_engine(service).cache_info()
         assert info.compiles == 0
         assert info.artifact_loads == 1

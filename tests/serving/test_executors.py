@@ -216,7 +216,7 @@ class TestCpuBudget:
 class TestSharedValidator:
     @pytest.mark.parametrize("num_shards", [2, 4])
     def test_replicas_load_and_check_a_new_shape_once(
-        self, tiny_model, forecasting_data, tmp_path, num_shards
+        self, tiny_model, forecasting_data, tmp_path, num_shards, plan_engine
     ):
         windows = np.stack(
             [forecasting_data.dataset.signal[i : i + 12] for i in range(num_shards)]
@@ -236,7 +236,7 @@ class TestSharedValidator:
                 # One window routes to each replica: every shard needs the
                 # 1-row plan at once.
                 produced = warm.forecast_many(windows)
-                info = warm._tier.provider().cache_info()
+                info = plan_engine(warm).cache_info()
         finally:
             sys.setswitchinterval(interval)
         assert (info.artifact_loads, info.artifact_rejects, info.compiles) == (1, 0, 0)

@@ -13,9 +13,12 @@ import pytest
 from repro.core import DyHSL
 from repro.data.scalers import StandardScaler
 from repro.serving import (
+    FaultPlan,
+    FaultSpec,
     ForecastService,
     ShardedForecastService,
     SwapReport,
+    inject,
 )
 from repro.tensor import seed as seed_everything
 from repro.training import save_model_checkpoint, save_plan_artifacts
@@ -54,6 +57,31 @@ def _raw_window(forecasting_data, index=0):
 
 def _raw_steps(forecasting_data, count, start=0):
     return forecasting_data.dataset.signal[start : start + count, :, 0]
+
+
+def _in_flight_submit_check(service, window, expected_old, expected_new, checkpoint):
+    """A handle queued before a swap settles on the old weights; requests
+    after it see the new ones."""
+    handle = service.submit(window)  # queued on generation A
+    service.swap_checkpoint(checkpoint)
+    np.testing.assert_array_equal(handle.result(), expected_old)
+    # New requests see the new weights.
+    np.testing.assert_array_equal(service.forecast(window), expected_new)
+
+
+def _counters_survive_check(service, window, checkpoint):
+    """Batcher and retry counters are merged across retired generations,
+    not reset."""
+    plan = FaultPlan.build(0, [FaultSpec("forward.call", action="raise", max_fires=1)])
+    with inject(plan):
+        service.submit(window).result()  # retried once
+    for _ in range(2):
+        service.submit(window).result()
+    service.swap_checkpoint(checkpoint)
+    for _ in range(2):
+        service.submit(window).result()
+    assert service.stats().batcher.requests == 5
+    assert service.health().retries == 1
 
 
 class TestSingleServiceSwap:
@@ -168,20 +196,13 @@ class TestSingleServiceSwap:
             tiny_model, scaler=forecasting_data.scaler, cache_entries=0
         )
         window = _raw_window(forecasting_data)
-        old_expected = ForecastService(
+        expected_new = ForecastService(
             other_model, scaler=forecasting_data.scaler, cache_entries=0
-        )
+        ).forecast(window)
         expected_old = ForecastService(
             tiny_model, scaler=forecasting_data.scaler, cache_entries=0
         ).forecast(window)
-
-        handle = service.submit(window)  # queued on generation A
-        service.swap_checkpoint(checkpoint_b)
-        np.testing.assert_array_equal(handle.result(), expected_old)
-        # New requests see the new weights.
-        np.testing.assert_array_equal(
-            service.forecast(window), old_expected.forecast(window)
-        )
+        _in_flight_submit_check(service, window, expected_old, expected_new, checkpoint_b)
 
     def test_batcher_counters_survive_the_swap(
         self, tiny_model, forecasting_data, checkpoint_b
@@ -189,14 +210,7 @@ class TestSingleServiceSwap:
         service = ForecastService(
             tiny_model, scaler=forecasting_data.scaler, cache_entries=0
         )
-        window = _raw_window(forecasting_data)
-        for _ in range(3):
-            service.submit(window).result()
-        service.swap_checkpoint(checkpoint_b)
-        for _ in range(2):
-            service.submit(window).result()
-        # Counters are merged across retired generations, not reset.
-        assert service.stats().batcher.requests == 5
+        _counters_survive_check(service, _raw_window(forecasting_data), checkpoint_b)
 
     def test_repeated_swaps_roll_forward_and_back(
         self, tiny_model, forecasting_data, checkpoint_a, checkpoint_b
@@ -247,6 +261,35 @@ class TestShardedSwap:
             np.testing.assert_array_equal(after, reference.forecast(window))
             # Old-generation answers are version-partitioned in the cache.
             assert sharded.stats().swaps == 1
+
+    def test_in_flight_submit_completes_on_the_old_generation(
+        self, tiny_model, other_model, forecasting_data, checkpoint_b
+    ):
+        """Process replicas: the queued handle's forward pins the old
+        generation's provider set, so it replays the old plans."""
+        window = _raw_window(forecasting_data)
+        expected_new = ForecastService(
+            other_model, scaler=forecasting_data.scaler, cache_entries=0
+        ).forecast(window)
+        expected_old = ForecastService(
+            tiny_model, scaler=forecasting_data.scaler, cache_entries=0
+        ).forecast(window)
+        with ForecastService(
+            tiny_model, scaler=forecasting_data.scaler, cache_entries=0,
+            num_shards=2, executor="processes",
+        ) as replicas:
+            _in_flight_submit_check(
+                replicas, window, expected_old, expected_new, checkpoint_b
+            )
+
+    def test_batcher_counters_survive_the_swap(
+        self, tiny_model, forecasting_data, checkpoint_b
+    ):
+        with ForecastService(
+            tiny_model, scaler=forecasting_data.scaler, cache_entries=0,
+            num_shards=2, executor="processes",
+        ) as replicas:
+            _counters_survive_check(replicas, _raw_window(forecasting_data), checkpoint_b)
 
     def test_sharded_swap_keeps_streaming_forecasts_finite(
         self, tiny_model, forecasting_data, checkpoint_b

@@ -61,7 +61,6 @@ def _executor(tiny_model, forecasting_data, **kwargs):
     config = tiny_model.config
     kwargs.setdefault("num_shards", 1)
     return ProcessShardExecutor(
-        tiny_model,
         window_shape=(config.input_length, config.num_nodes, config.input_dim),
         output_length=config.output_length,
         num_nodes=config.num_nodes,
@@ -244,7 +243,7 @@ class TestProcessParity:
             assert np.abs(produced - reference64).max() == 0.0
 
     def test_warm_start_from_shared_store(
-        self, tiny_model, forecasting_data, single, tmp_path
+        self, tiny_model, forecasting_data, single, tmp_path, plan_engine
     ):
         windows = _raw_windows(forecasting_data, 2)
         reference = single.forecast_many(windows)
@@ -260,7 +259,7 @@ class TestProcessParity:
             artifact_dir=ArtifactStore(store.root),
         ) as service:
             assert np.abs(service.forecast_many(windows) - reference).max() == 0.0
-            compiles = service._tier.provider().cache_info().compiles
+            compiles = plan_engine(service).cache_info().compiles
         assert compiles == 0
 
 
@@ -274,19 +273,20 @@ class TestPriorityLanes:
             bulk_chunk_rows=1,
             fault_plan=_dispatch_delay(50.0),
         ) as executor:
+            gen = executor.generation(tiny_model)
             # Warm up: compile + spawn outside the timed region.
-            executor.call(0, batch[:1], lane="interactive")
+            executor.call(0, batch[:1], lane="interactive", pset=gen)
 
             bulk_result: list = []
 
             def backfill():
-                bulk_result.append(executor.call(0, batch, lane="bulk"))
+                bulk_result.append(executor.call(0, batch, lane="bulk", pset=gen))
 
             thread = threading.Thread(target=backfill)
             thread.start()
             while executor.lane_pending("bulk") == 0:  # dispatch has begun
                 time.sleep(0.001)
-            produced = executor.call(0, batch[:1], lane="interactive")
+            produced = executor.call(0, batch[:1], lane="interactive", pset=gen)
             # The interactive answer arrived while bulk chunks still queued:
             # it overtook them rather than waiting for the whole backfill.
             assert executor.lane_pending("bulk") > 0
@@ -300,7 +300,7 @@ class TestPriorityLanes:
         with _executor(tiny_model, forecasting_data) as executor:
             with pytest.raises(ValueError, match="unknown lane"):
                 executor.call(0, np.zeros((1, 12, tiny_model.config.num_nodes, 1)),
-                              lane="express")
+                              lane="express", pset=executor.generation(tiny_model))
 
 
 class TestAdmissionControl:
@@ -397,13 +397,14 @@ class TestFaultInjection:
             bulk_chunk_rows=1,
             fault_plan=_dispatch_delay(200.0),
         ) as executor:
-            reference = executor.call(0, batch)  # warm: compile + spawn
+            gen = executor.generation(tiny_model)
+            reference = executor.call(0, batch, pset=gen)  # warm: compile + spawn
             (pid,) = executor.worker_pids()
             errors: list = []
 
             def backfill():
                 try:
-                    executor.call(0, batch)
+                    executor.call(0, batch, pset=gen)
                 except RuntimeError as error:
                     errors.append(error)
 
@@ -418,7 +419,7 @@ class TestFaultInjection:
             fulfilled = errors[0].fulfilled_before_error
             assert 0 <= fulfilled < len(windows)
             # The tier respawned and keeps serving the same bits.
-            produced = executor.call(0, batch)
+            produced = executor.call(0, batch, pset=gen)
             assert np.abs(produced - reference).max() == 0.0
             stats = executor.stats()
             assert stats.respawns >= 1
@@ -547,7 +548,8 @@ class TestFaultInjection:
         windows = _raw_windows(forecasting_data, 2)
         batch = forecasting_data.scaler.transform(windows)
         with _executor(tiny_model, forecasting_data) as executor:
-            reference = executor.call(0, batch)
+            gen = executor.generation(tiny_model)
+            reference = executor.call(0, batch, pset=gen)
             # The worker is already running, so only the parent's next
             # request header is packed with its magic off by one.
             pack = process_tier._pack_header
@@ -559,11 +561,11 @@ class TestFaultInjection:
 
             monkeypatch.setattr(process_tier, "_pack_header", corrupt_once)
             with pytest.raises(RuntimeError, match="rejected"):
-                executor.call(0, batch)
+                executor.call(0, batch, pset=gen)
             # The worker survived the garbage frame: same process, no
             # respawn, and the next well-formed request is bit-identical.
             assert executor.stats().respawns == 0
-            assert np.abs(executor.call(0, batch) - reference).max() == 0.0
+            assert np.abs(executor.call(0, batch, pset=gen) - reference).max() == 0.0
 
 
 class TestLifecycle:
@@ -573,7 +575,8 @@ class TestLifecycle:
         windows = _raw_windows(forecasting_data, 2)
         batch = forecasting_data.scaler.transform(windows)
         executor = _executor(tiny_model, forecasting_data)
-        reference = executor.call(0, batch)
+        gen = executor.generation(tiny_model)
+        reference = executor.call(0, batch, pset=gen)
         segments = executor.segment_names()
         assert segments
         executor.close()
@@ -581,7 +584,24 @@ class TestLifecycle:
         for name in segments:
             assert not os.path.exists(f"/dev/shm/{name}")
         # Post-close calls degrade to the in-parent provider: same bits.
-        assert np.abs(executor.call(0, batch) - reference).max() == 0.0
+        assert np.abs(executor.call(0, batch, pset=gen) - reference).max() == 0.0
+
+    def test_failed_construction_releases_the_tier(self, tiny_model, monkeypatch):
+        """A service whose plan engine cannot be built keeps neither the
+        tier's BLAS limit nor its spill directory."""
+        import glob
+        import tempfile
+
+        from repro.runtime import blas
+
+        pattern = os.path.join(tempfile.gettempdir(), "repro-plan-spill-*")
+        spills = set(glob.glob(pattern))
+        threads = blas.threads()
+        monkeypatch.setenv("REPRO_RUNTIME_BUCKETS", "bogus")
+        with pytest.raises(ValueError, match="REPRO_RUNTIME_BUCKETS"):
+            ForecastService(tiny_model, num_shards=2, executor="processes")
+        assert blas.threads() == threads
+        assert set(glob.glob(pattern)) == spills
 
     def test_construction_spawns_nothing(self, tiny_model, forecasting_data):
         with _executor(tiny_model, forecasting_data, num_shards=2) as executor:

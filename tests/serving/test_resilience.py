@@ -284,16 +284,6 @@ class TestResilientForward:
         assert calls["n"] == 1
         assert wrapped.retries == 0
 
-    def test_attribute_access_delegates(self):
-        class Engine:
-            precision = "float64"
-
-            def __call__(self, x):
-                return x
-
-        wrapped = ResilientForward(Engine())
-        assert wrapped.precision == "float64"
-
 
 # ----------------------------------------------------------------------
 # Deadlines through both executors (the process tier's per-chunk

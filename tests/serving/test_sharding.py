@@ -191,7 +191,7 @@ class TestLifecycleAndErrors:
         def broken(batch):
             raise RuntimeError("shard exploded")
 
-        for batcher in sharded._gen.engine.batchers:
+        for batcher in sharded._gen.batchers:
             batcher.forward_fn = broken
         handle = sharded.submit(window)  # queued on one replica
         with pytest.raises(RuntimeError, match="shard exploded"):

@@ -130,6 +130,6 @@ class TestRuntimeEscapeHatch:
         with ForecastService(tiny_model, scaler=forecasting_data.scaler) as service:
             # The resilience wrapper fronts every forward; the engine
             # underneath is a compiled model.
-            assert isinstance(service._gen.engine.batchers[0].forward_fn.wrapped, CompiledModel)
+            assert isinstance(service._gen.batchers[0].forward_fn.wrapped, CompiledModel)
         with pytest.raises(TypeError):
             ForecastService(tiny_model, scaler=forecasting_data.scaler, runtime="autograd")
