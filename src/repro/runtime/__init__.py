@@ -37,7 +37,7 @@ import os
 from typing import Optional
 
 from .artifacts import ArtifactError, ArtifactStore, trace_hash, weights_fingerprint
-from .compiler import CompileError, build_plan_spec, compile_plan, trace_module
+from .compiler import CompileError, build_plan_spec, compile_plan
 from .engine import (
     BUCKETS_ENV_VAR,
     DEFAULT_BUCKET_CAP,
@@ -104,7 +104,6 @@ __all__ = [
     "resolve_precision",
     "resolve_runtime_mode",
     "trace_hash",
-    "trace_module",
     "verify_enabled",
     "verify_plan",
     "verify_spec",

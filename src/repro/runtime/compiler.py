@@ -3,27 +3,36 @@
 Compilation runs the module's forward once on an example input with a trace
 hook installed in the autograd layer.  Every primitive op reports
 ``(kernel name, constant kwargs, parent tensors, output tensor)`` through
-``Tensor._make``; because hooks fire in execution order, the recorded list
-is already a topological order of the dataflow and can be replayed linearly.
+``Tensor._make``; because hooks fire in execution order, the lowered step
+list is already a topological order of the dataflow and can be replayed
+linearly.
 
-The passes that turn the raw trace into a :class:`~repro.runtime.engine.Plan`:
+The passes that turn the forward into a :class:`~repro.runtime.engine.Plan`:
 
-1. **slot assignment** — every tensor becomes a slot: the input placeholder,
-   a captured constant (parameters, buffers, literals created inside
-   ``forward``) or a step output;
-2. **constant folding** — steps whose inputs are all constants (embedding
-   lookups of fixed indices, learned adjacencies like
-   ``softmax(relu(E Eᵀ))``, scale-fusion weights) already computed their
-   value during tracing; the value is promoted to a constant and the step
-   dropped;
-3. **dead-step pruning** — steps that do not reach the output are removed;
-4. **elementwise-chain fusion** — single-consumer runs of shape-preserving
+1. **lowering, as the forward runs** — the hook turns each op into a plan
+   step while its tensors are still alive, and keeps none of them:
+
+   * *slot assignment* — every tensor becomes a slot: the input
+     placeholder, a captured constant (parameters, buffers, literals
+     created inside ``forward``) or a step output;
+   * *constant folding* — a step whose inputs are all constants already
+     computed its value (embedding lookups of fixed indices, learned
+     adjacencies like ``softmax(relu(E Eᵀ))``, scale-fusion weights); the
+     value is promoted to a constant and no step is emitted;
+   * *view classification* — a view op whose output shares memory with its
+     parent needs no buffer; a copying ``reshape`` becomes the
+     buffer-friendly ``reshape_copy``.
+
+   A step keeps only its output shape and kind, so the trace holds about
+   one forward's memory, not every intermediate at once;
+2. **dead-step pruning** — steps that do not reach the output are removed;
+3. **elementwise-chain fusion** — single-consumer runs of shape-preserving
    elementwise steps (add/mul/tanh/relu/… — see
    :data:`repro.tensor.kernels.FUSABLE_ELEMENTWISE`) collapse into one
    ``fused_elementwise`` step executed as a blocked chain in a single
    buffer, turning N memory passes over large intermediates into one
    cache-resident sweep;
-5. **workspace allocation** — every surviving non-view step gets a
+4. **workspace allocation** — every surviving non-view step gets a
    preallocated output buffer, pooled by liveness so the working set stays
    at the peak live size.
 
@@ -47,9 +56,9 @@ Tracing requirements (all satisfied by the models in this library):
 
 from __future__ import annotations
 
-import ctypes
+import math
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -59,7 +68,7 @@ from ..tensor.tensor import _set_trace_hook
 
 from .engine import Plan, PlanSpec, PlanStats, StepSpec, bind_plan
 
-__all__ = ["CompileError", "build_plan_spec", "compile_plan", "trace_module"]
+__all__ = ["CompileError", "build_plan_spec", "compile_plan", "lower_module"]
 
 #: Serialises compilations.  Trace hooks are keyed by thread, so tensor ops
 #: on other threads can never leak into a plan; the lock additionally keeps
@@ -67,25 +76,88 @@ __all__ = ["CompileError", "build_plan_spec", "compile_plan", "trace_module"]
 #: state, e.g. running the same module's forward twice at once.
 _COMPILE_LOCK = threading.Lock()
 
-#: glibc's ``malloc_trim`` (see :func:`_release_free_heap`); ``None``
-#: where the C library has none.
-try:
-    _malloc_trim = ctypes.CDLL(None).malloc_trim
-except (AttributeError, OSError, TypeError):
-    _malloc_trim = None
-
 
 class CompileError(RuntimeError):
     """The module's forward pass cannot be captured as a kernel plan."""
 
 
-class _Tracer:
-    """Records every primitive op executed while installed as trace hook."""
+class _Step:
+    """One lowered plan step before kernel binding.
 
-    def __init__(self) -> None:
-        # (name, kwargs, parents, out); holding the tensors also pins their
-        # ids so slot assignment by id() cannot collide after a GC cycle.
-        self.records: List[Tuple[str, Dict[str, Any], Tuple[Tensor, ...], Tensor]] = []
+    ``kind`` is ``view`` (the kernel returned a view of its first input:
+    no buffer, and for liveness the output aliases the input's storage),
+    ``buffered`` (the kernel writes into a preallocated output buffer) or
+    ``alloc`` (the kernel allocates its result per call — advanced
+    indexing; rare, and usually constant-folded away).
+    """
+
+    __slots__ = ("name", "kwargs", "in_slots", "out_slot", "shape", "kind")
+
+    def __init__(self, name, kwargs, in_slots, out_slot, shape, kind) -> None:
+        self.name = name
+        self.kwargs = kwargs
+        self.in_slots = in_slots
+        self.out_slot = out_slot
+        self.shape = shape
+        self.kind = kind
+
+
+class _Lowered:
+    """A forward lowered to slots and steps, shared by the inference and
+    training compilers.
+
+    While tracing, the instance is the thread's trace hook and lowers each
+    op as it runs (pass 1 of the module docstring).  A tensor's slot is
+    marked on the tensor itself, tagged with a token unique to this trace:
+    intermediates are freed as the forward goes, so a tensor created later
+    may reuse a freed one's ``id()``, and a mark left by an earlier trace
+    (or copied along with a pickled module) must not match.
+    """
+
+    __slots__ = (
+        "steps", "values", "is_const", "output_slot", "param_slots", "fold_constants",
+        "traced_ops", "folded", "pruned", "steps_unfused", "chain_lengths", "_token",
+    )
+
+    def __init__(self, placeholder: Tensor, fold_constants: bool) -> None:
+        self.steps: List[_Step] = []
+        self.values: List[Optional[np.ndarray]] = [None]  # slot 0 is the input
+        self.is_const: List[bool] = [False]
+        self.output_slot = 0
+        #: slot -> leaf Tensor for constants that are learnable parameters
+        #: (consumed by the training compiler to route gradients).
+        self.param_slots: Dict[int, Tensor] = {}
+        self.fold_constants = fold_constants
+        self.traced_ops = 0
+        self.folded = 0
+        self.pruned = 0
+        self.steps_unfused = 0
+        self.chain_lengths: Tuple[int, ...] = ()
+        self._token = object()
+        placeholder._trace_slot = (self._token, 0)
+
+    def new_slot(self, tensor: Tensor, value: Optional[np.ndarray]) -> int:
+        """Give ``tensor`` a new slot: a constant ``value``, or ``None`` for
+        a step output."""
+        self.values.append(value)
+        self.is_const.append(value is not None)
+        slot = len(self.values) - 1
+        tensor._trace_slot = (self._token, slot)
+        return slot
+
+    def slot_of(self, tensor: Tensor) -> Optional[int]:
+        """The slot this trace gave ``tensor``, or ``None``."""
+        mark = getattr(tensor, "_trace_slot", None)
+        return mark[1] if mark is not None and mark[0] is self._token else None
+
+    def _input_slot(self, parent: Tensor) -> int:
+        slot = self.slot_of(parent)
+        if slot is None:
+            # First sight of a tensor no step produced: a captured constant.
+            slot = self.new_slot(parent, parent.data)
+            if parent.requires_grad:
+                self.param_slots[slot] = parent
+        return slot
 
     def __call__(self, op, parents: Tuple[Tensor, ...], out: Tensor) -> None:
         if op is None:
@@ -97,23 +169,46 @@ class _Tracer:
         name, kwargs = op
         if name not in K.KERNELS:
             raise CompileError(f"op {name!r} has no kernel in repro.tensor.kernels.KERNELS")
-        self.records.append((name, kwargs, parents, out))
+        self.traced_ops += 1
+        in_slots = tuple(self._input_slot(parent) for parent in parents)
+        if self.fold_constants and all(self.is_const[slot] for slot in in_slots):
+            # The traced output already holds the folded value.
+            self.new_slot(out, out.data)
+            self.folded += 1
+            return
+        kind = "buffered"
+        if name in K.VIEW_OPS:
+            # Probe against the parent while both arrays are alive: a
+            # copying reshape returns a *view of a fresh copy* (``base``
+            # set, no memory shared), which would otherwise allocate that
+            # copy again on every call.
+            if np.may_share_memory(out.data, parents[0].data):
+                kind = "view"
+            elif name == "reshape":
+                name = "reshape_copy"
+            else:
+                kind = "alloc"
+        out_slot = self.new_slot(out, None)
+        self.steps.append(_Step(name, kwargs, in_slots, out_slot, out.data.shape, kind))
 
 
-def trace_module(module, example: np.ndarray):
-    """Run ``module`` once on ``example`` and capture its op trace.
+def lower_module(module, example: np.ndarray, fold_constants: bool = True,
+                 fuse: bool = True) -> _Lowered:
+    """Trace ``module`` on ``example`` and run the graph passes (lower, prune, fuse).
 
-    Returns ``(records, placeholder, output)`` where ``placeholder`` is the
-    input leaf tensor and ``output`` the traced forward result.
+    The result is backend-neutral: :func:`compile_plan` binds it to pooled
+    workspace buffers for inference, the training compiler
+    (:mod:`repro.runtime.training`) to dedicated live buffers plus a
+    gradient tape.
     """
     if getattr(module, "training", False):
         raise CompileError(
             "cannot compile a module in training mode; call module.eval() first"
         )
     placeholder = Tensor(np.asarray(example, dtype=np.float64))
-    tracer = _Tracer()
+    lowered = _Lowered(placeholder, fold_constants)
     with _COMPILE_LOCK:
-        previous = _set_trace_hook(tracer)
+        previous = _set_trace_hook(lowered)
         try:
             with no_grad():
                 output = module(placeholder)
@@ -123,103 +218,12 @@ def trace_module(module, example: np.ndarray):
         raise CompileError(
             f"module forward returned {type(output).__name__}; a single Tensor is required"
         )
-    return tracer.records, placeholder, output
-
-
-class _Step:
-    """One lowered plan step before kernel binding."""
-
-    __slots__ = ("name", "kwargs", "in_slots", "out_slot", "out")
-
-    def __init__(self, name, kwargs, in_slots, out_slot, out) -> None:
-        self.name = name
-        self.kwargs = kwargs
-        self.in_slots = in_slots
-        self.out_slot = out_slot
-        self.out = out  # the traced output Tensor (shape/dtype/base oracle)
-
-
-class _Lowered:
-    """Trace lowered to slots and steps, shared by the inference and
-    training compilers."""
-
-    __slots__ = (
-        "steps", "values", "is_const", "output_slot", "input_value", "param_slots",
-        "traced_ops", "folded", "pruned", "steps_unfused", "chain_lengths",
-    )
-
-    def __init__(self) -> None:
-        self.steps: List[_Step] = []
-        self.values: List[Optional[np.ndarray]] = []
-        self.is_const: List[bool] = []
-        self.output_slot = 0
-        #: The traced placeholder's array; view classification needs it to
-        #: probe whether step outputs alias the input.
-        self.input_value: Optional[np.ndarray] = None
-        #: slot -> leaf Tensor for constants that are learnable parameters
-        #: (consumed by the training compiler to route gradients).
-        self.param_slots: Dict[int, Tensor] = {}
-        self.traced_ops = 0
-        self.folded = 0
-        self.pruned = 0
-        self.steps_unfused = 0
-        self.chain_lengths: Tuple[int, ...] = ()
-
-
-def lower_module(module, example: np.ndarray, fold_constants: bool = True,
-                 fuse: bool = True) -> _Lowered:
-    """Trace ``module`` and run the graph passes (fold, prune, fuse).
-
-    The result is backend-neutral: :func:`compile_plan` binds it to pooled
-    workspace buffers for inference, the training compiler
-    (:mod:`repro.runtime.training`) to dedicated live buffers plus a
-    gradient tape.
-    """
-    records, placeholder, output = trace_module(module, example)
-    lowered = _Lowered()
-    lowered.traced_ops = len(records)
-    lowered.input_value = placeholder.data
-
-    # ------------------------------------------------------------------
-    # Pass 1: slot assignment (+ inline constant folding).
-    # ------------------------------------------------------------------
-    slot_of: Dict[int, int] = {id(placeholder): 0}
-    values: List[Optional[np.ndarray]] = [None]  # slot 0 is the input
-    is_const: List[bool] = [False]
-    raw_steps: List[_Step] = []
-
-    def const_slot(parent: Optional[Tensor], array: np.ndarray) -> int:
-        values.append(array)
-        is_const.append(True)
-        slot = len(values) - 1
-        if parent is not None and getattr(parent, "requires_grad", False):
-            lowered.param_slots[slot] = parent
-        return slot
-
-    for name, kwargs, parents, out in records:
-        in_slots = []
-        for parent in parents:
-            slot = slot_of.get(id(parent))
-            if slot is None:
-                slot = const_slot(parent, parent.data)
-                slot_of[id(parent)] = slot
-            in_slots.append(slot)
-        if fold_constants and all(is_const[slot] for slot in in_slots):
-            # The traced output already holds the folded value.
-            slot_of[id(out)] = const_slot(None, out.data)
-            lowered.folded += 1
-            continue
-        values.append(None)
-        is_const.append(False)
-        out_slot = len(values) - 1
-        slot_of[id(out)] = out_slot
-        raw_steps.append(_Step(name, kwargs, tuple(in_slots), out_slot, out))
-
-    output_slot = slot_of.get(id(output))
+    output_slot = lowered.slot_of(output)
     if output_slot is None:
         # The forward returned a tensor that never went through the kernel
         # layer (a constant built inside forward); capture it directly.
-        output_slot = const_slot(None, output.data)
+        output_slot = lowered.new_slot(output, output.data)
+    raw_steps = lowered.steps
 
     # ------------------------------------------------------------------
     # Pass 2: dead-step pruning (backward reachability from the output).
@@ -242,8 +246,6 @@ def lower_module(module, example: np.ndarray, fold_constants: bool = True,
         kept, lowered.chain_lengths = _fuse_elementwise(kept, output_slot)
 
     lowered.steps = kept
-    lowered.values = values
-    lowered.is_const = is_const
     lowered.output_slot = output_slot
     return lowered
 
@@ -282,7 +284,7 @@ def _fuse_elementwise(steps: List[_Step], output_slot: int) -> Tuple[List[_Step]
                 and tail.out_slot in candidate.in_slots
                 and consumer_count.get(tail.out_slot) == 1
                 and tail.out_slot != output_slot
-                and candidate.out.data.shape == tail.out.data.shape
+                and candidate.shape == tail.shape
             ):
                 chain.append(candidate)
                 cursor += 1
@@ -318,57 +320,13 @@ def _fuse_elementwise(steps: List[_Step], output_slot: int) -> Tuple[List[_Step]
                 {"chain": tuple(instructions)},
                 tuple(external),
                 tail.out_slot,
-                tail.out,
+                tail.shape,
+                "buffered",
             )
         )
         chain_lengths.append(len(chain))
         index = cursor + 1
     return fused, tuple(sorted(chain_lengths))
-
-
-def classify_steps(
-    steps: List[_Step],
-    values: List[Optional[np.ndarray]],
-    input_value: Optional[np.ndarray] = None,
-    input_slot: int = 0,
-):
-    """Label every step ``view`` / ``buffered`` / ``alloc``.
-
-    * ``view`` — the kernel returned a true view of its input during
-      tracing (it shares memory with the parent); no buffer needed, and for
-      liveness the output aliases the input's storage;
-    * ``buffered`` — the kernel writes into a preallocated output buffer;
-    * ``alloc`` — the kernel allocates its result per call (advanced
-      indexing); rare, and usually constant-folded away.
-
-    Reshapes that had to copy during tracing are rewritten to the
-    buffer-friendly ``reshape_copy`` kernel.  Sharing is probed with
-    ``np.may_share_memory`` against the traced parent — checking ``.base``
-    alone misclassifies a copying reshape, whose result is a *view of a
-    fresh copy* (``base`` set, but no memory shared with the parent), and
-    would silently allocate that copy again on every call.
-    """
-    slot_value: Dict[int, np.ndarray] = {
-        slot: value for slot, value in enumerate(values) if value is not None
-    }
-    if input_value is not None:
-        slot_value[input_slot] = input_value
-    classified: List[Tuple[str, _Step]] = []
-    for step in steps:
-        if step.name in K.VIEW_OPS:
-            parent = slot_value.get(step.in_slots[0])
-            shares = parent is not None and np.may_share_memory(step.out.data, parent)
-            if shares:
-                kind = "view"
-            elif step.name == "reshape":
-                kind, step.name = "buffered", "reshape_copy"
-            else:
-                kind = "alloc"
-        else:
-            kind = "buffered"
-        classified.append((kind, step))
-        slot_value[step.out_slot] = step.out.data
-    return classified
 
 
 def build_plan_spec(
@@ -391,14 +349,13 @@ def build_plan_spec(
     """
     dtype = np.dtype(dtype)
     lowered = lower_module(module, example, fuse=fuse)
-    classified = classify_steps(lowered.steps, lowered.values, lowered.input_value)
+    steps = lowered.steps
     output_slot = lowered.output_slot
 
     values = lowered.values
     if dtype != np.float64:
         # Cast every floating constant (parameters, folded values) to the
-        # policy dtype once; the traced arrays keep serving as float64
-        # shape oracles.  Non-float constants (none today) pass through.
+        # policy dtype once.  Non-float constants (none today) pass through.
         values = [
             value.astype(dtype)
             if value is not None and np.issubdtype(value.dtype, np.floating)
@@ -420,21 +377,21 @@ def build_plan_spec(
     last_use: Dict[int, int] = {}
     next_token = 0
 
-    for index, (kind, step) in enumerate(classified):
+    for index, step in enumerate(steps):
         for slot in step.in_slots:
             token = token_of_slot.get(slot)
             if token is not None:
                 last_use[token] = index
-        if kind == "view":
+        if step.kind == "view":
             token_of_slot[step.out_slot] = token_of_slot.get(step.in_slots[0])
-        elif kind == "buffered":
+        elif step.kind == "buffered":
             token_of_slot[step.out_slot] = next_token
             next_token += 1
         else:  # alloc: fresh array per call, nothing to pool or pin
             token_of_slot[step.out_slot] = None
     output_token = token_of_slot.get(output_slot)
     if output_token is not None:
-        last_use[output_token] = len(classified)  # never recycled
+        last_use[output_token] = len(steps)  # never recycled
 
     # ------------------------------------------------------------------
     # Workspace layout (pooled by byte size), expressed as storage ids.
@@ -448,10 +405,10 @@ def build_plan_spec(
     pool: Dict[int, List[int]] = {}
     storage_of_token: Dict[int, int] = {}
     storage_sizes: List[int] = []
-    for index, (kind, step) in enumerate(classified):
+    for index, step in enumerate(steps):
         storage_id: Optional[int] = None
-        if kind == "buffered":
-            nbytes = int(step.out.data.size * dtype.itemsize)
+        if step.kind == "buffered":
+            nbytes = math.prod(step.shape) * dtype.itemsize
             bucket = pool.get(nbytes)
             if bucket:
                 storage_id = bucket.pop()
@@ -476,7 +433,7 @@ def build_plan_spec(
                 in_slots=tuple(step.in_slots),
                 kwargs=kwargs,
                 out_slot=step.out_slot,
-                out_shape=tuple(step.out.data.shape),
+                out_shape=tuple(step.shape),
                 storage=storage_id,
             )
         )
@@ -534,21 +491,5 @@ def compile_plan(
     so loaded plans are structurally identical to compiled ones.
     """
     spec, values = build_plan_spec(module, example, fuse=fuse, dtype=dtype)
-    plan = bind_plan(spec, values)
-    _release_free_heap()
-    return plan
+    return bind_plan(spec, values)
 
-
-def _release_free_heap() -> None:
-    """Hand the freed trace back to the operating system (glibc only).
-
-    A trace holds every intermediate of one forward at once, hundreds of
-    MB for a 16-window batch of 170 sensors.  glibc returns freed heap
-    memory only from the top of the heap, so whether the trace left the
-    process depended on where later allocations had landed, and the
-    resident size after the same cold start differed between runs by up
-    to the whole trace.  ``malloc_trim`` releases free pages wherever
-    they sit.
-    """
-    if _malloc_trim is not None:
-        _malloc_trim(0)

@@ -50,7 +50,7 @@ import numpy as np
 from ..tensor import kernels as K
 from ..tensor.gradients import GRADIENTS
 
-from .compiler import CompileError, classify_steps, lower_module
+from .compiler import CompileError, lower_module
 from .engine import PlanStats
 
 __all__ = [
@@ -274,18 +274,17 @@ def compile_training_plan(module, example: np.ndarray) -> TrainingPlan:
         if was_training:
             module.train(True)
 
-    classified = classify_steps(lowered.steps, lowered.values, lowered.input_value)
     steps: List[Tuple] = []
     chain_buffers: Dict[int, List[np.ndarray]] = {}
     workspace_bytes = 0
-    for kind, step in classified:
+    for step in lowered.steps:
         ops = [link[0] for link in step.kwargs["chain"]] if step.name == "fused_elementwise" else [step.name]
         missing = [op for op in ops if op not in GRADIENTS]
         if missing:
             raise CompileError(f"op {missing[0]!r} has no entry in the gradient table")
         buffer = None
-        if kind == "buffered":
-            buffer = np.empty(step.out.data.shape, dtype=step.out.data.dtype)
+        if step.kind == "buffered":
+            buffer = np.empty(step.shape)
             workspace_bytes += buffer.nbytes
             if step.name == "fused_elementwise":
                 # One dedicated buffer per chain link (every link produces
@@ -378,13 +377,17 @@ class CompiledTrainingModel:
         return TrainingStep(plan, plan.forward(array).copy())
 
     def _get_or_compile(self, array: np.ndarray) -> TrainingPlan:
+        """Fetch the plan for ``array.shape``, compiling outside the cache
+        lock; if two callers race on a new shape, the first insert wins."""
         with self._lock:
             plan = self._plans.get(array.shape)
             if plan is not None:
                 self._plans.move_to_end(array.shape)
                 return plan
-            plan = compile_training_plan(self._module, array)
-            self._plans[array.shape] = plan
+        plan = compile_training_plan(self._module, array)
+        with self._lock:
+            plan = self._plans.setdefault(array.shape, plan)
+            self._plans.move_to_end(array.shape)
             while len(self._plans) > self.MAX_PLANS:
                 self._plans.popitem(last=False)
             return plan

@@ -19,7 +19,7 @@ by walking the AST:
     Blocking calls under a held lock: sleeps, file/NPZ I/O, ``os.replace``
     / ``shutil`` / ``subprocess``, future ``.result()``, thread/process
     ``.join()``, and plan compiles (``compile_module`` /
-    ``build_plan_spec`` / ``trace_module``).  ``Condition.wait`` is
+    ``build_plan_spec`` / ``lower_module``).  ``Condition.wait`` is
     deliberately *not* flagged — it releases the lock while waiting.
 ``L-SPAWN``
     Process-tier spawn-safety: every ``Process(...)`` construction must
@@ -96,7 +96,7 @@ _BLOCKING_NAMES = {
     "compile_module": "plan compilation",
     "compile_plan": "plan compilation",
     "build_plan_spec": "plan compilation",
-    "trace_module": "plan tracing",
+    "lower_module": "plan tracing",
 }
 
 #: ``receiver.attr`` calls that block, keyed by receiver name.

@@ -137,15 +137,16 @@ class ForecastCache:
         """Build the ``(model_version, window_hash, horizon)`` key for a query."""
         return (str(model_version), hash_window(window), int(horizon))
 
-    def get(self, key: CacheKey) -> Optional[np.ndarray]:
+    def get(self, key: CacheKey, copy: bool = True) -> Optional[np.ndarray]:
         """Look up a forecast; counts a hit or a miss and refreshes recency.
 
         The defensive copy of the ``(H, N)`` hit is taken *outside* the
         lock: stored arrays are never mutated in place (:meth:`put`
-        replaces the dict value with a fresh copy), so once the reference
-        is out of the dict the memcpy needs no protection — holding the
-        lock across it would serialise every concurrent serving thread
-        behind each other's copies.
+        stores a fresh read-only copy), so once the reference is out of
+        the dict the memcpy needs no protection — holding the lock across
+        it would serialise every concurrent serving thread behind each
+        other's copies.  ``copy=False`` returns the stored read-only array
+        itself, for a caller that copies it anyway (a batch stack).
         """
         with self._lock:
             entry = self._entries.get(key)
@@ -154,7 +155,7 @@ class ForecastCache:
                 return None
             self._entries.move_to_end(key)
             self._hits += 1
-        return entry.copy()
+        return entry.copy() if copy else entry
 
     def get_stale(self, key: CacheKey) -> Optional[StaleForecast]:
         """Degraded-mode lookup: any version's entry for the same window.
@@ -179,7 +180,8 @@ class ForecastCache:
 
     def put(self, key: CacheKey, forecast: np.ndarray) -> None:
         """Store a forecast, evicting the least recently used entry if full."""
-        forecast = np.asarray(forecast, dtype=float).copy()
+        forecast = np.array(forecast, dtype=float)
+        forecast.flags.writeable = False
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)

@@ -73,6 +73,7 @@ import numpy as np
 from ..runtime import (
     ArtifactStore,
     CompiledModel,
+    PlanStats,
     batch_pieces,
     bind_plan,
     blas,
@@ -1036,17 +1037,41 @@ class ProcessShardExecutor:
         return worker
 
     # ------------------------------------------------------------------
+    def _piece_rows(self, batch: int, pset: _ProviderSet) -> List[int]:
+        """Row counts of the pieces a ``batch``-row dispatch sends: chunks
+        of ``bulk_chunk_rows``, each split into its plan pieces."""
+        cap = pset.provider.bucket_cap
+        return [
+            rows
+            for start in range(0, batch, self._chunk_rows)
+            for rows in batch_pieces(min(self._chunk_rows, batch - start), cap)
+        ]
+
     def _make_jobs(self, array: np.ndarray, lane: str, dtype: np.dtype, pset: _ProviderSet,
                    deadline: Optional[Deadline] = None) -> List[_Job]:
         jobs: List[_Job] = []
-        for start in range(0, array.shape[0], self._chunk_rows):
-            chunk = array[start : start + self._chunk_rows]
-            for rows in batch_pieces(chunk.shape[0], pset.provider.bucket_cap):
-                piece = np.ascontiguousarray(chunk[:rows])
-                chunk = chunk[rows:]
-                key = self._ensure_key(piece.shape, dtype, pset)
-                jobs.append(_Job(piece, lane, key, deadline=deadline))
+        start = 0
+        for rows in self._piece_rows(array.shape[0], pset):
+            piece = np.ascontiguousarray(array[start : start + rows])
+            start += rows
+            key = self._ensure_key(piece.shape, dtype, pset)
+            jobs.append(_Job(piece, lane, key, deadline=deadline))
         return jobs
+
+    def warm(self, batch: int, pset: _ProviderSet) -> PlanStats:
+        """Prepare every plan a ``batch``-row dispatch runs, in the parent.
+
+        Each piece is compiled (or bound) and spot-checked, and its
+        artifact made loadable, exactly as its first dispatch would; no
+        plan wider than ``bulk_chunk_rows`` is built.  Returns the largest
+        piece's stats.
+        """
+        provider = pset.provider
+        dtype = np.dtype(resolve_precision(provider.precision))
+        pieces = self._piece_rows(batch, pset)
+        for rows in dict.fromkeys(pieces):
+            self._ensure_key((rows,) + self._window_shape, dtype, pset)
+        return provider.compile_for(np.zeros((pieces[0],) + self._window_shape, dtype=dtype))
 
     def _dispatch(self, shard: int, jobs: List[_Job], pset: _ProviderSet) -> None:
         worker = self._ensure_worker(shard, jobs[0].key, pset)

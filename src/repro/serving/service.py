@@ -332,7 +332,8 @@ class _Generation:
     order.  ``plans`` lists the distinct plan engines: the inline worker's
     :class:`~repro.runtime.CompiledModel`, or the one provider that the
     process replicas share (their forwards pin it, so work queued on a
-    retired generation still replays that generation's plans).
+    retired generation still replays that generation's plans).  ``pset``
+    is that provider's set on the process tier (``None`` inline).
 
     The swap path builds a complete new generation off to the side (plans
     warmed, batchers constructed) and publishes it with a single reference
@@ -341,14 +342,15 @@ class _Generation:
     torn old-model/new-scaler mix.
     """
 
-    __slots__ = ("model", "scaler", "model_version", "batchers", "plans")
+    __slots__ = ("model", "scaler", "model_version", "batchers", "plans", "pset")
 
-    def __init__(self, model, scaler, model_version, batchers, plans) -> None:
+    def __init__(self, model, scaler, model_version, batchers, plans, pset) -> None:
         self.model = model
         self.scaler = scaler
         self.model_version = model_version
         self.batchers = batchers
         self.plans = plans
+        self.pset = pset
 
     def close(self) -> None:
         """Stop the plan engines' lane threads; they keep serving inline."""
@@ -838,6 +840,7 @@ class ForecastService:
         here.  Process replicas pin one provider set of the tier, so the
         fleet compiles each trace once per generation.
         """
+        pset = None
         if self._tier is not None:
             pset = self._tier.generation(model)
             plans = pset.provider
@@ -865,10 +868,16 @@ class ForecastService:
             )
             for index, forward in enumerate(forwards)
         ]
-        return _Generation(model, scaler, version, batchers, [plans])
+        return _Generation(model, scaler, version, batchers, [plans], pset)
 
     def _warm(self, gen: _Generation, sizes: Sequence[int]) -> List:
-        """Prepare one plan per batch size on each of ``gen``'s plan engines."""
+        """Prepare the plans each batch size runs on ``gen``'s plan engine.
+
+        Process replicas warm the pieces the tier would dispatch (no plan
+        wider than ``bulk_chunk_rows``), not the provider's own ladder.
+        """
+        if gen.pset is not None:
+            return [self._tier.warm(size, gen.pset) for size in sizes]
         return [
             plans.compile_for(self._example_batch(size))
             for plans in gen.plans
@@ -1179,7 +1188,9 @@ class ForecastService:
         for index, window in enumerate(normalised):
             key = ForecastCache.make_key(version, window, horizon)
             if self.cache is not None:
-                cached = self.cache.get(key)
+                # The stack below copies every row, so a hit needs no
+                # copy of its own.
+                cached = self.cache.get(key, copy=False)
                 if cached is not None:
                     results[index] = cached
                     continue
@@ -1432,11 +1443,13 @@ class ForecastService:
 
         A freshly started service pays its trace/fuse/schedule work — or,
         pointed at a saved artifact store (``artifact_dir=``), a few disk
-        binds — here instead of on the first unlucky requests.  One plan
-        is prepared per batch size (by default a doubling ladder up to
-        ``max_batch_size``) on each distinct plan engine: process replicas
-        share one parent-side provider, so they are warmed once.  Returns
-        the :class:`~repro.runtime.PlanStats` of every warmed plan.
+        binds — here instead of on the first unlucky requests.  The plans
+        of each batch size (by default a doubling ladder up to
+        ``max_batch_size``) are prepared on each distinct plan engine:
+        process replicas share one parent-side provider, so they are warmed
+        once, as the pieces the tier dispatches (never wider than
+        ``bulk_chunk_rows``).  Returns the
+        :class:`~repro.runtime.PlanStats` of each size's largest plan.
         """
         return self._warm(self._gen, self._warm_up_sizes(batch_sizes))
 

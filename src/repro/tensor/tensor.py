@@ -135,7 +135,10 @@ class Tensor:
         listings.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_op", "_inputs", "_saved", "name")
+    __slots__ = (
+        "data", "requires_grad", "grad", "_parents", "_op", "_inputs", "_saved", "name",
+        "_trace_slot",
+    )
 
     def __init__(
         self,
@@ -154,7 +157,8 @@ class Tensor:
         # node's ``_op`` spec, ``_inputs`` (every input array as it was at
         # forward time) and ``_saved`` (what the forward kept for the
         # backward, see repro.tensor.gradients); those three slots stay
-        # unset on every other tensor.
+        # unset on every other tensor.  ``_trace_slot`` is set only by the
+        # runtime compiler, on the tensors a trace gives a plan slot.
         self._parents: Tuple[Tuple[int, "Tensor"], ...] = ()
         self.name = name
 

@@ -113,6 +113,22 @@ class Buffer:
         assert _rules(findings) == ["L-BLOCK"]
         assert len(findings) == 3
 
+    def test_tracing_under_lock(self):
+        """The function that traces is on the table, so a plan cache that
+        compiles through a wrapper of it while holding its lock is flagged."""
+        source = """
+def compile_training_plan(module, example):
+    return lower_module(module, example, fold_constants=False)
+
+class Plans:
+    def get(self, module, example):
+        with self._lock:
+            return compile_training_plan(module, example)
+"""
+        findings = lint_source(source, path="bad.py")
+        assert _rules(findings) == ["L-BLOCK"]
+        assert "plan tracing via compile_training_plan()" in findings[0].message
+
     def test_transitive_blocking(self):
         source = """
 class Flusher:

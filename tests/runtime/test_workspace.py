@@ -183,22 +183,6 @@ class TestWorkspaceReuse:
         del payload
         assert ref() is None
 
-    def test_each_compile_trims_the_freed_trace(self, model, inputs, monkeypatch):
-        """Every compile hands the freed trace back with one ``malloc_trim(0)``,
-        after the plan is bound (the trace is garbage by then)."""
-        from repro.runtime import compiler
-
-        compiler._release_free_heap()  # the real lookup must not raise here
-        trims = []
-        monkeypatch.setattr(compiler, "_malloc_trim", lambda pad: trims.append(pad))
-        first, _ = inputs
-        compiled = compile_module(model)
-        compiled(first)
-        compiled(first)
-        assert trims == [0]
-        compiled(first[:1])
-        assert trims == [0, 0]
-
     def test_plan_cache_is_a_bounded_lru(self, model, monkeypatch):
         """Many distinct batch sizes must not accumulate unbounded plans."""
         from repro.runtime import CompiledModel

@@ -125,6 +125,32 @@ class TestWarmUp:
         assert (info.compiles, info.artifact_loads) == (0, 2)
         assert np.array_equal(produced, reference)
 
+    def test_process_replicas_warm_only_the_pieces_they_dispatch(
+        self, tiny_model, forecasting_data, window, plan_engine
+    ):
+        """The tier never dispatches a piece wider than ``bulk_chunk_rows``,
+        so warm-up builds no wider plan, and every ladder size then
+        dispatches on warmed plans alone."""
+        with ShardedForecastService(
+            tiny_model,
+            scaler=forecasting_data.scaler,
+            num_shards=2,
+            executor="processes",
+            max_batch_size=16,
+            bulk_chunk_rows=4,
+            cache_entries=0,
+        ) as service:
+            stats = service.warm_up()
+            engine = plan_engine(service)
+            assert [s.input_shape[0] for s in stats] == [1, 2, 4, 4, 4]
+            assert sorted(s.input_shape[0] for s in engine.plan_stats()) == [1, 2, 4]
+            compiles = engine.cache_info().compiles
+            windows = np.stack([window * (1.0 + 0.01 * row) for row in range(16)])
+            for size in (1, 2, 4, 8, 16):
+                forecasts = service._tier.call(0, windows[:size], pset=service._gen.pset)
+                assert forecasts.shape[0] == size
+                assert engine.cache_info().compiles == compiles
+
 
 class TestShardedWarmStart:
     def test_replica_fleet_compiles_each_trace_once(

@@ -315,21 +315,31 @@ def _torn_request_check(service, window, expected_old, expected_new, checkpoint)
     results = []
     errors = []
     barrier = threading.Barrier(4)
+    # The swap waits until every traffic thread has served one request, so
+    # the run always sees traffic, however fast the swap lands.
+    served = threading.Barrier(4)
     done = threading.Event()
 
     def traffic():
         try:
             barrier.wait()
+            results.append(np.asarray(service.forecast(window)))
+            served.wait()
             while not done.is_set():
                 results.append(np.asarray(service.forecast(window)))
         except BaseException as error:  # pragma: no cover
             errors.append(error)
+            served.abort()
             done.set()
 
     threads = [threading.Thread(target=traffic) for _ in range(3)]
     for thread in threads:
         thread.start()
     barrier.wait()
+    try:
+        served.wait()
+    except threading.BrokenBarrierError:  # pragma: no cover - a thread failed
+        pass
     service.swap_checkpoint(checkpoint)
     done.set()
     for thread in threads:

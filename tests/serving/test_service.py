@@ -161,6 +161,22 @@ class TestForecastMany:
         assert stats.cache.hits == 3
         assert stats.batcher.requests == 3  # only the first burst computed
 
+    def test_mutating_a_result_leaves_the_cache_intact(self, service, forecasting_data):
+        """Hits are stacked from the stored entries without a copy of their
+        own; the stacked result must still be the caller's to mutate."""
+        windows = np.stack([_raw_window(forecasting_data, i) for i in range(3)], axis=0)
+        first = service.forecast_many(windows)
+        expected = first.copy()
+        first[:] = -1.0  # a miss result
+        hits = service.forecast_many(windows)
+        np.testing.assert_array_equal(hits, expected)
+        hits[:] = -2.0  # a hit result
+        np.testing.assert_array_equal(service.forecast_many(windows), expected)
+        single = service.forecast(windows[0])  # forecast() hits keep their copy
+        single[:] = -3.0
+        np.testing.assert_array_equal(service.forecast(windows[0]), expected[0])
+        assert service.stats().cache.hits == 8
+
 
 class TestStreamingPath:
     def test_forecast_latest_matches_direct_query(self, service, forecasting_data):
