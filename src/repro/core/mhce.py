@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..graph.sparse import SparseMatrix
-from ..graph.temporal_graph import normalized_temporal_adjacency
+from ..graph.temporal_graph import normalized_temporal_csr
 from ..nn import LayerNorm, Module, ModuleList, Parameter
 from ..tensor import Tensor, init, ops
 from .config import DyHSLConfig
@@ -138,7 +138,7 @@ class MultiScaleExtractor(Module):
                 pooled_steps = config.input_length // window
                 if pooled_steps not in self._scale_adjacency:
                     self._scale_adjacency[pooled_steps] = SparseMatrix(
-                        normalized_temporal_adjacency(adjacency, pooled_steps)
+                        normalized_temporal_csr(adjacency, pooled_steps)
                     )
         self.fusion = ScaleFusion(len(self.window_sizes))
 

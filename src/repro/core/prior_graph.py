@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.sparse import SparseMatrix, sparse_matmul
-from ..graph.temporal_graph import normalized_temporal_adjacency
+from ..graph.temporal_graph import normalized_temporal_csr
 from ..nn import Dropout, Linear, Module, ModuleList
 from ..tensor import Tensor
 
@@ -70,7 +70,7 @@ class PriorGraphEncoder(Module):
         self.input_length = input_length
         self.hidden_dim = hidden_dim
         self.num_layers = num_layers
-        self.adjacency = SparseMatrix(normalized_temporal_adjacency(adjacency, input_length))
+        self.adjacency = SparseMatrix(normalized_temporal_csr(adjacency, input_length))
         self.layers = ModuleList([TemporalGraphConvolution(hidden_dim) for _ in range(num_layers)])
         self.dropout = Dropout(dropout)
 

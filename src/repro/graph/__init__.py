@@ -36,6 +36,7 @@ from .sparse import SparseMatrix, sparse_matmul
 from .temporal_graph import (
     build_temporal_adjacency,
     normalized_temporal_adjacency,
+    normalized_temporal_csr,
     split_temporal_index,
     temporal_node_index,
 )
@@ -52,6 +53,7 @@ __all__ = [
     "binary_adjacency",
     "build_temporal_adjacency",
     "normalized_temporal_adjacency",
+    "normalized_temporal_csr",
     "temporal_node_index",
     "split_temporal_index",
     "SparseMatrix",

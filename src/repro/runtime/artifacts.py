@@ -546,8 +546,8 @@ class ArtifactStore:
             f"{path.name}.tmp.{os.getpid()}.{threading.get_ident()}"
         )
         # The directory may have been removed since construction (e.g. a
-        # closed process tier's spill store publishing a post-close plan);
-        # recreate it rather than failing the compile that got us here.
+        # process tier closing while this save was under way); recreate it
+        # rather than failing the compile that got us here.
         self.root.mkdir(parents=True, exist_ok=True)
         try:
             with open(temporary, "wb") as handle:

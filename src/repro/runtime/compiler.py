@@ -36,6 +36,13 @@ The passes that turn the forward into a :class:`~repro.runtime.engine.Plan`:
    preallocated output buffer, pooled by liveness so the working set stays
    at the peak live size.
 
+Passes 1-3 are :func:`lower_module` (the trace), pass 4 is
+:func:`layout_plan`.  Between them, a :class:`Rebatcher` keeps the
+lowerings traced at one and two rows and derives the lowering at any
+other batch size from them: every int that is ``a`` at b1 and ``2a`` at
+b2 becomes ``a·B``, and a model whose two traces differ in any other way
+falls back to a trace per size, counted and named.
+
 Plans also carry an execution **precision policy** (``dtype``): tracing
 always runs the float64 autograd engine, but the emitted plan may bind its
 constants and workspace buffers at float32, halving the memory traffic the
@@ -68,7 +75,9 @@ from ..tensor.tensor import _set_trace_hook
 
 from .engine import Plan, PlanSpec, PlanStats, StepSpec, bind_plan
 
-__all__ = ["CompileError", "build_plan_spec", "compile_plan", "lower_module"]
+__all__ = [
+    "CompileError", "Rebatcher", "build_plan_spec", "compile_plan", "layout_plan", "lower_module",
+]
 
 #: Serialises compilations.  Trace hooks are keyed by thread, so tensor ops
 #: on other threads can never leak into a plan; the lock additionally keeps
@@ -119,7 +128,7 @@ class _Lowered:
         "traced_ops", "folded", "pruned", "steps_unfused", "chain_lengths", "_token",
     )
 
-    def __init__(self, placeholder: Tensor, fold_constants: bool) -> None:
+    def __init__(self, fold_constants: bool) -> None:
         self.steps: List[_Step] = []
         self.values: List[Optional[np.ndarray]] = [None]  # slot 0 is the input
         self.is_const: List[bool] = [False]
@@ -134,7 +143,6 @@ class _Lowered:
         self.steps_unfused = 0
         self.chain_lengths: Tuple[int, ...] = ()
         self._token = object()
-        placeholder._trace_slot = (self._token, 0)
 
     def new_slot(self, tensor: Tensor, value: Optional[np.ndarray]) -> int:
         """Give ``tensor`` a new slot: a constant ``value``, or ``None`` for
@@ -206,7 +214,8 @@ def lower_module(module, example: np.ndarray, fold_constants: bool = True,
             "cannot compile a module in training mode; call module.eval() first"
         )
     placeholder = Tensor(np.asarray(example, dtype=np.float64))
-    lowered = _Lowered(placeholder, fold_constants)
+    lowered = _Lowered(fold_constants)
+    placeholder._trace_slot = (lowered._token, 0)
     with _COMPILE_LOCK:
         previous = _set_trace_hook(lowered)
         try:
@@ -346,22 +355,34 @@ def build_plan_spec(
     disk.  Every structural decision (folding, pruning, fusion, pooling)
     happens here, so a bound artifact replays exactly the plan a fresh
     compile would produce.
+
+    The two halves are :func:`lower_module` (the trace) and
+    :func:`layout_plan` (liveness, pooling and stats).
+    """
+    return layout_plan(lower_module(module, example, fuse=fuse), np.shape(example), dtype)
+
+
+def layout_plan(lowered: _Lowered, input_shape: Tuple[int, ...], dtype=np.float64):
+    """Lay ``lowered`` out as a plan for ``input_shape``: returns ``(spec, values)``.
+
+    Runs liveness analysis, pools workspace storages by byte size and
+    fills in the plan stats; the constants are cast to ``dtype``.
+    ``lowered`` may come from a trace at ``input_shape`` or from
+    :class:`Rebatcher` (see :func:`build_plan_spec` for the pair returned).
     """
     dtype = np.dtype(dtype)
-    lowered = lower_module(module, example, fuse=fuse)
     steps = lowered.steps
     output_slot = lowered.output_slot
 
-    values = lowered.values
-    if dtype != np.float64:
-        # Cast every floating constant (parameters, folded values) to the
-        # policy dtype once.  Non-float constants (none today) pass through.
-        values = [
-            value.astype(dtype)
-            if value is not None and np.issubdtype(value.dtype, np.floating)
-            else value
-            for value in values
-        ]
+    # A fresh slot table: the plan writes step outputs into it as it runs,
+    # and one lowering may be laid out many times.  Every floating constant
+    # (parameters, folded values) is cast to the policy dtype once;
+    # non-float constants (none today) pass through.
+    values: List[Optional[np.ndarray]] = []
+    for value, const in zip(lowered.values, lowered.is_const):
+        if const and dtype != np.float64 and np.issubdtype(value.dtype, np.floating):
+            value = value.astype(dtype)
+        values.append(value if const else None)
 
     # ------------------------------------------------------------------
     # Liveness analysis over underlying buffers.
@@ -447,7 +468,7 @@ def build_plan_spec(
                     pool.setdefault(storage_sizes[freed], []).append(freed)
 
     stats = PlanStats(
-        input_shape=tuple(np.asarray(example).shape),
+        input_shape=tuple(int(dim) for dim in input_shape),
         traced_ops=lowered.traced_ops,
         steps=len(step_specs),
         folded=lowered.folded,
@@ -472,11 +493,253 @@ def build_plan_spec(
     return spec, values
 
 
+# ----------------------------------------------------------------------
+# Rebatching: every batch size's lowering from the b1 and b2 traces.
+# ----------------------------------------------------------------------
+class _Mismatch(Exception):
+    """The b1 and b2 lowerings differ by more than their batch dimension."""
+
+
+class _PerRow:
+    """An int that is ``rows`` per batch row: ``rows`` at b1, ``2 * rows`` at b2."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows) -> None:
+        self.rows = rows
+
+
+def _describe(value) -> str:
+    if isinstance(value, np.ndarray):
+        return f"array{value.shape}"
+    text = repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def _pattern(at_b1, at_b2):
+    """``at_b1`` with every int that doubles at b2 replaced by a :class:`_PerRow`.
+
+    Tuples, dicts and slices are walked; arrays must match byte for byte,
+    other values compare equal (or are the same object).  Any other
+    difference raises :class:`_Mismatch`.  A part without a :class:`_PerRow`
+    comes back as the b1 object itself.
+    """
+    if at_b1 is at_b2:
+        return at_b1
+    kind = type(at_b1)
+    if kind is type(at_b2):
+        if kind is int:
+            if at_b1 == at_b2:
+                return at_b1
+            if at_b1 != 0 and at_b2 == 2 * at_b1:
+                return _PerRow(at_b1)
+        elif kind is tuple:
+            if len(at_b1) == len(at_b2):
+                parts = tuple(_pattern(one, two) for one, two in zip(at_b1, at_b2))
+                if all(part is one for part, one in zip(parts, at_b1)):
+                    return at_b1
+                return parts
+        elif kind is dict:
+            if list(at_b1) == list(at_b2):
+                parts = {key: _pattern(at_b1[key], at_b2[key]) for key in at_b1}
+                if all(parts[key] is at_b1[key] for key in at_b1):
+                    return at_b1
+                return parts
+        elif kind is slice:
+            bounds = (at_b1.start, at_b1.stop, at_b1.step)
+            parts = _pattern(bounds, (at_b2.start, at_b2.stop, at_b2.step))
+            return at_b1 if parts is bounds else slice(*parts)
+        elif kind is np.ndarray:
+            if (
+                at_b1.shape == at_b2.shape
+                and at_b1.dtype == at_b2.dtype
+                and np.array_equal(
+                    np.ascontiguousarray(at_b1).reshape(-1).view(np.uint8),
+                    np.ascontiguousarray(at_b2).reshape(-1).view(np.uint8),
+                )
+            ):
+                return at_b1
+        elif kind in (bool, float, str):
+            if at_b1 == at_b2:
+                return at_b1
+    raise _Mismatch(f"{_describe(at_b1)} at b1, {_describe(at_b2)} at b2")
+
+
+def _fill(pattern, batch: int):
+    """``pattern`` with every :class:`_PerRow` written out for ``batch`` rows."""
+    kind = type(pattern)
+    if kind is _PerRow:
+        return pattern.rows * batch
+    if kind is tuple:
+        return tuple(_fill(part, batch) for part in pattern)
+    if kind is dict:
+        return {key: _fill(part, batch) for key, part in pattern.items()}
+    if kind is slice:
+        return slice(*_fill((pattern.start, pattern.stop, pattern.step), batch))
+    return pattern
+
+
+#: ``_Lowered`` slot layout and counts that must match between b1 and b2;
+#: a rebatched lowering shares them, and the constants, with b1.
+_SHARED_FIELDS = (
+    "is_const", "output_slot", "param_slots", "traced_ops", "folded", "pruned",
+    "steps_unfused", "chain_lengths",
+)
+
+
+def _batch_rule(b1: _Lowered, b2: _Lowered) -> List[Tuple[_Step, object, object]]:
+    """Each b1 step with its shape and kwargs patterns (``None`` when they
+    hold no batch dimension); raises :class:`_Mismatch` naming the first
+    difference between the lowerings that is not a batch dimension."""
+    for name in _SHARED_FIELDS:
+        one, two = getattr(b1, name), getattr(b2, name)
+        if name == "param_slots":
+            one, two = sorted(one), sorted(two)
+        if one != two:
+            raise _Mismatch(f"{name}: {_describe(one)} at b1, {_describe(two)} at b2")
+    for slot, (one, two) in enumerate(zip(b1.values, b2.values)):
+        if b1.is_const[slot]:
+            try:
+                same = _pattern(one, two) is one
+            except _Mismatch:
+                same = False
+            if not same:
+                raise _Mismatch(
+                    f"constant slot {slot}: {_describe(one)} at b1, {_describe(two)} at b2"
+                )
+    if len(b1.steps) != len(b2.steps):
+        raise _Mismatch(f"{len(b1.steps)} steps at b1, {len(b2.steps)} at b2")
+    rule = []
+    for index, (one, two) in enumerate(zip(b1.steps, b2.steps)):
+        try:
+            head_one = (one.name, one.kind, one.in_slots, one.out_slot)
+            head_two = (two.name, two.kind, two.in_slots, two.out_slot)
+            if head_one != head_two:
+                raise _Mismatch(f"{head_one} at b1, {head_two} at b2")
+            shape = _pattern(one.shape, two.shape)
+            kwargs = _pattern(one.kwargs, two.kwargs)
+        except _Mismatch as error:
+            raise _Mismatch(f"step {index} ({one.name}): {error}") from None
+        rule.append((
+            one,
+            None if shape is one.shape else shape,
+            None if kwargs is one.kwargs else kwargs,
+        ))
+    return rule
+
+
+def _rebatched(b1: _Lowered, rule, batch: int) -> _Lowered:
+    """The lowering at ``batch`` rows: b1's slots and constants, with every
+    batch dimension in ``rule`` written out for ``batch``."""
+    lowered = _Lowered(b1.fold_constants)
+    for name in _SHARED_FIELDS + ("values",):
+        setattr(lowered, name, getattr(b1, name))
+    lowered.steps = [
+        step if shape is None and kwargs is None else _Step(
+            step.name,
+            step.kwargs if kwargs is None else _fill(kwargs, batch),
+            step.in_slots,
+            step.out_slot,
+            step.shape if shape is None else _fill(shape, batch),
+            step.kind,
+        )
+        for step, shape, kwargs in rule
+    ]
+    return lowered
+
+
+class Rebatcher:
+    """Lowers one module at any batch size from two traces per input tail.
+
+    The lowerings traced at one and at two rows are kept.  When they
+    differ only in ints that double — batch dimensions of step shapes and
+    of reshape targets, slices and other kwargs — the lowering at ``B``
+    rows is the b1 lowering with each such int ``a`` written as ``a·B``:
+    steps, slots and constants (shared with b1) stay as they are, so
+    :func:`layout_plan` gives the spec a trace at ``B`` would.  Any other
+    difference (a constant shaped by the batch, a reshape that is a view
+    at b1 but a copy at b2, …) is a *fallback*: every other size is traced
+    at its own shape, counted in :attr:`fallbacks`, and the first
+    difference is named in :attr:`fallback`.
+
+    One instance serves one module, with one ``fuse`` setting and one set
+    of weights; :meth:`clear` drops its traces after a weight change.
+    Thread-safe: traces run outside the lock and the first insert wins.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._traces: Dict[Tuple[Tuple[int, ...], int], _Lowered] = {}
+        #: input tail -> (b1 lowering, batch rule), or the fallback reason.
+        self._rules: Dict[Tuple[int, ...], object] = {}
+        #: Lowerings derived without a trace.
+        self.rebatched = 0
+        #: Lowerings traced at their own batch size because of a fallback.
+        self.fallbacks = 0
+        #: Why the first fallback happened, or ``None``.
+        self.fallback: Optional[str] = None
+
+    def lower(self, module, example: np.ndarray, fuse: bool = True) -> _Lowered:
+        """``module`` lowered at ``example``'s shape: traced at one or two
+        rows, rebatched from those traces otherwise."""
+        batch = example.shape[0]
+        if batch <= 2:
+            return self._trace(module, example, fuse)
+        rule = self._rule(module, example, fuse)
+        rebatch = not isinstance(rule, str)
+        with self._lock:
+            if rebatch:
+                self.rebatched += 1
+            else:
+                self.fallbacks += 1
+        return _rebatched(*rule, batch) if rebatch else lower_module(module, example, fuse=fuse)
+
+    def counts(self) -> Tuple[int, int, Optional[str]]:
+        """``(rebatched, fallbacks, fallback)``, read together."""
+        with self._lock:
+            return self.rebatched, self.fallbacks, self.fallback
+
+    def clear(self) -> None:
+        """Drop every kept trace (the module's weights changed)."""
+        with self._lock:
+            self._traces.clear()
+            self._rules.clear()
+
+    def _trace(self, module, rows: np.ndarray, fuse: bool) -> _Lowered:
+        key = (tuple(rows.shape[1:]), rows.shape[0])
+        with self._lock:
+            lowered = self._traces.get(key)
+        if lowered is None:
+            traced = lower_module(module, rows, fuse=fuse)
+            with self._lock:
+                lowered = self._traces.setdefault(key, traced)
+        return lowered
+
+    def _rule(self, module, example: np.ndarray, fuse: bool):
+        tail = tuple(example.shape[1:])
+        with self._lock:
+            rule = self._rules.get(tail)
+        if rule is None:
+            b1 = self._trace(module, example[:1], fuse)
+            b2 = self._trace(module, example[:2], fuse)
+            try:
+                built = (b1, _batch_rule(b1, b2))
+            except _Mismatch as error:
+                shape = ", ".join(["B", *map(str, tail)])
+                built = f"{type(module).__name__} at input ({shape}): {error}"
+            with self._lock:
+                rule = self._rules.setdefault(tail, built)
+                if isinstance(rule, str) and self.fallback is None:
+                    self.fallback = rule
+        return rule
+
+
 def compile_plan(
     module,
     example: np.ndarray,
     fuse: bool = True,
     dtype=np.float64,
+    rebatcher: Optional[Rebatcher] = None,
 ) -> Plan:
     """Compile ``module``'s forward into a :class:`Plan` for one input shape.
 
@@ -488,8 +751,15 @@ def compile_plan(
     Implemented as :func:`build_plan_spec` (trace + graph passes + layout)
     followed by :func:`~repro.runtime.engine.bind_plan` (buffer and kernel
     binding) — the same two halves an on-disk plan artifact goes through,
-    so loaded plans are structurally identical to compiled ones.
+    so loaded plans are structurally identical to compiled ones.  With a
+    ``rebatcher`` (one per module) the lowering comes from
+    :meth:`Rebatcher.lower`, which traces the module at one and two rows
+    only.
     """
-    spec, values = build_plan_spec(module, example, fuse=fuse, dtype=dtype)
-    return bind_plan(spec, values)
+    example = np.asarray(example)
+    if rebatcher is None:
+        lowered = lower_module(module, example, fuse=fuse)
+    else:
+        lowered = rebatcher.lower(module, example, fuse)
+    return bind_plan(*layout_plan(lowered, example.shape, dtype))
 

@@ -251,6 +251,14 @@ class PlanCacheInfo:
     #: fresh compile while the gate is on; artifact loads verify in the
     #: store — see :class:`~repro.runtime.artifacts.ArtifactStoreStats`).
     verifies: int = 0
+    #: Fresh compiles (counted in ``compiles``) lowered from the module's
+    #: b1 and b2 traces instead of a trace of their own.
+    rebatched: int = 0
+    #: Fresh compiles above two rows traced at their own batch size
+    #: because the b1 and b2 traces differ beyond the batch dimension.
+    rebatch_fallbacks: int = 0
+    #: That difference, named, or ``None``.
+    rebatch_fallback: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -540,9 +548,12 @@ class Plan:
 class CompiledModel:
     """Graph-free inference wrapper around a :class:`~repro.nn.Module`.
 
-    The first call for each input shape traces the module's forward pass
-    and compiles it to a :class:`Plan`; later calls with the same shape
-    replay the plan on raw arrays.  Outputs are returned as fresh copies so
+    The first call for each input shape compiles a :class:`Plan`; later
+    calls with the same shape replay the plan on raw arrays.  The module's
+    forward is traced at one and at two rows only, and every other batch
+    size is lowered from those two traces (``docs/runtime.md`` §One trace
+    per model; a model they cannot serve is traced per size, and
+    :meth:`cache_info` says why).  Outputs are returned as fresh copies so
     they never alias the reused workspace.
 
     Weights are captured **by reference** at compile time, but constant
@@ -632,6 +643,10 @@ class CompiledModel:
         self._artifact_saves = 0
         self._verifies = 0
         self._lanes = int(lanes)
+        from .compiler import Rebatcher
+
+        # Keeps the b1 and b2 traces every other batch size is lowered from.
+        self._rebatcher = Rebatcher()
         # The lane threads, started on the first split batch; after close()
         # every lane runs on the caller's thread.
         self._lane_pool: Optional[ThreadPoolExecutor] = None
@@ -855,6 +870,7 @@ class CompiledModel:
             array,
             fuse=self._fuse,
             dtype=array.dtype,
+            rebatcher=self._rebatcher,
         )
         from .verify import verify_enabled
 
@@ -1037,6 +1053,7 @@ class CompiledModel:
 
     def cache_info(self) -> PlanCacheInfo:
         """Plan-cache provenance counters (see :class:`PlanCacheInfo`)."""
+        rebatched, fallbacks, fallback = self._rebatcher.counts()
         with self._lock:
             return PlanCacheInfo(
                 plans=len(self._plans),
@@ -1045,6 +1062,9 @@ class CompiledModel:
                 artifact_rejects=self._artifact_rejects,
                 artifact_saves=self._artifact_saves,
                 verifies=self._verifies,
+                rebatched=rebatched,
+                rebatch_fallbacks=fallbacks,
+                rebatch_fallback=fallback,
             )
 
     def compile_for(self, example, precision: Union[None, str, np.dtype] = None) -> PlanStats:
@@ -1085,8 +1105,9 @@ class CompiledModel:
         return [self._validated_plan(piece).stats for pieces in lanes for piece in pieces][0]
 
     def recompile(self) -> None:
-        """Drop all cached plans and their lane copies (required after
-        parameter updates)."""
+        """Drop all cached plans, their lane copies and the kept traces
+        (required after parameter updates)."""
+        self._rebatcher.clear()
         with self._lock:
             self._plans.clear()
             self._empty_output_shapes.clear()

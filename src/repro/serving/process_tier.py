@@ -804,7 +804,8 @@ def _close_all_executors() -> None:
         except Exception:  # pragma: no cover - best effort at exit
             pass
         if os.getpid() == executor._owner_pid:
-            # Post-close serving may have re-spilled plans; sweep again.
+            # A save already past its read-only check when close() ran
+            # may have re-created the directory; sweep again.
             shutil.rmtree(executor._spill_root, ignore_errors=True)
 
 
@@ -1252,6 +1253,10 @@ class ProcessShardExecutor:
             if worker is not None:
                 worker.close()
         self._blas_limit.release()
+        # A closed tier still serves lazily through its providers, whose
+        # store may be the spill store: keep their plans in memory only,
+        # so no later compile re-creates the directory removed here.
+        self._spill.readonly = True
         shutil.rmtree(self._spill_root, ignore_errors=True)
 
     def __enter__(self) -> "ProcessShardExecutor":

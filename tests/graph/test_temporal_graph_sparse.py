@@ -7,6 +7,7 @@ from repro.graph import (
     SparseMatrix,
     build_temporal_adjacency,
     normalized_temporal_adjacency,
+    normalized_temporal_csr,
     sparse_matmul,
     split_temporal_index,
     temporal_node_index,
@@ -62,6 +63,27 @@ class TestTemporalGraph:
     def test_invalid_steps(self):
         with pytest.raises(ValueError):
             build_temporal_adjacency(path_adjacency(3), num_steps=0)
+        with pytest.raises(ValueError):
+            normalized_temporal_csr(path_adjacency(3), num_steps=0)
+
+    @pytest.mark.parametrize("kind", ["binary", "weighted", "isolated"])
+    def test_sparse_build_equals_the_dense_path_bit_for_bit(self, kind):
+        rng = np.random.default_rng(7)
+        n = 47  # from T = 6 on, T * n rows span several degree chunks
+        adjacency = (rng.random((n, n)) < 0.15).astype(float)
+        if kind != "binary":
+            adjacency *= rng.random((n, n)) * 3.7
+        if kind == "isolated":
+            adjacency[4, :] = adjacency[:, 4] = 0.0
+        for num_steps in range(1, 13):
+            dense = SparseMatrix(normalized_temporal_adjacency(adjacency, num_steps)).csr
+            built = normalized_temporal_csr(adjacency, num_steps)
+            sparse = SparseMatrix(built).csr
+            assert built.has_sorted_indices
+            for name in ("indptr", "indices", "data"):
+                expected, got = getattr(dense, name), getattr(sparse, name)
+                assert got.dtype == expected.dtype
+                assert got.tobytes() == expected.tobytes(), (num_steps, name)
 
     def test_index_roundtrip(self):
         index = temporal_node_index(time_step=2, location=1, num_nodes=5)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import glob
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -176,6 +180,10 @@ class TestLifecycleAndErrors:
     def test_close_is_idempotent_and_keeps_serving_lazily(
         self, tiny_model, forecasting_data, single
     ):
+        def spill_dirs():
+            return set(glob.glob(os.path.join(tempfile.gettempdir(), "repro-plan-spill-*")))
+
+        before = spill_dirs()
         windows = _raw_windows(forecasting_data, 2)
         sharded = _sharded(tiny_model, forecasting_data, num_shards=2)
         reference = single.forecast_many(windows)
@@ -183,6 +191,9 @@ class TestLifecycleAndErrors:
         sharded.close()
         # Synchronous queries degrade to inline flushes on dead workers.
         assert np.abs(sharded.forecast_many(windows) - reference).max() == 0.0
+        # Those flushes compile in the parent; none re-creates the removed
+        # spill directory, which nothing would sweep again.
+        assert spill_dirs() == before
 
     def test_forward_error_reaches_every_pending_handle(self, tiny_model, forecasting_data):
         sharded = _sharded(tiny_model, forecasting_data, num_shards=2)
