@@ -46,9 +46,10 @@ converged to 1.0x — and is measured against *both* baselines this PR
 moved: >= 1.15x over the PR-2 autograd configuration (reconstructed live
 by adding back the per-forward spmm-transpose rebuild this PR removed),
 and a clear win (>= 1.05x asserted, ~1.13x measured) over today's
-autograd, which that same fix made ~1.1x faster at this scale.  Two
-further tables cover bucketed-vs-exact plan compilation under ragged
-traffic and the compiled training forward.
+autograd, which that same fix made ~1.1x faster at this scale.  Further
+tables cover one ragged backfill cycle under three plan policies (padded
+buckets, power-of-two pieces, exact per-size plans), row lanes and the
+compiled training forward.
 
 Run with::
 
@@ -68,7 +69,8 @@ import numpy as np
 from repro.core import DyHSL, DyHSLConfig
 from repro.nn import MaskedMAELoss
 from repro.runtime import CompiledModel, blas, compile_module, compile_training_model
-from repro.runtime.engine import bucket_batch_size, pad_batch_to_bucket
+from repro.runtime.compiler import Rebatcher, compile_plan
+from repro.runtime.engine import pad_batch_to_bucket
 from repro.serving import ForecastService, MicroBatcher
 from repro.tensor import Tensor, no_grad
 from repro.tensor import seed as seed_everything
@@ -282,10 +284,10 @@ def test_node_scale_sweep():
     for scale in SWEEP_SCALES:
         num_nodes = max(8, int(round(PEMS08_NODES * scale)))
         model = _build_model(num_nodes=num_nodes)
-        fused = compile_module(model)
-        unfused = compile_module(model, fuse=False)
         rng = np.random.default_rng(SEED + 2)
         batch = rng.normal(size=(concurrency, 12, num_nodes, 1))
+        fused = compile_module(model)
+        unfused = compile_plan(model, batch, fuse=False).call
 
         def autograd_forward():
             with no_grad():
@@ -519,74 +521,23 @@ def test_precision_throughput():
     )
 
 
-def test_bucketed_vs_exact_plan_compilation():
-    """Ragged traffic: bucketing bounds compiles; exact shapes thrash.
-
-    Replays the same stream of ragged batch sizes through an exact-shape
-    CompiledModel and a bucketed one (both with the serving default LRU of
-    16 plans).  Exact mode compiles one plan per distinct size — more
-    compiles than cache slots; bucketing splits each batch into
-    power-of-two pieces and needs O(log max_batch) plans, so after the
-    first occurrence of each piece size every request replays warm plans.
-    """
-    model = _build_model()
-    rng = np.random.default_rng(SEED + 3)
-    sizes = [int(size) for size in rng.integers(1, 49, size=60)]
-    windows = rng.normal(size=(max(sizes), 12, NUM_NODES, 1))
-
-    rows: List[dict] = []
-    results: Dict[str, np.ndarray] = {}
-    plan_counts: Dict[str, int] = {}
-    for label, bucket_batches in (("exact", False), ("bucketed", True)):
-        compiled = CompiledModel(model, bucket_batches=bucket_batches)
-        # Count real compiles: with 37 distinct sizes churning an LRU of
-        # 16, exact mode recompiles evicted plans on re-occurrence, which
-        # is precisely the thrashing this table demonstrates.
-        compile_count = {"calls": 0}
-        inner_compile = compiled._compile
-
-        def counting_compile(array, _inner=inner_compile, _count=compile_count):
-            _count["calls"] += 1
-            return _inner(array)
-
-        compiled._compile = counting_compile
-        started = time.perf_counter()
-        outputs = [compiled(windows[:size]) for size in sizes]
-        elapsed = time.perf_counter() - started
-        results[label] = np.concatenate(outputs, axis=0)
-        plan_counts[label] = len(compiled.plan_stats())
-        rows.append(
-            {
-                "policy": label,
-                "requests": sum(sizes),
-                "distinct sizes": len(set(sizes)),
-                "plans compiled": compile_count["calls"],
-                "plans cached": len(compiled.plan_stats()),
-                "req/s": round(sum(sizes) / elapsed, 1),
-            }
-        )
-
-    print_table(
-        "Ragged traffic — exact-shape vs. bucketed plan cache (LRU 16)",
-        rows,
-        ["policy", "requests", "distinct sizes", "plans compiled", "plans cached", "req/s"],
-    )
-    # Bucketing must change the numbers by nothing and the plan count a lot.
-    assert np.array_equal(results["exact"], results["bucketed"])
-    assert plan_counts["bucketed"] <= 6  # pieces {1,2,4,8,16,32}
-    assert plan_counts["bucketed"] < len(set(sizes))
-
-
 def test_ragged_cycle():
-    """One backfill cycle: ragged batches padded to their bucket vs. split
-    into power-of-two pieces.
+    """One backfill cycle under three plan policies: padded buckets,
+    power-of-two pieces (what serving runs) and exact per-size plans.
 
-    Every size of perfbench's backfill mix runs once through one
-    CompiledModel of the perfbench deployment's model that holds the plans
-    1..32.  *Padded* replays the earlier serving path (pad to the bucket,
-    run the bucket plan, slice back); *decomposed* is today's call.  Both use
-    the same plans in the same process, timed as an interleaved best-of,
-    and must agree exactly (max |diff| == 0) in the same run.
+    Every size of perfbench's backfill mix runs once on the perfbench
+    deployment's model.  *Padded* replays the earlier serving path (pad to
+    the bucket, run the bucket plan, slice back) and *pieces* is today's
+    call; both run on one CompiledModel that holds the plans 1..32.
+    *Exact* runs one plan per distinct size, each lowered from the b1 and
+    b2 traces (``compile_plan`` with one shared ``Rebatcher``): the plans
+    serving would hold without the pieces.  Each size is timed as an
+    interleaved best-of across the three policies, a cycle is the sum over
+    sizes, and every policy must equal the autograd forward exactly
+    (max |diff| == 0) in the same run.  The plans each policy holds, and
+    their workspace, are why serving keeps the pieces.  Exact plans are
+    built, timed and dropped one size at a time, so this run never holds
+    them all.
     """
     repeats = 5
     rng = np.random.default_rng(SEED + 7)
@@ -600,46 +551,56 @@ def test_ragged_cycle():
         compiled = CompiledModel(model)
         for size in (1, 2, 4, 8, 16, 32):
             compiled.compile_for(np.zeros((size, deploy.INPUT_LENGTH, sensors, 1)))
-        batches = [
-            rng.normal(size=(int(size), deploy.INPUT_LENGTH, sensors, 1))
-            for size in BACKFILL_SIZES
-        ]
-
-        def padded_cycle():
-            return [
-                compiled(pad_batch_to_bucket(batch, compiled.bucket_cap)[0])[: len(batch)]
-                for batch in batches
-            ]
-
-        def decomposed_cycle():
-            return [compiled(batch) for batch in batches]
-
-        max_diff = max(
-            float(np.abs(padded - decomposed).max())
-            for padded, decomposed in zip(padded_cycle(), decomposed_cycle())
-        )
-        padded_s, decomposed_s = _best_of_interleaved([padded_cycle, decomposed_cycle], repeats)
-        assert compiled.cache_info().compiles == 6, "no plan shape beyond the warm ladder"
-        windows = sum(BACKFILL_SIZES)
-        rows.append(
-            {
-                "sensors": sensors,
-                "windows": windows,
-                "padded rows": sum(bucket_batch_size(size, compiled.bucket_cap)
-                                   for size in BACKFILL_SIZES),
-                "padded ms": round(padded_s * 1e3, 1),
-                "decomposed ms": round(decomposed_s * 1e3, 1),
-                "speedup": round(padded_s / decomposed_s, 2),
-                "max |diff|": max_diff,
+        rebatcher = Rebatcher()
+        seconds = {"padded": 0.0, "pieces": 0.0, "exact": 0.0}
+        diffs = dict.fromkeys(seconds, 0.0)
+        exact_bytes = 0
+        for size in BACKFILL_SIZES:
+            batch = rng.normal(size=(size, deploy.INPUT_LENGTH, sensors, 1))
+            exact = compile_plan(model, batch, rebatcher=rebatcher)
+            exact_bytes += exact.stats.workspace_bytes
+            padded, _ = pad_batch_to_bucket(batch, compiled.bucket_cap)
+            policies = {
+                "padded": lambda: compiled(padded)[:size],
+                "pieces": lambda: compiled(batch),
+                "exact": lambda: exact.call(batch),
             }
-        )
-        assert max_diff == 0.0, f"decomposed rows diverge at {sensors} sensors: {max_diff}"
+            with no_grad():
+                reference = model(Tensor(batch)).data
+            for label, policy in policies.items():
+                diffs[label] = max(diffs[label], float(np.abs(policy() - reference).max()))
+            bests = _best_of_interleaved(list(policies.values()), repeats)
+            for label, best in zip(policies, bests):
+                seconds[label] += best
+            del exact, policies
+        assert compiled.cache_info().compiles == 6, "no plan shape beyond the warm ladder"
+        assert rebatcher.counts() == (len(BACKFILL_SIZES) - 2, 0, None)
+        pieces_bytes = sum(stats.workspace_bytes for stats in compiled.plan_stats())
+        held = {
+            "padded": (6, pieces_bytes),
+            "pieces": (6, pieces_bytes),
+            "exact": (len(BACKFILL_SIZES), exact_bytes),
+        }
+        for label, (plans, nbytes) in held.items():
+            rows.append(
+                {
+                    "sensors": sensors,
+                    "policy": label,
+                    "cycle ms": round(seconds[label] * 1e3, 1),
+                    "plans": plans,
+                    "workspace MiB": round(nbytes / 2**20, 1),
+                    "max |diff|": diffs[label],
+                }
+            )
+        for label, diff in diffs.items():
+            assert diff == 0.0, f"{label} rows diverge at {sensors} sensors: {diff}"
+        assert pieces_bytes < exact_bytes
 
     print_table(
-        f"Ragged backfill cycle — padded buckets vs. power-of-two pieces (best of {repeats})",
+        "Ragged backfill cycle — padded buckets vs. pieces vs. exact plans "
+        f"(sum of per-size best of {repeats})",
         rows,
-        ["sensors", "windows", "padded rows", "padded ms", "decomposed ms", "speedup",
-         "max |diff|"],
+        ["sensors", "policy", "cycle ms", "plans", "workspace MiB", "max |diff|"],
     )
     record_bench(
         "ragged_cycle",
@@ -647,15 +608,15 @@ def test_ragged_cycle():
             "sizes": list(BACKFILL_SIZES),
             "precision": "float64",
             "repeats": repeats,
+            "timing": "sum over sizes of each size's interleaved best-of",
             "provenance": provenance(REPO_ROOT, "ragged_cycle", SEED, "float64"),
             "rows": [
                 {
                     "sensors": row["sensors"],
-                    "windows": row["windows"],
-                    "padded_rows": row["padded rows"],
-                    "padded_ms": row["padded ms"],
-                    "decomposed_ms": row["decomposed ms"],
-                    "speedup": row["speedup"],
+                    "policy": row["policy"],
+                    "cycle_ms": row["cycle ms"],
+                    "plans": row["plans"],
+                    "workspace_mib": row["workspace MiB"],
                     "max_abs_diff": row["max |diff|"],
                 }
                 for row in rows

@@ -39,8 +39,7 @@ from typing import Optional
 from .artifacts import ArtifactError, ArtifactStore, trace_hash, weights_fingerprint
 from .compiler import CompileError, build_plan_spec, compile_plan
 from .engine import (
-    BUCKETS_ENV_VAR,
-    DEFAULT_BUCKET_CAP,
+    MAX_PLAN_LANES,
     PRECISION_ENV_VAR,
     PRECISIONS,
     WORKSPACE_ALIGN,
@@ -52,10 +51,8 @@ from .engine import (
     StepSpec,
     batch_pieces,
     bind_plan,
-    bucket_batch_size,
     lane_pieces,
     plan_workspace_nbytes,
-    resolve_bucket_cap,
     resolve_precision,
 )
 from .training import CompiledTrainingModel, compile_training_model, plan_trainable
@@ -72,11 +69,10 @@ from .verify import (
 __all__ = [
     "ArtifactError",
     "ArtifactStore",
-    "BUCKETS_ENV_VAR",
     "CompileError",
     "CompiledModel",
     "CompiledTrainingModel",
-    "DEFAULT_BUCKET_CAP",
+    "MAX_PLAN_LANES",
     "PRECISION_ENV_VAR",
     "PRECISIONS",
     "Plan",
@@ -92,7 +88,6 @@ __all__ = [
     "WORKSPACE_ALIGN",
     "batch_pieces",
     "bind_plan",
-    "bucket_batch_size",
     "build_plan_spec",
     "compile_module",
     "compile_plan",
@@ -100,7 +95,6 @@ __all__ = [
     "lane_pieces",
     "plan_trainable",
     "plan_workspace_nbytes",
-    "resolve_bucket_cap",
     "resolve_precision",
     "resolve_runtime_mode",
     "trace_hash",
@@ -118,30 +112,18 @@ RUNTIME_ENV_VAR = "REPRO_RUNTIME"
 RUNTIME_MODES = ("compiled", "autograd")
 
 
-def compile_module(
-    module,
-    fuse: bool = True,
-    bucket_batches=None,
-    precision=None,
-    artifact_dir=None,
-) -> CompiledModel:
+def compile_module(module, precision=None, artifact_dir=None) -> CompiledModel:
     """Wrap ``module`` (switched to eval mode) in a :class:`CompiledModel`.
 
-    ``fuse`` toggles the elementwise-chain fusion pass; ``bucket_batches``
-    sets the batch-bucketing policy (see
-    :func:`repro.runtime.engine.resolve_bucket_cap`); ``precision`` sets
-    the execution-precision policy (``"float64"`` / ``"float32"``, default
-    from ``REPRO_RUNTIME_PRECISION``).  ``artifact_dir`` (a directory
-    or :class:`~repro.runtime.artifacts.ArtifactStore`) attaches a durable
+    ``precision`` sets the execution-precision policy (``"float64"`` /
+    ``"float32"``, default from ``REPRO_RUNTIME_PRECISION``).
+    ``artifact_dir`` (a directory or
+    :class:`~repro.runtime.artifacts.ArtifactStore`) attaches a durable
     plan-artifact store — see ``docs/runtime.md`` §Plan artifacts.
+    Unfused and exact-shape reference plans come from
+    :func:`~repro.runtime.compiler.compile_plan`.
     """
-    return CompiledModel(
-        module,
-        fuse=fuse,
-        bucket_batches=bucket_batches,
-        precision=precision,
-        artifact_dir=artifact_dir,
-    )
+    return CompiledModel(module, precision=precision, artifact_dir=artifact_dir)
 
 
 def resolve_runtime_mode(mode: Optional[str] = None) -> str:

@@ -1,7 +1,7 @@
 """Durable, versioned plan artifacts: kill fleet-wide compile cold start.
 
 Every worker in a sharded service used to re-trace, re-fuse and re-pool
-identical kernel plans on its first request — per batch bucket and per
+identical kernel plans on its first request — per plan piece and per
 precision policy, again on every restart and every fork.  This module makes
 a compiled plan a *durable artifact*: the complete
 :class:`~repro.runtime.engine.PlanSpec` (step list with fused chains,
@@ -12,8 +12,7 @@ serialised into one ``.npz`` file keyed by a **trace hash** over
 * the module architecture (class + config + parameter names/shapes/dtypes),
 * the parameter *values* (constant folding bakes weights into plans, so a
   weight change must change the key),
-* the input shape (after bucketing), the execution precision, the bucket
-  cap, and the fusion option.
+* the input shape (one plan piece's) and the execution precision.
 
 A fresh process — a restarted worker, a newly forked shard — looks the
 artifact up by recomputing the hash from its live module, so a stale
@@ -83,8 +82,11 @@ _META_KEY = "__artifact_meta__"
 _ARRAYS_KEY = "__array_table__"
 _LAYOUT_KEY = "__array_layout__"
 
-#: Pack alignment: every array starts on a 64-byte boundary so the
-#: zero-copy views carved out of the blob are cache-line aligned.
+#: Pack alignment: every array starts at a multiple of 64 bytes from the
+#: start of the blob.  That does not make the zero-copy views carved out of
+#: a loaded blob cache-line aligned, because the base of the blob
+#: ``np.load`` returns is not; a loaded plan replays as fast as a compiled
+#: one all the same.
 _PACK_ALIGN = 64
 
 
@@ -129,11 +131,9 @@ def trace_hash(
     input_shape: Tuple[int, ...],
     dtype,
     *,
-    fuse: bool = True,
-    bucket_cap: Optional[int] = None,
     weights: Optional[str] = None,
 ) -> str:
-    """The artifact key for one ``(module, shape, precision, options)`` trace.
+    """The artifact key for one ``(module, shape, precision)`` trace.
 
     ``weights`` lets callers pass a cached :func:`weights_fingerprint`
     (hashing all parameters per lookup would defeat the point of a cache);
@@ -147,11 +147,12 @@ def trace_hash(
         f"weights:{weights if weights is not None else weights_fingerprint(module)}",
         f"shape:{tuple(int(dim) for dim in input_shape)}",
         f"dtype:{np.dtype(dtype).name}",
-        # Inference plans always fold constants; the literal keeps keys
-        # byte-identical to stores written while folding was an option.
+        # Inference plans always fold and fuse, and split batches into
+        # pieces with no cap; the literals keep keys byte-identical to
+        # stores written while those were options.
         "fold:True",
-        f"fuse:{bool(fuse)}",
-        f"bucket_cap:{bucket_cap}",
+        "fuse:True",
+        "bucket_cap:1024",
     )
     for part in parts:
         digest.update(part.encode("utf-8"))
@@ -351,8 +352,8 @@ def _pack_arrays(arrays: Dict[str, np.ndarray]) -> Tuple[np.ndarray, bytes]:
     """Pack every value array into one contiguous byte blob + layout table.
 
     The layout (JSON) records ``name``/``dtype``/``shape``/``offset`` per
-    array; offsets are :data:`_PACK_ALIGN`-aligned so the views carved back
-    out by :func:`_unpack_arrays` are aligned without copying.
+    array; offsets are multiples of :data:`_PACK_ALIGN` from the start of
+    the blob.
     """
     chunks: List[bytes] = []
     layout: List[Dict[str, Any]] = []
@@ -463,7 +464,7 @@ class ArtifactStore:
     Example
     -------
     >>> store = ArtifactStore("checkpoints/dyhsl.artifacts")
-    >>> compiled = CompiledModel(model, artifact_store=store)
+    >>> compiled = CompiledModel(model, artifact_dir=store)
     >>> compiled(windows)            # first call loads the plan, no trace
     """
 

@@ -748,13 +748,16 @@ def compile_plan(
     time, workspace buffers are allocated at the policy's itemsize, and the
     engine casts the input on entry and the output back to float64 on exit.
 
-    Implemented as :func:`build_plan_spec` (trace + graph passes + layout)
-    followed by :func:`~repro.runtime.engine.bind_plan` (buffer and kernel
-    binding) — the same two halves an on-disk plan artifact goes through,
-    so loaded plans are structurally identical to compiled ones.  With a
-    ``rebatcher`` (one per module) the lowering comes from
-    :meth:`Rebatcher.lower`, which traces the module at one and two rows
-    only.
+    The plan is :func:`layout_plan` over a lowering, followed by
+    :func:`~repro.runtime.engine.bind_plan` (buffer and kernel binding) —
+    the same two halves an on-disk plan artifact goes through, so loaded
+    plans are structurally identical to compiled ones.  Without a
+    ``rebatcher`` the lowering is a trace at ``example``'s own shape, so the
+    whole is :func:`build_plan_spec` plus ``bind_plan``: this is how to get
+    an exact-shape plan, or an unfused one (``fuse=False``), as a
+    reference.  With a ``rebatcher`` (one per module) the lowering comes
+    from :meth:`Rebatcher.lower`, which traces the module at one and two
+    rows only.
     """
     example = np.asarray(example)
     if rebatcher is None:

@@ -37,8 +37,9 @@ __all__ = [
     "StepSpec",
     "bind_plan",
     "CompiledModel",
-    "BUCKETS_ENV_VAR",
     "DEFAULT_BUCKET_CAP",
+    "MAX_PLAN_LANES",
+    "MIN_LANE_ROWS",
     "PRECISION_ENV_VAR",
     "PRECISIONS",
     "WORKSPACE_ALIGN",
@@ -51,12 +52,8 @@ __all__ = [
     "pad_batch_to_bucket",
 ]
 
-#: Environment variable controlling batch bucketing (see
-#: :func:`resolve_bucket_cap`).
-BUCKETS_ENV_VAR = "REPRO_RUNTIME_BUCKETS"
-
-#: Largest batch split into power-of-two plan pieces by default; batches
-#: beyond it compile exact plans.
+#: Bucket cap of the padded reference replay (:func:`bucket_batch_size`);
+#: serving splits batches of any size into pieces and has no cap.
 DEFAULT_BUCKET_CAP = 1024
 
 #: Environment variable selecting the default execution precision (see
@@ -84,49 +81,28 @@ def resolve_precision(policy: Union[None, str, np.dtype] = None) -> np.dtype:
     return np.dtype(name)
 
 
-def resolve_bucket_cap(policy: Union[None, bool, int] = None) -> Optional[int]:
-    """Resolve the batch-bucketing policy to a bucket cap (or ``None``).
+def resolve_bucket_cap(policy: None = None) -> int:
+    """The padded reference replay's bucket cap, :data:`DEFAULT_BUCKET_CAP`.
 
-    ``policy`` may be ``True`` (bucketing on, default cap), ``False``
-    (disabled), a positive integer (cap on the largest plan piece) or
-    ``None`` to consult the ``REPRO_RUNTIME_BUCKETS`` environment variable,
-    which accepts the same spellings: unset/empty or ``on`` for the
-    default, ``off``/``exact``/``none``/``0`` to disable, or an integer cap.
+    Kept, with :func:`bucket_batch_size` and :func:`pad_batch_to_bucket`,
+    for the benchmark's padded reference replay only: no serving path
+    calls them, and none of them reads the environment.
     """
-    if policy is None:
-        raw = os.environ.get(BUCKETS_ENV_VAR, "").strip().lower()
-        if raw in ("", "on", "true"):
-            return DEFAULT_BUCKET_CAP
-        if raw in ("off", "exact", "none", "false", "0"):
-            return None
-        try:
-            policy = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"cannot parse {BUCKETS_ENV_VAR}={raw!r}; expected an integer "
-                "cap, 'on', or one of off/exact/none/0"
-            ) from None
-    if policy is True:
-        return DEFAULT_BUCKET_CAP
-    if policy is False:
-        return None
-    if policy <= 0:
-        return None
-    return int(policy)
+    return DEFAULT_BUCKET_CAP
 
 
-def batch_pieces(batch: int, cap: Optional[int]) -> List[int]:
-    """Row counts of the plans that serve a ``batch``-row request under ``cap``.
+def batch_pieces(batch: int) -> List[int]:
+    """Row counts of the plans that serve a ``batch``-row request.
 
-    A batch of at most ``cap`` rows runs as its binary decomposition into
-    power-of-two pieces, largest first (19 rows run as 16 + 2 + 1), so a
-    ragged stream of sizes replays O(log cap) plans and computes no padding
-    row.  A batch above the cap — and any batch when bucketing is disabled —
-    runs as one exact-shape piece.  Splitting is exact because no forward
-    here lets a row depend on its batch (``docs/runtime.md`` §Batch bucketing).
+    A batch runs as its binary decomposition into power-of-two pieces,
+    largest first (19 rows run as 16 + 2 + 1), so a ragged stream of sizes
+    replays O(log max_batch) plans and computes no padding row.  Splitting
+    is exact because no forward here lets a row depend on its batch
+    (``docs/runtime.md`` §Batch pieces).  Serving keeps the pieces for
+    memory: exact-shape plans for perfbench's backfill mix run no faster
+    and hold 2.7 times their workspace (``benchmarks/BENCH_runtime.json``
+    ``ragged_cycle``).
     """
-    if cap is None or batch > cap:
-        return [batch]
     return [1 << bit for bit in reversed(range(batch.bit_length())) if batch >> bit & 1]
 
 
@@ -136,8 +112,13 @@ def batch_pieces(batch: int, cap: Optional[int]) -> List[int]:
 #: forward is bound by per-step dispatch, which holds the interpreter lock.
 MIN_LANE_ROWS = 2
 
+#: Most row lanes an inline serving worker runs: two lanes is the measured
+#: configuration (``benchmarks/BENCH_runtime.json`` ``lane_parallel``, two
+#: cores); more lanes on a wider host are unmeasured.
+MAX_PLAN_LANES = 2
 
-def lane_pieces(batch: int, cap: Optional[int], lanes: int) -> List[List[int]]:
+
+def lane_pieces(batch: int, lanes: int) -> List[List[int]]:
     """Plan pieces of each row lane serving a ``batch``-row request.
 
     The batch splits into at most ``lanes`` row-contiguous chunks whose
@@ -149,16 +130,16 @@ def lane_pieces(batch: int, cap: Optional[int], lanes: int) -> List[List[int]]:
     """
     lanes = max(1, min(lanes, -(-batch // MIN_LANE_ROWS)))
     rows, extra = divmod(batch, lanes)
-    return [batch_pieces(rows + (lane < extra), cap) for lane in range(lanes)]
+    return [batch_pieces(rows + (lane < extra)) for lane in range(lanes)]
 
 
 def bucket_batch_size(batch: int, cap: Optional[int]) -> int:
     """The next power-of-two bucket of ``batch`` under cap ``cap``.
 
-    Serving does not pad (see :func:`batch_pieces`); reference replays may
-    (:func:`pad_batch_to_bucket`), since a row's output does not depend on
-    its batch.  Batches above the cap — and any batch when bucketing is
-    disabled — keep their exact size.
+    Serving does not pad (see :func:`batch_pieces`); the benchmark's
+    reference replay does (:func:`pad_batch_to_bucket`), since a row's
+    output does not depend on its batch.  Batches above the cap, and any
+    batch when ``cap`` is ``None``, keep their exact size.
     """
     if cap is None or batch <= 1 or batch > cap:
         return batch
@@ -235,11 +216,13 @@ class PlanStats:
 class PlanCacheInfo:
     """Provenance counters of a :class:`CompiledModel`'s plan cache.
 
-    ``compiles`` counts plans built by tracing the module; ``artifact_loads``
-    counts plans rebuilt from the artifact store without any trace/fuse/
-    layout work.  A warm-started worker therefore shows
-    ``compiles == 0`` — the machine-checkable "zero retraces" contract of
-    the cold-start benchmarks and the CI round-trip job.
+    ``compiles`` counts plans built by the compiler, whether traced at
+    their own batch size or lowered from the b1 and b2 traces (those are
+    also counted in ``rebatched``); ``artifact_loads`` counts plans rebuilt
+    from the artifact store without any trace/fuse/layout work.  A
+    warm-started worker therefore shows ``compiles == 0`` — the
+    machine-checkable "zero retraces" contract of the cold-start
+    benchmarks and the CI round-trip job.
     """
 
     plans: int
@@ -309,9 +292,12 @@ class PlanSpec:
     stats: PlanStats
 
 
-#: Alignment of every pooled storage inside an externally supplied plan
-#: workspace (matches the artifact pack alignment, so views stay
-#: cache-line aligned wherever the buffer lives — heap or shared memory).
+#: Byte alignment of every pooled storage's offset inside an externally
+#: supplied plan workspace.  A storage is cache-line aligned in memory only
+#: when the buffer's base is (a shared-memory segment's base is
+#: page-aligned).  The artifact pack uses the same offset alignment, but a
+#: loaded plan's constants are not cache-line aligned: the base of the
+#: blob ``np.load`` returns is not.
 WORKSPACE_ALIGN = 64
 
 
@@ -564,16 +550,14 @@ class CompiledModel:
     micro-batcher produces coalesced batches of many different sizes under
     bursty traffic, and each plan owns workspace proportional to its batch,
     so an unbounded cache would grow memory for the life of the service.
-    **Batch bucketing** bounds what that cache has to hold: a ragged batch
+    **Batch pieces** bound what that cache has to hold: a ragged batch
     runs as power-of-two pieces along axis 0, largest first (19 rows as
     16 + 2 + 1, see :func:`batch_pieces`), whose outputs are concatenated.
     The LRU sees O(log max_batch) distinct shapes instead of one per
     observed size, and no padding row is ever computed.  The split is
     bit-exact because a row's output never depends on the other rows of
-    its batch.  Disable or cap it with ``bucket_batches`` or the
-    ``REPRO_RUNTIME_BUCKETS`` environment variable (see
-    :func:`resolve_bucket_cap`); the cap bounds the largest piece, and
-    batches above it serve exact-shape plans.
+    its batch.  Plans are always fused; unfused and exact-shape reference
+    plans come from :func:`~repro.runtime.compiler.compile_plan`.
 
     **Row lanes** (``lanes=L``, default 1) spend several cores on one
     batch: its rows split into at most L row-contiguous chunks of
@@ -615,8 +599,6 @@ class CompiledModel:
     def __init__(
         self,
         module,
-        fuse: bool = True,
-        bucket_batches: Union[None, bool, int] = None,
         precision: Union[None, str, np.dtype] = None,
         artifact_dir=None,
         lanes: int = 1,
@@ -625,8 +607,6 @@ class CompiledModel:
             raise ValueError("lanes must be positive")
         module.eval()
         self._module = module
-        self._fuse = fuse
-        self._bucket_cap = resolve_bucket_cap(bucket_batches)
         self._dtype = resolve_precision(precision)
         self._plans: "OrderedDict[Tuple, Plan]" = OrderedDict()
         # Per-trailing-shape output shapes learned from the first empty-batch
@@ -673,9 +653,10 @@ class CompiledModel:
         return self._dtype.name
 
     @property
-    def bucket_cap(self) -> Optional[int]:
-        """Largest batch split into plan pieces (``None`` when bucketing is disabled)."""
-        return self._bucket_cap
+    def bucket_cap(self) -> int:
+        """:data:`DEFAULT_BUCKET_CAP`, for the benchmark's padded reference
+        replay; serving splits every batch into pieces, with no cap."""
+        return DEFAULT_BUCKET_CAP
 
     def _plan_key(self, shape: Tuple[int, ...], dtype: np.dtype) -> Tuple:
         """Plan-cache key: input shape and execution dtype.
@@ -719,8 +700,7 @@ class CompiledModel:
         Edge shapes are hardened rather than special plans: an empty batch
         (``B == 0``) replays the single-row plan on a probe row and trims
         everything back off — tracing a degenerate ``(0, ...)`` shape or
-        letting it churn the plan LRU would buy nothing — and a batch above
-        the bucket cap runs an exact-shape plan.
+        letting it churn the plan LRU would buy nothing.
         """
         array = self._as_call_array(x, precision)
         if array.shape[0] == 0:
@@ -737,7 +717,7 @@ class CompiledModel:
     def _pieces(self, array: np.ndarray) -> List[List[np.ndarray]]:
         """Views of ``array`` along axis 0: each lane's plan pieces (see :func:`lane_pieces`)."""
         lanes, start = [], 0
-        for pieces in lane_pieces(array.shape[0], self._bucket_cap, self._lanes):
+        for pieces in lane_pieces(array.shape[0], self._lanes):
             views = []
             for rows in pieces:
                 views.append(array[start : start + rows])
@@ -865,13 +845,7 @@ class CompiledModel:
         to the artifact store."""
         from .compiler import compile_plan
 
-        plan = compile_plan(
-            self._module,
-            array,
-            fuse=self._fuse,
-            dtype=array.dtype,
-            rebatcher=self._rebatcher,
-        )
+        plan = compile_plan(self._module, array, dtype=array.dtype, rebatcher=self._rebatcher)
         from .verify import verify_enabled
 
         if verify_enabled():
@@ -908,14 +882,7 @@ class CompiledModel:
             fingerprint = weights_fingerprint(self._module)
             with self._lock:
                 self._weights_fp = fingerprint
-        return trace_hash(
-            self._module,
-            shape,
-            dtype,
-            fuse=self._fuse,
-            bucket_cap=self._bucket_cap,
-            weights=fingerprint,
-        )
+        return trace_hash(self._module, shape, dtype, weights=fingerprint)
 
     def _artifact_meta(self) -> Dict[str, str]:
         module = self._module

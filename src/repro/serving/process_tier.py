@@ -1038,21 +1038,20 @@ class ProcessShardExecutor:
         return worker
 
     # ------------------------------------------------------------------
-    def _piece_rows(self, batch: int, pset: _ProviderSet) -> List[int]:
+    def _piece_rows(self, batch: int) -> List[int]:
         """Row counts of the pieces a ``batch``-row dispatch sends: chunks
         of ``bulk_chunk_rows``, each split into its plan pieces."""
-        cap = pset.provider.bucket_cap
         return [
             rows
             for start in range(0, batch, self._chunk_rows)
-            for rows in batch_pieces(min(self._chunk_rows, batch - start), cap)
+            for rows in batch_pieces(min(self._chunk_rows, batch - start))
         ]
 
     def _make_jobs(self, array: np.ndarray, lane: str, dtype: np.dtype, pset: _ProviderSet,
                    deadline: Optional[Deadline] = None) -> List[_Job]:
         jobs: List[_Job] = []
         start = 0
-        for rows in self._piece_rows(array.shape[0], pset):
+        for rows in self._piece_rows(array.shape[0]):
             piece = np.ascontiguousarray(array[start : start + rows])
             start += rows
             key = self._ensure_key(piece.shape, dtype, pset)
@@ -1069,7 +1068,7 @@ class ProcessShardExecutor:
         """
         provider = pset.provider
         dtype = np.dtype(resolve_precision(provider.precision))
-        pieces = self._piece_rows(batch, pset)
+        pieces = self._piece_rows(batch)
         for rows in dict.fromkeys(pieces):
             self._ensure_key((rows,) + self._window_shape, dtype, pset)
         return provider.compile_for(np.zeros((pieces[0],) + self._window_shape, dtype=dtype))

@@ -55,9 +55,9 @@ The executors own the CPU budget (:mod:`repro.runtime.blas`).  K process
 workers run OpenBLAS at ``max(1, cores // K)`` threads each, so the
 replicas share the cores instead of oversubscribing them.  The inline
 worker spends the cores on row lanes instead: a batch splits into one row
-chunk per core (at most :data:`MAX_PLAN_LANES`), computed at once (see
-:class:`~repro.runtime.CompiledModel`), with OpenBLAS at one thread while
-the lanes run.  Process workers keep one lane.
+chunk per core (at most :data:`~repro.runtime.MAX_PLAN_LANES`), computed
+at once (see :class:`~repro.runtime.CompiledModel`), with OpenBLAS at one
+thread while the lanes run.  Process workers keep one lane.
 
 Every forward runs through the **graph-free compiled runtime**
 (:mod:`repro.runtime`): the model's forward pass is compiled once per
@@ -65,9 +65,8 @@ batch shape into a flat kernel plan replayed on raw arrays with reused
 workspace buffers, bit-identical to the autograd forward in float64.
 Ragged batch sizes run as power-of-two plan pieces inside the runtime,
 with no padding row, so the plan cache stays O(log max_batch) under
-bursty traffic (``REPRO_RUNTIME_BUCKETS`` caps or disables this).  Each
-replica has one forward, a :class:`ResilientForward` over its compiled
-engine, and every cache miss computes through it.
+bursty traffic.  Each replica has one forward, a :class:`ResilientForward`
+over its compiled engine, and every cache miss computes through it.
 
 Warm start: :meth:`~ForecastService.save_buffer_state` persists the rolling
 buffer next to a checkpoint and
@@ -92,7 +91,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 import numpy as np
 
 from ..nn import Module
-from ..runtime import ArtifactStore, CompiledModel, blas, resolve_precision
+from ..runtime import MAX_PLAN_LANES, ArtifactStore, CompiledModel, blas, resolve_precision
 from .batching import (
     BackgroundFlusher,
     BatcherStats,
@@ -126,11 +125,6 @@ __all__ = [
     "ServiceStats",
     "SwapReport",
 ]
-
-#: Most row lanes the inline worker runs: two lanes is the measured
-#: configuration (``benchmarks/BENCH_runtime.json`` ``lane_parallel``, two
-#: cores); more lanes on a wider host are unmeasured.
-MAX_PLAN_LANES = 2
 
 #: The executors a :class:`ForecastService` runs its replica workers on.
 SERVING_EXECUTORS = ("inline", "processes")
@@ -568,8 +562,8 @@ class ForecastService:
                 model, scaler, model_version or _weights_fingerprint(model)
             )
         except BaseException:
-            # A bad REPRO_RUNTIME_BUCKETS raises here, after the tier took
-            # its BLAS limit and spill directory: give both back.
+            # The tier took its BLAS limit and spill directory before the
+            # plan engine was built: give both back.
             if self._tier is not None:
                 self._tier.close()
             raise
@@ -1431,11 +1425,18 @@ class ForecastService:
         against the same store binds every worker's plans from disk — zero
         retraces on the first request.  Process replicas share one
         parent-side provider, so each of its plans is written (and
-        returned) once.
+        returned) once.  Raises :class:`ValueError` when there is no store
+        to write to.
         """
+        store = path if path is not None else self.artifact_store
+        if store is None:
+            raise ValueError(
+                "no artifact store: pass save_artifacts(path) or construct "
+                "the service with artifact_dir="
+            )
         written: List = []
         for plans in self._gen.plans:
-            written.extend(plans.save_artifacts(path))
+            written.extend(plans.save_artifacts(store))
         return written
 
     def warm_up(self, batch_sizes=None) -> List:

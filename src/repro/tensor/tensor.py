@@ -556,8 +556,3 @@ class Tensor:
         """Logarithm of the softmax along ``axis`` (primitive, see softmax)."""
         data = K.log_softmax(self.data, axis=axis)
         return Tensor._make(data, (self,), op=("log_softmax", {"axis": axis}))
-
-
-def _ensure_tensor(value: ArrayLike) -> Tensor:
-    """Module-level coercion helper shared with :mod:`repro.tensor.ops`."""
-    return value if isinstance(value, Tensor) else Tensor(value)

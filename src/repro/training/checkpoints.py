@@ -156,7 +156,6 @@ def save_plan_artifacts(
     checkpoint_path: Union[str, Path],
     examples,
     precisions=("float64",),
-    bucket_batches=None,
     artifact_dir: Optional[Union[str, Path]] = None,
 ) -> Path:
     """Compile serving plans ahead of time and persist them beside a checkpoint.
@@ -170,20 +169,29 @@ def save_plan_artifacts(
     restarted with ``from_checkpoint(path, artifact_dir=...)`` then binds
     its plans from disk and serves its first request with zero retraces.
 
-    Examples are bucketed and precision-cast exactly like live requests,
-    so the trace keys match the ones a service computes — single-worker
-    services and replica fleets alike.  Returns the artifact directory.
+    Each example is split into plan pieces and precision-cast exactly like
+    a live request, once for every row-lane count a single-worker service
+    can pick (1 to :data:`~repro.runtime.MAX_PLAN_LANES`), so the trace keys
+    match the ones such a service computes on any host.  A process fleet
+    splits a batch across its replicas and into ``bulk_chunk_rows`` chunks
+    first, so pass it the per-replica batch sizes it dispatches.  Returns
+    the artifact directory.
     """
-    from ..runtime import ArtifactStore, CompiledModel
+    from ..runtime import MAX_PLAN_LANES, ArtifactStore, CompiledModel, lane_pieces
 
     directory = Path(artifact_dir) if artifact_dir is not None else artifact_dir_for(checkpoint_path)
     store = ArtifactStore(directory)
     for precision in precisions:
-        compiled = CompiledModel(
-            model, precision=precision, bucket_batches=bucket_batches, artifact_dir=store
-        )
-        for example in examples:
-            compiled.compile_for(example)
+        compiled = CompiledModel(model, precision=precision, artifact_dir=store)
+        for example in map(np.asarray, examples):
+            pieces = {
+                rows
+                for lanes in range(1, MAX_PLAN_LANES + 1)
+                for chunk in lane_pieces(len(example), lanes)
+                for rows in chunk
+            }
+            for rows in pieces:
+                compiled.compile_for(example[:rows])
     return directory
 
 

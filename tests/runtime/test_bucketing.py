@@ -1,7 +1,7 @@
-"""Batch bucketing: ragged batches run as power-of-two plan pieces, bit-exactly.
+"""Batch pieces: ragged batches run as power-of-two plan pieces, bit-exactly.
 
-Under bucketing the plan LRU holds O(log max_batch) plans instead of one
-per observed batch size: a batch runs as its binary decomposition into
+The plan LRU holds O(log max_batch) plans instead of one per observed
+batch size: a batch runs as its binary decomposition into
 power-of-two pieces (19 rows as 16 + 2 + 1) whose outputs are
 concatenated, and no padding row is computed.  That is exact only because
 a row's output never depends on the rest of its batch, which
@@ -11,20 +11,19 @@ path with the row count.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.core import DyHSL, DyHSLConfig
-from repro.runtime import (
-    BUCKETS_ENV_VAR,
-    CompiledModel,
+from repro.runtime import CompiledModel, batch_pieces, compile_module, compile_plan
+from repro.runtime.engine import (
     DEFAULT_BUCKET_CAP,
-    batch_pieces,
     bucket_batch_size,
-    compile_module,
+    pad_batch_to_bucket,
     resolve_bucket_cap,
 )
-from repro.runtime.engine import pad_batch_to_bucket
 from repro.tensor import Tensor, no_grad
 from repro.tensor import seed as seed_everything
 
@@ -58,17 +57,16 @@ def _reference(model, x):
 
 class TestBucketPolicy:
     def test_binary_decomposition_largest_first(self):
-        cap = DEFAULT_BUCKET_CAP
-        assert batch_pieces(1, cap) == [1]
-        assert batch_pieces(3, cap) == [2, 1]
-        assert batch_pieces(19, cap) == [16, 2, 1]
-        assert batch_pieces(32, cap) == [32]
-        assert batch_pieces(0, cap) == []
+        assert batch_pieces(1) == [1]
+        assert batch_pieces(3) == [2, 1]
+        assert batch_pieces(19) == [16, 2, 1]
+        assert batch_pieces(32) == [32]
+        assert batch_pieces(0) == []
 
-    def test_pieces_above_the_cap_or_disabled_are_exact(self):
-        assert batch_pieces(100, 100) == [64, 32, 4]  # no piece exceeds the cap
-        assert batch_pieces(101, 100) == [101]  # above the cap: exact
-        assert batch_pieces(9, None) == [9]  # disabled: exact
+    def test_pieces_have_no_cap(self):
+        assert batch_pieces(100) == [64, 32, 4]
+        assert batch_pieces(1025) == [1024, 1]
+        assert batch_pieces(3000) == [2048, 512, 256, 128, 32, 16, 8]
 
     def test_power_of_two_rounding(self):
         cap = DEFAULT_BUCKET_CAP
@@ -86,21 +84,8 @@ class TestBucketPolicy:
         assert bucket_batch_size(9, None) == 9  # disabled: exact
 
     def test_resolve_from_arguments(self):
-        assert resolve_bucket_cap(True) == DEFAULT_BUCKET_CAP
-        assert resolve_bucket_cap(False) is None
-        assert resolve_bucket_cap(64) == 64
-        assert resolve_bucket_cap(0) is None
-
-    def test_resolve_from_environment(self, monkeypatch):
-        monkeypatch.delenv(BUCKETS_ENV_VAR, raising=False)
-        assert resolve_bucket_cap() == DEFAULT_BUCKET_CAP
-        monkeypatch.setenv(BUCKETS_ENV_VAR, "off")
-        assert resolve_bucket_cap() is None
-        monkeypatch.setenv(BUCKETS_ENV_VAR, "256")
-        assert resolve_bucket_cap() == 256
-        monkeypatch.setenv(BUCKETS_ENV_VAR, "sideways")
-        with pytest.raises(ValueError):
-            resolve_bucket_cap()
+        """The padded reference replay's cap is fixed."""
+        assert resolve_bucket_cap() == resolve_bucket_cap(None) == DEFAULT_BUCKET_CAP
 
 
 class TestBucketedServing:
@@ -128,28 +113,24 @@ class TestBucketedServing:
         assert len(compiled.plan_stats()) == 6
         assert compiled.cache_info().compiles == 6
 
-    def test_bucketing_disabled_compiles_exact_shapes(self, model):
-        compiled = CompiledModel(model, bucket_batches=False)
+    def test_exact_shape_plans_come_from_the_compiler(self, model):
+        """Serving has one configuration; an exact-shape reference plan is
+        a per-shape compile."""
         rng = np.random.default_rng(84)
         for batch in RAGGED_BATCHES:
             x = rng.normal(size=(batch, 12, NUM_NODES, 1))
-            assert np.array_equal(compiled(x), _reference(model, x))
-        shapes = sorted(stats.input_shape[0] for stats in compiled.plan_stats())
-        assert shapes == sorted(RAGGED_BATCHES)
+            plan = compile_plan(model, x)
+            assert plan.stats.input_shape[0] == batch
+            assert np.array_equal(plan.call(x), _reference(model, x))
 
-    def test_environment_disables_bucketing(self, model, monkeypatch):
-        monkeypatch.setenv(BUCKETS_ENV_VAR, "exact")
-        compiled = compile_module(model)
-        rng = np.random.default_rng(85)
-        compiled(rng.normal(size=(3, 12, NUM_NODES, 1)))
-        assert [stats.input_shape[0] for stats in compiled.plan_stats()] == [3]
-
-    def test_batches_above_the_cap_serve_exact(self, model):
-        compiled = CompiledModel(model, bucket_batches=8)
-        rng = np.random.default_rng(86)
-        x = rng.normal(size=(11, 12, NUM_NODES, 1))
-        assert np.array_equal(compiled(x), _reference(model, x))
-        assert [stats.input_shape[0] for stats in compiled.plan_stats()] == [11]
+    def test_removed_knobs_raise_type_error(self, model):
+        """Plans are always fused pieces: the model takes no plan options."""
+        parameters = list(inspect.signature(CompiledModel.__init__).parameters)
+        assert parameters == ["self", "module", "precision", "artifact_dir", "lanes"]
+        with pytest.raises(TypeError):
+            CompiledModel(model, fuse=False)
+        with pytest.raises(TypeError):
+            compile_module(model, fuse=False)
 
     def test_compile_for_reports_the_bucketed_plan(self, model):
         compiled = compile_module(model)
@@ -178,18 +159,6 @@ class TestEdgeShapes:
         x = rng.normal(size=(1, 12, NUM_NODES, 1))
         assert np.array_equal(compiled(x), _reference(model, x))
         assert len(compiled.plan_stats()) == 1
-
-    def test_empty_batch_with_bucketing_disabled(self, model):
-        compiled = CompiledModel(model, bucket_batches=False)
-        assert compiled(np.zeros((0, 12, NUM_NODES, 1))).shape == (0, 12, NUM_NODES)
-
-    def test_over_cap_batch_is_bit_identical(self, model):
-        """A batch above the cap takes the exact-shape path, unpadded."""
-        compiled = CompiledModel(model, bucket_batches=4)
-        rng = np.random.default_rng(89)
-        x = rng.normal(size=(9, 12, NUM_NODES, 1))
-        assert np.array_equal(compiled(x), _reference(model, x))
-        assert [stats.input_shape[0] for stats in compiled.plan_stats()] == [9]
 
     def test_pad_helper_leaves_edge_shapes_alone(self):
         empty = np.zeros((0, 3))
@@ -240,7 +209,7 @@ class TestRowIndependence:
         assert np.abs(_reference(wide_dyhsl, padded)[:19] - alone).max() == 0.0
         assert np.abs(_reference(wide_dyhsl, windows) - alone).max() == 0.0
         pieces, start = [], 0
-        for rows in batch_pieces(19, DEFAULT_BUCKET_CAP):
+        for rows in batch_pieces(19):
             pieces.append(_reference(wide_dyhsl, windows[start : start + rows]))
             start += rows
         assert np.abs(np.concatenate(pieces) - alone).max() == 0.0
@@ -248,7 +217,11 @@ class TestRowIndependence:
     def test_compiled_rows_ignore_their_batch(self, wide_dyhsl, windows, alone):
         served = compile_module(wide_dyhsl)(windows)
         assert np.abs(served - alone).max() == 0.0
-        exact = CompiledModel(wide_dyhsl, bucket_batches=False)
+
+        def exact(x):
+            return compile_plan(wide_dyhsl, x).call(x)
+
         padded, _ = pad_batch_to_bucket(windows, DEFAULT_BUCKET_CAP)
         assert np.abs(exact(padded)[:19] - alone).max() == 0.0
+        assert np.abs(exact(windows) - alone).max() == 0.0
         assert np.abs(exact(windows[:1]) - alone[:1]).max() == 0.0

@@ -15,7 +15,7 @@ import pytest
 
 from repro.baselines import create_baseline
 from repro.core import DyHSL, DyHSLConfig
-from repro.runtime import compile_module
+from repro.runtime import compile_module, compile_plan
 from repro.tensor import Tensor, no_grad
 from repro.tensor import kernels as K
 from repro.tensor import seed as seed_everything
@@ -68,8 +68,8 @@ def _assert_fusion_parity(model, windows, exact_vs_autograd=True):
     with no_grad():
         reference = model(Tensor(windows)).data
     fused = compile_module(model)
-    unfused = compile_module(model, fuse=False)
-    fused_out, unfused_out = fused(windows), unfused(windows)
+    unfused = compile_plan(model, windows, fuse=False)
+    fused_out, unfused_out = fused(windows), unfused.call(windows)
     assert np.array_equal(fused_out, unfused_out)
     if exact_vs_autograd:
         assert np.array_equal(fused_out, reference)
@@ -80,12 +80,12 @@ def _assert_fusion_parity(model, windows, exact_vs_autograd=True):
     with no_grad():
         fresh_reference = model(Tensor(fresh)).data
     fused_fresh = fused(fresh)
-    assert np.array_equal(fused_fresh, unfused(fresh))
+    assert np.array_equal(fused_fresh, unfused.call(fresh))
     if exact_vs_autograd:
         assert np.array_equal(fused_fresh, fresh_reference)
     else:
         assert np.abs(fused_fresh - fresh_reference).max() <= 1e-10
-    return fused.plan_stats()[0], unfused.plan_stats()[0]
+    return fused.plan_stats()[0], unfused.stats
 
 
 class TestDyHSLFusionParity:
@@ -181,9 +181,7 @@ class TestFusedElementwiseKernel:
 class TestFusionToggle:
     def test_fuse_false_emits_no_chains(self, adjacency, windows):
         model = _dyhsl(adjacency)
-        unfused = compile_module(model, fuse=False)
-        unfused(windows)
-        stats = unfused.plan_stats()[0]
+        stats = compile_plan(model, windows, fuse=False).stats
         assert stats.fused_chains == 0
         assert stats.fused_chain_lengths == ()
         assert stats.steps == stats.steps_unfused

@@ -43,26 +43,24 @@ class TestLanePieces:
     @pytest.mark.parametrize("lanes", [1, 2, 3, 4])
     def test_chunks_cover_the_batch_and_differ_by_at_most_one(self, lanes):
         for batch in range(1, 70):
-            chunks = [sum(pieces) for pieces in lane_pieces(batch, 1024, lanes)]
+            chunks = [sum(pieces) for pieces in lane_pieces(batch, lanes)]
             assert sum(chunks) == batch
             assert chunks == sorted(chunks, reverse=True)
             assert max(chunks) - min(chunks) <= 1
             assert len(chunks) == min(lanes, -(-batch // MIN_LANE_ROWS))
 
     def test_each_chunk_runs_as_its_binary_pieces(self):
-        assert lane_pieces(19, 1024, 2) == [[8, 2], [8, 1]]
-        assert lane_pieces(32, 1024, 2) == [[16], [16]]
-        assert lane_pieces(2, 1024, 2) == [[2]]
+        assert lane_pieces(19, 2) == [[8, 2], [8, 1]]
+        assert lane_pieces(32, 2) == [[16], [16]]
+        assert lane_pieces(2, 2) == [[2]]
         # No more chunks than give each two rows: 1-row chunks are
         # dispatch-bound, so 3 rows on three lanes still run as 2 | 1.
-        assert lane_pieces(3, 1024, 3) == [[2], [1]]
-        assert lane_pieces(5, 1024, 4) == [[2], [2], [1]]
-        assert lane_pieces(6, 1024, 4) == [[2], [2], [2]]
-        assert lane_pieces(7, 1024, 3) == [[2, 1], [2], [2]]
-        assert lane_pieces(20, 16, 2) == [[8, 2], [8, 2]]
-        # A chunk above the cap runs as one exact-shape piece.
-        assert lane_pieces(40, 16, 2) == [[20], [20]]
-        assert lane_pieces(40, None, 2) == [[20], [20]]
+        assert lane_pieces(3, 3) == [[2], [1]]
+        assert lane_pieces(5, 4) == [[2], [2], [1]]
+        assert lane_pieces(6, 4) == [[2], [2], [2]]
+        assert lane_pieces(7, 3) == [[2, 1], [2], [2]]
+        assert lane_pieces(20, 2) == [[8, 2], [8, 2]]
+        assert lane_pieces(40, 2) == [[16, 4], [16, 4]]
 
 
 class TestLaneParity:

@@ -21,7 +21,7 @@ from repro.core import DyHSL, DyHSLConfig
 from repro.graph import SparseMatrix
 from repro.runtime import CompiledModel, build_plan_spec
 from repro.runtime import compiler as compiler_module
-from repro.runtime.compiler import Rebatcher, layout_plan
+from repro.runtime.compiler import Rebatcher, compile_plan, layout_plan
 from repro.tensor import Tensor, no_grad
 from repro.tensor import seed as seed_everything
 
@@ -174,14 +174,18 @@ class TestWeightsAndThreads:
 
     @pytest.mark.parametrize("batches", [(8, 16), (3, 5, 6, 7, 9, 10, 11, 12)])
     def test_threads_first_compiling_at_once_get_exact_plans(self, model, batches):
-        compiled = CompiledModel(model, bucket_batches=False)
+        # One exact-shape plan per batch, all lowered through one rebatcher.
+        rebatcher = Rebatcher()
         barrier = threading.Barrier(len(batches))
         results = {}
+        plans = []
 
         def serve(batch):
             x = _windows(batch, seed=batch)
             barrier.wait(timeout=30)
-            results[batch] = np.abs(compiled(x) - _reference(model, x)).max()
+            plan = compile_plan(model, x, rebatcher=rebatcher)
+            plans.append(plan)
+            results[batch] = np.abs(plan.call(x) - _reference(model, x)).max()
 
         threads = [threading.Thread(target=serve, args=(batch,)) for batch in batches]
         interval = sys.getswitchinterval()
@@ -195,9 +199,8 @@ class TestWeightsAndThreads:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert results == {batch: 0.0 for batch in batches}
-        info = compiled.cache_info()
         # Every plan counted once: a lost counter update would show here.
-        assert (info.compiles, info.rebatched) == (len(batches), len(batches))
+        assert (len(plans), rebatcher.counts()[0]) == (len(batches), len(batches))
 
     def test_rebatched_plan_round_trips_through_an_artifact(self, model, tmp_path):
         x = _windows(16)

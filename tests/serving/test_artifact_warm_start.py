@@ -214,6 +214,30 @@ class TestShardedWarmStart:
         # The replicas share one provider, whose one plan is written once.
         assert len(written) == 1
 
+    def test_fleet_save_artifacts_writes_only_to_a_durable_store(
+        self, tiny_model, forecasting_data, window, store
+    ):
+        """The tier's spill directory is deleted on close, so a fleet with
+        neither a path nor ``artifact_dir=`` has nowhere to write."""
+        with ForecastService(
+            tiny_model, scaler=forecasting_data.scaler, num_shards=2, cache_entries=0
+        ) as fleet:
+            fleet.forecast(window)
+            with pytest.raises(ValueError, match="no artifact store"):
+                fleet.save_artifacts()
+        with ForecastService(
+            tiny_model,
+            scaler=forecasting_data.scaler,
+            num_shards=2,
+            cache_entries=0,
+            artifact_dir=store,
+        ) as fleet:
+            fleet.forecast(window)
+            written = fleet.save_artifacts()
+        assert written
+        for path in written:
+            assert path.parent == store.root and path.exists()
+
 
 class TestCheckpointAOT:
     def test_compile_at_train_time_then_serve(
@@ -258,6 +282,29 @@ class TestCheckpointAOT:
         assert (info.compiles, info.artifact_loads) == (0, 1)
         baseline = ForecastService.from_checkpoint(checkpoint)
         assert np.array_equal(produced, baseline.forecast(window))
+
+    def test_aot_covers_every_lane_count(
+        self, tiny_model, forecasting_data, tmp_path, plan_engine, monkeypatch
+    ):
+        """A default service on a two-core host serves 16 rows as 8 | 8,
+        so a 16-row AOT example must cover the 8-row plan too."""
+        monkeypatch.setattr(blas, "cores", lambda: 2)
+        checkpoint = save_model_checkpoint(
+            tiny_model,
+            tmp_path / "dyhsl",
+            adjacency=forecasting_data.adjacency,
+            scaler=forecasting_data.scaler,
+        )
+        rng = np.random.default_rng(43)
+        nodes = forecasting_data.num_nodes
+        windows = np.abs(rng.normal(loc=180.0, scale=40.0, size=(16, 12, nodes, 1)))
+        directory = save_plan_artifacts(tiny_model, checkpoint, examples=[windows])
+        with ForecastService.from_checkpoint(checkpoint, artifact_dir=directory) as service:
+            produced = service.forecast_many(windows)
+            info = plan_engine(service).cache_info()
+        assert (info.compiles, info.artifact_loads) == (0, 1)
+        with ForecastService.from_checkpoint(checkpoint) as baseline:
+            assert np.array_equal(produced, baseline.forecast_many(windows))
 
     def test_aot_covers_both_precisions(
         self, tiny_model, forecasting_data, window, tmp_path, plan_engine

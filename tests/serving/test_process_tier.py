@@ -597,8 +597,11 @@ class TestLifecycle:
         pattern = os.path.join(tempfile.gettempdir(), "repro-plan-spill-*")
         spills = set(glob.glob(pattern))
         threads = blas.threads()
-        monkeypatch.setenv("REPRO_RUNTIME_BUCKETS", "bogus")
-        with pytest.raises(ValueError, match="REPRO_RUNTIME_BUCKETS"):
+        def broken(self, model):
+            raise ValueError("plan engine unavailable")
+
+        monkeypatch.setattr(ProcessShardExecutor, "generation", broken)
+        with pytest.raises(ValueError, match="plan engine unavailable"):
             ForecastService(tiny_model, num_shards=2, executor="processes")
         assert blas.threads() == threads
         assert set(glob.glob(pattern)) == spills
