@@ -70,7 +70,7 @@ from repro.core import DyHSL, DyHSLConfig
 from repro.nn import MaskedMAELoss
 from repro.runtime import CompiledModel, blas, compile_module, compile_training_model
 from repro.runtime.compiler import Rebatcher, compile_plan
-from repro.runtime.engine import pad_batch_to_bucket
+from repro.runtime.engine import _PlanArena, pad_batch_to_bucket, plan_workspace_nbytes
 from repro.serving import ForecastService, MicroBatcher
 from repro.tensor import Tensor, no_grad
 from repro.tensor import seed as seed_everything
@@ -531,13 +531,18 @@ def test_ragged_cycle():
     call; both run on one CompiledModel that holds the plans 1..32.
     *Exact* runs one plan per distinct size, each lowered from the b1 and
     b2 traces (``compile_plan`` with one shared ``Rebatcher``): the plans
-    serving would hold without the pieces.  Each size is timed as an
+    serving would hold without the pieces, bound as serving would bind
+    them (every multi-row plan into one lane arena, the 1-row plan on its
+    own).  Each size is timed as an
     interleaved best-of across the three policies, a cycle is the sum over
     sizes, and every policy must equal the autograd forward exactly
     (max |diff| == 0) in the same run.  The plans each policy holds, and
-    their workspace, are why serving keeps the pieces.  Exact plans are
-    built, timed and dropped one size at a time, so this run never holds
-    them all.
+    their workspace, are why serving keeps the pieces.  The model's held
+    workspace is its own count (``cache_info().workspace_bytes``: one lane,
+    so one arena sized to the 32-row plan, plus the 1-row plan's own); the
+    exact plans' is their arena plus their 1-row plan's own.  Exact plans
+    are built, timed and dropped one size at a time, so this run never
+    holds them all.
     """
     repeats = 5
     rng = np.random.default_rng(SEED + 7)
@@ -554,11 +559,14 @@ def test_ragged_cycle():
         rebatcher = Rebatcher()
         seconds = {"padded": 0.0, "pieces": 0.0, "exact": 0.0}
         diffs = dict.fromkeys(seconds, 0.0)
-        exact_bytes = 0
+        arena, exact_bytes = _PlanArena(), 0
         for size in BACKFILL_SIZES:
             batch = rng.normal(size=(size, deploy.INPUT_LENGTH, sensors, 1))
-            exact = compile_plan(model, batch, rebatcher=rebatcher)
-            exact_bytes += exact.stats.workspace_bytes
+            if size == 1:
+                exact = compile_plan(model, batch, rebatcher=rebatcher)
+                exact_bytes += plan_workspace_nbytes(exact.spec.storage_sizes)
+            else:
+                exact = compile_plan(model, batch, rebatcher=rebatcher, workspace=arena)
             padded, _ = pad_batch_to_bucket(batch, compiled.bucket_cap)
             policies = {
                 "padded": lambda: compiled(padded)[:size],
@@ -575,7 +583,8 @@ def test_ragged_cycle():
             del exact, policies
         assert compiled.cache_info().compiles == 6, "no plan shape beyond the warm ladder"
         assert rebatcher.counts() == (len(BACKFILL_SIZES) - 2, 0, None)
-        pieces_bytes = sum(stats.workspace_bytes for stats in compiled.plan_stats())
+        exact_bytes += arena.nbytes
+        pieces_bytes = compiled.cache_info().workspace_bytes
         held = {
             "padded": (6, pieces_bytes),
             "pieces": (6, pieces_bytes),
@@ -594,7 +603,8 @@ def test_ragged_cycle():
             )
         for label, diff in diffs.items():
             assert diff == 0.0, f"{label} rows diverge at {sensors} sensors: {diff}"
-        assert pieces_bytes < exact_bytes
+        # Both hold one arena sized to the 32-row plan plus a 1-row plan.
+        assert pieces_bytes == exact_bytes
 
     print_table(
         "Ragged backfill cycle — padded buckets vs. pieces vs. exact plans "

@@ -740,6 +740,7 @@ def compile_plan(
     fuse: bool = True,
     dtype=np.float64,
     rebatcher: Optional[Rebatcher] = None,
+    workspace=None,
 ) -> Plan:
     """Compile ``module``'s forward into a :class:`Plan` for one input shape.
 
@@ -757,12 +758,12 @@ def compile_plan(
     an exact-shape plan, or an unfused one (``fuse=False``), as a
     reference.  With a ``rebatcher`` (one per module) the lowering comes
     from :meth:`Rebatcher.lower`, which traces the module at one and two
-    rows only.
+    rows only.  ``workspace`` is passed on to ``bind_plan``.
     """
     example = np.asarray(example)
     if rebatcher is None:
         lowered = lower_module(module, example, fuse=fuse)
     else:
         lowered = rebatcher.lower(module, example, fuse)
-    return bind_plan(*layout_plan(lowered, example.shape, dtype))
+    return bind_plan(*layout_plan(lowered, example.shape, dtype), workspace=workspace)
 

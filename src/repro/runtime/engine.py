@@ -16,8 +16,10 @@ and allocates every intermediate array.
 
 from __future__ import annotations
 
+import mmap
 import os
 import threading
+import weakref
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -98,9 +100,9 @@ def batch_pieces(batch: int) -> List[int]:
     largest first (19 rows run as 16 + 2 + 1), so a ragged stream of sizes
     replays O(log max_batch) plans and computes no padding row.  Splitting
     is exact because no forward here lets a row depend on its batch
-    (``docs/runtime.md`` §Batch pieces).  Serving keeps the pieces for
-    memory: exact-shape plans for perfbench's backfill mix run no faster
-    and hold 2.7 times their workspace (``benchmarks/BENCH_runtime.json``
+    (``docs/runtime.md`` §Batch pieces).  Serving keeps the pieces: for
+    perfbench's backfill mix they need 6 plans where exact-shape plans
+    need 13, in the same workspace (``benchmarks/BENCH_runtime.json``
     ``ragged_cycle``).
     """
     return [1 << bit for bit in reversed(range(batch.bit_length())) if batch >> bit & 1]
@@ -131,6 +133,11 @@ def lane_pieces(batch: int, lanes: int) -> List[List[int]]:
     lanes = max(1, min(lanes, -(-batch // MIN_LANE_ROWS)))
     rows, extra = divmod(batch, lanes)
     return [batch_pieces(rows + (lane < extra)) for lane in range(lanes)]
+
+
+def _probe(array: np.ndarray) -> np.ndarray:
+    """One zero row shaped like a row of ``array``: how an empty batch is served."""
+    return np.zeros((1,) + array.shape[1:], dtype=array.dtype)
 
 
 def bucket_batch_size(batch: int, cap: Optional[int]) -> int:
@@ -242,6 +249,10 @@ class PlanCacheInfo:
     rebatch_fallbacks: int = 0
     #: That difference, named, or ``None``.
     rebatch_fallback: Optional[str] = None
+    #: Bytes of plan workspace the model holds: its lanes' arenas plus the
+    #: own workspace of every cached 1-row plan and its lane copies, each
+    #: at its :func:`plan_workspace_nbytes` layout.
+    workspace_bytes: int = 0
 
 
 @dataclass(frozen=True)
@@ -316,29 +327,111 @@ def plan_workspace_nbytes(storage_sizes: Sequence[int]) -> int:
     return total
 
 
+def _step_buffers(spec: PlanSpec, workspace: np.ndarray) -> List[Optional[np.ndarray]]:
+    """Each step's output buffer carved from ``workspace``, or ``None``.
+
+    Storages sit in id order, each on a :data:`WORKSPACE_ALIGN` boundary
+    (:func:`plan_workspace_nbytes`); a buffered step's output is its
+    storage at the plan dtype and the step's shape.
+    """
+    offsets, end = [], 0
+    for nbytes in spec.storage_sizes:
+        end += (-end) % WORKSPACE_ALIGN
+        offsets.append(end)
+        end += int(nbytes)
+    dtype = np.dtype(spec.dtype)
+    return [
+        None
+        if step.storage is None
+        else np.ndarray(step.out_shape, dtype, workspace, offsets[step.storage])
+        for step in spec.steps
+    ]
+
+
+def _anonymous_map(nbytes: int) -> mmap.mmap:
+    """``nbytes`` of zeroed anonymous memory, private to this process: where
+    the platform has ``MAP_PRIVATE`` a forked child writing it leaves the
+    parent's copy alone (the default, shared, would not)."""
+    private = getattr(mmap, "MAP_PRIVATE", None)
+    if private is None:  # Windows: an anonymous map is the process's own
+        return mmap.mmap(-1, nbytes)
+    return mmap.mmap(-1, nbytes, flags=private)
+
+
+class _PlanArena:
+    """One workspace buffer, and one execution lock, shared by the plans bound into it.
+
+    A plan needs its workspace only while it runs, so plans that never run
+    at the same time can share one buffer.  :class:`CompiledModel` binds
+    every multi-row plan of a row lane, and that plan's lane copies, into
+    the lane's arena (``docs/runtime.md`` §Plan workspace per lane).  The
+    arena's lock is the execution lock of every plan bound into it
+    (:meth:`Plan.call`), held for one plan execution at a time.
+
+    The buffer is sized to the largest plan bound so far.  Binding a larger
+    plan allocates a bigger buffer and re-carves every plan carved from the
+    old one, in place and under the lock, so cached plans keep their
+    identity.  A plan carves its buffers on its first :meth:`Plan.call`, so
+    an ascending warm-up ladder that binds without running carves each plan
+    once.  Each buffer is an anonymous memory map, so an outgrown one goes
+    back to the operating system as soon as no plan views it: a lane that
+    binds its copies on first use grows its arena under traffic, and heap
+    buffers freed there stayed resident (``docs/runtime.md`` §Plan
+    workspace per lane).
+    """
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self._buffer = np.empty(0, dtype=np.uint8)
+        self._plans: "weakref.WeakSet[Plan]" = weakref.WeakSet()
+
+    @property
+    def nbytes(self) -> int:
+        """Size of the current buffer."""
+        return self._buffer.nbytes
+
+    def add(self, plan: "Plan") -> "Plan":
+        """Bind uncarved ``plan`` to this arena, growing it first if the plan
+        needs more; the arena's lock becomes the plan's."""
+        needed = plan_workspace_nbytes(plan.spec.storage_sizes)
+        with self.lock:
+            if needed > self._buffer.nbytes:
+                self._buffer = np.frombuffer(_anonymous_map(needed), dtype=np.uint8)
+                for bound in list(self._plans):
+                    if bound._carved is not None:
+                        bound._carve(self._buffer)
+            plan.arena, plan._exec_lock = self, self.lock
+            self._plans.add(plan)
+        return plan
+
+
 def bind_plan(
     spec: PlanSpec,
     values: List[Optional[np.ndarray]],
-    workspace: Optional[np.ndarray] = None,
+    workspace: Union[None, np.ndarray, _PlanArena] = None,
 ) -> "Plan":
     """Materialise a :class:`Plan` from its spec and constant slot table.
 
-    Allocates the pooled workspace storages described by
-    ``spec.storage_sizes``, views each buffered step's output into its
-    assigned storage at the plan dtype, and binds every step (and fused
-    chain instruction) to its kernel by name.  ``values`` must be the full
-    slot table with the constants filled in (non-constant slots ``None``);
-    it is used as the plan's live slot table, not copied.
+    Allocates one workspace buffer of :func:`plan_workspace_nbytes` bytes,
+    carves the pooled storages described by ``spec.storage_sizes`` out of
+    it, views each buffered step's output into its assigned storage at the
+    plan dtype, and binds every step (and fused chain instruction) to its
+    kernel by name.  ``values`` must be the full slot table with the
+    constants filled in (non-constant slots ``None``); it is used as the
+    plan's live slot table, not copied.
 
     ``workspace`` — a flat ``uint8`` buffer of at least
-    :func:`plan_workspace_nbytes` bytes — replaces the heap allocation:
+    :func:`plan_workspace_nbytes` bytes — replaces that allocation:
     storages become :data:`WORKSPACE_ALIGN`-aligned views *into the given
     buffer*, so a plan can execute entirely inside a
     ``multiprocessing.shared_memory`` segment and its outputs are published
     to other processes without a copy (the process-tier hand-off in
     :mod:`repro.serving.process_tier`).  Buffer placement never changes the
     arithmetic, so a workspace-bound plan stays bit-identical to a
-    heap-bound one.
+    heap-bound one.  A :class:`CompiledModel` lane's arena as ``workspace``
+    binds the plan to the arena (growing it first): the plan takes the
+    arena's lock and carves its storages from the arena's buffer on its
+    first call.
 
     Raises :class:`KeyError` when a step names a kernel this build does not
     provide — an artifact from an incompatible library version; callers
@@ -348,10 +441,7 @@ def bind_plan(
         raise ValueError(
             f"slot table has {len(values)} entries; plan spec expects {spec.num_slots}"
         )
-    dtype = np.dtype(spec.dtype)
-    if workspace is None:
-        storages = [np.empty(nbytes, dtype=np.uint8) for nbytes in spec.storage_sizes]
-    else:
+    if workspace is not None and not isinstance(workspace, _PlanArena):
         workspace = np.asarray(workspace)
         if workspace.ndim != 1 or workspace.dtype != np.uint8:
             raise ValueError(
@@ -376,12 +466,6 @@ def bind_plan(
                 f"({len(spec.storage_sizes)} storages at "
                 f"{WORKSPACE_ALIGN}-byte alignment)"
             )
-        storages = []
-        offset = 0
-        for nbytes in spec.storage_sizes:
-            offset += (-offset) % WORKSPACE_ALIGN
-            storages.append(workspace[offset : offset + int(nbytes)])
-            offset += int(nbytes)
     steps: List[Tuple] = []
     for step in spec.steps:
         if step.name not in K.KERNELS:
@@ -397,12 +481,21 @@ def bind_plan(
                     for name, refs, kw in step.kwargs["chain"]
                 )
             }
-        buffer = None
-        if step.storage is not None:
-            buffer = storages[step.storage].view(dtype).reshape(step.out_shape)
-        steps.append((K.KERNELS[step.name], step.in_slots, kwargs, step.out_slot, buffer))
-    plan = Plan(steps, values, spec.input_slot, spec.output_slot, spec.stats, dtype=dtype)
+        steps.append((K.KERNELS[step.name], step.in_slots, kwargs, step.out_slot, None))
+    plan = Plan(steps, values, spec.input_slot, spec.output_slot, spec.stats, dtype=spec.dtype)
     plan.spec = spec
+    return _place(plan, workspace)
+
+
+def _place(plan: "Plan", workspace: Union[None, np.ndarray, _PlanArena]) -> "Plan":
+    """Carve ``plan``'s workspace from ``workspace``: an arena (on the
+    plan's first call), a caller's buffer, or (``None``) a buffer of the
+    plan's own."""
+    if isinstance(workspace, _PlanArena):
+        return workspace.add(plan)
+    if workspace is None:
+        workspace = np.empty(plan_workspace_nbytes(plan.spec.storage_sizes), dtype=np.uint8)
+    plan._carve(workspace)
     return plan
 
 
@@ -421,10 +514,11 @@ class Plan:
     input_slot / output_slot:
         Where the caller's array goes in and where the result comes out.
 
-    All steps share one workspace, so executions of the same plan are
-    serialised by a per-plan lock (:meth:`call`); different plans — and
-    therefore different input shapes — run concurrently.  :meth:`execute`
-    is the raw, unlocked replay for single-threaded callers.
+    All steps share one workspace, so :meth:`call` serialises executions
+    on the workspace's lock: the plan's own, or, for a plan bound into a
+    lane arena (:class:`CompiledModel`), the arena's, which every plan
+    sharing that buffer takes too.  Plans with disjoint workspaces run concurrently.
+    :meth:`execute` is the raw, unlocked replay for single-threaded callers.
 
     ``dtype`` is the plan's execution precision.
     """
@@ -449,6 +543,13 @@ class Plan:
         # last batch it served.
         self._transient_slots = [input_slot] + [step[3] for step in steps]
         self._exec_lock = threading.Lock()
+        #: The :class:`_PlanArena` whose buffer this plan's workspace is
+        #: carved from, or ``None`` for a workspace of its own.
+        self.arena: Optional[_PlanArena] = None
+        # The buffer the step outputs are carved from; None until carved
+        # (an arena-bound plan carves on its first call) or when the steps
+        # came with their own buffers.
+        self._carved: Optional[np.ndarray] = None
         self.stats = stats
         #: The serialisable :class:`PlanSpec` this plan was bound from
         #: (set by the compiler / :func:`bind_plan`); what
@@ -464,12 +565,15 @@ class Plan:
         # Row lane -> this plan's copy for it (see lane_copy).
         self._lane_copies: Dict[int, "Plan"] = {}
 
-    def lane_copy(self, lane: int) -> "Plan":
+    def lane_copy(self, lane: int, arena: Optional[_PlanArena] = None) -> "Plan":
         """The plan row lane ``lane`` replays: this plan for lane 0, else a copy.
 
-        A copy is bound from :attr:`spec` and this plan's constants, so it
-        needs no retrace and no artifact; it shares the constants, owns its
-        workspace, and lives exactly as long as this plan.  Only
+        A copy replays this plan's bound kernels with its constants, so it
+        needs no retrace, no artifact and no kernel lookup; it shares the
+        constants, and lives exactly as long as this plan.  Its workspace is
+        carved from
+        ``arena`` (the lane's), or is its own when ``arena`` is ``None``;
+        ``arena`` is only read when the copy is first bound.  Only
         :class:`CompiledModel` calls this, never on a plan whose parity spot
         check is still pending.
         """
@@ -480,8 +584,19 @@ class Plan:
             values: List[Optional[np.ndarray]] = [None] * self.spec.num_slots
             for slot, value in self.constants().items():
                 values[slot] = value
-            copy = self._lane_copies.setdefault(lane, bind_plan(self.spec, values))
+            # The same bound kernels; _place gives the copy its own buffers.
+            steps = [step[:4] + (None,) for step in self._steps]
+            copy = Plan(steps, values, self._input_slot, self._output_slot, self.stats, self.dtype)
+            copy.spec = self.spec
+            copy = self._lane_copies.setdefault(lane, _place(copy, arena))
         return copy
+
+    def _carve(self, workspace: np.ndarray) -> None:
+        """Point every buffered step into ``workspace``.  The caller holds
+        the execution lock, or the plan is not yet shared."""
+        buffers = _step_buffers(self.spec, workspace)
+        self._steps = [step[:4] + (buffer,) for step, buffer in zip(self._steps, buffers)]
+        self._carved = workspace
 
     def constants(self) -> Dict[int, np.ndarray]:
         """Constant slot values (already cast to the plan dtype), by slot.
@@ -496,7 +611,8 @@ class Plan:
 
     def execute(self, array: np.ndarray) -> np.ndarray:
         """Run the plan in trace order; the result may alias workspace
-        (copy to retain)."""
+        (copy to retain).  A plan bound into a lane arena is carved by its
+        first :meth:`call`; before that its outputs are allocated."""
         values = self._values
         values[self._input_slot] = array
         for kernel, in_slots, kwargs, out_slot, buffer in self._steps:
@@ -515,6 +631,8 @@ class Plan:
         pin the last batch it served.
         """
         with self._exec_lock:
+            if self._carved is None and self.arena is not None:
+                self._carve(self.arena._buffer)
             try:
                 result = self.execute(array)
                 # astype always copies here, so both branches detach the
@@ -548,10 +666,9 @@ class CompiledModel:
 
     The plan cache is a small LRU over input shapes (:attr:`MAX_PLANS`): a
     micro-batcher produces coalesced batches of many different sizes under
-    bursty traffic, and each plan owns workspace proportional to its batch,
-    so an unbounded cache would grow memory for the life of the service.
-    **Batch pieces** bound what that cache has to hold: a ragged batch
-    runs as power-of-two pieces along axis 0, largest first (19 rows as
+    bursty traffic, so an unbounded cache would grow for the life of the
+    service.  **Batch pieces** bound what that cache has to hold: a ragged
+    batch runs as power-of-two pieces along axis 0, largest first (19 rows as
     16 + 2 + 1, see :func:`batch_pieces`), whose outputs are concatenated.
     The LRU sees O(log max_batch) distinct shapes instead of one per
     observed size, and no padding row is ever computed.  The split is
@@ -570,6 +687,15 @@ class CompiledModel:
     that time too), keeping lanes x BLAS threads within L cores; the limit
     is released when the call returns.  :meth:`close` stops the lane
     threads.
+
+    **One workspace per lane.**  A lane runs one plan at a time, so every
+    plan of a lane that runs more than one row is bound into the lane's
+    arena, one buffer sized to the largest of them; the arena's lock
+    serialises those plans, one piece at a time.  Concurrent callers with
+    multi-row pieces therefore take turns on a lane.  1-row plans keep a
+    workspace and a lock of their own, so an interactive one-row forecast
+    never waits behind a bulk piece (``docs/runtime.md`` §Plan workspace
+    per lane).
 
     ``precision`` selects the plans' execution dtype: ``"float64"`` (the
     default, bit-identical to autograd) or ``"float32"`` (~2x memory
@@ -623,6 +749,8 @@ class CompiledModel:
         self._artifact_saves = 0
         self._verifies = 0
         self._lanes = int(lanes)
+        # Lane k's workspace for its multi-row plans (see _arena).
+        self._arenas = [_PlanArena() for _ in range(self._lanes)]
         from .compiler import Rebatcher
 
         # Keeps the b1 and b2 traces every other batch size is lowered from.
@@ -693,9 +821,11 @@ class CompiledModel:
         method, so wrappers of this call see one forward per request batch.
         The model-wide lock only guards plan-cache lookups and inserts —
         never a compile and never an execution — so requests for already
-        compiled shapes proceed while a new shape compiles, and requests
-        with different batch shapes run concurrently (their workspaces are
-        disjoint; same-shape requests serialise on the plan's own lock).
+        compiled shapes proceed while a new shape compiles.  Each piece
+        holds its workspace's lock while it runs: a lane's arena for a
+        multi-row piece, so concurrent multi-row requests take turns on a
+        lane one piece at a time, and a 1-row plan's own lock for a 1-row
+        piece, which therefore never waits behind a multi-row one.
 
         Edge shapes are hardened rather than special plans: an empty batch
         (``B == 0``) replays the single-row plan on a probe row and trims
@@ -707,7 +837,7 @@ class CompiledModel:
             tail = array.shape[1:]
             known = self._empty_output_shapes.get(tail)
             if known is None:
-                probe = np.zeros((1,) + tail, dtype=array.dtype)
+                probe = _probe(array)
                 known = self._get_or_compile(probe).call(probe).shape[1:]
                 self._empty_output_shapes[tail] = known
             return np.empty((0,) + known, dtype=np.float64)
@@ -776,7 +906,12 @@ class CompiledModel:
         plan = self._get_or_compile(array)
         if plan.pending_parity:
             return self._confirm_parity(plan, array, plan.call(array))
-        return plan.lane_copy(lane).call(array)
+        return plan.lane_copy(lane, self._arena(array.shape[0], lane)).call(array)
+
+    def _arena(self, rows: int, lane: int) -> Optional[_PlanArena]:
+        """Where lane ``lane`` binds a ``rows``-row plan: the lane's arena,
+        or ``None`` (a workspace of its own) for a 1-row plan."""
+        return self._arenas[lane] if rows > 1 else None
 
     def _validated_plan(self, array: np.ndarray) -> Plan:
         """The plan for ``array``'s shape, its parity spot check done."""
@@ -845,7 +980,13 @@ class CompiledModel:
         to the artifact store."""
         from .compiler import compile_plan
 
-        plan = compile_plan(self._module, array, dtype=array.dtype, rebatcher=self._rebatcher)
+        plan = compile_plan(
+            self._module,
+            array,
+            dtype=array.dtype,
+            rebatcher=self._rebatcher,
+            workspace=self._arena(array.shape[0], 0),
+        )
         from .verify import verify_enabled
 
         if verify_enabled():
@@ -962,7 +1103,7 @@ class CompiledModel:
                     f"artifact {key} describes shape {spec.stats.input_shape} dtype "
                     f"{spec.dtype}; requested {array.shape} {array.dtype.name}"
                 )
-            plan = bind_plan(spec, values)
+            plan = bind_plan(spec, values, self._arena(array.shape[0], 0))
         except (ArtifactError, KeyError, ValueError):
             with self._lock:
                 self._artifact_rejects += 1
@@ -1022,6 +1163,12 @@ class CompiledModel:
         """Plan-cache provenance counters (see :class:`PlanCacheInfo`)."""
         rebatched, fallbacks, fallback = self._rebatcher.counts()
         with self._lock:
+            own = sum(
+                plan_workspace_nbytes(bound.spec.storage_sizes)
+                for plan in self._plans.values()
+                for bound in (plan, *plan._lane_copies.values())
+                if bound.arena is None
+            )
             return PlanCacheInfo(
                 plans=len(self._plans),
                 compiles=self._compiles,
@@ -1032,6 +1179,7 @@ class CompiledModel:
                 rebatched=rebatched,
                 rebatch_fallbacks=fallbacks,
                 rebatch_fallback=fallback,
+                workspace_bytes=own + sum(arena.nbytes for arena in self._arenas),
             )
 
     def compile_for(self, example, precision: Union[None, str, np.dtype] = None) -> PlanStats:
@@ -1039,11 +1187,18 @@ class CompiledModel:
 
         The example is split into lanes and plan pieces and precision-cast
         exactly like a live request, so requests of this size (and policy)
-        find every plan they run on.  Returns the stats of the largest
-        piece's plan.
+        find every plan they run on; lanes bind their copies on first use.
+        An empty example prepares the 1-row plan that serves it.  Returns
+        the stats of the largest piece's plan.
         """
-        lanes = self._pieces(self._as_call_array(example, precision))
-        return [self._get_or_compile(piece).stats for pieces in lanes for piece in pieces][0]
+        return self._prepare(example, precision, self._get_or_compile)
+
+    def _prepare(self, example, precision, get) -> PlanStats:
+        """``get`` every piece's plan for ``example`` (the probe row's if empty)."""
+        array = self._as_call_array(example, precision)
+        if array.shape[0] == 0:
+            array = _probe(array)
+        return [get(piece) for pieces in self._pieces(array) for piece in pieces][0].stats
 
     def artifact_key(self, shape: Tuple[int, ...], precision: Union[None, str, np.dtype] = None) -> str:
         """The artifact trace hash of the plan serving one piece's input shape.
@@ -1068,12 +1223,11 @@ class CompiledModel:
         already be spot-checked — or rejected and republished — by the
         parent.
         """
-        lanes = self._pieces(self._as_call_array(example, precision))
-        return [self._validated_plan(piece).stats for pieces in lanes for piece in pieces][0]
+        return self._prepare(example, precision, self._validated_plan)
 
     def recompile(self) -> None:
         """Drop all cached plans, their lane copies and the kept traces
-        (required after parameter updates)."""
+        (required after parameter updates); the lanes keep their arenas."""
         self._rebatcher.clear()
         with self._lock:
             self._plans.clear()

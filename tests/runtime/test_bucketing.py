@@ -160,6 +160,17 @@ class TestEdgeShapes:
         assert np.array_equal(compiled(x), _reference(model, x))
         assert len(compiled.plan_stats()) == 1
 
+    @pytest.mark.parametrize("method", ["compile_for", "ensure_validated"])
+    def test_empty_example_prepares_the_single_row_plan(self, model, method):
+        """compile_for / ensure_validated serve B == 0 through the same
+        1-row probe as a call, and return that plan's stats."""
+        compiled = compile_module(model)
+        stats = getattr(compiled, method)(np.zeros((0, 12, NUM_NODES, 1)))
+        assert stats.input_shape == (1, 12, NUM_NODES, 1)
+        assert compiled.plan_stats() == [stats]
+        compiled(np.zeros((0, 12, NUM_NODES, 1)))
+        assert compiled.cache_info().compiles == 1
+
     def test_pad_helper_leaves_edge_shapes_alone(self):
         empty = np.zeros((0, 3))
         padded, trim = pad_batch_to_bucket(empty, 16)

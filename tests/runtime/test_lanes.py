@@ -8,14 +8,24 @@ surface their errors, and must stop on ``close()`` and on hot swaps.
 
 from __future__ import annotations
 
+import mmap
+import os
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.runtime import ArtifactStore, CompiledModel, Plan, blas, lane_pieces
-from repro.runtime.engine import MIN_LANE_ROWS
+from repro.runtime import (
+    ArtifactStore,
+    CompiledModel,
+    Plan,
+    blas,
+    lane_pieces,
+    plan_workspace_nbytes,
+)
+from repro.runtime.engine import MIN_LANE_ROWS, _anonymous_map
 from repro.serving import ForecastService
 from repro.tensor import Tensor, no_grad
 from repro.training import save_model_checkpoint
@@ -87,6 +97,192 @@ class TestLaneParity:
         assert _lane_threads() == 0
 
 
+@pytest.fixture
+def fast_switching():
+    """Switch threads every 10 us, so concurrent pieces interleave finely."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    yield
+    sys.setswitchinterval(interval)
+
+
+def _serve_in_threads(compiled, windows, reference, sizes, until=None):
+    """Serve ``sizes[k]`` on thread k (thread 0 from the first rows, the
+    others from the last) until ``until`` is set, or once when it is
+    ``None``; returns every served diff (or error) and the threads."""
+    results = []
+
+    def traffic(thread, rows_list):
+        while True:
+            for rows in rows_list:
+                batch = slice(0, rows) if thread == 0 else slice(MAX_ROWS - rows, MAX_ROWS)
+                try:
+                    diff = np.abs(compiled(windows[batch]) - reference[batch]).max()
+                except Exception as error:  # reported by the caller
+                    diff = error
+                results.append((rows, diff))
+            if until is None or until.is_set():
+                return
+
+    threads = [
+        threading.Thread(target=traffic, args=(thread, rows_list))
+        for thread, rows_list in enumerate(sizes)
+    ]
+    for thread in threads:
+        thread.start()
+    return results, threads
+
+
+class TestLaneArenas:
+    """Every multi-row plan of a lane shares the lane's arena and its lock;
+    1-row plans keep their own workspace (docs/runtime.md §Plan workspace
+    per lane)."""
+
+    def test_different_sizes_served_at_once_stay_exact(
+        self, wide_dyhsl, windows, reference, fast_switching
+    ):
+        compiled = CompiledModel(wide_dyhsl, lanes=2)
+        try:
+            for rows in (1, 2, 4, 8, 16, 32):
+                compiled.compile_for(windows[:rows])
+            sizes = [(4, 6, 12, 3), (8, 10, 16, 5)]
+            results, threads = _serve_in_threads(compiled, windows, reference, sizes)
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive()
+        finally:
+            compiled.close()
+        assert len(results) == 8
+        assert all(diff == 0.0 for _, diff in results), results
+
+    def test_a_larger_size_mid_traffic_grows_the_arenas_in_place(
+        self, wide_dyhsl, windows, reference, fast_switching
+    ):
+        compiled = CompiledModel(wide_dyhsl, lanes=2)
+        stop = threading.Event()
+        try:
+            for rows in (1, 2, 4):
+                compiled.compile_for(windows[:rows])
+            # Lane 1 binds (and carves) its copy of the 2-row plan on use.
+            assert np.abs(compiled(windows[:4]) - reference[:4]).max() == 0.0
+            plans = dict(compiled._plans)
+            before = [arena.nbytes for arena in compiled._arenas]
+            results, threads = _serve_in_threads(
+                compiled, windows, reference, [(2, 5, 3, 4)], until=stop
+            )
+            deadline = time.monotonic() + 60
+            while not results and time.monotonic() < deadline:
+                time.sleep(0.001)
+            grown = [
+                np.abs(compiled(windows[:rows]) - reference[:rows]).max() for rows in (33, 24)
+            ]
+            stop.set()
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive()
+            after = [arena.nbytes for arena in compiled._arenas]
+            # The cached plans were re-carved into the grown buffers, not
+            # replaced, so the outgrown buffers are free.
+            assert all(compiled._plans[key] is plan for key, plan in plans.items())
+            for plan in plans.values():
+                for bound in (plan, *plan._lane_copies.values()):
+                    if bound.arena is not None:
+                        assert all(
+                            np.shares_memory(buffer, bound.arena._buffer)
+                            for *_, buffer in bound._steps
+                            if buffer is not None
+                        )
+            assert np.abs(compiled(windows[:4]) - reference[:4]).max() == 0.0
+        finally:
+            stop.set()
+            compiled.close()
+        assert grown == [0.0, 0.0]
+        assert results and all(diff == 0.0 for _, diff in results), results
+        largest = plan_workspace_nbytes(
+            compiled._plans[((16,) + windows.shape[1:], "float64")].spec.storage_sizes
+        )
+        assert all(old < new == largest for old, new in zip(before, after))
+
+    def test_a_one_row_call_completes_while_lane_0_is_held(
+        self, wide_dyhsl, windows, reference
+    ):
+        compiled = CompiledModel(wide_dyhsl, lanes=2)
+        compiled.compile_for(windows[:1])
+        compiled.compile_for(windows[:2])
+        held, release = threading.Event(), threading.Event()
+
+        def hold_lane_0():
+            with compiled._arenas[0].lock:
+                held.set()
+                release.wait(60)
+
+        served = {}
+
+        def serve(rows):
+            served[rows] = np.abs(compiled(windows[:rows]) - reference[:rows]).max()
+
+        holder = threading.Thread(target=hold_lane_0)
+        holder.start()
+        assert held.wait(60)
+        one, two = (threading.Thread(target=serve, args=(rows,)) for rows in (1, 2))
+        try:
+            one.start()
+            two.start()
+            one.join(60)
+            assert not one.is_alive() and served[1] == 0.0
+            # A 2-row piece shares lane 0's arena, so it waits for the lock.
+            two.join(0.2)
+            assert two.is_alive()
+        finally:
+            release.set()
+            holder.join(60)
+            two.join(60)
+            compiled.close()
+        assert not two.is_alive() and served[2] == 0.0
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_does_not_share_an_arena(self, wide_dyhsl, windows):
+        compiled = CompiledModel(wide_dyhsl)
+        compiled.compile_for(windows[:2])
+        buffer = compiled._arenas[0]._buffer
+        buffer[:] = 0
+        pid = os.fork()
+        if pid == 0:  # the child writes the arena, as a plan run would
+            buffer[:] = 1
+            os._exit(0)
+        os.waitpid(pid, 0)
+        assert buffer.nbytes > 0 and not buffer.any()
+
+    def test_an_arena_maps_memory_without_map_private(self, monkeypatch):
+        monkeypatch.delattr(mmap, "MAP_PRIVATE", raising=False)  # as on Windows
+        buffer = np.frombuffer(_anonymous_map(4096), dtype=np.uint8)
+        buffer[:] = 7
+        assert buffer.nbytes == 4096 and (buffer == 7).all()
+
+    def test_workspace_bytes_is_an_arena_per_lane_plus_the_1_row_plans(
+        self, wide_dyhsl, windows, reference
+    ):
+        compiled = CompiledModel(wide_dyhsl, lanes=2)
+        try:
+            for rows in (1, 2, 4, 8, 16, 32):
+                compiled.compile_for(windows[:rows])
+            assert np.abs(compiled(windows[:32]) - reference[:32]).max() == 0.0
+            after_32 = compiled.cache_info()
+            # 3 rows run as 2 | 1: lane 1 binds its own copy of the 1-row plan.
+            assert np.abs(compiled(windows[:3]) - reference[:3]).max() == 0.0
+            after_3 = compiled.cache_info()
+        finally:
+            compiled.close()
+        layout = {
+            plan.stats.input_shape[0]: plan_workspace_nbytes(plan.spec.storage_sizes)
+            for plan in compiled._plans.values()
+        }
+        assert sorted(layout) == [1, 2, 4, 8, 16]
+        # Warm-up binds on lane 0 only; lanes bind their copies on first use.
+        assert after_32.workspace_bytes == 2 * layout[16] + layout[1]
+        assert after_3.workspace_bytes == 2 * layout[16] + 2 * layout[1]
+
+
 class TestLaneArtifacts:
     def test_a_poisoned_artifact_is_rejected_before_any_lane_serves_it(
         self, wide_dyhsl, windows, reference, tmp_path, monkeypatch
@@ -110,9 +306,9 @@ class TestLaneArtifacts:
         copied, rejected = [], []
         lane_copy, confirm = Plan.lane_copy, CompiledModel._confirm_parity
 
-        def spy_copy(plan, lane):
+        def spy_copy(plan, lane, arena=None):
             copied.append((plan, plan.pending_parity, lane))
-            return lane_copy(plan, lane)
+            return lane_copy(plan, lane, arena)
 
         def spy_confirm(model, plan, array, result):
             served = confirm(model, plan, array, result)
