@@ -49,7 +49,8 @@ and a clear win (>= 1.05x asserted, ~1.13x measured) over today's
 autograd, which that same fix made ~1.1x faster at this scale.  Further
 tables cover one ragged backfill cycle under three plan policies (padded
 buckets, power-of-two pieces, exact per-size plans), row lanes and the
-compiled training forward.
+compiled training forward, and the compiled forward at one BLAS thread
+vs. one per core (the evidence behind serving's one-thread pin).
 
 Run with::
 
@@ -65,6 +66,7 @@ from pathlib import Path
 from typing import Dict, List
 
 import numpy as np
+import pytest
 
 from repro.core import DyHSL, DyHSLConfig
 from repro.nn import MaskedMAELoss
@@ -635,7 +637,16 @@ def test_ragged_cycle():
     )
 
 
-def test_lane_parallel(monkeypatch):
+@pytest.fixture()
+def blas_restored():
+    """Give the process its BLAS thread count back after a test moves it."""
+    before = blas.threads()
+    yield before
+    if before is not None:
+        blas.set_threads(before)
+
+
+def test_lane_parallel(monkeypatch, blas_restored):
     """One backfill cycle on one row lane vs. two.
 
     Every size of perfbench's backfill mix runs through two CompiledModels
@@ -645,11 +656,13 @@ def test_lane_parallel(monkeypatch):
     interleaved best-of whose order alternates every round, and the lanes'
     outputs must equal the single lane's and the autograd forward's exactly
     (max |diff| == 0) in the same run.  The 2-row batch is also timed split
-    1 | 1, the measurement behind ``MIN_LANE_ROWS``.
+    1 | 1, the measurement behind ``MIN_LANE_ROWS``.  Both legs run at one
+    BLAS thread, as a service runs them.
     """
     from repro.runtime import engine
 
     repeats = 7
+    blas.set_threads(1)
     rng = np.random.default_rng(SEED + 8)
     rows: List[dict] = []
     sections: List[dict] = []
@@ -700,9 +713,7 @@ def test_lane_parallel(monkeypatch):
                     for batch in batches:
                         compiled(batch)
                     cycle_bests[index] = min(cycle_bests[index], time.perf_counter() - started)
-            # The one-lane model ran at the process's BLAS count; the laned
-            # one held BLAS at one thread per split call, as a service does.
-            serial_blas_threads = blas.threads()
+            lane_blas_threads = blas.threads()
         finally:
             laned.close()
         assert max_diff == 0.0, f"lanes diverge at {sensors} sensors: {max_diff}"
@@ -740,7 +751,7 @@ def test_lane_parallel(monkeypatch):
                     "speedup_of_split": round(two_bests[0] / two_bests[2], 2),
                 },
                 "max_abs_diff": max_diff,
-                "blas_threads_one_lane": serial_blas_threads,
+                "blas_threads": lane_blas_threads,
             }
         )
 
@@ -758,6 +769,96 @@ def test_lane_parallel(monkeypatch):
             "min_lane_rows": engine.MIN_LANE_ROWS,
             "provenance": provenance(REPO_ROOT, "lane_parallel", SEED, "float64"),
             "rows": sections,
+        },
+    )
+
+
+def test_blas_threads(blas_restored):
+    """The compiled DyHSL forward at one BLAS thread vs. one per core.
+
+    Serving pins OpenBLAS at one thread.  This is the evidence: the
+    forward's products are ``(R, 16) @ (16, 16)`` GEMMs with R at most
+    T x N rows, below the size at which OpenBLAS splits a GEMM, so more
+    threads buy nothing.  The perfbench deployment's model runs at 85 and
+    170 sensors, at 1 and 16 rows, on one lane.  Per round the two counts
+    alternate (order flipped every round), and each timed forward follows
+    an untimed one at the same count, so a pool that wakes up is not
+    charged to it.  Both counts must equal the autograd forward exactly
+    (max |diff| == 0) in the same run.
+    """
+    if blas_restored is None:
+        pytest.skip("no OpenBLAS mapped into this process")
+    counts = (1, blas.cores())
+    repeats = 21
+    rng = np.random.default_rng(SEED + 9)
+    rows: List[dict] = []
+    for sensors in (deploy.PEMS08_SENSORS // 2, deploy.PEMS08_SENSORS):
+        seed_everything(deploy.RELEASE_SEEDS[0])
+        config = DyHSLConfig(
+            num_nodes=sensors, input_length=deploy.INPUT_LENGTH, **deploy.MODEL_CONFIG
+        )
+        model = DyHSL(config, deploy.road_network(sensors).adjacency).eval()
+        compiled = CompiledModel(model, lanes=1)
+        for batch_rows in (1, 16):
+            batch = rng.normal(size=(batch_rows, deploy.INPUT_LENGTH, sensors, 1))
+            with no_grad():
+                reference = model(Tensor(batch)).data
+            diffs = []
+            for count in counts:
+                blas.set_threads(count)
+                diffs.append(float(np.abs(compiled(batch) - reference).max()))
+            seconds = np.empty((repeats, len(counts)))
+            for round_ in range(repeats):
+                order = range(len(counts))
+                for index in (order if round_ % 2 == 0 else reversed(order)):
+                    blas.set_threads(counts[index])
+                    compiled(batch)
+                    started = time.perf_counter()
+                    compiled(batch)
+                    seconds[round_, index] = time.perf_counter() - started
+            q1, median, q3 = np.percentile(seconds[:, 0] / seconds[:, 1], [25, 50, 75])
+            rows.append(
+                {
+                    "sensors": sensors,
+                    "rows": batch_rows,
+                    "threads": list(counts),
+                    "ms_1_thread": round(float(seconds[:, 0].min()) * 1e3, 2),
+                    "ms_all_threads": round(float(seconds[:, 1].min()) * 1e3, 2),
+                    "speedup_of_threads_median": round(float(median), 3),
+                    "speedup_of_threads_q1": round(float(q1), 3),
+                    "speedup_of_threads_q3": round(float(q3), 3),
+                    "max_abs_diff": max(diffs),
+                }
+            )
+            for count, diff in zip(counts, diffs):
+                assert diff == 0.0, (
+                    f"{sensors} sensors, b{batch_rows}, {count} BLAS threads: "
+                    f"compiled diverges from autograd by {diff}"
+                )
+
+    print_table(
+        f"Compiled forward — 1 BLAS thread vs. {counts[1]} "
+        f"(best of {repeats}, interleaved; speedup = 1-thread / {counts[1]}-thread time)",
+        [
+            {
+                **row,
+                "speedup": f"{row['speedup_of_threads_median']:.2f}x "
+                           f"({row['speedup_of_threads_q1']:.2f}-{row['speedup_of_threads_q3']:.2f})",
+            }
+            for row in rows
+        ],
+        ["sensors", "rows", "ms_1_thread", "ms_all_threads", "speedup", "max_abs_diff"],
+    )
+    record_bench(
+        "blas_threads",
+        {
+            "precision": "float64",
+            "repeats": repeats,
+            "lanes": 1,
+            "timing": "per round, an untimed then a timed forward at each count, "
+                      "order alternating; speedup is the median of per-round ratios",
+            "provenance": provenance(REPO_ROOT, "blas_threads", SEED, "float64"),
+            "rows": rows,
         },
     )
 

@@ -29,7 +29,6 @@ import numpy as np
 
 from ..tensor import Tensor, no_grad
 from ..tensor import kernels as K
-from . import blas
 
 __all__ = [
     "Plan",
@@ -681,12 +680,10 @@ class CompiledModel:
     near-equal size (:func:`lane_pieces`), chunk 0 runs on the caller's thread and chunks
     1..L-1 on L-1 lane threads, each lane replaying its own copy of the
     shape's plan (:meth:`Plan.lane_copy`).  The split is exact for the
-    same reason the pieces are.  While a split batch runs, the process
-    holds OpenBLAS at one thread (:mod:`repro.runtime.blas`; the limit is
-    process-wide, so other BLAS work in the process runs at one thread for
-    that time too), keeping lanes x BLAS threads within L cores; the limit
-    is released when the call returns.  :meth:`close` stops the lane
-    threads.
+    same reason the pieces are.  The model leaves the BLAS thread count
+    alone: a service pins OpenBLAS at one thread when it is built
+    (:mod:`repro.runtime.blas`), so L lanes use L cores.  :meth:`close`
+    stops the lane threads.
 
     **One workspace per lane.**  A lane runs one plan at a time, so every
     plan of a lane that runs more than one row is bound into the lane's
@@ -858,26 +855,21 @@ class CompiledModel:
     def _run_lanes(self, lanes: List[List[np.ndarray]]) -> List[np.ndarray]:
         """Every piece's output in row order; lane k > 0 runs on a lane thread.
 
-        OpenBLAS runs at one thread while the lanes do.  Every lane finishes
-        before this returns or raises, and the first error in row order is
-        the one raised.
+        Every lane finishes before this returns or raises, and the first
+        error in row order is the one raised.
         """
         if len(lanes) == 1:
             return [self._run(piece) for piece in lanes[0]]
-        held = blas.limit(1)
+        futures = self._submit_lanes(lanes[1:])
+        if futures is None:
+            return [self._run(piece) for pieces in lanes for piece in pieces]
         try:
-            futures = self._submit_lanes(lanes[1:])
-            if futures is None:
-                return [self._run(piece) for pieces in lanes for piece in pieces]
-            try:
-                outputs = [self._run(piece) for piece in lanes[0]]
-            finally:
-                wait(futures)
-            for future in futures:
-                outputs.extend(future.result())
-            return outputs
+            outputs = [self._run(piece) for piece in lanes[0]]
         finally:
-            held.release()
+            wait(futures)
+        for future in futures:
+            outputs.extend(future.result())
+        return outputs
 
     def _submit_lanes(self, lanes: List[List[np.ndarray]]):
         """Start lanes 1.. on the lane threads; ``None`` once closed."""

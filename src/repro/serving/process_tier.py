@@ -371,15 +371,13 @@ def _worker_serve_one(conn, shm, seg_addr, plans, stores, arena, layout, message
     conn.send(("res", seq, slot))
 
 
-def _worker_main(conn, shm_name, layout, store_roots, blas_threads,
-                 fault_plan=None) -> None:
+def _worker_main(conn, shm_name, layout, store_roots, fault_plan=None) -> None:
     """Entry point of one shard's worker process: bind, replay, publish.
 
-    The worker first caps its OpenBLAS pool at its share of the cores
-    (``blas_threads``), before any plan runs, whatever the start method:
-    a forked child inherits the parent's pool size, a spawned or
-    forkserver child starts at one thread per core (or at an explicit
-    ``OPENBLAS_NUM_THREADS``, which a smaller value keeps).
+    The worker first pins OpenBLAS at one thread, before any plan runs,
+    whatever the start method: a forked child inherits the parent's pool
+    size, but a spawned or forkserver child starts at one thread per core
+    (or at whatever ``OPENBLAS_NUM_THREADS`` says).
 
     The serve loop exits once the process that started it is gone (the
     worker is re-parented).  A forked child inherits the parent's end of
@@ -387,7 +385,7 @@ def _worker_main(conn, shm_name, layout, store_roots, blas_threads,
     that end and ``conn.poll`` never reports EOF; without the parent check
     an orphaned worker would poll forever.
     """
-    blas.set_threads(min(blas.threads() or blas_threads, blas_threads))
+    blas.set_threads(1)
     live_threads = blas.threads() or -1  # -1: no OpenBLAS loaded
     parent_pid = os.getppid()
     import gc
@@ -536,7 +534,7 @@ class _ProcessWorker:
     """One shard's worker process, its segment, and its dispatcher thread."""
 
     def __init__(self, shard: int, ctx, start_method: str, layout: _SegmentLayout,
-                 store_roots: Sequence[str], blas_threads: int,
+                 store_roots: Sequence[str],
                  watchdog: Optional[WatchdogConfig] = None,
                  fault_plan: Optional[FaultPlan] = None) -> None:
         from multiprocessing import shared_memory
@@ -546,7 +544,6 @@ class _ProcessWorker:
         self._start_method = start_method
         self.layout = layout
         self._store_roots = list(store_roots)
-        self._blas_threads = blas_threads
         self._watchdog = watchdog if watchdog is not None else WatchdogConfig()
         self._fault_plan = fault_plan
         self.respawns = 0
@@ -576,7 +573,7 @@ class _ProcessWorker:
         self.process = self._ctx.Process(
             target=_worker_main,
             args=(child_conn, self.shm.name, self.layout, self._store_roots,
-                  self._blas_threads, self._fault_plan),
+                  self._fault_plan),
             name=f"repro-plan-worker-{self.shard}",
             daemon=True,
         )
@@ -899,11 +896,11 @@ class ProcessShardExecutor:
     through its parent-side caches) starts no processes — and the segment
     arena can be sized from the first request's actual plan layout.
 
-    **CPU budget.**  Each worker caps its OpenBLAS pool at
-    ``max(1, cores // num_shards)`` before it runs a plan, and the parent
-    holds the same :func:`~repro.runtime.blas.limit` while the tier is
-    open, because its compiles and parity spot checks run beside the
-    workers.
+    **One BLAS thread.**  Each worker pins OpenBLAS at one thread before
+    it runs a plan (:mod:`repro.runtime.blas`), so K workers use K cores.
+    The parent-side provider runs at whatever the parent set; a
+    :class:`~repro.serving.ForecastService` pins it at one thread when it
+    is built.
     """
 
     def __init__(
@@ -928,7 +925,6 @@ class ProcessShardExecutor:
         self.start_method = resolve_start_method(start_method)
         self._ctx = mp.get_context(self.start_method)
         self.num_shards = num_shards
-        self.blas_budget = blas.budget(num_shards)
         self._window_shape = tuple(int(dim) for dim in window_shape)
         self._output_length = int(output_length)
         self._num_nodes = int(num_nodes)
@@ -949,7 +945,6 @@ class ProcessShardExecutor:
         self._lane_batches = {lane: 0 for lane in LANES}
         self._lane_rows = {lane: 0 for lane in LANES}
         self._closed = False
-        self._blas_limit = blas.limit(self.blas_budget)
         _LIVE.add(self)
 
     # ------------------------------------------------------------------
@@ -1030,7 +1025,6 @@ class ProcessShardExecutor:
                     self.start_method,
                     self._layout_for(key, pset),
                     self._store_roots,
-                    self.blas_budget,
                     watchdog=self._watchdog,
                     fault_plan=self._fault_plan,
                 )
@@ -1251,7 +1245,6 @@ class ProcessShardExecutor:
         for worker in self._workers:
             if worker is not None:
                 worker.close()
-        self._blas_limit.release()
         # A closed tier still serves lazily through its providers, whose
         # store may be the spill store: keep their plans in memory only,
         # so no later compile re-creates the directory removed here.

@@ -51,13 +51,15 @@ warms the new one off to the side and publishes it with one reference
 assignment.  Every request captures one generation at entry and finishes
 on it.
 
-The executors own the CPU budget (:mod:`repro.runtime.blas`).  K process
-workers run OpenBLAS at ``max(1, cores // K)`` threads each, so the
-replicas share the cores instead of oversubscribing them.  The inline
-worker spends the cores on row lanes instead: a batch splits into one row
-chunk per core (at most :data:`~repro.runtime.MAX_PLAN_LANES`), computed
-at once (see :class:`~repro.runtime.CompiledModel`), with OpenBLAS at one
-thread while the lanes run.  Process workers keep one lane.
+Every serving thread runs OpenBLAS at one thread (:mod:`repro.runtime.blas`):
+the service pins its own process once when it is built, and each process
+worker pins itself when it starts, so K workers use K cores.  The pin is
+permanent: ``close()`` does not restore the earlier count, so a process
+that builds a service runs BLAS at one thread from then on, training
+included.  The inline worker spends the cores on row lanes instead: a
+batch splits into one row chunk per core (at most
+:data:`~repro.runtime.MAX_PLAN_LANES`), computed at once (see
+:class:`~repro.runtime.CompiledModel`).  Process workers keep one lane.
 
 Every forward runs through the **graph-free compiled runtime**
 (:mod:`repro.runtime`): the model's forward pass is compiled once per
@@ -534,8 +536,9 @@ class ForecastService:
             )
             for lane, limit in limits.items()
         }
-        # The inline worker spends the cores on row lanes; process
-        # replicas spread batches across the cores themselves.
+        # One BLAS thread per serving thread, for good.  The inline worker
+        # spends the cores on row lanes; process replicas spread batches.
+        blas.set_threads(1)
         self._lanes = min(blas.cores(), MAX_PLAN_LANES) if self.executor == "inline" else 1
         if self.executor == "processes":
             # Workers, segments and dispatchers spawn lazily on the first
@@ -562,8 +565,8 @@ class ForecastService:
                 model, scaler, model_version or _weights_fingerprint(model)
             )
         except BaseException:
-            # The tier took its BLAS limit and spill directory before the
-            # plan engine was built: give both back.
+            # The tier took its spill directory before the plan engine
+            # was built: give it back.
             if self._tier is not None:
                 self._tier.close()
             raise

@@ -381,48 +381,6 @@ class TestLaneErrors:
             compiled.close()
 
 
-needs_openblas = pytest.mark.skipif(
-    blas.threads() is None, reason="no OpenBLAS mapped into this process"
-)
-
-
-@needs_openblas
-def test_lanes_run_blas_at_one_thread_while_they_run(wide_dyhsl, windows, monkeypatch):
-    before = blas.threads()
-    compiled = CompiledModel(wide_dyhsl, lanes=2)
-    compiled.compile_for(windows[:4])
-    run = CompiledModel._run
-    seen = []
-
-    def observed(model, array, lane=0):
-        seen.append((lane, blas.threads()))
-        return run(model, array, lane)
-
-    monkeypatch.setattr(CompiledModel, "_run", observed)
-    try:
-        compiled(windows[:1])
-        assert seen == [(0, before)]  # no split: BLAS untouched
-        seen.clear()
-        compiled(windows[:4])
-        assert sorted(seen) == [(0, 1), (1, 1)]
-        # The limit ends with the call, not with the model ...
-        assert blas.threads() == before
-
-        def faulty(model, array, lane=0):
-            if lane == 1:
-                raise RuntimeError("lane 1 failed")
-            return run(model, array, lane)
-
-        monkeypatch.setattr(CompiledModel, "_run", faulty)
-        with pytest.raises(RuntimeError, match="lane 1 failed"):
-            compiled(windows[:4])
-        # ... also when a lane fails.
-        assert blas.threads() == before
-    finally:
-        compiled.close()
-    assert blas.threads() == before
-
-
 class TestServiceLanes:
     @pytest.fixture(autouse=True)
     def _two_cores(self, monkeypatch):

@@ -5,7 +5,6 @@ before and after a hot swap, behind one stats/health surface."""
 from __future__ import annotations
 
 import dataclasses
-import gc
 import multiprocessing
 import sys
 
@@ -167,50 +166,52 @@ needs_openblas = pytest.mark.skipif(
 
 
 @needs_openblas
-class TestCpuBudget:
-    """K workers share the cores: max(1, cores // K) BLAS threads each."""
+class TestOneBlasThread:
+    """Every serving thread runs OpenBLAS at one thread, for good: the
+    service pins its process when it is built, each worker pins itself."""
 
-    @pytest.fixture(autouse=True)
-    def _no_held_limits(self):
-        gc.collect()  # services an earlier test never closed release their limits
-        before = blas.threads()
-        yield
-        blas.set_threads(before)
+    @staticmethod
+    def _serve(tiny_model, forecasting_data, executor, num_shards, **kwargs) -> ServiceStats:
+        """Serve 4 windows exactly at one parent BLAS thread; the stats."""
+        windows = np.stack([forecasting_data.dataset.signal[i : i + 12] for i in range(4)])
+        expected = _autograd(tiny_model, forecasting_data.scaler, windows)
+        blas.set_threads(blas.cores())
+        with _service(
+            tiny_model, forecasting_data, executor, num_shards, cache_entries=0, **kwargs
+        ) as service:
+            assert blas.threads() == 1  # pinned at build, before any plan runs
+            produced = service.forecast_many(windows)
+            stats = service.stats()
+        assert np.abs(produced - expected).max() == 0.0
+        assert blas.threads() == 1  # close() restores nothing
+        return stats
+
+    def test_inline_service_pins_one_thread(self, tiny_model, forecasting_data):
+        stats = self._serve(tiny_model, forecasting_data, "inline", 1)
+        assert stats.blas_threads == (1,)
 
     @pytest.mark.parametrize(
         "start_method",
         [m for m in ("fork", "spawn", "forkserver") if m in multiprocessing.get_all_start_methods()],
     )
-    def test_process_workers_run_at_their_share(
+    def test_process_workers_run_at_one_thread(
         self, tiny_model, forecasting_data, start_method
     ):
-        windows = np.stack([forecasting_data.dataset.signal[i : i + 12] for i in range(4)])
-        expected = _autograd(tiny_model, forecasting_data.scaler, windows)
-        before = blas.threads()
-        # A cap, never a raise: below the budget an explicit pin is kept.
-        budget = min(before, max(1, blas.cores() // 2))
-        with _service(
-            tiny_model, forecasting_data, "processes", 2,
-            cache_entries=0, start_method=start_method,
-        ) as service:
-            # The parent's spot checks run beside the workers: it holds the
-            # same budget while the tier is open.
-            assert blas.threads() == budget
-            produced = service.forecast_many(windows)
-            stats = service.stats()
-        assert np.abs(produced - expected).max() == 0.0
-        assert stats.blas_threads == (budget, budget)
+        stats = self._serve(
+            tiny_model, forecasting_data, "processes", 2, start_method=start_method
+        )
+        assert stats.blas_threads == (1, 1)
         assert (stats.cores, stats.num_shards) == (blas.cores(), 2)
         assert stats.process_tier.workers == 2
-        assert blas.threads() == before
 
-    def test_inline_leaves_blas_alone(self, tiny_model, forecasting_data):
-        blas.set_threads(blas.cores())
-        with _service(tiny_model, forecasting_data, "inline", 1) as service:
-            service.forecast(forecasting_data.dataset.signal[:12])
-            stats = service.stats()
-        assert stats.blas_threads == (blas.cores(),)
-        assert blas.threads() == blas.cores()
+    def test_a_spawned_worker_overrides_the_environment(
+        self, tiny_model, forecasting_data, monkeypatch
+    ):
+        # A spawned child starts a fresh interpreter, whose OpenBLAS sizes
+        # its pool from the environment; the worker must pin it itself.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        stats = self._serve(tiny_model, forecasting_data, "processes", 2, start_method="spawn")
+        assert stats.blas_threads == (1, 1)
 
 
 class TestSharedValidator:

