@@ -59,6 +59,7 @@ Run with::
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import sys
 import time
@@ -70,9 +71,11 @@ import pytest
 
 from repro.core import DyHSL, DyHSLConfig
 from repro.nn import MaskedMAELoss
-from repro.runtime import CompiledModel, blas, compile_module, compile_training_model
-from repro.runtime.compiler import Rebatcher, compile_plan
-from repro.runtime.engine import _PlanArena, pad_batch_to_bucket, plan_workspace_nbytes
+from repro.runtime import (
+    CompiledModel, blas, compile_module, compile_training_model, verify_spec,
+)
+from repro.runtime.compiler import Rebatcher, compile_plan, layout_plan
+from repro.runtime.engine import _PlanArena, bind_plan, pad_batch_to_bucket, plan_workspace_nbytes
 from repro.serving import ForecastService, MicroBatcher
 from repro.tensor import Tensor, no_grad
 from repro.tensor import seed as seed_everything
@@ -566,7 +569,7 @@ def test_ragged_cycle():
             batch = rng.normal(size=(size, deploy.INPUT_LENGTH, sensors, 1))
             if size == 1:
                 exact = compile_plan(model, batch, rebatcher=rebatcher)
-                exact_bytes += plan_workspace_nbytes(exact.spec.storage_sizes)
+                exact_bytes += plan_workspace_nbytes(exact.spec)
             else:
                 exact = compile_plan(model, batch, rebatcher=rebatcher, workspace=arena)
             padded, _ = pad_batch_to_bucket(batch, compiled.bucket_cap)
@@ -633,6 +636,145 @@ def test_ragged_cycle():
                 }
                 for row in rows
             ],
+        },
+    )
+
+
+def _size_pooled(lowered, spec):
+    """``spec`` laid out the way plans were before byte-offset layouts.
+
+    Each buffered step took a freed storage of exactly its byte size, or a
+    new one, and storages sat in id order, each on a 64-byte boundary.
+    The liveness is the same (inclusive intervals, views pin their base,
+    the output is never reused), so only buffer placement differs.
+    """
+    steps = lowered.steps
+    itemsize = np.dtype(spec.dtype).itemsize
+    base, last = {}, {}
+    for index, step in enumerate(steps):
+        for slot in step.in_slots:
+            if slot in base:
+                last[base[slot]] = index
+        if step.kind == "buffered":
+            base[step.out_slot] = step.out_slot
+        elif step.kind == "view" and step.in_slots[0] in base:
+            base[step.out_slot] = base[step.in_slots[0]]
+    if lowered.output_slot in base:
+        last[base[lowered.output_slot]] = len(steps)
+    pool, held, sizes, storage = {}, {}, [], []
+    for index, step in enumerate(steps):
+        storage_id = None
+        if step.kind == "buffered":
+            nbytes = int(np.prod(step.shape)) * itemsize
+            if pool.get(nbytes):
+                storage_id = pool[nbytes].pop()
+            else:
+                storage_id = len(sizes)
+                sizes.append(nbytes)
+            held[step.out_slot] = storage_id
+        storage.append(storage_id)
+        for slot in set(step.in_slots):
+            if slot in base and last.get(base[slot]) == index and base[slot] in held:
+                freed = held.pop(base[slot])
+                pool.setdefault(sizes[freed], []).append(freed)
+    offsets, end = [], 0
+    for nbytes in sizes:
+        end += (-end) % 64
+        offsets.append(end)
+        end += nbytes
+    return dataclasses.replace(
+        spec,
+        steps=[
+            dataclasses.replace(step, storage=None if sid is None else offsets[sid])
+            for step, sid in zip(spec.steps, storage)
+        ],
+        workspace_nbytes=end,
+    )
+
+
+def test_workspace_layout():
+    """Plan workspace: byte offsets by liveness against exact-size pools.
+
+    The perfbench deployment's model at 85 and 170 sensors, every plan
+    piece size lowered from the b1 and b2 traces.  *Pooled* is the earlier
+    layout (a freed buffer reused only by one of exactly its byte size,
+    rebuilt here from the same liveness); *offsets* is today's.  Both
+    layouts of the 1- and 16-row plans are bound on their own workspace
+    and timed interleaved (per round an untimed then a timed forward of
+    each, order alternating), and both must equal the autograd forward
+    exactly (max |diff| == 0) in the same run.  Only buffer placement
+    differs, so the kernels and their arithmetic are the same.
+    """
+    repeats = 21
+    rng = np.random.default_rng(SEED + 11)
+    rows: List[dict] = []
+    for sensors in (deploy.PEMS08_SENSORS // 2, deploy.PEMS08_SENSORS):
+        seed_everything(deploy.RELEASE_SEEDS[0])
+        config = DyHSLConfig(
+            num_nodes=sensors, input_length=deploy.INPUT_LENGTH, **deploy.MODEL_CONFIG
+        )
+        model = DyHSL(config, deploy.road_network(sensors).adjacency).eval()
+        rebatcher = Rebatcher()
+        for size in (1, 2, 8, 16, 32):
+            batch = rng.normal(size=(size, deploy.INPUT_LENGTH, sensors, 1))
+            lowered = rebatcher.lower(model, batch)
+            spec, values = layout_plan(lowered, batch.shape)
+            pooled = _size_pooled(lowered, spec)
+            assert verify_spec(pooled, values).ok
+            row = {
+                "sensors": sensors,
+                "rows": size,
+                "pooled_mib": round(pooled.workspace_nbytes / 2**20, 2),
+                "offsets_mib": round(spec.workspace_nbytes / 2**20, 2),
+                "ratio": round(pooled.workspace_nbytes / spec.workspace_nbytes, 3),
+            }
+            if size in (1, 16):
+                plans = [bind_plan(layout, list(values)) for layout in (pooled, spec)]
+                with no_grad():
+                    reference = model(Tensor(batch)).data
+                diffs = [float(np.abs(plan.call(batch) - reference).max()) for plan in plans]
+                seconds = np.empty((repeats, 2))
+                for round_ in range(repeats):
+                    for index in (0, 1) if round_ % 2 == 0 else (1, 0):
+                        plans[index].call(batch)
+                        started = time.perf_counter()
+                        plans[index].call(batch)
+                        seconds[round_, index] = time.perf_counter() - started
+                q1, median, q3 = np.percentile(seconds[:, 0] / seconds[:, 1], [25, 50, 75])
+                row.update(
+                    ms_pooled=round(float(np.median(seconds[:, 0])) * 1e3, 2),
+                    ms_offsets=round(float(np.median(seconds[:, 1])) * 1e3, 2),
+                    speedup_median=round(float(median), 3),
+                    speedup_q1=round(float(q1), 3),
+                    speedup_q3=round(float(q3), 3),
+                    max_abs_diff=max(diffs),
+                )
+                for label, diff in zip(("pooled", "offsets"), diffs):
+                    assert diff == 0.0, (
+                        f"{label} layout, {sensors} sensors, b{size}: "
+                        f"compiled diverges from autograd by {diff}"
+                    )
+                del plans
+            rows.append(row)
+            assert spec.workspace_nbytes < pooled.workspace_nbytes
+
+    print_table(
+        "Plan workspace — exact-size pools vs. byte offsets by liveness "
+        f"(timings: median of {repeats} interleaved rounds; speedup = pooled / offsets time)",
+        rows,
+        ["sensors", "rows", "pooled_mib", "offsets_mib", "ratio", "ms_pooled", "ms_offsets",
+         "speedup_median", "max_abs_diff"],
+    )
+    record_bench(
+        "workspace_layout",
+        {
+            "precision": "float64",
+            "repeats": repeats,
+            "timing": "per round, an untimed then a timed forward of each layout, "
+                      "order alternating; ms are medians, speedup is the median of "
+                      "per-round ratios",
+            "provenance": provenance(REPO_ROOT, "workspace_layout", SEED, "float64"),
+            "rows": rows,
         },
     )
 

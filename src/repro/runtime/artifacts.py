@@ -1,11 +1,11 @@
 """Durable, versioned plan artifacts: kill fleet-wide compile cold start.
 
-Every worker in a sharded service used to re-trace, re-fuse and re-pool
+Every worker in a sharded service used to re-trace, re-fuse and re-lay-out
 identical kernel plans on its first request — per plan piece and per
 precision policy, again on every restart and every fork.  This module makes
 a compiled plan a *durable artifact*: the complete
 :class:`~repro.runtime.engine.PlanSpec` (step list with fused chains,
-pooled workspace layout, dtype policy,
+workspace byte offsets, dtype policy,
 :class:`~repro.runtime.engine.PlanStats`) plus the constant slot values are
 serialised into one ``.npz`` file keyed by a **trace hash** over
 
@@ -70,7 +70,7 @@ __all__ = [
 #: unchanged trace (an old artifact would otherwise keep replaying the old
 #: plan); loaders reject artifacts from other versions (the cost is one
 #: recompile, never a wrong plan).
-ARTIFACT_FORMAT_VERSION = 4
+ARTIFACT_FORMAT_VERSION = 5
 
 _SPEC_KEY = "__plan_spec__"
 _META_KEY = "__artifact_meta__"
@@ -307,7 +307,7 @@ def _spec_to_payload(spec: PlanSpec) -> Tuple[bytes, Dict[str, np.ndarray]]:
         "output_slot": spec.output_slot,
         "num_slots": spec.num_slots,
         "const_slots": list(spec.const_slots),
-        "storage_sizes": list(spec.storage_sizes),
+        "workspace_nbytes": spec.workspace_nbytes,
         "steps": steps,
     }
     document["stats"] = stats
@@ -343,7 +343,7 @@ def _spec_from_payload(blob: bytes, arrays: Dict[str, np.ndarray]) -> PlanSpec:
         num_slots=document["num_slots"],
         const_slots=tuple(document["const_slots"]),
         steps=steps,
-        storage_sizes=list(document["storage_sizes"]),
+        workspace_nbytes=int(document["workspace_nbytes"]),
         stats=stats,
     )
 
@@ -684,7 +684,7 @@ class ArtifactStore:
         reporting the key unavailable).  ``workspace`` is forwarded to
         :func:`~repro.runtime.engine.bind_plan`: a flat ``uint8`` buffer —
         e.g. a ``multiprocessing.shared_memory`` arena — that the plan's
-        pooled storages are carved from instead of the heap.
+        step buffers are viewed in instead of the heap.
         """
         from .engine import bind_plan
 

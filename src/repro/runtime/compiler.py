@@ -32,9 +32,10 @@ The passes that turn the forward into a :class:`~repro.runtime.engine.Plan`:
    ``fused_elementwise`` step executed as a blocked chain in a single
    buffer, turning N memory passes over large intermediates into one
    cache-resident sweep;
-4. **workspace allocation** — every surviving non-view step gets a
-   preallocated output buffer, pooled by liveness so the working set stays
-   at the peak live size.
+4. **workspace layout** — every surviving non-view step gets a byte
+   offset into one flat workspace, placed by liveness (greedy by size) so
+   buffers never live at the same step share bytes and the workspace
+   stays at the peak live size.
 
 Passes 1-3 are :func:`lower_module` (the trace), pass 4 is
 :func:`layout_plan`.  Between them, a :class:`Rebatcher` keeps the
@@ -63,6 +64,7 @@ Tracing requirements (all satisfied by the models in this library):
 
 from __future__ import annotations
 
+import bisect
 import math
 import threading
 from typing import Dict, List, Optional, Tuple
@@ -73,7 +75,7 @@ from ..tensor import Tensor, no_grad
 from ..tensor import kernels as K
 from ..tensor.tensor import _set_trace_hook
 
-from .engine import Plan, PlanSpec, PlanStats, StepSpec, bind_plan
+from .engine import WORKSPACE_ALIGN, Plan, PlanSpec, PlanStats, StepSpec, bind_plan
 
 __all__ = [
     "CompileError", "Rebatcher", "build_plan_spec", "compile_plan", "layout_plan", "lower_module",
@@ -204,8 +206,8 @@ def lower_module(module, example: np.ndarray, fold_constants: bool = True,
                  fuse: bool = True) -> _Lowered:
     """Trace ``module`` on ``example`` and run the graph passes (lower, prune, fuse).
 
-    The result is backend-neutral: :func:`compile_plan` binds it to pooled
-    workspace buffers for inference, the training compiler
+    The result is backend-neutral: :func:`compile_plan` binds it to
+    liveness-placed workspace buffers for inference, the training compiler
     (:mod:`repro.runtime.training`) to dedicated live buffers plus a
     gradient tape.
     """
@@ -347,17 +349,17 @@ def build_plan_spec(
     """Trace and lower ``module`` into a serialisable plan description.
 
     Returns ``(spec, values)``: a :class:`~repro.runtime.engine.PlanSpec`
-    holding the step list (fused chains unbound), the pooled workspace
-    layout as storage ids and the plan stats — plus the full slot table
+    holding the step list (fused chains unbound), the workspace layout as
+    byte offsets and the plan stats — plus the full slot table
     with the constants already cast to the plan dtype.
     :func:`~repro.runtime.engine.bind_plan` materialises the pair into an
     executable :class:`Plan`; :mod:`repro.runtime.artifacts` persists it to
-    disk.  Every structural decision (folding, pruning, fusion, pooling)
+    disk.  Every structural decision (folding, pruning, fusion, layout)
     happens here, so a bound artifact replays exactly the plan a fresh
     compile would produce.
 
     The two halves are :func:`lower_module` (the trace) and
-    :func:`layout_plan` (liveness, pooling and stats).
+    :func:`layout_plan` (liveness, byte offsets and stats).
     """
     return layout_plan(lower_module(module, example, fuse=fuse), np.shape(example), dtype)
 
@@ -365,8 +367,9 @@ def build_plan_spec(
 def layout_plan(lowered: _Lowered, input_shape: Tuple[int, ...], dtype=np.float64):
     """Lay ``lowered`` out as a plan for ``input_shape``: returns ``(spec, values)``.
 
-    Runs liveness analysis, pools workspace storages by byte size and
-    fills in the plan stats; the constants are cast to ``dtype``.
+    Runs liveness analysis, gives every buffered step a byte offset into
+    one workspace (:func:`_place_by_size`) and fills in the plan stats;
+    the constants are cast to ``dtype``.
     ``lowered`` may come from a trace at ``input_shape`` or from
     :class:`Rebatcher` (see :func:`build_plan_spec` for the pair returned).
     """
@@ -388,15 +391,15 @@ def layout_plan(lowered: _Lowered, input_shape: Tuple[int, ...], dtype=np.float6
     # Liveness analysis over underlying buffers.
     #
     # Each buffered step's output gets a storage token; view steps propagate
-    # their input's token (a view must pin the storage it aliases).  A token
-    # is dead after the last step that reads any slot carrying it, at which
-    # point its buffer returns to the pool for a later step — this keeps the
-    # working set at the peak *live* size (cache-warm), not the sum of all
-    # intermediates.
+    # their input's token (a view must pin the bytes it aliases).  A token
+    # is live from the step that writes it through the last step that reads
+    # any slot carrying it, both inclusive: an input read by the step that
+    # writes a new output is still live when that output is written, so the
+    # two never share a byte.
     # ------------------------------------------------------------------
     token_of_slot: Dict[int, Optional[int]] = {}
+    first_use: List[int] = []
     last_use: Dict[int, int] = {}
-    next_token = 0
 
     for index, step in enumerate(steps):
         for slot in step.in_slots:
@@ -406,38 +409,30 @@ def layout_plan(lowered: _Lowered, input_shape: Tuple[int, ...], dtype=np.float6
         if step.kind == "view":
             token_of_slot[step.out_slot] = token_of_slot.get(step.in_slots[0])
         elif step.kind == "buffered":
-            token_of_slot[step.out_slot] = next_token
-            next_token += 1
-        else:  # alloc: fresh array per call, nothing to pool or pin
+            token_of_slot[step.out_slot] = len(first_use)
+            first_use.append(index)
+        else:  # alloc: fresh array per call, nothing to place or pin
             token_of_slot[step.out_slot] = None
     output_token = token_of_slot.get(output_slot)
     if output_token is not None:
-        last_use[output_token] = len(steps)  # never recycled
+        last_use[output_token] = len(steps)  # never reused
 
     # ------------------------------------------------------------------
-    # Workspace layout (pooled by byte size), expressed as storage ids.
+    # Workspace layout: one byte offset per token into one flat buffer.
     #
-    # Replay is index-ordered, so any storage freed by an earlier step is
-    # safe to reuse.  No memory is allocated here — steps reference
-    # storages by id and :func:`bind_plan` materialises them, so the
-    # aliasing structure survives serialisation byte for byte.
+    # No memory is allocated here — steps carry their output's offset and
+    # :func:`bind_plan` views the buffer at it, so the aliasing structure
+    # survives serialisation byte for byte.
     # ------------------------------------------------------------------
+    sizes = [math.prod(steps[index].shape) * dtype.itemsize for index in first_use]
+    lives = [(first, last_use.get(token, first)) for token, first in enumerate(first_use)]
+    offsets, workspace_nbytes = _place_by_size(sizes, lives)
+
     step_specs: List[StepSpec] = []
-    pool: Dict[int, List[int]] = {}
-    storage_of_token: Dict[int, int] = {}
-    storage_sizes: List[int] = []
-    for index, step in enumerate(steps):
-        storage_id: Optional[int] = None
+    for step in steps:
+        offset: Optional[int] = None
         if step.kind == "buffered":
-            nbytes = math.prod(step.shape) * dtype.itemsize
-            bucket = pool.get(nbytes)
-            if bucket:
-                storage_id = bucket.pop()
-            else:
-                storage_id = len(storage_sizes)
-                storage_sizes.append(nbytes)
-            token = token_of_slot[step.out_slot]
-            storage_of_token[token] = storage_id
+            offset = offsets[token_of_slot[step.out_slot]]
         kwargs = step.kwargs
         if step.name == "fused_elementwise":
             # Strip the bound kernel functions out of the chain: the spec
@@ -455,17 +450,9 @@ def layout_plan(lowered: _Lowered, input_shape: Tuple[int, ...], dtype=np.float6
                 kwargs=kwargs,
                 out_slot=step.out_slot,
                 out_shape=tuple(step.shape),
-                storage=storage_id,
+                storage=offset,
             )
         )
-        # Recycle storages whose last reader was this step.  (Allocation
-        # happens first, so a step's output never aliases its inputs.)
-        for slot in set(step.in_slots):
-            token = token_of_slot.get(slot)
-            if token is not None and last_use.get(token) == index:
-                freed = storage_of_token.pop(token, None)
-                if freed is not None:
-                    pool.setdefault(storage_sizes[freed], []).append(freed)
 
     stats = PlanStats(
         input_shape=tuple(int(dim) for dim in input_shape),
@@ -473,7 +460,7 @@ def layout_plan(lowered: _Lowered, input_shape: Tuple[int, ...], dtype=np.float6
         steps=len(step_specs),
         folded=lowered.folded,
         pruned=lowered.pruned,
-        workspace_bytes=sum(storage_sizes),
+        workspace_bytes=workspace_nbytes,
         steps_unfused=lowered.steps_unfused,
         fused_chain_lengths=lowered.chain_lengths,
         dtype=str(dtype),
@@ -487,10 +474,43 @@ def layout_plan(lowered: _Lowered, input_shape: Tuple[int, ...], dtype=np.float6
             slot for slot, const in enumerate(lowered.is_const) if const
         ),
         steps=step_specs,
-        storage_sizes=storage_sizes,
+        workspace_nbytes=workspace_nbytes,
         stats=stats,
     )
     return spec, values
+
+
+def _place_by_size(sizes: List[int], lives: List[Tuple[int, int]]) -> Tuple[List[int], int]:
+    """Byte offsets for buffers of ``sizes`` live over the inclusive step
+    intervals ``lives``; returns ``(offsets, workspace bytes)``.
+
+    Greedy by size (Pisarchyk & Lee, "Efficient Memory Management for Deep
+    Neural Net Inference", 2020): the largest buffer is placed first, each
+    into the smallest gap, between the buffers already placed that are
+    live at the same time, that holds it, or else above all of them.
+    Every offset is a multiple of :data:`WORKSPACE_ALIGN`.  Buffers whose
+    intervals share a step never share a byte.
+    """
+    offsets = [0] * len(sizes)
+    placed: List[Tuple[int, int, int, int]] = []  # (offset, end, first, last), by offset
+    total = 0
+    for token in sorted(range(len(sizes)), key=lambda t: (-sizes[t], lives[t][0])):
+        size, (first, last) = sizes[token], lives[token]
+        best, best_gap, top = None, 0, 0
+        for offset, end, other_first, other_last in placed:
+            if other_last < first or other_first > last:
+                continue  # never live together
+            gap = offset - top - (-top) % WORKSPACE_ALIGN
+            if gap >= size and (best is None or gap < best_gap):
+                best, best_gap = offset - gap, gap
+            if end > top:
+                top = end
+        if best is None:
+            best = top + (-top) % WORKSPACE_ALIGN
+        offsets[token] = best
+        bisect.insort(placed, (best, best + size, first, last))
+        total = max(total, best + size)
+    return offsets, total
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ import weakref
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -272,7 +272,8 @@ class StepSpec:
     out_slot: int
     #: Shape of the step output at trace time (the buffer view shape).
     out_shape: Tuple[int, ...]
-    #: Pooled workspace storage id, or ``None`` for view/alloc steps.
+    #: Byte offset of the step's output in the plan workspace (a multiple
+    #: of :data:`WORKSPACE_ALIGN`), or ``None`` for view/alloc steps.
     storage: Optional[int] = None
 
 
@@ -281,10 +282,11 @@ class PlanSpec:
     """The complete, serialisable description of one compiled plan.
 
     Everything :class:`Plan` execution needs *except* live memory: the step
-    list (with fused chains unbound), the pooled workspace layout as
-    ``storage_sizes`` (storage id -> byte size; steps reference storages by
-    id, so the liveness-pooled aliasing structure survives serialisation),
-    the slot-table geometry and the :class:`PlanStats`.  Together with the
+    list (with fused chains unbound), the workspace layout — each buffered
+    step's byte offset (``StepSpec.storage``) into one flat buffer of
+    ``workspace_nbytes`` bytes, so buffers that are never live at the same
+    step share bytes, and that sharing survives serialisation — the
+    slot-table geometry and the :class:`PlanStats`.  Together with the
     constant slot values (cast to the plan dtype) this rebuilds a
     bit-identical plan via :func:`bind_plan` — the foundation of the
     on-disk plan artifacts in :mod:`repro.runtime.artifacts`.
@@ -297,52 +299,41 @@ class PlanSpec:
     #: Slots whose values are plan constants (parameters, folded values).
     const_slots: Tuple[int, ...]
     steps: List[StepSpec]
-    #: storage id -> byte size of the pooled workspace allocation.
-    storage_sizes: List[int]
+    #: Bytes of the flat workspace every step offset points into.
+    workspace_nbytes: int
     stats: PlanStats
 
 
-#: Byte alignment of every pooled storage's offset inside an externally
-#: supplied plan workspace.  A storage is cache-line aligned in memory only
-#: when the buffer's base is (a shared-memory segment's base is
-#: page-aligned).  The artifact pack uses the same offset alignment, but a
-#: loaded plan's constants are not cache-line aligned: the base of the
-#: blob ``np.load`` returns is not.
+#: Byte alignment of every buffered step's offset inside a plan
+#: workspace.  A buffer is cache-line aligned in memory only when the
+#: workspace's base is (a shared-memory segment's base is page-aligned).
+#: The artifact pack uses the same offset alignment, but a loaded plan's
+#: constants are not cache-line aligned: the base of the blob ``np.load``
+#: returns is not.
 WORKSPACE_ALIGN = 64
 
 
-def plan_workspace_nbytes(storage_sizes: Sequence[int]) -> int:
-    """Bytes an external workspace must provide for one plan's storages.
+def plan_workspace_nbytes(spec: PlanSpec) -> int:
+    """Bytes a workspace must provide for ``spec``'s buffers.
 
-    The layout is deterministic: storages are carved out in id order, each
-    starting on a :data:`WORKSPACE_ALIGN` boundary — exactly what
-    :func:`bind_plan` does with its ``workspace=`` argument.  Callers
-    preallocating shared-memory segments size them with this.
+    The compiler places every buffered step at a :data:`WORKSPACE_ALIGN`
+    multiple by liveness (:func:`~repro.runtime.compiler.layout_plan`);
+    this is the end of the highest buffer, exactly what :func:`bind_plan`
+    needs of its ``workspace=`` argument.  Callers preallocating
+    shared-memory segments size them with this.
     """
-    total = 0
-    for nbytes in storage_sizes:
-        total += (-total) % WORKSPACE_ALIGN
-        total += int(nbytes)
-    return total
+    return spec.workspace_nbytes
 
 
 def _step_buffers(spec: PlanSpec, workspace: np.ndarray) -> List[Optional[np.ndarray]]:
-    """Each step's output buffer carved from ``workspace``, or ``None``.
-
-    Storages sit in id order, each on a :data:`WORKSPACE_ALIGN` boundary
-    (:func:`plan_workspace_nbytes`); a buffered step's output is its
-    storage at the plan dtype and the step's shape.
-    """
-    offsets, end = [], 0
-    for nbytes in spec.storage_sizes:
-        end += (-end) % WORKSPACE_ALIGN
-        offsets.append(end)
-        end += int(nbytes)
+    """Each step's output buffer viewed in ``workspace``, or ``None``: a
+    buffered step's output is the plan dtype at the step's shape, at the
+    step's byte offset."""
     dtype = np.dtype(spec.dtype)
     return [
         None
         if step.storage is None
-        else np.ndarray(step.out_shape, dtype, workspace, offsets[step.storage])
+        else np.ndarray(step.out_shape, dtype, workspace, step.storage)
         for step in spec.steps
     ]
 
@@ -392,7 +383,7 @@ class _PlanArena:
     def add(self, plan: "Plan") -> "Plan":
         """Bind uncarved ``plan`` to this arena, growing it first if the plan
         needs more; the arena's lock becomes the plan's."""
-        needed = plan_workspace_nbytes(plan.spec.storage_sizes)
+        needed = plan_workspace_nbytes(plan.spec)
         with self.lock:
             if needed > self._buffer.nbytes:
                 self._buffer = np.frombuffer(_anonymous_map(needed), dtype=np.uint8)
@@ -412,16 +403,15 @@ def bind_plan(
     """Materialise a :class:`Plan` from its spec and constant slot table.
 
     Allocates one workspace buffer of :func:`plan_workspace_nbytes` bytes,
-    carves the pooled storages described by ``spec.storage_sizes`` out of
-    it, views each buffered step's output into its assigned storage at the
-    plan dtype, and binds every step (and fused chain instruction) to its
-    kernel by name.  ``values`` must be the full slot table with the
+    views each buffered step's output in it at the step's byte offset and
+    the plan dtype, and binds every step (and fused chain instruction) to
+    its kernel by name.  ``values`` must be the full slot table with the
     constants filled in (non-constant slots ``None``); it is used as the
     plan's live slot table, not copied.
 
     ``workspace`` — a flat ``uint8`` buffer of at least
-    :func:`plan_workspace_nbytes` bytes — replaces that allocation:
-    storages become :data:`WORKSPACE_ALIGN`-aligned views *into the given
+    :func:`plan_workspace_nbytes` bytes — replaces that allocation: step
+    outputs become :data:`WORKSPACE_ALIGN`-aligned views *into the given
     buffer*, so a plan can execute entirely inside a
     ``multiprocessing.shared_memory`` segment and its outputs are published
     to other processes without a copy (the process-tier hand-off in
@@ -429,7 +419,7 @@ def bind_plan(
     arithmetic, so a workspace-bound plan stays bit-identical to a
     heap-bound one.  A :class:`CompiledModel` lane's arena as ``workspace``
     binds the plan to the arena (growing it first): the plan takes the
-    arena's lock and carves its storages from the arena's buffer on its
+    arena's lock and carves its buffers from the arena's buffer on its
     first call.
 
     Raises :class:`KeyError` when a step names a kernel this build does not
@@ -450,20 +440,18 @@ def bind_plan(
         if not workspace.flags.writeable:
             raise ValueError(
                 "workspace buffer is read-only; plan replay writes every "
-                "pooled storage in place"
+                "step buffer in place"
             )
         if not workspace.flags.c_contiguous:
             raise ValueError(
-                "workspace buffer is not contiguous; the 64-byte storage "
-                "carving assumes a dense byte range"
+                "workspace buffer is not contiguous; the byte-offset "
+                "layout assumes a dense byte range"
             )
-        needed = plan_workspace_nbytes(spec.storage_sizes)
+        needed = plan_workspace_nbytes(spec)
         if workspace.nbytes < needed:
             raise ValueError(
                 f"workspace of {workspace.nbytes} bytes is smaller than the "
-                f"plan's {needed}-byte storage layout "
-                f"({len(spec.storage_sizes)} storages at "
-                f"{WORKSPACE_ALIGN}-byte alignment)"
+                f"plan's {needed}-byte layout"
             )
     steps: List[Tuple] = []
     for step in spec.steps:
@@ -493,7 +481,7 @@ def _place(plan: "Plan", workspace: Union[None, np.ndarray, _PlanArena]) -> "Pla
     if isinstance(workspace, _PlanArena):
         return workspace.add(plan)
     if workspace is None:
-        workspace = np.empty(plan_workspace_nbytes(plan.spec.storage_sizes), dtype=np.uint8)
+        workspace = np.empty(plan_workspace_nbytes(plan.spec), dtype=np.uint8)
     plan._carve(workspace)
     return plan
 
@@ -538,7 +526,7 @@ class Plan:
         self.dtype = np.dtype(dtype)
         # Slots rewritten on every run: the input and each step output
         # (including views of the input).  Cleared after a locked call so an
-        # idle plan holds only its constants and pooled buffers, not the
+        # idle plan holds only its constants and workspace, not the
         # last batch it served.
         self._transient_slots = [input_slot] + [step[3] for step in steps]
         self._exec_lock = threading.Lock()
@@ -1156,7 +1144,7 @@ class CompiledModel:
         rebatched, fallbacks, fallback = self._rebatcher.counts()
         with self._lock:
             own = sum(
-                plan_workspace_nbytes(bound.spec.storage_sizes)
+                plan_workspace_nbytes(bound.spec)
                 for plan in self._plans.values()
                 for bound in (plan, *plan._lane_copies.values())
                 if bound.arena is None

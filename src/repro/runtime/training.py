@@ -1,8 +1,8 @@
 """Compiled training forwards: replay the kernel plan, tape the backward.
 
 The inference runtime (:mod:`repro.runtime.engine`) cannot serve training:
-constant folding bakes parameter-derived values into the plan, pooled
-buffers overwrite the intermediate activations the backward pass needs, and
+constant folding bakes parameter-derived values into the plan, shared
+workspace bytes overwrite the intermediate activations the backward pass needs, and
 there is no gradient path at all.  This module compiles the *training*
 variant of a module's forward:
 
@@ -256,7 +256,7 @@ def compile_training_plan(module, example: np.ndarray) -> TrainingPlan:
 
     Unlike :func:`~repro.runtime.compiler.compile_plan`: constants are never
     folded (parameters must stay differentiable, live slots), and every
-    buffered step gets its own dedicated buffer instead of a pooled one
+    buffered step gets its own dedicated buffer instead of shared bytes
     (the backward tape reads the forward values after the forward
     finishes).  The module may be in training mode; it is traced in
     evaluation mode and restored — :func:`plan_trainable` guarantees the

@@ -1,8 +1,8 @@
 """Static verification of compiled plans and the serving concurrency lint.
 
-The runtime replays liveness-pooled, precision-cast plans — loaded from
+The runtime replays liveness-placed, precision-cast plans — loaded from
 disk artifacts — into three serving tiers.  Every one of those
-transformations (buffer pooling, elementwise fusion, workspace carving,
+transformations (workspace offsets, elementwise fusion,
 artifact deserialisation) can silently corrupt results
 if a single invariant slips, and the only dynamic guard is a one-row
 parity spot check on first serve.  This package turns the invariants into

@@ -11,8 +11,10 @@ Rule catalogue
 ``P-LIFE``
     The lifetime checker: plan slots are written once (SSA), every slot a
     step reads must be dominated by a write (an earlier step's output) or
-    be a constant/input slot, and no step may read a slot whose pooled
-    storage has since been reassigned to another slot (use-after-release).
+    be a constant/input slot, no step may read a slot whose workspace
+    bytes a later step has overwritten (use-after-release), no step's
+    output may overlap the bytes of its own inputs, and no step may
+    overwrite the plan output's bytes.
 ``P-DTYPE``
     The dtype-flow audit: the plan dtype is a supported precision, every
     floating constant is stored at the plan dtype (a float64 constant in
@@ -28,10 +30,10 @@ Rule catalogue
     single-consumer adjacency invariant), and every external operand
     broadcasts to the chain's output shape.
 ``P-LAYOUT``
-    Workspace carving: every buffered step's storage id is in range and
-    its output byte span exactly fills the storage's 64-byte-aligned
-    interval — a shrunk or aliased interval would overlap the next
-    storage in the carved workspace (the rule reports both byte ranges).
+    Workspace placement: every buffered step's byte offset is a multiple
+    of 64, and its output's byte range lies inside the plan's
+    ``workspace_nbytes`` — a range past the end would run off a workspace
+    sized to the plan (the rule reports the range).
 
 All rules report structured :class:`Diagnostic` records; none of them
 assert or raise (except :func:`verify_store` reporting unreadable
@@ -72,10 +74,10 @@ _CONTRACT_REDUCTIONS = ("softmax", "log_softmax", "layer_norm")
 class Diagnostic:
     """One verification finding: rule id plus machine-usable locus.
 
-    ``steps`` are plan step indices; ``byte_range`` is a half-open
-    ``[lo, hi)`` interval into the carved workspace (absolute offsets of
-    the deterministic :func:`storage_layout`).  Lint findings reuse the
-    same record with ``path``/``line`` set instead.
+    ``steps`` are plan step indices; ``storage`` is the byte offset of
+    the buffer involved and ``byte_range`` a half-open ``[lo, hi)``
+    interval into the plan workspace (see :func:`storage_layout`).  Lint
+    findings reuse the same record with ``path``/``line`` set instead.
     """
 
     rule: str
@@ -141,21 +143,16 @@ class VerifyError(RuntimeError):
 # Shared reconstruction helpers
 # ----------------------------------------------------------------------
 
-def storage_layout(storage_sizes: Sequence[int]) -> List[Tuple[int, int]]:
-    """``(offset, nbytes)`` of every storage in the carved workspace.
-
-    Mirrors the deterministic id-order, 64-byte-aligned carving of
-    :func:`~repro.runtime.engine.plan_workspace_nbytes` /
-    :func:`~repro.runtime.engine.bind_plan`, so diagnostics can report
-    absolute byte intervals into an external workspace buffer.
-    """
-    intervals: List[Tuple[int, int]] = []
-    offset = 0
-    for nbytes in storage_sizes:
-        offset += (-offset) % WORKSPACE_ALIGN
-        intervals.append((offset, int(nbytes)))
-        offset += int(nbytes)
-    return intervals
+def storage_layout(spec: PlanSpec) -> List[Tuple[int, int, int]]:
+    """``(step index, offset, nbytes)`` of every buffered step's output in
+    the plan workspace: the byte offset the step carries and the bytes its
+    output shape takes at the plan dtype."""
+    itemsize = np.dtype(spec.dtype).itemsize
+    return [
+        (index, int(step.storage), int(np.prod(step.out_shape, dtype=np.int64)) * itemsize)
+        for index, step in enumerate(spec.steps)
+        if step.storage is not None
+    ]
 
 
 def _is_basic_index(index) -> bool:
@@ -175,7 +172,7 @@ def _is_basic_index(index) -> bool:
 
 
 def _is_view_step(step) -> bool:
-    """Whether a storage-less step's output aliases its first input.
+    """Whether an unbuffered step's output aliases its first input.
 
     ``transpose`` / ``squeeze`` / ``unsqueeze`` / ``reshape`` kernels
     always return views (copying reshapes were rewritten to the buffered
@@ -190,23 +187,22 @@ def _is_view_step(step) -> bool:
     return True
 
 
-def _slot_storages(spec: PlanSpec) -> Dict[int, Optional[int]]:
-    """slot id -> pooled storage id backing it (``None`` = unpooled).
+def _slot_ranges(spec: PlanSpec) -> Dict[int, Tuple[int, int]]:
+    """slot id -> ``[lo, hi)`` workspace bytes backing it; slots outside
+    the workspace are absent.
 
-    Buffered steps bind their output slot to their storage; view steps
-    alias their input's storage; alloc steps (and the input/constant
-    slots) are unpooled.  Slots are written once (SSA), so the mapping is
+    Buffered steps bind their output slot to their own bytes; view steps
+    alias all of their input's; alloc steps (and the input/constant
+    slots) hold none.  Slots are written once (SSA), so the mapping is
     temporal-free — lifetime questions are handled separately.
     """
-    mapping: Dict[int, Optional[int]] = {}
+    ranges: Dict[int, Tuple[int, int]] = {}
+    for index, offset, nbytes in storage_layout(spec):
+        ranges[spec.steps[index].out_slot] = (offset, offset + nbytes)
     for step in spec.steps:
-        if step.storage is not None:
-            mapping[step.out_slot] = step.storage
-        elif _is_view_step(step):
-            mapping[step.out_slot] = mapping.get(step.in_slots[0])
-        else:
-            mapping[step.out_slot] = None
-    return mapping
+        if _is_view_step(step) and step.in_slots[0] in ranges:
+            ranges[step.out_slot] = ranges[step.in_slots[0]]
+    return ranges
 
 
 def _chain_of(step) -> List[Tuple[str, Tuple[int, ...], Dict]]:
@@ -228,58 +224,41 @@ def _chain_of(step) -> List[Tuple[str, Tuple[int, ...], Dict]]:
 # ----------------------------------------------------------------------
 
 def _check_layout(spec: PlanSpec, out: List[Diagnostic]) -> None:
-    intervals = storage_layout(spec.storage_sizes)
-    itemsize = np.dtype(spec.dtype).itemsize
-    for storage, (offset, nbytes) in enumerate(intervals):
-        if nbytes <= 0:
-            out.append(Diagnostic(
-                "P-LAYOUT",
-                f"storage {storage} has non-positive size {nbytes}",
-                storage=storage,
-            ))
+    for index, offset, nbytes in storage_layout(spec):
+        name = spec.steps[index].name
         if offset % WORKSPACE_ALIGN:
             out.append(Diagnostic(
                 "P-LAYOUT",
-                f"storage {storage} starts at offset {offset}, not "
+                f"step {index} ({name}) starts at offset {offset}, not "
                 f"{WORKSPACE_ALIGN}-byte aligned",
-                storage=storage,
+                steps=(index,),
+                storage=offset,
                 byte_range=(offset, offset + nbytes),
             ))
-    for index, step in enumerate(spec.steps):
-        if step.storage is None:
-            continue
-        if not 0 <= step.storage < len(spec.storage_sizes):
+        if offset < 0 or offset + nbytes > spec.workspace_nbytes:
             out.append(Diagnostic(
                 "P-LAYOUT",
-                f"step {index} ({step.name}) references storage {step.storage}; "
-                f"the plan carves only {len(spec.storage_sizes)}",
+                f"step {index} ({name}) writes bytes outside the plan's "
+                f"{spec.workspace_nbytes}-byte workspace",
                 steps=(index,),
-                storage=step.storage,
+                storage=offset,
+                byte_range=(offset, offset + nbytes),
             ))
-            continue
-        offset, nbytes = intervals[step.storage]
-        needed = int(np.prod(step.out_shape, dtype=np.int64)) * itemsize
-        if needed != nbytes:
-            out.append(Diagnostic(
-                "P-LAYOUT",
-                f"step {index} ({step.name}) writes {needed} bytes into storage "
-                f"{step.storage} carved at {nbytes} bytes — the view would "
-                f"overlap the adjacent storage interval",
-                steps=(index,),
-                storage=step.storage,
-                byte_range=(offset, offset + max(needed, nbytes)),
-            ))
+
+
+def _overlaps(a: Tuple[int, int], b: Tuple[int, int]) -> bool:
+    return a[0] < b[1] and b[0] < a[1]
 
 
 def _check_lifetime(
     spec: PlanSpec,
-    slot_storage: Dict[int, Optional[int]],
+    slot_ranges: Dict[int, Tuple[int, int]],
     producer: Dict[int, int],
     out: List[Diagnostic],
 ) -> None:
     defined: Set[int] = {spec.input_slot} | set(spec.const_slots)
-    alias: Dict[int, Set[int]] = {}  # storage -> slots currently backed by it
-    stale: Set[int] = set()          # slots whose storage was reassigned
+    live: Dict[int, Tuple[int, int]] = {}  # slot -> bytes, while they hold it
+    stale: Dict[int, int] = {}             # slot -> step that overwrote it
     for index, step in enumerate(spec.steps):
         for slot in step.in_slots:
             if slot not in defined:
@@ -293,25 +272,46 @@ def _check_lifetime(
                     steps=(index,) if source is None else (source, index),
                 ))
             elif slot in stale:
-                storage = slot_storage.get(slot)
+                lo, hi = slot_ranges[slot]
                 out.append(Diagnostic(
                     "P-LIFE",
-                    f"step {index} ({step.name}) reads slot {slot} after its "
-                    f"pooled storage {storage} was reassigned to another slot "
+                    f"step {index} ({step.name}) reads slot {slot} after step "
+                    f"{stale[slot]} overwrote its workspace bytes "
                     f"(use-after-release)",
-                    steps=(index,),
-                    storage=storage,
+                    steps=(stale[slot], index),
+                    storage=lo,
+                    byte_range=(lo, hi),
                 ))
         if step.storage is not None:
-            previous = alias.get(step.storage)
-            if previous:
-                stale.update(previous)
-            alias[step.storage] = {step.out_slot}
-        elif _is_view_step(step):
-            storage = slot_storage.get(step.out_slot)
-            if storage is not None:
-                alias.setdefault(storage, set()).add(step.out_slot)
+            written = slot_ranges[step.out_slot]
+            for slot in step.in_slots:
+                if slot in live and _overlaps(written, live[slot]):
+                    out.append(Diagnostic(
+                        "P-LIFE",
+                        f"step {index} ({step.name}) writes its output over "
+                        f"the bytes of its input slot {slot}",
+                        steps=(index,),
+                        storage=written[0],
+                        byte_range=(max(written[0], live[slot][0]),
+                                    min(written[1], live[slot][1])),
+                    ))
+            for slot, held in list(live.items()):
+                if _overlaps(written, held):
+                    stale[slot] = index
+                    del live[slot]
+        if step.out_slot in slot_ranges:
+            live[step.out_slot] = slot_ranges[step.out_slot]
         defined.add(step.out_slot)
+    if spec.output_slot in stale:
+        lo, hi = slot_ranges[spec.output_slot]
+        out.append(Diagnostic(
+            "P-LIFE",
+            f"step {stale[spec.output_slot]} overwrites the bytes of the plan "
+            f"output (slot {spec.output_slot}) before the plan returns it",
+            steps=(stale[spec.output_slot],),
+            storage=lo,
+            byte_range=(lo, hi),
+        ))
 
 
 def _check_dtype_flow(
@@ -479,10 +479,8 @@ def verify_spec(
             f"slots are written once",
             steps=(producer[spec.steps[index].out_slot], index),
         ))
-    slot_storage = _slot_storages(spec)
-
     _check_layout(spec, findings)
-    _check_lifetime(spec, slot_storage, producer, findings)
+    _check_lifetime(spec, _slot_ranges(spec), producer, findings)
     _check_dtype_flow(spec, values, findings)
     _check_fusion(spec, values, producer, findings)
     return VerifyReport(

@@ -20,12 +20,12 @@ Three design rules keep the hot path cheap and the answers bit-identical:
 **Never trace in the child.**  Workers only ever *bind* plans from a
 :class:`~repro.runtime.ArtifactStore` — either the deployment's own store
 or a parent-compiled, parity-spot-checked plan spilled to a temp store —
-so a child is a dumb replayer: no tracing, no fusing, no pooling, no
+so a child is a dumb replayer: no tracing, no fusing, no layout, no
 autograd, and a freshly (re)spawned worker is serving in milliseconds.
 
 **No pickling of array payloads.**  Request windows and forecast outputs
 travel through a preallocated ``multiprocessing.shared_memory`` segment
-sized from the plan's pooled-buffer layout
+sized from the plan's workspace layout
 (:func:`~repro.runtime.plan_workspace_nbytes`); the child binds its plans
 *into* the segment's arena (``bind_plan(workspace=...)``), so a plan whose
 output lands in the arena is published to the parent without a single
@@ -140,6 +140,10 @@ class ProcessTierStats:
     segment_nbytes: int
     escalations: int = 0
     hung_detections: int = 0
+    #: Plans a worker bound on its own heap because they did not fit its
+    #: segment's arena: correct, but their outputs are copied out and
+    #: their workspace is private (as of each worker's last beacon).
+    heap_binds: int = 0
 
 
 # ----------------------------------------------------------------------
@@ -157,8 +161,9 @@ class ProcessTierStats:
 # The heartbeat block holds the worker's liveness beacon: a magic word,
 # a monotonically-increasing beat counter, a ``time.monotonic()``
 # timestamp (valid across processes on Linux — CLOCK_MONOTONIC is
-# system-wide) and the worker's live OpenBLAS thread count (-1: none
-# found).  The worker writes it from its *serve loop only* — never
+# system-wide), the worker's live OpenBLAS thread count (-1: none
+# found) and how many plans it has bound on its heap, not in the arena.
+# The worker writes it from its *serve loop only* — never
 # a side thread — so a wedged main loop (hang, deadlock, runaway compute)
 # stops the beacon, which is exactly what the parent's watchdog watches.
 # Corollary: a legitimate long plan replay also pauses the beacon, so the
@@ -176,27 +181,30 @@ _DTYPE_CODES = {"float64": 0, "float32": 1}
 _DTYPE_BY_CODE = {code: np.dtype(name) for name, code in _DTYPE_CODES.items()}
 
 _HB_MAGIC = 0x48425254  # "HBRT"
-_HB_STRUCT = struct.Struct("<QQdq")  # magic beat monotonic-timestamp blas-threads
+_HB_STRUCT = struct.Struct("<QQdqq")  # magic beat monotonic-timestamp blas-threads heap-binds
 _HB_NBYTES = 64  # one aligned block at segment offset 0
 
 
-def _write_heartbeat(shm, beat: int, blas_threads: int) -> None:
+def _write_heartbeat(shm, beat: int, blas_threads: int, heap_binds: int) -> None:
     shm.buf[0 : _HB_STRUCT.size] = _HB_STRUCT.pack(
-        _HB_MAGIC, beat, time.monotonic(), blas_threads
+        _HB_MAGIC, beat, time.monotonic(), blas_threads, heap_binds
     )
 
 
-def _read_heartbeat(shm) -> Optional[Tuple[int, float, int]]:
-    """``(beat, timestamp, blas_threads)`` of the worker's last beacon, or ``None``.
+def _read_heartbeat(shm) -> Optional[Tuple[int, float, int, int]]:
+    """``(beat, timestamp, blas_threads, heap_binds)`` of the worker's last
+    beacon, or ``None``.
 
-    The 32-byte read is not atomic against the worker's write; a torn read
+    The 40-byte read is not atomic against the worker's write; a torn read
     fails the magic check (or yields a slightly stale timestamp), both of
     which the watchdog tolerates — it only acts on *seconds* of silence.
     """
-    magic, beat, stamp, threads = _HB_STRUCT.unpack(bytes(shm.buf[0 : _HB_STRUCT.size]))
+    magic, beat, stamp, threads, heap_binds = _HB_STRUCT.unpack(
+        bytes(shm.buf[0 : _HB_STRUCT.size])
+    )
     if magic != _HB_MAGIC:
         return None
-    return beat, stamp, threads
+    return beat, stamp, threads, heap_binds
 
 
 def _align(nbytes: int) -> int:
@@ -276,8 +284,11 @@ def _worker_reply_error(conn, shm, layout, slot, seq, message: str) -> None:
     conn.send(("res", seq, slot))
 
 
-def _worker_get_plan(plans, stores, key, arena, layout):
-    """Bind (or fetch) the plan for one artifact key — never trace."""
+def _worker_get_plan(plans, stores, key, arena, heap_binds):
+    """Bind (or fetch) the plan for one artifact key — never trace.
+
+    A plan larger than the segment's arena binds on the worker's heap,
+    counted in ``heap_binds[0]``."""
     plan = plans.get(key)
     if plan is not None:
         plans.move_to_end(key)
@@ -297,7 +308,9 @@ def _worker_get_plan(plans, stores, key, arena, layout):
     if spec is None:
         detail = f" ({last_error})" if last_error is not None else ""
         raise KeyError(f"no artifact for plan key {key}{detail}")
-    workspace = arena if plan_workspace_nbytes(spec.storage_sizes) <= layout.arena_nbytes else None
+    workspace = arena if plan_workspace_nbytes(spec) <= arena.nbytes else None
+    if workspace is None:
+        heap_binds[0] += 1
     plan = bind_plan(spec, values, workspace=workspace)
     plans[key] = plan
     while len(plans) > CompiledModel.MAX_PLANS:
@@ -305,7 +318,9 @@ def _worker_get_plan(plans, stores, key, arena, layout):
     return plan
 
 
-def _worker_serve_one(conn, shm, seg_addr, plans, stores, arena, layout, message) -> None:
+def _worker_serve_one(
+    conn, shm, seg_addr, plans, stores, arena, heap_binds, layout, message
+) -> None:
     tag, seq, slot, key = message
     base = layout.request_offset(slot)
     try:
@@ -331,7 +346,7 @@ def _worker_serve_one(conn, shm, seg_addr, plans, stores, arena, layout, message
             raise ValueError(f"payload [{offset}, {offset + nbytes}) overruns the segment")
         window = np.frombuffer(shm.buf, dtype=dtype, count=int(np.prod(shape)), offset=offset).reshape(shape)
         fault_point("worker.dispatch", window)
-        plan = _worker_get_plan(plans, stores, key, arena, layout)
+        plan = _worker_get_plan(plans, stores, key, arena, heap_binds)
         if plan.spec.dtype != dtype.name or tuple(plan.spec.stats.input_shape) != shape:
             raise ValueError(
                 f"plan {key} expects {tuple(plan.spec.stats.input_shape)} "
@@ -420,13 +435,14 @@ def _worker_main(conn, shm_name, layout, store_roots, fault_plan=None) -> None:
     arena = segment[layout.arena_offset : layout.arena_offset + layout.arena_nbytes]
     stores = [ArtifactStore(root, readonly=True) for root in store_roots]
     plans: "OrderedDict[str, object]" = OrderedDict()
+    heap_binds = [0]
     beat = 0
     try:
         while True:
             # Liveness beacon: written only from this serve loop, so a
             # wedged loop stops the beacon and trips the parent watchdog.
             beat += 1
-            _write_heartbeat(shm, beat, live_threads)
+            _write_heartbeat(shm, beat, live_threads, heap_binds[0])
             if os.getppid() != parent_pid:
                 return  # orphaned: the owning process is gone
             try:
@@ -442,8 +458,10 @@ def _worker_main(conn, shm_name, layout, store_roots, fault_plan=None) -> None:
             if message[0] != "req" or len(message) != 4:
                 continue
             beat += 1
-            _write_heartbeat(shm, beat, live_threads)
-            _worker_serve_one(conn, shm, seg_addr, plans, stores, arena, layout, message)
+            _write_heartbeat(shm, beat, live_threads, heap_binds[0])
+            _worker_serve_one(
+                conn, shm, seg_addr, plans, stores, arena, heap_binds, layout, message
+            )
     finally:
         # Drop every view into the mapping before closing it; a dangling
         # buffer export would raise BufferError from shm.close().  The OS
@@ -549,6 +567,9 @@ class _ProcessWorker:
         self.respawns = 0
         self.escalations = 0
         self.hung_detections = 0
+        # Heap binds of the worker's earlier incarnations (each beacon
+        # counts its own incarnation's).
+        self._past_heap_binds = 0
         self._respawn_times: "deque[float]" = deque()
         self._seq = 0
         self.shm = shared_memory.SharedMemory(
@@ -567,6 +588,7 @@ class _ProcessWorker:
     def _spawn(self) -> None:
         # A new incarnation starts with no beacon: the previous worker's
         # last one would read as stale while this one is still starting.
+        self._past_heap_binds = self.heap_binds()
         self.shm.buf[0 : _HB_STRUCT.size] = bytes(_HB_STRUCT.size)
         self._beaconed = False
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
@@ -671,6 +693,12 @@ class _ProcessWorker:
         if beacon is None or beacon[2] < 0:
             return None
         return beacon[2]
+
+    def heap_binds(self) -> int:
+        """Plans this shard's workers bound on their heap, as of the live
+        worker's last beacon (written before each request it serves)."""
+        beacon = _read_heartbeat(self.shm)
+        return self._past_heap_binds + (beacon[3] if beacon is not None else 0)
 
     def _roundtrip(self, job: _Job) -> np.ndarray:
         self._seq += 1
@@ -1001,10 +1029,12 @@ class ProcessShardExecutor:
         response_cap = max(rows * self._output_length * self._num_nodes * 8, 4096)
         if spec is not None:
             first_rows = max(int(spec.stats.input_shape[0]), 1)
-            workspace = plan_workspace_nbytes(spec.storage_sizes)
-            # Workspace grows ~linearly in the batch; one extra multiple
-            # absorbs the nonlinear parts.  A plan that still does not fit
-            # binds on the worker's heap instead: slower and larger
+            workspace = plan_workspace_nbytes(spec)
+            # A rebatched plan's workspace is linear in the batch (DyHSL's
+            # is exactly); one extra multiple covers a model traced per
+            # size, and costs no resident memory while no plan writes it.
+            # A plan that still does not fit binds on the worker's heap
+            # instead, counted in stats().heap_binds: slower and larger
             # (docs/serving_quickstart.md §11), never wrong.
             scale = -(-rows // first_rows) + 1
             arena = workspace * scale
@@ -1211,6 +1241,9 @@ class ProcessShardExecutor:
                 ),
                 hung_detections=sum(
                     worker.hung_detections for worker in self._workers if worker is not None
+                ),
+                heap_binds=sum(
+                    worker.heap_binds() for worker in self._workers if worker is not None
                 ),
                 interactive_batches=self._lane_batches["interactive"],
                 bulk_batches=self._lane_batches["bulk"],

@@ -288,8 +288,9 @@ class ServiceStats:
     swaps: int = 0
     #: Cores this process may run on (``os.sched_getaffinity``).
     cores: int = 1
-    #: Live OpenBLAS threads of each worker (``None``: no OpenBLAS found,
-    #: or a process worker not spawned yet).
+    #: OpenBLAS threads of each worker as it pinned them: 1, as the inline
+    #: service set it or as a process worker read it back (``None``: no
+    #: OpenBLAS found, or a process worker not spawned yet).
     blas_threads: Tuple[Optional[int], ...] = ()
     #: Row lanes the inline worker splits a batch across (1 for process
     #: workers).
@@ -538,7 +539,9 @@ class ForecastService:
         }
         # One BLAS thread per serving thread, for good.  The inline worker
         # spends the cores on row lanes; process replicas spread batches.
-        blas.set_threads(1)
+        # The count is known from the pin; stats() must not probe, since a
+        # probe rescans the process's mappings.
+        self._blas_threads = 1 if blas.set_threads(1) else None
         self._lanes = min(blas.cores(), MAX_PLAN_LANES) if self.executor == "inline" else 1
         if self.executor == "processes":
             # Workers, segments and dispatchers spawn lazily on the first
@@ -1554,7 +1557,7 @@ class ForecastService:
             else CacheStats(hits=0, misses=0, evictions=0, size=0, max_entries=0)
         )
         blas_threads = (
-            self._tier.worker_blas_threads() if self._tier is not None else (blas.threads(),)
+            self._tier.worker_blas_threads() if self._tier is not None else (self._blas_threads,)
         )
         return ServiceStats(
             model_version=self.model_version,

@@ -228,6 +228,44 @@ class TestValidationAndFallback:
         assert info.artifact_loads == 1 and info.compiles == 1
         assert np.array_equal(produced, reference)
 
+    def test_format_4_store_is_rejected_and_recompiled(self, model, windows, store, monkeypatch):
+        """A store written before byte-offset layouts (format 4: storage ids
+        into exact-size ``storage_sizes``) is rejected, counted and
+        recompiled; it is never bound."""
+        import json
+
+        import repro.runtime.artifacts as artifacts_module
+
+        assert artifacts_module.ARTIFACT_FORMAT_VERSION == 5
+        reference = CompiledModel(model, artifact_dir=store)(windows)
+        spec_to_payload = artifacts_module._spec_to_payload
+
+        def format_4(spec):
+            blob, arrays = spec_to_payload(spec)
+            document = json.loads(blob)
+            offsets = sorted({step["storage"] for step in document["steps"]} - {None})
+            del document["workspace_nbytes"]
+            document["storage_sizes"] = [64] * len(offsets)
+            for step in document["steps"]:
+                if step["storage"] is not None:
+                    step["storage"] = offsets.index(step["storage"])
+            return json.dumps(document, sort_keys=True).encode("utf-8"), arrays
+
+        for key in store.keys():
+            spec, values, _ = _fresh_store(store).load(key)
+            constants = {slot: values[slot] for slot in spec.const_slots}
+            with monkeypatch.context() as patch:
+                patch.setattr(artifacts_module, "ARTIFACT_FORMAT_VERSION", 4)
+                patch.setattr(artifacts_module, "_spec_to_payload", format_4)
+                _fresh_store(store).save(key, spec, constants)
+
+        warm = CompiledModel(model, artifact_dir=_fresh_store(store))
+        produced = warm(windows)
+        info = warm.cache_info()
+        assert info.artifact_rejects == 2
+        assert info.artifact_loads == 0 and info.compiles == 2
+        assert np.array_equal(produced, reference)
+
     def test_parity_spot_check_rejects_tampered_constants(self, model, windows, store):
         compiled = CompiledModel(model, artifact_dir=store)
         reference = compiled(windows)

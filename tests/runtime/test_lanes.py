@@ -199,7 +199,7 @@ class TestLaneArenas:
         assert grown == [0.0, 0.0]
         assert results and all(diff == 0.0 for _, diff in results), results
         largest = plan_workspace_nbytes(
-            compiled._plans[((16,) + windows.shape[1:], "float64")].spec.storage_sizes
+            compiled._plans[((16,) + windows.shape[1:], "float64")].spec
         )
         assert all(old < new == largest for old, new in zip(before, after))
 
@@ -274,7 +274,7 @@ class TestLaneArenas:
         finally:
             compiled.close()
         layout = {
-            plan.stats.input_shape[0]: plan_workspace_nbytes(plan.spec.storage_sizes)
+            plan.stats.input_shape[0]: plan_workspace_nbytes(plan.spec)
             for plan in compiled._plans.values()
         }
         assert sorted(layout) == [1, 2, 4, 8, 16]

@@ -1,8 +1,9 @@
 """Static plan verification: mutation corpus, gates, and clean audits.
 
 Two directions of proof: every analysis rule *fires* on a plan mutated to
-violate its invariant (duplicate slot writes, use-after-release, dropped
-precision casts, corrupted fusion chains, shrunk workspace carvings), and
+violate its invariant (duplicate slot writes, use-after-release, buffers
+moved onto live bytes, dropped precision casts, corrupted fusion chains,
+misplaced or overrunning workspace offsets), and
 every rule stays *silent* on all real compiled plans — the registry
 baselines and DyHSL, in both precisions.  Plus the two ``REPRO_RUNTIME_VERIFY=1`` trust
 boundaries: fresh compiles verify (and refuse to serve on a finding) and
@@ -59,7 +60,7 @@ def _single_plan(compiled):
 
 @pytest.fixture(scope="module")
 def serial_plan(adjacency, windows):
-    """A float32 TCN plan: fused chains, reused storages."""
+    """A float32 TCN plan: fused chains, reused workspace bytes."""
     seed_everything(31)
     model = create_baseline("TCN", adjacency, NUM_NODES, horizon=3, hidden_dim=12)
     compiled = compile_module(model, precision="float32")
@@ -69,7 +70,7 @@ def serial_plan(adjacency, windows):
 
 @pytest.fixture(scope="module")
 def dyhsl_plan():
-    """A DyHSL plan: every Fig. 2 stage, many pooled storages."""
+    """A DyHSL plan: every Fig. 2 stage, many buffers sharing bytes."""
     seed_everything(91)
     rng = np.random.default_rng(91)
     nodes = 11
@@ -90,6 +91,17 @@ def dyhsl_plan():
 
 def _rules(report):
     return sorted({finding.rule for finding in report.findings})
+
+
+def _moved(spec, index, offset):
+    """``spec`` with step ``index``'s output placed at byte ``offset``."""
+    steps = list(spec.steps)
+    steps[index] = dataclasses.replace(steps[index], storage=offset)
+    return dataclasses.replace(spec, steps=tuple(steps))
+
+
+def _overlap(a, b):
+    return a[1] < b[1] + b[2] and b[1] < a[1] + a[2]
 
 
 # ----------------------------------------------------------------------
@@ -140,19 +152,16 @@ class TestMutationCorpus:
         assert "P-LIFE" in _rules(verify_spec(mutated, values))
 
     def test_use_after_release(self, serial_plan):
-        """Reading a slot after pooling reassigned its storage."""
+        """Reading a slot after a later step reused its bytes."""
         spec, values = serial_plan
-        writers = {}
-        site = None
-        for index, step in enumerate(spec.steps):
-            if step.storage is None:
-                continue
-            if step.storage in writers and index + 1 < len(spec.steps):
-                site = (writers[step.storage], index)
-                break
-            writers.setdefault(step.storage, index)
-        assert site, "expected a liveness-reused storage in the TCN plan"
-        first_writer, second_writer = site
+        layout = storage_layout(spec)
+        site = next(
+            (first, second)
+            for position, first in enumerate(layout)
+            for second in layout[position + 1:]
+            if _overlap(first, second) and second[0] + 1 < len(spec.steps)
+        )
+        first_writer, second_writer = site[0][0], site[1][0]
         reader = second_writer + 1
         steps = list(spec.steps)
         steps[reader] = dataclasses.replace(
@@ -163,6 +172,41 @@ class TestMutationCorpus:
         mutated = dataclasses.replace(spec, steps=tuple(steps))
         findings = verify_spec(mutated, values).by_rule("P-LIFE")
         assert any("use-after-release" in f.message for f in findings)
+
+    def test_live_buffer_moved_onto_live_bytes(self, dyhsl_plan):
+        """A buffer placed over another buffer that is still to be read."""
+        spec, values = dyhsl_plan
+        layout = storage_layout(spec)
+        readers = {}
+        for index, step in enumerate(spec.steps):
+            for slot in step.in_slots:
+                readers[slot] = index
+        victim, intruder, reader = next(
+            (first, second, readers[spec.steps[first].out_slot])
+            for first, _, _ in layout
+            for second, _, _ in layout
+            if first < second < readers.get(spec.steps[first].out_slot, -1)
+        )
+        assert verify_spec(spec, values).ok
+        mutated = _moved(spec, intruder, spec.steps[victim].storage)
+        findings = verify_spec(mutated, values).by_rule("P-LIFE")
+        assert any(
+            "use-after-release" in f.message and f.steps == (intruder, reader)
+            for f in findings
+        ), findings
+
+    def test_output_moved_onto_its_input(self, serial_plan):
+        spec, values = serial_plan
+        producers = {spec.steps[index].out_slot: index for index, _, _ in storage_layout(spec)}
+        index = next(
+            index
+            for index, _, _ in storage_layout(spec)
+            if any(slot in producers for slot in spec.steps[index].in_slots)
+        )
+        source = next(slot for slot in spec.steps[index].in_slots if slot in producers)
+        mutated = _moved(spec, index, spec.steps[producers[source]].storage)
+        findings = verify_spec(mutated, values).by_rule("P-LIFE")
+        assert any("over the bytes of its input" in f.message for f in findings)
 
     def test_dropped_precision_cast(self, serial_plan):
         """A float64 constant surviving into a float32 plan."""
@@ -227,22 +271,26 @@ class TestMutationCorpus:
         assert "P-FUSE" in _rules(verify_spec(mutated, values))
 
     def test_shrunk_storage_interval(self, serial_plan):
+        """A workspace too small for the highest buffer's byte range."""
         spec, values = serial_plan
-        sizes = list(spec.storage_sizes)
-        sizes[0] = max(8, sizes[0] // 2)
-        mutated = dataclasses.replace(spec, storage_sizes=tuple(sizes))
+        mutated = dataclasses.replace(spec, workspace_nbytes=spec.workspace_nbytes // 2)
         findings = verify_spec(mutated, values).by_rule("P-LAYOUT")
         assert findings and findings[0].byte_range is not None
+        assert all(f.byte_range[1] > mutated.workspace_nbytes for f in findings)
 
     def test_out_of_range_storage_id(self, serial_plan):
+        """An offset past the end of the workspace."""
         spec, values = serial_plan
         index = next(i for i, s in enumerate(spec.steps) if s.storage is not None)
-        steps = list(spec.steps)
-        steps[index] = dataclasses.replace(
-            steps[index], storage=len(spec.storage_sizes) + 3
-        )
-        mutated = dataclasses.replace(spec, steps=tuple(steps))
+        mutated = _moved(spec, index, spec.workspace_nbytes + 3 * 64)
         assert "P-LAYOUT" in _rules(verify_spec(mutated, values))
+
+    def test_misaligned_offset(self, serial_plan):
+        spec, values = serial_plan
+        index = next(i for i, s in enumerate(spec.steps) if s.storage is not None)
+        mutated = _moved(spec, index, spec.steps[index].storage + 8)
+        findings = verify_spec(mutated, values).by_rule("P-LAYOUT")
+        assert any("aligned" in f.message for f in findings)
 
     def test_duplicate_slot_write(self, serial_plan):
         """Slots are SSA: two steps writing one slot is structural breakage."""
@@ -260,16 +308,18 @@ class TestMutationCorpus:
 class TestStorageLayout:
     def test_matches_workspace_carving(self, serial_plan):
         spec, _values = serial_plan
-        intervals = storage_layout(spec.storage_sizes)
-        assert len(intervals) == len(spec.storage_sizes)
-        for offset, nbytes in intervals:
+        layout = storage_layout(spec)
+        assert [index for index, _, _ in layout] == [
+            i for i, step in enumerate(spec.steps) if step.storage is not None
+        ]
+        for index, offset, nbytes in layout:
+            assert offset == spec.steps[index].storage
             assert offset % 64 == 0 and nbytes > 0
-        end = max(o + n for o, n in intervals)
-        assert end <= plan_workspace_nbytes(spec.storage_sizes)
-        # Intervals are pairwise disjoint by construction.
-        ordered = sorted(intervals)
-        for (lo1, n1), (lo2, _n2) in zip(ordered, ordered[1:]):
-            assert lo1 + n1 <= lo2
+        end = max(offset + nbytes for _, offset, nbytes in layout)
+        assert end == plan_workspace_nbytes(spec) == spec.stats.workspace_bytes
+        # Buffers share bytes over time: the workspace is smaller than
+        # the sum of its buffers.
+        assert end < sum(nbytes for _, _, nbytes in layout)
 
 
 # ----------------------------------------------------------------------
@@ -347,9 +397,7 @@ class TestVerifyGates:
         reference = producer(windows)
 
         def shrink(spec):
-            sizes = list(spec.storage_sizes)
-            sizes[0] = max(8, sizes[0] // 2)
-            return dataclasses.replace(spec, storage_sizes=tuple(sizes))
+            return dataclasses.replace(spec, workspace_nbytes=spec.workspace_nbytes // 2)
 
         key = self._corrupt_artifact(tmp_path, shrink)
         monkeypatch.setenv(VERIFY_ENV_VAR, "1")
@@ -370,11 +418,7 @@ class TestVerifyGates:
 
     def test_verify_error_carries_report(self, serial_plan):
         spec, values = serial_plan
-        sizes = list(spec.storage_sizes)
-        sizes[0] = 8
-        report = verify_spec(
-            dataclasses.replace(spec, storage_sizes=tuple(sizes)), values
-        )
+        report = verify_spec(dataclasses.replace(spec, workspace_nbytes=8), values)
         error = VerifyError(report)
         assert error.report is report and "P-LAYOUT" in str(error)
 
@@ -422,12 +466,10 @@ class TestStoreAudit:
         constants = {
             slot: values[slot] for slot in spec.const_slots if values[slot] is not None
         }
-        sizes = list(spec.storage_sizes)
-        sizes[0] = 8
         store.path_for(key).unlink()
         store.save(
             key,
-            dataclasses.replace(spec, storage_sizes=tuple(sizes)),
+            dataclasses.replace(spec, workspace_nbytes=8),
             constants,
             meta={"trace_hash": key},
         )
@@ -457,32 +499,32 @@ class TestWorkspaceValidation:
 
     def test_external_workspace_matches_heap(self, bindable):
         spec, values, windows, reference = bindable
-        buffer = np.empty(plan_workspace_nbytes(spec.storage_sizes), dtype=np.uint8)
+        buffer = np.empty(plan_workspace_nbytes(spec), dtype=np.uint8)
         plan = bind_plan(spec, values, workspace=buffer)
         assert np.array_equal(plan.call(windows), reference)
 
     def test_rejects_undersized_workspace(self, bindable):
         spec, values, _w, _r = bindable
-        needed = plan_workspace_nbytes(spec.storage_sizes)
+        needed = plan_workspace_nbytes(spec)
         with pytest.raises(ValueError, match="smaller than"):
             bind_plan(spec, values, workspace=np.empty(needed - 1, dtype=np.uint8))
 
     def test_rejects_readonly_workspace(self, bindable):
         spec, values, _w, _r = bindable
-        buffer = np.empty(plan_workspace_nbytes(spec.storage_sizes), dtype=np.uint8)
+        buffer = np.empty(plan_workspace_nbytes(spec), dtype=np.uint8)
         buffer.setflags(write=False)
         with pytest.raises(ValueError, match="read-only"):
             bind_plan(spec, values, workspace=buffer)
 
     def test_rejects_noncontiguous_workspace(self, bindable):
         spec, values, _w, _r = bindable
-        needed = plan_workspace_nbytes(spec.storage_sizes)
+        needed = plan_workspace_nbytes(spec)
         strided = np.empty(needed * 2, dtype=np.uint8)[::2]
         with pytest.raises(ValueError, match="not contiguous"):
             bind_plan(spec, values, workspace=strided)
 
     def test_rejects_wrong_dtype(self, bindable):
         spec, values, _w, _r = bindable
-        needed = plan_workspace_nbytes(spec.storage_sizes)
+        needed = plan_workspace_nbytes(spec)
         with pytest.raises(ValueError, match="uint8"):
             bind_plan(spec, values, workspace=np.empty(needed, dtype=np.float64))

@@ -190,6 +190,20 @@ class TestOneBlasThread:
         stats = self._serve(tiny_model, forecasting_data, "inline", 1)
         assert stats.blas_threads == (1,)
 
+    def test_stats_reads_the_count_once_per_pin(
+        self, tiny_model, forecasting_data, monkeypatch
+    ):
+        # A probe rescans /proc/self/maps and reopens the library; polling
+        # stats() must not pay that.
+        with _service(tiny_model, forecasting_data, "inline", 1, cache_entries=0) as service:
+            scans = []
+            symbols = blas._symbols
+            monkeypatch.setattr(
+                blas, "_symbols", lambda *args: scans.append(args) or symbols(*args)
+            )
+            assert all(service.stats().blas_threads == (1,) for _ in range(5))
+        assert scans == []
+
     @pytest.mark.parametrize(
         "start_method",
         [m for m in ("fork", "spawn", "forkserver") if m in multiprocessing.get_all_start_methods()],

@@ -17,12 +17,15 @@ import time
 import numpy as np
 import pytest
 
+from repro.core import DyHSL, DyHSLConfig
+from repro.graph import corridor_road_network
 from repro.runtime import (
     ArtifactStore,
     bind_plan,
     compile_plan,
     plan_workspace_nbytes,
 )
+from repro.runtime.verify import storage_layout
 from repro.serving import (
     START_METHOD_ENV_VAR,
     FaultPlan,
@@ -34,6 +37,8 @@ from repro.serving import (
     process_tier,
     resolve_start_method,
 )
+from repro.tensor import Tensor, no_grad
+from repro.tensor import seed as seed_everything
 
 
 def _raw_windows(forecasting_data, count, start=0):
@@ -109,7 +114,7 @@ class TestWorkspaceBinding:
         heap_plan, batch = plan_and_batch
         spec = heap_plan.spec
         values = list(heap_plan._values)
-        workspace = np.zeros(plan_workspace_nbytes(spec.storage_sizes), dtype=np.uint8)
+        workspace = np.zeros(plan_workspace_nbytes(spec), dtype=np.uint8)
         ws_plan = bind_plan(spec, values, workspace=workspace)
         expected = heap_plan.call(batch)
         produced = ws_plan.call(batch)
@@ -117,9 +122,10 @@ class TestWorkspaceBinding:
 
     def test_workspace_nbytes_is_aligned_and_sufficient(self, plan_and_batch):
         heap_plan, _ = plan_and_batch
-        sizes = heap_plan.spec.storage_sizes
-        total = plan_workspace_nbytes(sizes)
-        assert total >= sum(int(nbytes) for nbytes in sizes)
+        layout = storage_layout(heap_plan.spec)
+        total = plan_workspace_nbytes(heap_plan.spec)
+        assert all(offset % 64 == 0 for _, offset, _ in layout)
+        assert total == max(offset + nbytes for _, offset, nbytes in layout)
         # Exactly-sized buffer binds; one byte short does not.
         bind_plan(heap_plan.spec, list(heap_plan._values),
                   workspace=np.zeros(total, dtype=np.uint8))
@@ -129,7 +135,7 @@ class TestWorkspaceBinding:
 
     def test_workspace_must_be_flat_uint8(self, plan_and_batch):
         heap_plan, _ = plan_and_batch
-        total = plan_workspace_nbytes(heap_plan.spec.storage_sizes)
+        total = plan_workspace_nbytes(heap_plan.spec)
         with pytest.raises(ValueError, match="flat uint8"):
             bind_plan(heap_plan.spec, list(heap_plan._values),
                       workspace=np.zeros(total, dtype=np.float64))
@@ -261,6 +267,62 @@ class TestProcessParity:
             assert np.abs(service.forecast_many(windows) - reference).max() == 0.0
             compiles = plan_engine(service).cache_info().compiles
         assert compiles == 0
+
+
+class TestSegmentArena:
+    """Every plan a replica runs binds into its segment's arena; a plan
+    that does not fit binds on the worker's heap, and is counted."""
+
+    @staticmethod
+    def _mixed_85():
+        """The perfbench mixed-85-procs deployment shape: the perfbench
+        model at 85 sensors on two process replicas."""
+        seed_everything(11)
+        config = DyHSLConfig(
+            num_nodes=85, hidden_dim=16, prior_layers=2, num_hyperedges=8, mhce_layers=2
+        )
+        model = DyHSL(config, corridor_road_network(85, seed=0).adjacency).eval()
+        windows = np.random.default_rng(3).normal(size=(22, 12, 85, 1))
+        service = ShardedForecastService(
+            model, num_shards=2, mode="replicas", executor="processes", cache_entries=0
+        )
+        return model, windows, service
+
+    @staticmethod
+    def _serve(model, windows, service):
+        """The perfbench set-up calls: 1-row plans on each replica, then
+        16 windows (8 + 8) and 4 (2 + 2); every output exact."""
+        with no_grad():
+            reference = model(Tensor(windows)).data
+        for part in (slice(0, 1), slice(1, 2), slice(2, 18), slice(18, 22)):
+            assert np.abs(service.forecast_many(windows[part]) - reference[part]).max() == 0.0
+        # Each worker writes its beacon before it serves a request, so one
+        # more request each publishes the binds of the calls above.
+        service.forecast_many(windows[:2])
+        return service.stats().process_tier
+
+    def test_mixed_85_pieces_bind_into_the_segment(self):
+        model, windows, service = self._mixed_85()
+        with service:
+            tier = self._serve(model, windows, service)
+        assert tier.workers == 2 and tier.bulk_rows >= 22
+        assert tier.heap_binds == 0
+
+    def test_a_plan_that_does_not_fit_is_counted(self, monkeypatch):
+        layout_for = ProcessShardExecutor._layout_for
+
+        def cramped(self, key, pset):
+            layout = layout_for(self, key, pset)
+            return process_tier._SegmentLayout.build(
+                layout.request_payload_cap, layout.response_payload_cap, 64
+            )
+
+        monkeypatch.setattr(ProcessShardExecutor, "_layout_for", cramped)
+        model, windows, service = self._mixed_85()
+        with service:
+            tier = self._serve(model, windows, service)
+        # The 1-, 8- and 2-row plans on each of the two workers.
+        assert tier.heap_binds == 6
 
 
 class TestPriorityLanes:
